@@ -23,7 +23,6 @@ from .constants import (
 from .dynamics import (
     EchoCurve,
     SimulationConfig,
-    bath_signal,
     ensemble_signal,
     field_scan,
     group_signal,
@@ -67,7 +66,6 @@ __all__ = [
     "GAMMA_N14_HZ_PER_G",
     "EchoCurve",
     "SimulationConfig",
-    "bath_signal",
     "ensemble_signal",
     "field_scan",
     "group_signal",

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .constants import (
     GAMMA_C13_HZ_PER_G,
@@ -419,6 +418,8 @@ def fit_t2(curve: EchoCurve, model: str = "exponential", *,
     else:
         def decay(t, t2):
             return np.exp(-((t / t2) ** 2))
+
+    from scipy.optimize import curve_fit  # deferred: slow to import
 
     t_scale = float(x[-1]) if x[-1] > 0 else expected_period
     popt, _ = curve_fit(decay, x, y, p0=[0.5 * t_scale],

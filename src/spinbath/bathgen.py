@@ -26,6 +26,8 @@ from .constants import (
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
+    MU0_SI,
+    PLANCK_SI,
 )
 from .hamiltonians import hyperfine_tensor
 
@@ -261,6 +263,34 @@ def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
     raise ValueError(f"unknown clustering metric {metric!r}")
 
 
+def _pair_couplings(bath: Bath, metric: str):
+    """(i, j, coupling) for every pair i < j, as pair_coupling computes them.
+
+    Each step repeats pair_coupling's floating-point operations in the same
+    order, so the couplings are bit-identical and so is the greedy order:
+    the distance is a BLAS dot product (np.vecdot, as np.linalg.norm) and
+    r^3 is a Python-float power, since numpy's vectorised power and einsum
+    sums round differently in the last bit.
+    """
+    if metric not in ("zz", "frobenius"):
+        raise ValueError(f"unknown clustering metric {metric!r}")
+    pos = np.array([s.position for s in bath.spins])
+    gamma = np.array([s.gamma for s in bath.spins])
+    i, j = np.triu_indices(len(bath), 1)
+    r = pos[j] - pos[i]
+    dist = np.sqrt(np.vecdot(r, r))
+    rhat = r / dist[:, None]
+    r3 = np.array([x ** 3 for x in (dist * 1e-9).tolist()])
+    c = (MU0_SI * PLANCK_SI * (gamma[i] * 1e4) * (gamma[j] * 1e4)
+         / (4.0 * math.pi * r3))
+    if metric == "zz":
+        return i, j, np.abs(c * (1.0 - 3.0 * (rhat[:, 2] * rhat[:, 2])))
+    tensor = c[:, None, None] * (np.eye(3)
+                                 - 3.0 * (rhat[:, :, None] * rhat[:, None, :]))
+    tensor = tensor.reshape(-1, 9)
+    return i, j, np.sqrt(np.vecdot(tensor, tensor))
+
+
 def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
     """Greedy agglomeration into groups of size at most g.
 
@@ -281,13 +311,9 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
         return i
 
     if g > 1 and n > 1:
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                pairs.append((-pair_coupling(bath.spins[i], bath.spins[j],
-                                             metric=metric), i, j))
-        pairs.sort()
-        for _, i, j in pairs:
+        first, second, coupling = _pair_couplings(bath, metric)
+        order = np.lexsort((second, first, -coupling))
+        for i, j in zip(first[order].tolist(), second[order].tolist()):
             ri, rj = find(i), find(j)
             if ri == rj:
                 continue

@@ -275,13 +275,23 @@ def _sim_config(resolved: dict, tau_grid, sequence) -> SimulationConfig:
 # ---------------------------------------------------------------------------
 # commands
 
+def _check_field(b):
+    try:
+        value = float(b)
+    except (TypeError, ValueError):
+        return  # a 3-vector from a config file; the library validates it
+    if not math.isfinite(value):
+        raise _CliError("field must be finite")
+    if value < 0:
+        raise _CliError("field must be ≥ 0")
+
+
 def _cmd_spectrum(args) -> int:
     defaults = {"b": 72.0, "jt": "all", "out": None, "format": "csv",
                 "dry_run": False}
     resolved = _resolve(args, defaults)
     b = float(resolved["b"])
-    if b < 0:
-        raise _CliError("field must be ≥ 0")
+    _check_field(b)
     jt = resolved["jt"].lower()
     if jt == "all":
         orientations = None
@@ -302,13 +312,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _check_field(b):
-    try:
-        value = float(b)
-    except (TypeError, ValueError):
-        return  # a 3-vector from a config file; the library validates shape
-    if value < 0:
-        raise _CliError("field must be ≥ 0")
 
 
 def _cmd_echo(args) -> int:
@@ -341,8 +344,8 @@ def _cmd_scan(args) -> int:
     fields = _parse_field_list(str(resolved["b"]))
     if not fields:
         raise _CliError("field list must be non-empty")
-    if any(b < 0 for b in fields):
-        raise _CliError("field must be ≥ 0")
+    for b in fields:
+        _check_field(b)
     tau_grid = _parse_tau_grid(resolved["tau"])
     sequence = _make_sequence(resolved["sequence"], resolved["n"])
     base = dict(resolved)
@@ -369,8 +372,7 @@ def _cmd_larmor_dist(args) -> int:
                 "out": None, "format": "json", "dry_run": False}
     resolved = _resolve(args, defaults)
     b = float(resolved["b"])
-    if b < 0:
-        raise _CliError("field must be ≥ 0")
+    _check_field(b)
     meta = {"command": "larmor-dist", **resolved}
     if resolved["dry_run"]:
         return _dry_run(meta)
@@ -423,8 +425,7 @@ def _cmd_stats(args) -> int:
             float(resolved["td"]) * 1e-6)
     if resolved["b"] is not None:
         b = float(resolved["b"])
-        if b < 0:
-            raise _CliError("field must be ≥ 0")
+        _check_field(b)
         info = larmor_frequency(b)
         results["larmor_freq_hz"] = info["freq_hz"]
         results["larmor_period_s"] = info["period_s"]

@@ -1,11 +1,17 @@
 """Disjoint-cluster echo dynamics: group signals, bath products, ensembles.
 
-The engine evolves the central spin together with one carbon group at a
-time.  For each group the full Hamiltonian is diagonalized once; the
-initial state |a><a| (x) 1/2^g (probed central eigenstate, fully mixed
-carbons) is carried as a slab of pure-state columns in the eigenbasis, so
-free evolution is a diagonal phase multiply and each pulse a small cached
-matrix.  The group signal is
+One kernel computes every echo.  It evolves the central spin together
+with one carbon group at a time, and each group's Hamiltonian is
+diagonalized once.  The initial state |a><a| (x) 1/2^g (probed central
+eigenstate, fully mixed carbons) is carried as nb = 2^g pure-state
+columns in the eigenbasis, so free evolution is a diagonal phase multiply
+and each pulse a small cached matrix.  The whole tau grid runs at once:
+the schedules compiled at each tau are grouped by event structure (tau = 0
+drops the symbolic intervals, so it forms its own group), and each
+structure propagates one (D, T*nb) slab, one GEMM per pulse and one
+broadcast phase multiply per interval with a duration per tau.  Only one
+group's slab is held at a time; group_signal is the case of one group
+and one schedule.  The group signal is
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -26,21 +32,22 @@ tau is the per-arm delay: a Hahn echo at tau evolves for 2*tau in total.
 from __future__ import annotations
 
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bathgen import Bath, Partition, child_seed, cluster_bath, generate_bath
+from . import bathgen, hamiltonians, pulses
+from .bathgen import Bath, Partition, child_seed
 from .constants import DIAMOND_BOND_NM
-from .hamiltonians import NVCenter, P1Center, build_system_hamiltonian
+from .hamiltonians import NVCenter, P1Center
 from .pulses import (
     Interval,
     PulseProgram,
     Rotation,
     Schedule,
     canonical_text,
-    compile_schedule,
     expand_preset,
 )
 from .spinops import two_level_unitary
@@ -49,22 +56,12 @@ __all__ = [
     "SimulationConfig",
     "EchoCurve",
     "group_signal",
-    "bath_signal",
     "ensemble_signal",
     "field_scan",
     "scan_csv",
 ]
 
 _SCHEMA_VERSION = 1
-
-
-def _field_tuple(b) -> tuple[float, float, float]:
-    arr = np.atleast_1d(np.asarray(b, dtype=float))
-    if arr.shape == (1,):
-        return (0.0, 0.0, float(arr[0]))
-    if arr.shape != (3,):
-        raise ValueError("b_field must be a scalar (along z) or a 3-vector, in G")
-    return (float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,11 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "b_field", _field_tuple(self.b_field))
+        object.__setattr__(self, "b_field", tuple(
+            float(x) for x in hamiltonians._field_vector(self.b_field)))
         grid = tuple(float(t) for t in self.tau_grid)
+        if not all(math.isfinite(t) for t in grid):
+            raise ValueError("tau_grid entries must be finite")
         if any(t < 0.0 for t in grid):
             raise ValueError("tau_grid entries must be non-negative")
         if any(t2 < t1 for t1, t2 in zip(grid, grid[1:])):
@@ -201,78 +201,7 @@ def scan_csv(curves: list[EchoCurve]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# group engine
-
-class _GroupEngine:
-    """One central spin + one carbon group, diagonalized once, run many times."""
-
-    def __init__(self, central, group, b_field, *, include_nn=True,
-                 secular_hyperfine=False, hyperfine_scale=1.0):
-        self.central = central
-        self.nb = 1 << len(group)
-        hc = central.hamiltonian(b_field)
-        wc, vc = np.linalg.eigh(hc)
-        ia, ib = central.level_pair(wc, vc)
-        self.a = np.ascontiguousarray(vc[:, ia])
-        self.b = np.ascontiguousarray(vc[:, ib])
-        dc = hc.shape[0]
-
-        h = build_system_hamiltonian(central, group, b_field,
-                                     include_nn=include_nn,
-                                     secular_hyperfine=secular_hyperfine,
-                                     hyperfine_scale=hyperfine_scale)
-        self.w, self.v = np.linalg.eigh(h)
-        eye_b = np.eye(self.nb, dtype=complex)
-        base = np.kron(self.a.reshape(dc, 1), eye_b)
-        self.m0 = self.v.conj().T @ base            # initial slab, eigenbasis
-        self.row = np.kron(self.a.conj().reshape(1, dc), eye_b) @ self.v
-        self._rot_cache: dict = {}
-        self._eta_cache: dict = {}
-
-    def _rotation(self, event: Rotation) -> np.ndarray:
-        if event.target != "probe":
-            raise ValueError(
-                f"sequence addresses target {event.target!r}, but this model "
-                "evolves only the probed central spin")
-        key = (event.axis, event.angle_deg)
-        cached = self._rot_cache.get(key)
-        if cached is None:
-            u2 = two_level_unitary(event.axis, event.angle_rad)
-            p = np.stack([self.a, self.b], axis=1)
-            uc = np.eye(len(self.a), dtype=complex) \
-                + p @ (u2 - np.eye(2)) @ p.conj().T
-            ufull = np.kron(uc, np.eye(self.nb, dtype=complex))
-            cached = self.v.conj().T @ ufull @ self.v
-            self._rot_cache[key] = cached
-        return cached
-
-    def _eta(self, schedule: Schedule) -> float:
-        # sign normalization from the zero-delay composition on the pair
-        pulses = tuple((e.axis, e.angle_deg) for e in schedule.rotations())
-        eta = self._eta_cache.get(pulses)
-        if eta is None:
-            u = np.eye(2, dtype=complex)
-            for axis, angle_deg in pulses:
-                u = two_level_unitary(axis, np.radians(angle_deg)) @ u
-            raw0 = 2.0 * abs(u[0, 0]) ** 2 - 1.0
-            eta = -1.0 if raw0 < -0.99 else 1.0
-            self._eta_cache[pulses] = eta
-        return eta
-
-    def run(self, schedule: Schedule) -> float:
-        m = self.m0.copy()
-        for event in schedule.events:
-            if isinstance(event, Rotation):
-                m = self._rotation(event) @ m
-            elif isinstance(event, Interval):
-                phases = np.exp(-2j * np.pi * self.w * event.duration_s)
-                m = phases[:, None] * m
-            else:  # pragma: no cover
-                raise TypeError(f"unknown schedule event {event!r}")
-        amp = self.row @ m
-        raw = 2.0 / self.nb * float(np.linalg.norm(amp) ** 2) - 1.0
-        return self._eta(schedule) * raw
-
+# echo kernel
 
 def _thermal_variants(central):
     """(weight, central) pairs; a thermal nitrogen averages its projections."""
@@ -281,77 +210,167 @@ def _thermal_variants(central):
     return [(1.0, central)]
 
 
+def _eta(steps) -> float:
+    """Sign normalization from the zero-delay composition on the pair."""
+    u = np.eye(2, dtype=complex)
+    for step in steps:
+        if step is not None:
+            u = two_level_unitary(step.axis, np.radians(step.angle_deg)) @ u
+    return -1.0 if 2.0 * abs(u[0, 0]) ** 2 - 1.0 < -0.99 else 1.0
+
+
+def _plans(schedules: list[Schedule]) -> list:
+    """Schedules grouped by event structure, one propagation plan each.
+
+    A plan is (steps, indices, durations, eta).  steps are the events with
+    each interval replaced by the row of durations, a (distinct intervals,
+    schedules) array, that holds its length on every schedule; intervals
+    of equal length on every schedule share a row.  eta is the sign
+    normalization.  Taus of one program share a structure except tau = 0,
+    whose symbolic intervals are dropped.
+    """
+    indices: dict = {}
+    for k, schedule in enumerate(schedules):
+        steps = tuple(e if isinstance(e, Rotation) else None
+                      for e in schedule.events)
+        indices.setdefault(steps, []).append(k)
+    plans = []
+    for steps, index in indices.items():
+        for step in steps:
+            if step is not None and step.target != "probe":
+                raise ValueError(
+                    f"sequence addresses target {step.target!r}, but this "
+                    "model evolves only the probed central spin")
+        lengths = zip(*([e.duration_s for e in schedules[k].events
+                         if isinstance(e, Interval)] for k in index))
+        rows: dict = {}
+        slots = iter([rows.setdefault(row, len(rows)) for row in lengths])
+        steps_rows = tuple(next(slots) if step is None else step
+                           for step in steps)
+        durations = np.array(list(rows)).reshape(len(rows), len(index))
+        plans.append((steps_rows, index, durations, _eta(steps)))
+    return plans
+
+
+def _group_curve(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
+    """S_G of one diagonalized group on every schedule of the plans.
+
+    Works in the eigenbasis (w, v) of the group Hamiltonian; a and b are
+    the probed central eigenstates.  Rotations before the first interval
+    act on the nb initial columns once, and rotations after the last one
+    fold into the read-out row.  In between, the slab of a plan holds nb
+    columns per schedule, (D, T*nb): each rotation is one GEMM and each
+    interval one broadcast phase multiply with a duration per schedule.
+    """
+    dim, dc = len(w), len(a)
+    nb = dim // dc
+    eye_b = np.eye(nb, dtype=complex)
+    m0 = v.conj().T @ np.kron(a.reshape(dc, 1), eye_b)
+    row0 = np.kron(a.conj().reshape(1, dc), eye_b) @ v
+    pair = np.stack([a, b], axis=1)
+    rate = -2j * np.pi * w
+    rotations: dict = {}
+
+    def rotation(step: Rotation) -> np.ndarray:
+        r = rotations.get(step)
+        if r is None:
+            u2 = two_level_unitary(step.axis, step.angle_rad)
+            uc = np.eye(dc, dtype=complex) \
+                + pair @ (u2 - np.eye(2)) @ pair.conj().T
+            r = rotations[step] = v.conj().T @ np.kron(uc, eye_b) @ v
+        return r
+
+    out = np.empty(n_schedules)
+    for steps, index, durations, eta in plans:
+        phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
+        free = [k for k, step in enumerate(steps)
+                if not isinstance(step, Rotation)]
+        first, last = (free[0], free[-1] + 1) if free else (len(steps),) * 2
+        m, row = m0, row0
+        for step in steps[:first]:
+            m = rotation(step) @ m
+        for step in reversed(steps[last:]):
+            row = row @ rotation(step)
+        m = np.tile(m, (1, len(index)))
+        for step in steps[first:last]:
+            if isinstance(step, Rotation):
+                m = rotation(step) @ m
+            else:
+                m = (m.reshape(dim, -1, nb)
+                     * phases[:, step, :, None]).reshape(dim, -1)
+        amp = (row @ m).reshape(nb, -1, nb)
+        power = (amp.real ** 2 + amp.imag ** 2).sum(axis=(0, 2))
+        out[index] = eta * (2.0 / nb * power - 1.0)
+    return out
+
+
+def _echo(central, groups, schedules: list[Schedule], b_field,
+          **options) -> np.ndarray:
+    """Bath signal S_T on every schedule: the product of S_G over groups.
+
+    With a thermal nitrogen the product is formed per projection and then
+    averaged (one physical nitrogen is shared by every group).  The
+    projections share the central and group Hamiltonians, so each is
+    diagonalized once; options go to build_system_hamiltonian.
+    """
+    plans = _plans(schedules)
+    wc, vc = np.linalg.eigh(central.hamiltonian(b_field))
+    pairs = []
+    for weight, variant in _thermal_variants(central):
+        ia, ib = variant.level_pair(wc, vc)
+        pairs.append((weight, vc[:, ia], vc[:, ib]))
+    products = np.ones((len(pairs), len(schedules)))
+    for group in groups:
+        h = hamiltonians.build_system_hamiltonian(central, group, b_field,
+                                                  **options)
+        w, v = np.linalg.eigh(h)
+        for product, (_, a, b) in zip(products, pairs):
+            product *= _group_curve(w, v, a, b, plans, len(schedules))
+    total = np.zeros(len(schedules))
+    for product, (weight, _, _) in zip(products, pairs):
+        total += weight * product
+    return total
+
+
 def group_signal(central, group, schedule: Schedule, b_field, *,
                  include_nn: bool = True, secular_hyperfine: bool = False,
                  hyperfine_scale: float = 1.0) -> float:
     """Echo signal of the central spin coupled to one carbon group."""
-    total = 0.0
-    for weight, variant in _thermal_variants(central):
-        engine = _GroupEngine(variant, group, b_field, include_nn=include_nn,
-                              secular_hyperfine=secular_hyperfine,
-                              hyperfine_scale=hyperfine_scale)
-        total += weight * engine.run(schedule)
-    return total
-
-
-def bath_signal(central, bath: Bath, partition: Partition,
-                schedule: Schedule, b_field, *,
-                include_nn: bool = True) -> float:
-    """Product of group signals over a partition of the bath.
-
-    With a thermal nitrogen the product is formed per projection and then
-    averaged (one physical nitrogen is shared by every group).
-    """
-    if partition.n_spins != len(bath):
-        raise ValueError("partition does not cover this bath")
-    total = 0.0
-    for weight, variant in _thermal_variants(central):
-        product = 1.0
-        for grp in partition:
-            spins = [bath.spins[i] for i in grp]
-            engine = _GroupEngine(variant, spins, b_field,
-                                  include_nn=include_nn)
-            product *= engine.run(schedule)
-        total += weight * product
-    return total
+    return float(_echo(central, [list(group)], [schedule], b_field,
+                       include_nn=include_nn,
+                       secular_hyperfine=secular_hyperfine,
+                       hyperfine_scale=hyperfine_scale)[0])
 
 
 def _bath_curve(central, bath: Bath, partition: Partition,
-                sequence: PulseProgram, tau_grid, b_field, *,
+                schedules: list[Schedule], b_field, *,
                 include_nn: bool = True) -> np.ndarray:
-    """S_T over the tau grid, reusing each group's diagonalization."""
-    schedules = [compile_schedule(sequence, tau) for tau in tau_grid]
-    total = np.zeros(len(schedules))
-    for weight, variant in _thermal_variants(central):
-        engines = [
-            _GroupEngine(variant, [bath.spins[i] for i in grp], b_field,
-                         include_nn=include_nn)
-            for grp in partition
-        ]
-        product = np.ones(len(schedules))
-        for engine in engines:
-            product *= np.array([engine.run(s) for s in schedules])
-        total += weight * product
-    return total
+    """S_T of one bath on every schedule."""
+    if partition.n_spins != len(bath):
+        raise ValueError("partition does not cover this bath")
+    groups = [[bath.spins[i] for i in grp] for grp in partition]
+    return _echo(central, groups, schedules, b_field, include_nn=include_nn)
 
 
 def _make_baths(config: SimulationConfig):
     baths = []
     for index in range(config.n_baths):
         seed = child_seed(config.master_seed, index)
-        bath = generate_bath(seed, config.n_spins, config.abundance,
-                             config.min_radius, lattice=config.lattice)
-        baths.append((bath, cluster_bath(bath, config.g)))
+        bath = bathgen.generate_bath(seed, config.n_spins, config.abundance,
+                                     config.min_radius,
+                                     lattice=config.lattice)
+        baths.append((bath, bathgen.cluster_bath(bath, config.g)))
     return baths
 
 
 def _ensemble_curve(config: SimulationConfig, baths) -> EchoCurve:
     rows = [None] * len(baths)
+    schedules = [pulses.compile_schedule(config.sequence, tau)
+                 for tau in config.tau_grid]
 
     def work(index: int):
         bath, partition = baths[index]
-        rows[index] = _bath_curve(config.central, bath, partition,
-                                  config.sequence, config.tau_grid,
+        rows[index] = _bath_curve(config.central, bath, partition, schedules,
                                   config.b_field,
                                   include_nn=config.include_nn)
 

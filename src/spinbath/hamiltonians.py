@@ -18,6 +18,8 @@ low-field nitrogen-center spectroscopy.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -195,11 +197,14 @@ def rotation_onto_axis(n) -> np.ndarray:
 
 
 def _field_vector(b) -> np.ndarray:
+    """A field in G as a 3-vector; a scalar lies along z."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape == (1,):
-        return np.array([0.0, 0.0, float(b[0])])
+        b = np.array([0.0, 0.0, b[0]])
     if b.shape != (3,):
         raise ValueError("field must be a scalar (along z) or a 3-vector, in G")
+    if not np.isfinite(b).all():
+        raise ValueError("field must be finite")
     return b
 
 
@@ -207,6 +212,16 @@ def _zeeman(gamma_hz_per_g: float, b_vec: np.ndarray, ops) -> np.ndarray:
     # physical sign: H = -gamma B . S
     return -gamma_hz_per_g * (b_vec[0] * ops[0] + b_vec[1] * ops[1]
                               + b_vec[2] * ops[2])
+
+
+@functools.lru_cache(maxsize=None)
+def _p1_operators():
+    """Electron and 14N spin operators embedded in the six-level space."""
+    space = CompositeSpace((2, 3))
+    half = spin_operators(0.5)
+    one = spin_operators(1.0)
+    return (tuple(embed(o, 0, space) for o in (half.sx, half.sy, half.sz)),
+            tuple(embed(o, 1, space) for o in (one.sx, one.sy, one.sz)))
 
 
 def build_p1_hamiltonian(params: P1Params, b, jt) -> np.ndarray:
@@ -218,11 +233,7 @@ def build_p1_hamiltonian(params: P1Params, b, jt) -> np.ndarray:
     """
     axis = jt.axis if isinstance(jt, JtOrientation) else jt
     b_vec = _field_vector(b)
-    space = CompositeSpace((2, 3))
-    half = spin_operators(0.5)
-    one = spin_operators(1.0)
-    s_ops = [embed(o, 0, space) for o in (half.sx, half.sy, half.sz)]
-    i_ops = [embed(o, 1, space) for o in (one.sx, one.sy, one.sz)]
+    s_ops, i_ops = _p1_operators()
 
     r = rotation_onto_axis(axis)
     xp, yp, zp = r[:, 0], r[:, 1], r[:, 2]
@@ -304,9 +315,7 @@ class P1Center:
         return build_p1_hamiltonian(self.params, b, self.jt)
 
     def electron_ops(self):
-        space = CompositeSpace(self.dims)
-        half = spin_operators(0.5)
-        return [embed(o, 0, space) for o in (half.sx, half.sy, half.sz)]
+        return list(_p1_operators()[0])
 
     def level_pair(self, evals, evecs) -> tuple[int, int]:
         """Eigenstate indices labeled (m_S=+1/2, m_i) and (-1/2, m_i)."""
@@ -427,45 +436,61 @@ def build_system_hamiltonian(central, group, b, *, include_nn: bool = True,
     if len(set(positions)) != len(positions):
         raise ValueError("bath spins must occupy distinct positions")
 
-    dims = tuple(central.dims) + (2,) * len(group)
-    space = CompositeSpace(dims)
-    n_central = len(central.dims)
     nb = 1 << len(group)
-
     h = np.kron(central.hamiltonian(b), np.eye(nb, dtype=complex))
-
     if not group:
         return h
 
+    # coefficients in the row order of _group_operators
     b_vec = _field_vector(b)
-    half = spin_operators(0.5)
-    s_ops = [np.kron(o, np.eye(nb, dtype=complex)) for o in central.electron_ops()]
-    carbon_ops = []
-    for k in range(len(group)):
-        ops = [embed(o, n_central + k, space) for o in (half.sx, half.sy, half.sz)]
-        carbon_ops.append(ops)
-
-    for k, spin in enumerate(group):
-        ops = carbon_ops[k]
-        h = h + _zeeman(spin.gamma, b_vec, ops)
-        if hyperfine_scale == 0.0:
-            continue
-        tensor = hyperfine_scale * hyperfine_tensor(
-            spin.position, central.gamma_e_hz, spin.gamma).a
-        rows = (2,) if secular_hyperfine else (0, 1, 2)
-        for i in rows:
-            for j in range(3):
-                if tensor[i, j] != 0.0:
-                    h = h + tensor[i, j] * (s_ops[i] @ ops[j])
-
+    coeffs = []
+    for spin in group:
+        tensor = np.zeros((3, 3))
+        if hyperfine_scale != 0.0:
+            tensor = hyperfine_scale * hyperfine_tensor(
+                spin.position, central.gamma_e_hz, spin.gamma).a
+        if secular_hyperfine:
+            tensor[:2] = 0.0
+        coeffs += [-spin.gamma * b_vec, tensor.ravel()]
     if include_nn:
-        for k1 in range(len(group)):
-            for k2 in range(k1 + 1, len(group)):
-                r = np.asarray(group[k2].position) - np.asarray(group[k1].position)
-                tensor = hyperfine_tensor(r, group[k1].gamma, group[k2].gamma).a
-                for i in range(3):
-                    for j in range(3):
-                        if tensor[i, j] != 0.0:
-                            h = h + tensor[i, j] * (carbon_ops[k1][i]
-                                                    @ carbon_ops[k2][j])
+        for s1, s2 in itertools.combinations(group, 2):
+            r = np.asarray(s2.position) - np.asarray(s1.position)
+            coeffs.append(hyperfine_tensor(r, s1.gamma, s2.gamma).a.ravel())
+    # One term at a time, in a fixed order: the diagonal holds the central
+    # spin's splittings (GHz for the NV), and a summed update (tensordot)
+    # rounds it differently, which moved NV CPMG echoes by 3e-10.
+    for c, op in zip(np.concatenate(coeffs), _group_operators(central,
+                                                              len(group))):
+        if c != 0.0:
+            h += c * op
     return h
+
+
+_GROUP_OPERATORS: dict = {}
+
+
+def _group_operators(central, k: int) -> np.ndarray:
+    """Operator stack of a central spin plus k carbons, built once per kind.
+
+    Rows, in order: for each carbon its x, y, z operators (the Zeeman
+    term) and its 9 products S_i I_j with the electron; then for each pair
+    of carbons, in index order, the 9 products I_i I'_j.  Cached per
+    (central type, dims, k), which fixes the electron operators.
+    """
+    key = (type(central), tuple(central.dims), k)
+    ops = _GROUP_OPERATORS.get(key)
+    if ops is None:
+        space = CompositeSpace(tuple(central.dims) + (2,) * k)
+        eye_b = np.eye(1 << k, dtype=complex)
+        half = spin_operators(0.5)
+        s_ops = [np.kron(o, eye_b) for o in central.electron_ops()]
+        carbons = [[embed(o, len(central.dims) + m, space)
+                    for o in (half.sx, half.sy, half.sz)] for m in range(k)]
+        terms = [t for ops_m in carbons
+                 for t in ops_m + [s @ c for s in s_ops for c in ops_m]]
+        terms += [c1 @ c2 for m1, m2 in itertools.combinations(range(k), 2)
+                  for c1 in carbons[m1] for c2 in carbons[m2]]
+        ops = np.array(terms)
+        ops.flags.writeable = False
+        _GROUP_OPERATORS[key] = ops
+    return ops

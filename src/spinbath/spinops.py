@@ -1,15 +1,15 @@
-"""Spin operator algebra, composite spaces, exact propagators, ideal pulses.
+"""Spin operator algebra, composite spaces and ideal two-level pulses.
 
 Matrices are dense complex numpy arrays; Hilbert dimensions stay at or
-below 48 (a six-level center and three bath carbons), so everything is
+below 48 (a six-level center and three bath carbons), so evolution is
 computed by exact Hermitian eigendecomposition rather than series
 approximations.
 
 Conventions:
     basis states within a slot are ordered by descending projection,
     m = +s, ..., -s;
-    Hamiltonians are in ordinary-frequency units (Hz) and the propagator
-    supplies the 2*pi: evolve(H, t) = exp(-i 2 pi H t);
+    Hamiltonians are in ordinary-frequency units (Hz) and evolution
+    supplies the 2*pi: U(t) = exp(-i 2 pi H t);
     composite slot order is fixed per simulation as
     [central electron, central nucleus (if present), bath spin 1..g].
 """
@@ -24,11 +24,8 @@ import numpy as np
 __all__ = [
     "SpinOperatorSet",
     "CompositeSpace",
-    "DensityMatrix",
     "spin_operators",
     "embed",
-    "evolve",
-    "rotation",
     "two_level_unitary",
     "AXIS_VECTORS",
 ]
@@ -55,14 +52,6 @@ class SpinOperatorSet:
     def dim(self) -> int:
         return int(round(2 * self.s + 1))
 
-    def projector(self, m: float) -> np.ndarray:
-        """Projector onto the eigenstate of sz with projection m."""
-        idx = int(round(self.s - m))
-        if not (0 <= idx < self.dim):
-            raise ValueError(f"projection {m} outside spin-{self.s} ladder")
-        p = np.zeros((self.dim, self.dim), dtype=complex)
-        p[idx, idx] = 1.0
-        return p
 
 
 @lru_cache(maxsize=None)
@@ -110,30 +99,6 @@ class CompositeSpace:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, positive."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.abs(rho - rho.conj().T).max() > 1e-12 * max(1.0, np.abs(rho).max()):
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
-            raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
-        rho.flags.writeable = False
-        object.__setattr__(self, "matrix", rho)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def embed(op: np.ndarray, slot: int, space: CompositeSpace) -> np.ndarray:
     """Tensor op on the given slot with identities on every other slot."""
     op = np.asarray(op, dtype=complex)
@@ -146,30 +111,6 @@ def embed(op: np.ndarray, slot: int, space: CompositeSpace) -> np.ndarray:
     factors = [op if k == slot else np.eye(d, dtype=complex)
                for k, d in enumerate(space.dims)]
     return reduce(np.kron, factors)
-
-
-def _check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("Hamiltonian must be a square matrix")
-    scale = max(1.0, np.abs(h).max())
-    if np.abs(h - h.conj().T).max() > tol * scale:
-        raise ValueError("Hamiltonian must be Hermitian")
-    return h
-
-
-def evolve(h: np.ndarray, t: float) -> np.ndarray:
-    """Propagator exp(-i 2 pi H t) for H in Hz and t in seconds.
-
-    Computed through the Hermitian eigendecomposition, which is exact to
-    rounding at these dimensions.
-    """
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    h = _check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-2j * np.pi * w * t)
-    return (v * phases) @ v.conj().T
 
 
 def _axis_components(axis) -> tuple[float, float]:
@@ -200,33 +141,3 @@ def two_level_unitary(axis, angle: float) -> np.ndarray:
     return np.array(
         [[c, -1j * s * (nx - 1j * ny)],
          [-1j * s * (nx + 1j * ny), c]], dtype=complex)
-
-
-def rotation(axis, angle: float, slot: int, space: CompositeSpace,
-             subspace: tuple[int, int] | None = None) -> np.ndarray:
-    """Ideal instantaneous pulse on a two-level subspace of one slot.
-
-    For a two-dimensional slot the subspace defaults to the whole slot;
-    larger slots must name the two basis levels being driven.  The result
-    acts as the identity everywhere outside the named pair.
-    """
-    dim = space.dims[slot] if 0 <= slot < len(space.dims) else None
-    if dim is None:
-        raise ValueError(f"slot {slot} outside space with {len(space.dims)} slots")
-    if subspace is None:
-        if dim != 2:
-            raise ValueError("a two-level subspace must be named for slots "
-                             "with more than two levels")
-        subspace = (0, 1)
-    i, j = subspace
-    if i == j:
-        raise ValueError("subspace levels must be distinct")
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ValueError(f"subspace levels {subspace} outside slot of dim {dim}")
-    u2 = two_level_unitary(axis, angle)
-    u = np.eye(dim, dtype=complex)
-    u[i, i] = u2[0, 0]
-    u[i, j] = u2[0, 1]
-    u[j, i] = u2[1, 0]
-    u[j, j] = u2[1, 1]
-    return embed(u, slot, space)

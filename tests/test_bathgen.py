@@ -9,6 +9,7 @@ from spinbath.bathgen import (
     Bath,
     BathSpin,
     Partition,
+    _pair_couplings,
     child_seed,
     cluster_bath,
     generate_bath,
@@ -219,6 +220,57 @@ def test_cluster_g1_gives_singletons():
     assert part.groups == tuple((i,) for i in range(15))
     with pytest.raises(ValueError):
         cluster_bath(bath, g=0)
+
+
+def _scalar_couplings(bath, metric="zz"):
+    """(i, j, coupling) of every pair i < j through pair_coupling."""
+    pairs = list(itertools.combinations(range(len(bath)), 2))
+    return pairs, [pair_coupling(bath.spins[i], bath.spins[j], metric=metric)
+                   for i, j in pairs]
+
+
+def _scalar_greedy_groups(n, pairs, couplings, g):
+    """Reference clustering: the pair loop, sorted as (-coupling, i, j)."""
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for _, i, j in sorted((-c, i, j) for (i, j), c in zip(pairs, couplings)):
+        ri, rj = sorted((find(i), find(j)))
+        if ri != rj and size[ri] + size[rj] <= g:
+            parent[rj] = ri
+            size[ri] += size[rj]
+    members = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    return tuple(tuple(m) for m in sorted(members.values()))
+
+
+def _check_against_scalar(bath, metric):
+    # bit-equal couplings are what keep the greedy order, ties included
+    first, second, coupling = _pair_couplings(bath, metric)
+    pairs, scalar = _scalar_couplings(bath, metric)
+    assert list(zip(first.tolist(), second.tolist())) == pairs
+    assert np.array_equal(coupling, scalar)
+    assert cluster_bath(bath, g=3, metric=metric).groups == \
+        _scalar_greedy_groups(len(bath), pairs, scalar, 3)
+
+
+@pytest.mark.parametrize("n_spins,seeds", [(125, range(10)), (400, range(2))])
+def test_vectorised_clustering_matches_scalar_pair_loop(n_spins, seeds):
+    for seed in seeds:
+        _check_against_scalar(generate_bath(seed=seed, n_spins=n_spins), "zz")
+
+
+def test_frobenius_clustering_matches_scalar_pair_loop():
+    bath = generate_bath(seed=4, n_spins=40)
+    _check_against_scalar(bath, "frobenius")
+    with pytest.raises(ValueError, match="metric"):
+        cluster_bath(bath, g=3, metric="trace")
 
 
 def _intra_sum(bath, groups):

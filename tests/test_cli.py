@@ -3,8 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import spinbath
 
 from spinbath.cli import main
 from spinbath.constants import GAMMA_C13_HZ_PER_G, constants_table
@@ -77,6 +82,16 @@ def test_spectrum_rejects_negative_field(tmp_path, capsys):
                           capsys)
     assert code == 2
     assert "field must be" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["echo", "scan"])
+def test_simulation_commands_reject_non_finite_field(tmp_path, capsys,
+                                                     command):
+    code, _, err = _run([command, *_SMALL, "--b", "nan",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "field must be finite" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -349,3 +364,13 @@ def test_out_env_var_used_when_no_flag(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert (tmp_path / "spectrum.json").exists()
     assert out.strip().splitlines() == [str(tmp_path / "spectrum.json")]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is only for fit_t2; every command would pay its import
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    code = "import sys, spinbath.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

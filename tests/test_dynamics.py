@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from oracles import evolve
 from spinbath.bathgen import Bath, BathSpin, Partition, cluster_bath, generate_bath
 from spinbath.constants import GAMMA_C13_HZ_PER_G, GAMMA_E_HZ_PER_G
 from spinbath.dynamics import (
     EchoCurve,
     SimulationConfig,
-    bath_signal,
+    _bath_curve,
+    _echo,
     ensemble_signal,
     field_scan,
     group_signal,
@@ -22,7 +24,7 @@ from spinbath.hamiltonians import (
     hyperfine_tensor,
 )
 from spinbath.pulses import compile_schedule, expand_preset, parse_sequence
-from spinbath.spinops import evolve, two_level_unitary
+from spinbath.spinops import two_level_unitary
 
 
 def _spin(x, y, z):
@@ -154,7 +156,7 @@ def test_signal_stays_in_physical_range():
         tau = float(rng.uniform(0.0, 40e-6))
         sched = compile_schedule(expand_preset("hahn"), tau)
         for central in (P1Center(), NVCenter()):
-            s = bath_signal(central, bath, part, sched, 72.0)
+            s = _bath_curve(central, bath, part, [sched], 72.0)[0]
             assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
 
@@ -176,7 +178,7 @@ def test_thermal_nitrogen_products_before_averaging():
     bath = Bath(spins=(_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)), seed=0)
     part = Partition(groups=((0,), (1,)), g=1, n_spins=2)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
-    got = bath_signal(P1Center(m_i=None), bath, part, sched, 72.0)
+    got = _bath_curve(P1Center(m_i=None), bath, part, [sched], 72.0)[0]
     per_m = []
     for m in (-1, 0, 1):
         center = P1Center(m_i=m)
@@ -195,7 +197,24 @@ def test_bath_signal_checks_partition_coverage():
     part = Partition(groups=((0,),), g=1, n_spins=1)
     sched = compile_schedule(expand_preset("hahn"), tau=1e-6)
     with pytest.raises(ValueError):
-        bath_signal(P1Center(), bath, part, sched, 72.0)
+        _bath_curve(P1Center(), bath, part, [sched], 72.0)
+
+
+@pytest.mark.parametrize("prog", [
+    parse_sequence("pi/2(x) - 2us - tau - pi(y) - tau - pi/2(x)"),
+    expand_preset("xy8", 4),
+], ids=["fixed-delay", "xy8-4"])
+def test_batched_kernel_matches_single_schedules(prog):
+    # tau = 0 drops the symbolic intervals (the fixed delay stays), so one
+    # call runs two plans
+    taus = (0.0, 1.5e-6, 4e-6, 0.0, 9.25e-6)
+    schedules = [compile_schedule(prog, tau) for tau in taus]
+    group = [_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6), _spin(0.2, -0.5, 0.3)]
+    for central in (P1Center(m_i=None), NVCenter()):
+        batched = _echo(central, [group], schedules, 72.0)
+        for tau, sched, got in zip(taus, schedules, batched):
+            want = group_signal(central, group, sched, 72.0)
+            assert got == pytest.approx(want, abs=1e-10), tau
 
 
 def test_target_pulses_are_rejected_by_the_engine():
@@ -290,6 +309,19 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(n_spins=-2)
     assert SimulationConfig(b_field=72.0).b_field == (0.0, 0.0, 72.0)
+
+
+def test_simulation_config_rejects_non_finite_taus():
+    with pytest.raises(ValueError, match="finite"):
+        SimulationConfig(tau_grid=(0.0, float("nan")))
+    with pytest.raises(ValueError, match="finite"):
+        SimulationConfig(tau_grid=(0.0, float("inf")))
+
+
+def test_simulation_config_rejects_non_finite_fields():
+    for b in (float("nan"), float("inf"), (0.0, float("nan"), 72.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SimulationConfig(b_field=b)
 
 
 def test_config_describe_round_trips_to_json():

