@@ -49,6 +49,11 @@ _CELL_SITES = np.array([
     [0.75, 0.25, 0.75], [0.75, 0.75, 0.25],
 ])
 
+# Most candidate sites (lattice) or points (continuum) one enumeration may
+# hold; at this budget (r near 18.5 nm on the lattice) the enumeration
+# peaks at about 0.55 GB.  A larger request fails before it allocates.
+_MAX_SITES = 10_000_000
+
 
 @dataclass(frozen=True)
 class BathSpin:
@@ -113,19 +118,6 @@ class Bath:
         }
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Bath":
-        payload = json.loads(text)
-        spins = tuple(
-            BathSpin(position=tuple(entry["position"]), gamma=entry["gamma"],
-                     species=entry.get("species", "13C"))
-            for entry in payload["spins"]
-        )
-        return cls(spins=spins, seed=payload["seed"],
-                   abundance=payload["abundance"],
-                   min_radius=payload.get("min_radius", DIAMOND_BOND_NM),
-                   lattice=payload.get("lattice", True))
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -165,10 +157,19 @@ def child_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big") & (2 ** 63 - 1)
 
 
+def _check_site_budget(n_candidates: float, r_max: float) -> None:
+    if n_candidates > _MAX_SITES:
+        raise ValueError(
+            f"a bath out to {r_max:.4g} nm needs about {n_candidates:.3g} "
+            f"candidate sites, above the budget of {_MAX_SITES:.3g}; lower "
+            f"min_radius or n_spins, or raise abundance")
+
+
 def _lattice_sites(r_max: float) -> np.ndarray:
     """All lattice sites with 0 < r <= r_max, sorted by (r^2, x, y, z)."""
     a = DIAMOND_LATTICE_NM
     m = int(math.ceil(r_max / a)) + 1
+    _check_site_budget(len(_CELL_SITES) * (2 * m + 1) ** 3, r_max)
     cells = np.arange(-m, m + 1)
     ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
     corners = np.stack([ci.ravel(), cj.ravel(), ck.ravel()], axis=1)
@@ -184,6 +185,7 @@ def _continuum_points(rng: np.random.Generator, r_max: float,
                       density: float) -> np.ndarray:
     """Uniform points in the ball of radius r_max at the given density (nm^-3)."""
     volume = 4.0 / 3.0 * math.pi * r_max ** 3
+    _check_site_budget(density * volume, r_max)
     count = int(rng.poisson(density * volume))
     radii = r_max * rng.random(count) ** (1.0 / 3.0)
     direction = rng.normal(size=(count, 3))
@@ -203,13 +205,16 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
     Lattice sites are occupied independently with probability `abundance`;
     sites closer than min_radius (default: one bond length, so the first
     neighbor shell is retained) are discarded.  The enumeration radius
-    grows geometrically until enough occupied sites exist, so the call
-    never fails for want of volume.  Deterministic for a fixed seed.
+    grows geometrically until enough occupied sites exist; a request that
+    would need more than _MAX_SITES candidate sites raises ValueError
+    before allocating them.  Deterministic for a fixed seed.
     """
     if n_spins < 0:
         raise ValueError("n_spins must be non-negative")
     if not 0.0 < abundance <= 1.0:
         raise ValueError("abundance must lie in (0, 1]")
+    if not math.isfinite(min_radius):
+        raise ValueError("min_radius must be finite")
     if min_radius < 0.0:
         raise ValueError("min_radius must be non-negative")
 

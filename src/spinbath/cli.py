@@ -400,7 +400,7 @@ def _cmd_larmor_dist(args) -> int:
 def _cmd_stats(args) -> int:
     defaults = {"ppm": None, "k": 1, "r": None, "theta_deg": None,
                 "angular_factor": None, "td": None, "b": None, "out": None,
-                "format": "json", "dry_run": False}
+                "dry_run": False}
     resolved = _resolve(args, defaults)
     if resolved["dry_run"]:
         return _dry_run({"command": "stats", **resolved})
@@ -526,7 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="value of 1 - 3cos^2(theta)")
     p.add_argument("--td", type=float, help="diffusion decay time in us")
     p.add_argument("--b", type=float, help="field in gauss")
-    p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--out", help="also write stats.json here")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
@@ -534,8 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("parse", help="validate sequence text, echo canonical form")
-    p.add_argument("--check", action="store_true",
-                   help="parse and echo only (the default behavior)")
     p.add_argument("sequence_text", help="DSL text or a .seq file path")
     p.set_defaults(func=_cmd_parse)
 

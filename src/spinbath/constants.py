@@ -19,13 +19,18 @@ The electron value carries the g ~ 2.0024 correction rather than the
 rounded 2.8 MHz/G shorthand; transition frequencies computed at the
 gauss-level field calibrations used elsewhere in the package depend on
 that last 0.1%.
+
+Sources
+-------
+The two SI constants of the point-dipole prefactor are pinned literals, not
+read from an installed library, so results do not depend on its version:
+the vacuum permeability is the CODATA 2022 value and the Planck constant is
+exact in the 2019 SI.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import constants as _si
 
 # gyromagnetic ratios
 GAMMA_E_MHZ_PER_G = -2.8025  # electron, g ~ 2.0024
@@ -53,8 +58,8 @@ C13_ABUNDANCE = 0.011
 KAPPA_ID_PPM_US = 14.0
 
 # SI values feeding the point-dipole prefactor
-MU0_SI = _si.mu_0
-PLANCK_SI = _si.h
+MU0_SI = 1.25663706127e-06  # T^2 m^3 / J, CODATA 2022
+PLANCK_SI = 6.62607015e-34  # J s, exact in the 2019 SI
 
 
 def dipole_prefactor_hz(gamma1_hz_per_g: float, gamma2_hz_per_g: float,
@@ -76,10 +81,6 @@ def dipole_prefactor_hz(gamma1_hz_per_g: float, gamma2_hz_per_g: float,
 def ppm_to_density_nm3(ppm: float) -> float:
     """Defect concentration in ppm of carbon sites to number density in nm^-3."""
     return ppm * 1e-6 * DIAMOND_ATOM_DENSITY_NM3
-
-
-def density_nm3_to_ppm(n_nm3: float) -> float:
-    return n_nm3 / DIAMOND_ATOM_DENSITY_NM3 * 1e6
 
 
 def constants_table() -> dict:
@@ -149,11 +150,11 @@ def constants_table() -> dict:
         "mu0_si": {
             "value": MU0_SI,
             "units": "T^2 m^3 / J",
-            "description": "vacuum permeability",
+            "description": "vacuum permeability (CODATA 2022)",
         },
         "planck_si": {
             "value": PLANCK_SI,
             "units": "J s",
-            "description": "Planck constant",
+            "description": "Planck constant (exact in the 2019 SI)",
         },
     }

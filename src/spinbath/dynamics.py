@@ -99,6 +99,8 @@ class SimulationConfig:
             raise ValueError("g must be at least 1")
         if self.n_spins < 0:
             raise ValueError("n_spins must be non-negative")
+        if not (math.isfinite(self.min_radius) and self.min_radius >= 0.0):
+            raise ValueError("min_radius must be finite and non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

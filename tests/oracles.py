@@ -1,15 +1,39 @@
-"""Reference spin dynamics used only by the tests.
+"""Reference code used only by the tests.
 
 Brute-force counterparts of what the library does in its eigenbasis
 kernel: exact propagators, validated density matrices, projectors and
-ideal pulses embedded in a composite space.
+ideal pulses embedded in a composite space.  Also the inverses of two
+library serialisations: a bath read back from its JSON and a number
+density converted back to ppm.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from spinbath.bathgen import Bath, BathSpin
+from spinbath.constants import DIAMOND_ATOM_DENSITY_NM3, DIAMOND_BOND_NM
 from spinbath.spinops import CompositeSpace, embed, two_level_unitary
+
+
+def bath_from_json(text: str) -> Bath:
+    """Inverse of Bath.to_json."""
+    payload = json.loads(text)
+    spins = tuple(
+        BathSpin(position=tuple(entry["position"]), gamma=entry["gamma"],
+                 species=entry.get("species", "13C"))
+        for entry in payload["spins"]
+    )
+    return Bath(spins=spins, seed=payload["seed"],
+                abundance=payload["abundance"],
+                min_radius=payload.get("min_radius", DIAMOND_BOND_NM),
+                lattice=payload.get("lattice", True))
+
+
+def density_nm3_to_ppm(n_nm3: float) -> float:
+    """Inverse of constants.ppm_to_density_nm3."""
+    return n_nm3 / DIAMOND_ATOM_DENSITY_NM3 * 1e6
 
 
 def projector(ops, m: float) -> np.ndarray:

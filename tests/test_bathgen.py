@@ -1,10 +1,15 @@
 import itertools
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinbath.bathgen as bathgen
+from oracles import bath_from_json
 from spinbath.bathgen import (
     Bath,
     BathSpin,
@@ -129,6 +134,73 @@ def test_generation_input_validation():
         generate_bath(seed=0, n_spins=5, min_radius=-0.1)
 
 
+@pytest.fixture
+def enumeration_up_to_20_nm(monkeypatch):
+    # Beyond 20 nm the real enumerations allocate gigabytes; stop there so
+    # that a missing check fails fast instead of exhausting memory.
+    real_sites, real_points = bathgen._lattice_sites, bathgen._continuum_points
+
+    def check(r_max):
+        if r_max > 20.0:
+            pytest.fail(f"bath enumeration reached r = {r_max:.3g} nm")
+
+    def sites(r_max):
+        check(r_max)
+        return real_sites(r_max)
+
+    def points(rng, r_max, density):
+        check(r_max)
+        return real_points(rng, r_max, density)
+
+    monkeypatch.setattr(bathgen, "_lattice_sites", sites)
+    monkeypatch.setattr(bathgen, "_continuum_points", points)
+
+
+@pytest.mark.parametrize("min_radius", [math.nan, math.inf])
+@pytest.mark.parametrize("lattice", [True, False])
+def test_generate_bath_rejects_non_finite_min_radius(enumeration_up_to_20_nm,
+                                                     min_radius, lattice):
+    with pytest.raises(ValueError, match="min_radius must be finite"):
+        generate_bath(seed=0, n_spins=5, min_radius=min_radius,
+                      lattice=lattice)
+
+
+_BUDGET_SCRIPT = """
+import resource, sys
+# a missing budget check then fails with MemoryError, not by exhausting memory
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from spinbath import bathgen
+for call in (lambda: bathgen._lattice_sites(100.0),
+             lambda: bathgen.generate_bath(0, 125, min_radius=100.0),
+             lambda: bathgen.generate_bath(0, 125, min_radius=1000.0,
+                                           lattice=False)):
+    try:
+        call()
+    except ValueError as err:
+        assert "above the budget" in str(err), err
+    else:
+        sys.exit("no ValueError")
+print("ok")
+"""
+
+
+def test_site_budget_fails_before_allocating():
+    # Run under a 2 GB address-space limit: without the budget each call
+    # would try to allocate tens of gigabytes.
+    src = os.path.dirname(os.path.dirname(bathgen.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _BUDGET_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_site_budget_leaves_large_lattice_baths_alone():
+    # 2000 spins at natural abundance stay far inside the budget
+    assert len(generate_bath(seed=0, n_spins=2000)) == 2000
+
+
 def test_bath_validation():
     with pytest.raises(ValueError):
         Bath(spins=(BathSpin(position=(0.0, 0.0, 0.0)),), seed=0)
@@ -141,7 +213,7 @@ def test_bath_validation():
 
 def test_bath_json_round_trip():
     bath = generate_bath(seed=17, n_spins=25)
-    clone = Bath.from_json(bath.to_json())
+    clone = bath_from_json(bath.to_json())
     assert clone.seed == bath.seed
     assert clone.abundance == bath.abundance
     assert clone.min_radius == bath.min_radius

@@ -95,6 +95,15 @@ def test_simulation_commands_reject_non_finite_field(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["echo", "scan"])
+def test_simulation_commands_reject_non_finite_min_radius(capsys, command):
+    # checked with the configuration, so even a dry run refuses it
+    code, _, err = _run([command, *_SMALL, "--min-radius", "nan",
+                         "--dry-run"], capsys)
+    assert code == 2
+    assert "min_radius must be finite" in err
+
+
 def test_spectrum_json_format(tmp_path, capsys):
     code, out, _ = _run(["spectrum", "--format", "json",
                          "--out", str(tmp_path)], capsys)
@@ -312,6 +321,18 @@ def test_parse_error_exit_code(capsys):
     assert "unknown axis 'z'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--check", "pi(x) - tau"],
+    ["stats", "--b", "72", "--format", "json"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    # parse --check and stats --format did nothing and are gone
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_dump_constants_text_and_json(capsys):
     code, out, _ = _run(["dump-constants"], capsys)
     assert code == 0
@@ -366,11 +387,44 @@ def test_out_env_var_used_when_no_flag(tmp_path, monkeypatch, capsys):
     assert out.strip().splitlines() == [str(tmp_path / "spectrum.json")]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is only for fit_t2; every command would pay its import
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(spinbath.__file__))
-    code = "import sys, spinbath.cli; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only fit_t2 needs scipy; every command would pay its import
+    proc = _run_python(
+        "import sys, spinbath.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from spinbath.cli import main
+out = sys.argv[1]
+small = ["--n-spins", "8", "--n-baths", "1", "--tau", "0:8us:3",
+         "--out", out]
+commands = [
+    ["echo", *small],
+    ["scan", "--b", "40,72", "--m-i", "thermal", *small],
+    ["larmor-dist", "--n-spins", "12", "--out", out],
+    ["spectrum", "--out", out],
+    ["stats", "--ppm", "0.2", "--r", "16.9", "--td", "70", "--b", "72"],
+    ["dump-constants"],
+]
+for argv in commands:
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    proc = _run_python(_WITHOUT_SCIPY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr + proc.stdout

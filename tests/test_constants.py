@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy import constants as si
 
+from oracles import density_nm3_to_ppm
 from spinbath import constants as c
 
 
@@ -10,6 +11,13 @@ def test_bond_length_is_quarter_body_diagonal():
     assert c.DIAMOND_BOND_NM == pytest.approx(
         c.DIAMOND_LATTICE_NM * math.sqrt(3.0) / 4.0, rel=0, abs=0)
     assert c.DIAMOND_BOND_NM == pytest.approx(0.154456, abs=5e-6)
+
+
+def test_pinned_si_constants_match_codata():
+    # h is exact in the 2019 SI; mu_0 moved by 6.8e-10 relative between
+    # CODATA 2018 (scipy < 1.15) and CODATA 2022, so either is accepted
+    assert c.PLANCK_SI == si.h
+    assert c.MU0_SI == pytest.approx(si.mu_0, rel=1e-9, abs=0)
 
 
 def test_electron_gamma_matches_free_electron_g_factor():
@@ -62,7 +70,7 @@ def test_dipole_prefactor_rejects_nonpositive_separation():
 def test_ppm_density_round_trip():
     assert c.ppm_to_density_nm3(1.0) == pytest.approx(1.76e-4)
     for ppm in (0.013, 0.2, 70.0):
-        assert c.density_nm3_to_ppm(c.ppm_to_density_nm3(ppm)) == pytest.approx(ppm)
+        assert density_nm3_to_ppm(c.ppm_to_density_nm3(ppm)) == pytest.approx(ppm)
 
 
 def test_constants_table_entries_are_complete():

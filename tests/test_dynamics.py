@@ -324,6 +324,12 @@ def test_simulation_config_rejects_non_finite_fields():
             SimulationConfig(b_field=b)
 
 
+def test_simulation_config_rejects_bad_min_radius():
+    for r in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="min_radius"):
+            SimulationConfig(min_radius=r)
+
+
 def test_config_describe_round_trips_to_json():
     config = SimulationConfig(central=P1Center(m_i=None),
                               sequence=expand_preset("cpmg", 2))
