@@ -30,7 +30,6 @@ from .dynamics import (
 )
 from .hamiltonians import (
     BareElectron,
-    HyperfineTensor,
     JtOrientation,
     NVCenter,
     NVParams,
@@ -71,7 +70,6 @@ __all__ = [
     "group_signal",
     "scan_csv",
     "BareElectron",
-    "HyperfineTensor",
     "JtOrientation",
     "NVCenter",
     "NVParams",

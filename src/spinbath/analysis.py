@@ -439,8 +439,8 @@ def mean_kth_distance(n: float, k: int) -> float:
     n is the number density in nm^-3; the result is in nm:
     (4 pi n / 3)^(-1/3) * Gamma(k + 1/3) / Gamma(k).
     """
-    if n <= 0:
-        raise ValueError("density must be positive")
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError("density must be positive and finite")
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
     prefactor = (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0)
@@ -455,10 +455,12 @@ def mean_dipolar_coupling(r: float, theta: float | None = None, *,
     (radians) or angular_factor (the value of 1 - 3 cos^2 theta, for
     averaged conventions) must be given.
     """
-    if r <= 0:
-        raise ValueError("separation must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("separation must be positive and finite")
     if (theta is None) == (angular_factor is None):
         raise ValueError("give exactly one of theta or angular_factor")
+    if not math.isfinite(angular_factor if theta is None else theta):
+        raise ValueError("theta and angular_factor must be finite")
     if angular_factor is None:
         angular_factor = 1.0 - 3.0 * math.cos(theta) ** 2
     prefactor_hz = dipole_prefactor_hz(GAMMA_E_HZ_PER_G, GAMMA_E_HZ_PER_G, r)
@@ -471,8 +473,8 @@ def concentration_from_td(t_d: float) -> float:
     Single-constant linear law [N0] = kappa / T_D with kappa = 14 ppm us,
     calibrated so 70 us maps to 0.2 ppm.
     """
-    if t_d <= 0:
-        raise ValueError("t_d must be positive")
+    if not (math.isfinite(t_d) and t_d > 0):
+        raise ValueError("t_d must be positive and finite")
     return KAPPA_ID_PPM_US / (t_d * 1e6)
 
 

@@ -26,16 +26,15 @@ from .constants import (
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
-    MU0_SI,
-    PLANCK_SI,
 )
-from .hamiltonians import hyperfine_tensor
+from .hamiltonians import _dipole_tensors, hyperfine_tensor
 
 __all__ = [
     "BathSpin",
     "Bath",
     "Partition",
     "generate_bath",
+    "check_bath_parameters",
     "pair_coupling",
     "cluster_bath",
     "child_seed",
@@ -53,7 +52,6 @@ _CELL_SITES = np.array([
 # hold; at this budget (r near 18.5 nm on the lattice) the enumeration
 # peaks at about 0.55 GB.  A larger request fails before it allocates.
 _MAX_SITES = 10_000_000
-
 
 @dataclass(frozen=True)
 class BathSpin:
@@ -197,6 +195,17 @@ def _continuum_points(rng: np.random.Generator, r_max: float,
     return points[order]
 
 
+def check_bath_parameters(n_spins: int, abundance: float,
+                          min_radius: float = DIAMOND_BOND_NM) -> None:
+    """Raise ValueError unless generate_bath accepts these parameters."""
+    if n_spins < 0:
+        raise ValueError("n_spins must be non-negative")
+    if not 0.0 < abundance <= 1.0:
+        raise ValueError("abundance must lie in (0, 1]")
+    if not (math.isfinite(min_radius) and min_radius >= 0.0):
+        raise ValueError("min_radius must be finite and non-negative")
+
+
 def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
                   min_radius: float = DIAMOND_BOND_NM, *,
                   lattice: bool = True) -> Bath:
@@ -209,15 +218,7 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
     would need more than _MAX_SITES candidate sites raises ValueError
     before allocating them.  Deterministic for a fixed seed.
     """
-    if n_spins < 0:
-        raise ValueError("n_spins must be non-negative")
-    if not 0.0 < abundance <= 1.0:
-        raise ValueError("abundance must lie in (0, 1]")
-    if not math.isfinite(min_radius):
-        raise ValueError("min_radius must be finite")
-    if min_radius < 0.0:
-        raise ValueError("min_radius must be non-negative")
-
+    check_bath_parameters(n_spins, abundance, min_radius)
     if n_spins == 0:
         return Bath(spins=(), seed=seed, abundance=abundance,
                     min_radius=min_radius, lattice=lattice)
@@ -260,7 +261,7 @@ def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
     norm instead.
     """
     r = np.asarray(spin_j.position) - np.asarray(spin_i.position)
-    tensor = hyperfine_tensor(r, spin_i.gamma, spin_j.gamma).a
+    tensor = hyperfine_tensor(r, spin_i.gamma, spin_j.gamma)
     if metric == "zz":
         return abs(float(tensor[2, 2]))
     if metric == "frobenius":
@@ -269,31 +270,24 @@ def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
 
 
 def _pair_couplings(bath: Bath, metric: str):
-    """(i, j, coupling) for every pair i < j, as pair_coupling computes them.
+    """(i, j, coupling) for every pair i < j, bit-identical to pair_coupling.
 
-    Each step repeats pair_coupling's floating-point operations in the same
-    order, so the couplings are bit-identical and so is the greedy order:
-    the distance is a BLAS dot product (np.vecdot, as np.linalg.norm) and
-    r^3 is a Python-float power, since numpy's vectorised power and einsum
-    sums round differently in the last bit.
+    The tensors come from pair_coupling's dipole formula, 8192 pairs at a
+    time, and the norm is a dot product as in np.linalg.norm.
     """
     if metric not in ("zz", "frobenius"):
         raise ValueError(f"unknown clustering metric {metric!r}")
     pos = np.array([s.position for s in bath.spins])
     gamma = np.array([s.gamma for s in bath.spins])
     i, j = np.triu_indices(len(bath), 1)
-    r = pos[j] - pos[i]
-    dist = np.sqrt(np.vecdot(r, r))
-    rhat = r / dist[:, None]
-    r3 = np.array([x ** 3 for x in (dist * 1e-9).tolist()])
-    c = (MU0_SI * PLANCK_SI * (gamma[i] * 1e4) * (gamma[j] * 1e4)
-         / (4.0 * math.pi * r3))
-    if metric == "zz":
-        return i, j, np.abs(c * (1.0 - 3.0 * (rhat[:, 2] * rhat[:, 2])))
-    tensor = c[:, None, None] * (np.eye(3)
-                                 - 3.0 * (rhat[:, :, None] * rhat[:, None, :]))
-    tensor = tensor.reshape(-1, 9)
-    return i, j, np.sqrt(np.vecdot(tensor, tensor))
+    coupling = np.empty(len(i))
+    for start in range(0, len(i), 8192):
+        k = slice(start, start + 8192)
+        tensors = _dipole_tensors(pos[j[k]] - pos[i[k]], gamma[i[k]],
+                                  gamma[j[k]]).reshape(-1, 9)
+        coupling[k] = (np.abs(tensors[:, 8]) if metric == "zz"  # A_zz
+                       else np.sqrt(np.vecdot(tensors, tensors)))
+    return i, j, coupling
 
 
 def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
@@ -301,13 +295,16 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
 
     All pairs are visited in order of descending coupling (ties broken by
     the lower index pair); a pair's groups merge whenever the merged size
-    stays within g.  Spins never merged remain singletons.
+    stays within g.  Spins never merged remain singletons.  The visit
+    stops once the two smallest groups together exceed g, as no later
+    pair could merge: the partition is that of the full visit.
     """
     if g < 1:
         raise ValueError("g must be at least 1")
     n = len(bath)
     parent = list(range(n))
     size = [1] * n
+    count = [0, n] + [0] * (g - 1)  # count[s]: groups of size s
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -317,7 +314,8 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
 
     if g > 1 and n > 1:
         first, second, coupling = _pair_couplings(bath, metric)
-        order = np.lexsort((second, first, -coupling))
+        # stable, so ties keep the lower-index-first order of the pairs
+        order = np.argsort(-coupling, kind="stable")
         for i, j in zip(first[order].tolist(), second[order].tolist()):
             ri, rj = find(i), find(j)
             if ri == rj:
@@ -326,7 +324,15 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
                 if rj < ri:
                     ri, rj = rj, ri
                 parent[rj] = ri
+                count[size[ri]] -= 1
+                count[size[rj]] -= 1
                 size[ri] += size[rj]
+                count[size[ri]] += 1
+                # the two smallest group sizes left, with multiplicity
+                smallest = [s for s in range(1, g + 1)
+                            for _ in range(min(count[s], 2))][:2]
+                if len(smallest) < 2 or sum(smallest) > g:
+                    break
 
     members: dict[int, list[int]] = {}
     for i in range(n):

@@ -20,15 +20,8 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    concentration_from_td,
-    larmor_distribution,
-    larmor_frequency,
-    mean_dipolar_coupling,
-    mean_kth_distance,
-    transition_table,
-)
-from .bathgen import generate_bath
+# analysis is imported by the commands that use it, not at start-up
+from .bathgen import check_bath_parameters, generate_bath
 from .constants import constants_table, ppm_to_density_nm3
 from .dynamics import SimulationConfig, ensemble_signal, field_scan, scan_csv
 from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center, P1Params
@@ -287,6 +280,8 @@ def _check_field(b):
 
 
 def _cmd_spectrum(args) -> int:
+    from .analysis import transition_table
+
     defaults = {"b": 72.0, "jt": "all", "out": None, "format": "csv",
                 "dry_run": False}
     resolved = _resolve(args, defaults)
@@ -366,6 +361,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_larmor_dist(args) -> int:
+    from .analysis import larmor_distribution
+
     defaults = {"central": "nv", "jt": "off-axis", "m_i": "-1", "b": 72.0,
                 "n_spins": 125, "abundance": 0.011, "seed": 0,
                 "min_radius": None, "continuum": False, "bins": "fd",
@@ -373,14 +370,15 @@ def _cmd_larmor_dist(args) -> int:
     resolved = _resolve(args, defaults)
     b = float(resolved["b"])
     _check_field(b)
-    meta = {"command": "larmor-dist", **resolved}
-    if resolved["dry_run"]:
-        return _dry_run(meta)
     central = _make_central(resolved["central"], resolved["jt"],
                             str(resolved["m_i"]))
     kwargs = {}
     if resolved["min_radius"] is not None:
         kwargs["min_radius"] = resolved["min_radius"]
+    check_bath_parameters(resolved["n_spins"], resolved["abundance"], **kwargs)
+    meta = {"command": "larmor-dist", **resolved}
+    if resolved["dry_run"]:
+        return _dry_run(meta)
     bath = generate_bath(resolved["seed"], resolved["n_spins"],
                          resolved["abundance"],
                          lattice=not resolved["continuum"], **kwargs)
@@ -398,6 +396,9 @@ def _cmd_larmor_dist(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .analysis import (concentration_from_td, larmor_frequency,
+                           mean_dipolar_coupling, mean_kth_distance)
+
     defaults = {"ppm": None, "k": 1, "r": None, "theta_deg": None,
                 "angular_factor": None, "td": None, "b": None, "out": None,
                 "dry_run": False}

@@ -1,17 +1,18 @@
 """Disjoint-cluster echo dynamics: group signals, bath products, ensembles.
 
 One kernel computes every echo.  It evolves the central spin together
-with one carbon group at a time, and each group's Hamiltonian is
-diagonalized once.  The initial state |a><a| (x) 1/2^g (probed central
-eigenstate, fully mixed carbons) is carried as nb = 2^g pure-state
-columns in the eigenbasis, so free evolution is a diagonal phase multiply
-and each pulse a small cached matrix.  The whole tau grid runs at once:
-the schedules compiled at each tau are grouped by event structure (tau = 0
-drops the symbolic intervals, so it forms its own group), and each
-structure propagates one (D, T*nb) slab, one GEMM per pulse and one
-broadcast phase multiply per interval with a duration per tau.  Only one
-group's slab is held at a time; group_signal is the case of one group
-and one schedule.  The group signal is
+with one carbon group at a time; the groups of one size are assembled
+and diagonalized as one (G, D, D) stack, and share their lifted pulses.
+The initial state |a><a| (x) 1/2^g (probed central eigenstate, fully
+mixed carbons) is carried as nb = 2^g pure-state columns in each group's
+eigenbasis, so free evolution is a diagonal phase multiply and each pulse
+a small cached matrix.  The whole tau grid runs at once: the schedules
+compiled at each tau are grouped by event structure (tau = 0 drops the
+symbolic intervals, so it forms its own group), and each structure
+propagates one (D, T*nb) slab, one GEMM per pulse and one broadcast phase
+multiply per interval with a duration per tau.  Only one group's slab is
+held at a time; group_signal is the case of one group and one schedule.
+The group signal is
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -63,6 +64,10 @@ __all__ = [
 
 _SCHEMA_VERSION = 1
 
+# Bytes of one Hamiltonian stack: a larger one (g = 6, D = 384) falls out
+# of cache and assembles slower than one group at a time.
+_STACK_BYTES = 1 << 22
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -97,10 +102,8 @@ class SimulationConfig:
             raise ValueError("n_baths must be at least 1")
         if self.g < 1:
             raise ValueError("g must be at least 1")
-        if self.n_spins < 0:
-            raise ValueError("n_spins must be non-negative")
-        if not (math.isfinite(self.min_radius) and self.min_radius >= 0.0):
-            raise ValueError("min_radius must be finite and non-negative")
+        bathgen.check_bath_parameters(self.n_spins, self.abundance,
+                                      self.min_radius)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -254,55 +257,56 @@ def _plans(schedules: list[Schedule]) -> list:
     return plans
 
 
-def _group_curve(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
-    """S_G of one diagonalized group on every schedule of the plans.
+def _group_curves(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
+    """S_G of each group of one size on every schedule of the plans.
 
-    Works in the eigenbasis (w, v) of the group Hamiltonian; a and b are
-    the probed central eigenstates.  Rotations before the first interval
-    act on the nb initial columns once, and rotations after the last one
-    fold into the read-out row.  In between, the slab of a plan holds nb
-    columns per schedule, (D, T*nb): each rotation is one GEMM and each
-    interval one broadcast phase multiply with a duration per schedule.
+    (w, v) is the groups' eigen-stack and a, b the probed central
+    eigenstates; the lifted pulses kron(u_c, 1) and selectors of a are
+    built once for the stack.  Per group, in its eigenbasis, rotations
+    before the first interval act on the nb initial columns once and those
+    after the last fold into the read-out row; in between, the (D, T*nb)
+    slab of a plan takes one GEMM per rotation and one broadcast phase
+    multiply per interval, with a duration per schedule.
     """
-    dim, dc = len(w), len(a)
+    dim, dc = w.shape[1], len(a)
     nb = dim // dc
     eye_b = np.eye(nb, dtype=complex)
-    m0 = v.conj().T @ np.kron(a.reshape(dc, 1), eye_b)
-    row0 = np.kron(a.conj().reshape(1, dc), eye_b) @ v
+    select = np.kron(a.reshape(dc, 1), eye_b)
+    read = np.kron(a.conj().reshape(1, dc), eye_b)
     pair = np.stack([a, b], axis=1)
-    rate = -2j * np.pi * w
-    rotations: dict = {}
-
-    def rotation(step: Rotation) -> np.ndarray:
-        r = rotations.get(step)
-        if r is None:
-            u2 = two_level_unitary(step.axis, step.angle_rad)
-            uc = np.eye(dc, dtype=complex) \
-                + pair @ (u2 - np.eye(2)) @ pair.conj().T
-            r = rotations[step] = v.conj().T @ np.kron(uc, eye_b) @ v
-        return r
-
-    out = np.empty(n_schedules)
-    for steps, index, durations, eta in plans:
-        phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
-        free = [k for k, step in enumerate(steps)
-                if not isinstance(step, Rotation)]
-        first, last = (free[0], free[-1] + 1) if free else (len(steps),) * 2
-        m, row = m0, row0
-        for step in steps[:first]:
-            m = rotation(step) @ m
-        for step in reversed(steps[last:]):
-            row = row @ rotation(step)
-        m = np.tile(m, (1, len(index)))
-        for step in steps[first:last]:
-            if isinstance(step, Rotation):
-                m = rotation(step) @ m
-            else:
-                m = (m.reshape(dim, -1, nb)
-                     * phases[:, step, :, None]).reshape(dim, -1)
-        amp = (row @ m).reshape(nb, -1, nb)
-        power = (amp.real ** 2 + amp.imag ** 2).sum(axis=(0, 2))
-        out[index] = eta * (2.0 / nb * power - 1.0)
+    lifted = {}
+    for step in {s for steps, *_ in plans for s in steps
+                 if isinstance(s, Rotation)}:
+        u2 = two_level_unitary(step.axis, step.angle_rad)
+        uc = np.eye(dc, dtype=complex) \
+            + pair @ (u2 - np.eye(2)) @ pair.conj().T
+        lifted[step] = np.kron(uc, eye_b)
+    out = np.empty((len(w), n_schedules))
+    for wg, vg, curve in zip(w, v, out):
+        rate = -2j * np.pi * wg
+        vh = vg.conj().T
+        rotations = {step: vh @ u @ vg for step, u in lifted.items()}
+        m0, row0 = vh @ select, read @ vg
+        for steps, index, durations, eta in plans:
+            phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
+            free = [k for k, step in enumerate(steps)
+                    if not isinstance(step, Rotation)]
+            first, last = (free[0], free[-1] + 1) if free else (len(steps),) * 2
+            m, row = m0, row0
+            for step in steps[:first]:
+                m = rotations[step] @ m
+            for step in reversed(steps[last:]):
+                row = row @ rotations[step]
+            m = np.tile(m, (1, len(index)))
+            for step in steps[first:last]:
+                if isinstance(step, Rotation):
+                    m = rotations[step] @ m
+                else:
+                    m = (m.reshape(dim, -1, nb)
+                         * phases[:, step, :, None]).reshape(dim, -1)
+            amp = (row @ m).reshape(nb, -1, nb)
+            power = (amp.real ** 2 + amp.imag ** 2).sum(axis=(0, 2))
+            curve[index] = eta * (2.0 / nb * power - 1.0)
     return out
 
 
@@ -311,9 +315,10 @@ def _echo(central, groups, schedules: list[Schedule], b_field,
     """Bath signal S_T on every schedule: the product of S_G over groups.
 
     With a thermal nitrogen the product is formed per projection and then
-    averaged (one physical nitrogen is shared by every group).  The
-    projections share the central and group Hamiltonians, so each is
-    diagonalized once; options go to build_system_hamiltonian.
+    averaged (one physical nitrogen is shared by every group), over the
+    groups in their given order.  The groups of one size are assembled and
+    diagonalized as stacks, which the projections share; options go to
+    build_hamiltonian_stack.
     """
     plans = _plans(schedules)
     wc, vc = np.linalg.eigh(central.hamiltonian(b_field))
@@ -321,15 +326,19 @@ def _echo(central, groups, schedules: list[Schedule], b_field,
     for weight, variant in _thermal_variants(central):
         ia, ib = variant.level_pair(wc, vc)
         pairs.append((weight, vc[:, ia], vc[:, ib]))
-    products = np.ones((len(pairs), len(schedules)))
-    for group in groups:
-        h = hamiltonians.build_system_hamiltonian(central, group, b_field,
-                                                  **options)
-        w, v = np.linalg.eigh(h)
-        for product, (_, a, b) in zip(products, pairs):
-            product *= _group_curve(w, v, a, b, plans, len(schedules))
+    curves = np.empty((len(groups), len(pairs), len(schedules)))
+    # largest first, so the largest operator cache is built before the rest
+    for size in sorted({len(group) for group in groups}, reverse=True):
+        same = [k for k, group in enumerate(groups) if len(group) == size]
+        step = max(1, _STACK_BYTES // (16 * (len(wc) << size) ** 2))
+        for index in (same[k:k + step] for k in range(0, len(same), step)):
+            w, v = np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
+                central, [groups[k] for k in index], b_field, **options))
+            for p, (_, a, b) in enumerate(pairs):
+                curves[index, p] = _group_curves(w, v, a, b, plans,
+                                                 len(schedules))
     total = np.zeros(len(schedules))
-    for product, (weight, _, _) in zip(products, pairs):
+    for product, (weight, _, _) in zip(np.prod(curves, axis=0), pairs):
         total += weight * product
     return total
 

@@ -32,8 +32,9 @@ from .constants import (
     GAMMA_C13_HZ_PER_G,
     GAMMA_E_MHZ_PER_G,
     GAMMA_N14_HZ_PER_G,
+    MU0_SI,
+    PLANCK_SI,
     Q_N14_MHZ,
-    dipole_prefactor_hz,
 )
 from .spinops import CompositeSpace, embed, spin_operators
 
@@ -41,7 +42,6 @@ __all__ = [
     "P1Params",
     "NVParams",
     "JtOrientation",
-    "HyperfineTensor",
     "P1Center",
     "NVCenter",
     "BareElectron",
@@ -49,6 +49,7 @@ __all__ = [
     "build_nv_hamiltonian",
     "hyperfine_tensor",
     "build_system_hamiltonian",
+    "build_hamiltonian_stack",
     "rotation_onto_axis",
     "label_levels",
 ]
@@ -144,37 +145,40 @@ class JtOrientation:
         return cls(axis, f"off-axis-{k}")
 
 
-@dataclass(frozen=True, eq=False)
-class HyperfineTensor:
-    """Point-dipole coupling tensor in Hz with its source separation (nm)."""
+def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
+    """Point-dipole tensors, (N, 3, 3) in Hz, for N separations (N, 3) in nm.
 
-    a: np.ndarray
-    source_separation: tuple[float, float, float]
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (3, 3):
-            raise ValueError("tensor must be 3x3")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+    A_ij = c (delta_ij - 3 rhat_i rhat_j) with c from dipole_prefactor_hz;
+    the ratios are scalars or length-N arrays.  Each step repeats the
+    scalar formula's float operations, so the tensors are bit-identical to
+    it: |r| is a dot product (np.vecdot, as np.linalg.norm) and r^3 libm's
+    pow, as for a Python float (numpy's power rounds differently).
+    """
+    r = np.asarray(r_nm, dtype=float).reshape(-1, 3)
+    dist = np.sqrt(np.vecdot(r, r))
+    if not dist.all():
+        raise ValueError("zero separation has no dipole tensor")
+    rhat = r / dist[:, None]
+    r3 = np.fromiter(map(math.pow, (dist * 1e-9).tolist(),
+                         itertools.repeat(3.0)), float, len(dist))
+    c = (MU0_SI * PLANCK_SI * (np.asarray(gamma1_hz_per_g) * 1e4)
+         * (np.asarray(gamma2_hz_per_g) * 1e4) / (4.0 * math.pi * r3))
+    # c (1 - 3 rhat rhat), built in place: -3x + 1 rounds as 1 - 3x
+    a = rhat[:, :, None] * rhat[:, None, :]
+    a *= -3.0
+    a += np.eye(3)
+    a *= c[:, None, None]
+    return a
 
 
 def hyperfine_tensor(r_nm, gamma1_hz_per_g: float,
-                     gamma2_hz_per_g: float) -> HyperfineTensor:
+                     gamma2_hz_per_g: float) -> np.ndarray:
     """Point-dipole tensor A with A_ij = c (delta_ij - 3 rhat_i rhat_j).
 
-    Separation in nm, gyromagnetic ratios in Hz/G (signed).  The tensor is
-    symmetric and exactly traceless and scales as 1/r^3.
+    Separation in nm, gyromagnetic ratios in Hz/G (signed), result 3x3 in
+    Hz.  The tensor is symmetric and exactly traceless and scales as 1/r^3.
     """
-    r = np.asarray(r_nm, dtype=float)
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
-        raise ValueError("zero separation has no dipole tensor")
-    rhat = r / dist
-    c = dipole_prefactor_hz(gamma1_hz_per_g, gamma2_hz_per_g, dist)
-    a = c * (np.eye(3) - 3.0 * np.outer(rhat, rhat))
-    return HyperfineTensor(a=a, source_separation=(float(r[0]), float(r[1]),
-                                                   float(r[2])))
+    return _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g)[0]
 
 
 def rotation_onto_axis(n) -> np.ndarray:
@@ -414,55 +418,65 @@ class BareElectron:
         return found[0.5], found[-0.5]
 
 
-def build_system_hamiltonian(central, group, b, *, include_nn: bool = True,
-                             secular_hyperfine: bool = False,
-                             hyperfine_scale: float = 1.0) -> np.ndarray:
-    """Full Hamiltonian of a central spin plus one carbon group, in Hz.
+def build_system_hamiltonian(central, group, b, **options) -> np.ndarray:
+    """Hamiltonian of a central spin plus one group: a one-group stack."""
+    return build_hamiltonian_stack(central, [group], b, **options)[0]
 
-    The composite space is [central slots..., carbon 1, ..., carbon k] in
-    the order the group lists them.  Each carbon gets its Zeeman term and
-    a point-dipole hyperfine coupling to the central electron; carbon
-    pairs inside the group are dipole-coupled to each other unless
-    include_nn is False (the bare product form).  secular_hyperfine keeps
-    only the S_z row of each electron-carbon tensor, the regime in which
-    the echo has a closed form, and hyperfine_scale multiplies the
-    electron-carbon coupling (0 decouples the bath); both are validation
-    modes, not the model.
+
+def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
+                            secular_hyperfine: bool = False,
+                            hyperfine_scale: float = 1.0) -> np.ndarray:
+    """Hamiltonians (G, D, D) in Hz of a central spin plus each of G groups.
+
+    All groups must have the same size k.  The composite space is
+    [central slots..., carbon 1, ..., carbon k] in the order each group
+    lists them.  Each carbon gets its Zeeman term and a point-dipole
+    hyperfine coupling to the central electron; carbon pairs inside a
+    group are dipole-coupled to each other unless include_nn is False (the
+    bare product form).  secular_hyperfine keeps only the S_z row of each
+    electron-carbon tensor, the regime in which the echo has a closed
+    form, and hyperfine_scale multiplies the electron-carbon coupling (0
+    decouples the bath); both are validation modes, not the model.
     """
     if central is None:
         raise ValueError("a central-spin specification is required")
-    group = list(group)
-    positions = [tuple(np.asarray(s.position, dtype=float)) for s in group]
-    if len(set(positions)) != len(positions):
+    groups = [list(group) for group in groups]
+    n, k = len(groups), len(groups[0]) if groups else 0
+    if any(len(group) != k for group in groups):
+        raise ValueError("the groups of one stack must share a size")
+    spins = [s for group in groups for s in group]
+    pos = np.array([s.position for s in spins], dtype=float).reshape(n, k, 3)
+    gamma = np.array([s.gamma for s in spins], dtype=float).reshape(n, k)
+    i, j = np.triu_indices(k, 1)  # carbon pairs in combinations order
+    if (pos[:, i] == pos[:, j]).all(axis=2).any():
         raise ValueError("bath spins must occupy distinct positions")
-
-    nb = 1 << len(group)
-    h = np.kron(central.hamiltonian(b), np.eye(nb, dtype=complex))
-    if not group:
+    h = np.kron(central.hamiltonian(b), np.eye(1 << k, dtype=complex))
+    h = np.repeat(h[None], n, axis=0)
+    if k == 0:
         return h
-
-    # coefficients in the row order of _group_operators
-    b_vec = _field_vector(b)
-    coeffs = []
-    for spin in group:
-        tensor = np.zeros((3, 3))
-        if hyperfine_scale != 0.0:
-            tensor = hyperfine_scale * hyperfine_tensor(
-                spin.position, central.gamma_e_hz, spin.gamma).a
-        if secular_hyperfine:
-            tensor[:2] = 0.0
-        coeffs += [-spin.gamma * b_vec, tensor.ravel()]
+    # per group: the k electron-carbon tensors, then the carbon pairs'
+    tensors = _dipole_tensors(
+        np.concatenate([pos, pos[:, j] - pos[:, i]], axis=1),
+        np.concatenate([np.full((n, k), central.gamma_e_hz), gamma[:, i]],
+                       axis=1).ravel(),
+        np.concatenate([gamma, gamma[:, j]], axis=1).ravel()).reshape(n, -1, 9)
+    hyperfine = hyperfine_scale * tensors[:, :k]
+    if secular_hyperfine:
+        hyperfine[:, :, :6] = 0.0
+    # coefficients (n, terms) in the row order of _group_operators
+    zeeman = -gamma[:, :, None] * _field_vector(b)
+    coeffs = np.concatenate([zeeman, hyperfine], axis=2).reshape(n, -1)
     if include_nn:
-        for s1, s2 in itertools.combinations(group, 2):
-            r = np.asarray(s2.position) - np.asarray(s1.position)
-            coeffs.append(hyperfine_tensor(r, s1.gamma, s2.gamma).a.ravel())
-    # One term at a time, in a fixed order: the diagonal holds the central
-    # spin's splittings (GHz for the NV), and a summed update (tensordot)
-    # rounds it differently, which moved NV CPMG echoes by 3e-10.
-    for c, op in zip(np.concatenate(coeffs), _group_operators(central,
-                                                              len(group))):
-        if c != 0.0:
-            h += c * op
+        coeffs = np.concatenate([coeffs, tensors[:, k:].reshape(n, -1)], axis=1)
+    # One term at a time in a fixed order, zeros skipped: the diagonal holds
+    # the central spin's splittings (GHz for the NV), and a summed update
+    # (tensordot) rounds it differently, moving NV CPMG echoes by 3e-10.
+    for c, op in zip(coeffs.T, _group_operators(central, k)):
+        keep = c != 0.0
+        if keep.all():
+            h += c[:, None, None] * op
+        elif keep.any():
+            np.add(h, c[:, None, None] * op, out=h, where=keep[:, None, None])
     return h
 
 

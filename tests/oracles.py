@@ -2,18 +2,27 @@
 
 Brute-force counterparts of what the library does in its eigenbasis
 kernel: exact propagators, validated density matrices, projectors and
-ideal pulses embedded in a composite space.  Also the inverses of two
-library serialisations: a bath read back from its JSON and a number
-density converted back to ppm.
+ideal pulses embedded in a composite space.  One-at-a-time counterparts
+of its vectorised set-up: a group Hamiltonian assembled from scalar
+dipole tensors, and the greedy clustering visiting every pair.  Also the
+inverses of two library serialisations: a bath read back from its JSON
+and a number density converted back to ppm.
 """
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from spinbath.bathgen import Bath, BathSpin
-from spinbath.constants import DIAMOND_ATOM_DENSITY_NM3, DIAMOND_BOND_NM
+from spinbath.bathgen import Bath, BathSpin, Partition, _pair_couplings
+from spinbath.constants import (
+    DIAMOND_ATOM_DENSITY_NM3,
+    DIAMOND_BOND_NM,
+    dipole_prefactor_hz,
+)
+from spinbath.hamiltonians import _field_vector, _group_operators
 from spinbath.spinops import CompositeSpace, embed, two_level_unitary
 
 
@@ -116,3 +125,74 @@ def rotation(axis, angle: float, slot: int, space: CompositeSpace,
     u[j, i] = u2[1, 0]
     u[j, j] = u2[1, 1]
     return embed(u, slot, space)
+
+
+def scalar_dipole_tensor(r_nm, gamma1: float, gamma2: float) -> np.ndarray:
+    """Point-dipole tensor of one pair by the scalar formula (Hz)."""
+    r = np.asarray(r_nm, dtype=float)
+    dist = float(np.linalg.norm(r))
+    rhat = r / dist
+    c = dipole_prefactor_hz(gamma1, gamma2, dist)
+    return c * (np.eye(3) - 3.0 * np.outer(rhat, rhat))
+
+
+def group_hamiltonian(central, group, b, *, include_nn=True,
+                      secular_hyperfine=False, hyperfine_scale=1.0):
+    """One group's Hamiltonian, one tensor and one term at a time.
+
+    The stacked builder must reproduce it bit for bit: the same terms,
+    added in the same order, with zero coefficients skipped.
+    """
+    h = np.kron(central.hamiltonian(b), np.eye(1 << len(group), dtype=complex))
+    if not group:
+        return h
+    b_vec = _field_vector(b)
+    coeffs = []
+    for spin in group:
+        tensor = np.zeros((3, 3))
+        if hyperfine_scale != 0.0:
+            tensor = hyperfine_scale * scalar_dipole_tensor(
+                spin.position, central.gamma_e_hz, spin.gamma)
+        if secular_hyperfine:
+            tensor[:2] = 0.0
+        coeffs += [-spin.gamma * b_vec, tensor.ravel()]
+    if include_nn:
+        for s1, s2 in itertools.combinations(group, 2):
+            r = np.asarray(s2.position) - np.asarray(s1.position)
+            coeffs.append(scalar_dipole_tensor(r, s1.gamma, s2.gamma).ravel())
+    for c, op in zip(np.concatenate(coeffs),
+                     _group_operators(central, len(group))):
+        if c != 0.0:
+            h += c * op
+    return h
+
+
+@functools.lru_cache(maxsize=2)
+def _pairs_by_coupling(bath: Bath, metric: str):
+    first, second, coupling = _pair_couplings(bath, metric)
+    order = np.lexsort((second, first, -coupling))
+    return list(zip(first[order].tolist(), second[order].tolist()))
+
+
+def cluster_every_pair(bath: Bath, g: int, metric: str = "zz") -> Partition:
+    """Greedy clustering that visits all pairs, with no early stop."""
+    n = len(bath)
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in _pairs_by_coupling(bath, metric) if n > 1 else ():
+        ri, rj = find(i), find(j)
+        if ri != rj and size[ri] + size[rj] <= g:
+            ri, rj = min(ri, rj), max(ri, rj)
+            parent[rj] = ri
+            size[ri] += size[rj]
+    members: dict = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    groups = sorted(tuple(m) for m in members.values())
+    return Partition(groups=tuple(groups), g=g, n_spins=n)

@@ -97,7 +97,7 @@ def full_scale_curves():
 def _eseem(position, b, tau):
     """Two-frequency single-carbon echo modulation, secular hyperfine."""
     a = hyperfine_tensor(position, GAMMA_E_HZ_PER_G,
-                         GAMMA_C13_HZ_PER_G).a[2, :]
+                         GAMMA_C13_HZ_PER_G)[2, :]
     f_l = GAMMA_C13_HZ_PER_G * b
     w_up = np.array([a[0] / 2.0, a[1] / 2.0, -f_l + a[2] / 2.0])
     w_dn = np.array([-a[0] / 2.0, -a[1] / 2.0, -f_l - a[2] / 2.0])

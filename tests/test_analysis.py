@@ -348,6 +348,9 @@ def test_mean_kth_distance_scalings():
         mean_kth_distance(n, 0)
     with pytest.raises(ValueError):
         mean_kth_distance(n, 1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mean_kth_distance(bad, 1)
 
 
 def test_mean_dipolar_coupling_values():
@@ -373,6 +376,13 @@ def test_mean_dipolar_coupling_validation():
         mean_dipolar_coupling(1.0)
     with pytest.raises(ValueError):
         mean_dipolar_coupling(1.0, theta=0.0, angular_factor=0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mean_dipolar_coupling(bad, theta=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            mean_dipolar_coupling(1.0, theta=bad)
+        with pytest.raises(ValueError, match="finite"):
+            mean_dipolar_coupling(1.0, angular_factor=bad)
 
 
 def test_concentration_calibration_identity():
@@ -380,6 +390,9 @@ def test_concentration_calibration_identity():
     assert concentration_from_td(35e-6) == pytest.approx(0.4, rel=1e-12)
     with pytest.raises(ValueError):
         concentration_from_td(0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            concentration_from_td(bad)
 
 
 def test_larmor_frequency_values():

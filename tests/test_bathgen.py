@@ -1,5 +1,6 @@
-import itertools
+import functools
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinbath.bathgen as bathgen
-from oracles import bath_from_json
+from oracles import bath_from_json, cluster_every_pair
 from spinbath.bathgen import (
     Bath,
     BathSpin,
@@ -292,6 +293,20 @@ def test_cluster_g1_gives_singletons():
     assert part.groups == tuple((i,) for i in range(15))
     with pytest.raises(ValueError):
         cluster_bath(bath, g=0)
+
+
+@pytest.mark.parametrize("metric", ["zz", "frobenius"])
+@pytest.mark.parametrize("n_spins", [125, 400])
+def test_early_stop_keeps_the_partition_of_the_full_visit(monkeypatch,
+                                                          n_spins, metric):
+    # each bath's couplings are computed once, for every g
+    monkeypatch.setattr(bathgen, "_pair_couplings", functools.lru_cache(
+        maxsize=1)(_pair_couplings))
+    for seed in range(20):
+        bath = generate_bath(seed=seed, n_spins=n_spins)
+        for g in range(1, 6):
+            assert (cluster_bath(bath, g, metric=metric)
+                    == cluster_every_pair(bath, g, metric)), (seed, g)
 
 
 def _scalar_couplings(bath, metric="zz"):

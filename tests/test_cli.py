@@ -239,6 +239,20 @@ def test_larmor_dist_json_branches(tmp_path, capsys):
     assert payload["metadata"]["central"] == "nv"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--min-radius", "nan"], "min_radius must be finite"),
+    (["--min-radius", "-1"], "min_radius must be finite"),
+    (["--n-spins", "-1"], "n_spins must be non-negative"),
+    (["--abundance", "0"], "abundance must lie in"),
+    (["--abundance", "nan"], "abundance must lie in")])
+def test_larmor_dist_dry_run_validates_the_bath(capsys, argv, message):
+    # the same rules as generate_bath, before the dry run returns
+    code, out, err = _run(["larmor-dist", *argv, "--dry-run"], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_larmor_dist_csv_format(tmp_path, capsys):
     code, _, _ = _run(["larmor-dist", "--central", "p1", "--n-spins", "10",
                        "--format", "csv", "--out", str(tmp_path)], capsys)
@@ -280,6 +294,18 @@ def test_stats_without_inputs_fails(capsys):
     code, _, err = _run(["stats"], capsys)
     assert code == 2
     assert "nothing to compute" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ppm", "nan"], ["--ppm", "inf"], ["--r", "nan", "--theta-deg", "30"],
+    ["--r", "inf"], ["--r", "16.9", "--theta-deg", "nan"],
+    ["--r", "16.9", "--angular-factor", "inf"], ["--td", "nan"],
+    ["--td", "inf"]])
+def test_stats_rejects_non_finite_input(capsys, argv):
+    code, out, err = _run(["stats", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_stats_writes_json_when_out_given(tmp_path, capsys):
@@ -401,6 +427,14 @@ def test_cli_import_leaves_scipy_unloaded():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_analysis_unloaded():
+    # echo and scan never use it; the commands that do import it
+    proc = _run_python(
+        "import sys, spinbath.cli; print('spinbath.analysis' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 _WITHOUT_SCIPY = """

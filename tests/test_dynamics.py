@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spinbath.dynamics as dynamics
 from oracles import evolve
 from spinbath.bathgen import Bath, BathSpin, Partition, cluster_bath, generate_bath
 from spinbath.constants import GAMMA_C13_HZ_PER_G, GAMMA_E_HZ_PER_G
@@ -33,7 +35,7 @@ def _spin(x, y, z):
 
 def _eseem_closed_form(position, b, tau):
     """Two-frequency echo modulation of one carbon, secular hyperfine."""
-    a = hyperfine_tensor(position, GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G).a[2, :]
+    a = hyperfine_tensor(position, GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)[2, :]
     f_l = GAMMA_C13_HZ_PER_G * b
     w_up = np.array([a[0] / 2.0, a[1] / 2.0, -f_l + a[2] / 2.0])
     w_dn = np.array([-a[0] / 2.0, -a[1] / 2.0, -f_l - a[2] / 2.0])
@@ -215,6 +217,41 @@ def test_batched_kernel_matches_single_schedules(prog):
         for tau, sched, got in zip(taus, schedules, batched):
             want = group_signal(central, group, sched, 72.0)
             assert got == pytest.approx(want, abs=1e-10), tau
+
+
+def _mixed_groups():
+    # sizes interleaved, so the stacks by size run out of the given order
+    spins = generate_bath(seed=4, n_spins=12).spins
+    groups = [list(spins[0:2]), [spins[2]], list(spins[3:6]), [spins[6]],
+              list(spins[7:9]), list(spins[9:12])]
+    taus = (0.0, 2e-6, 7.5e-6, 13e-6)
+    return groups, [compile_schedule(expand_preset("hahn"), tau)
+                    for tau in taus]
+
+
+@pytest.mark.parametrize("central", [P1Center(), NVCenter(),
+                                     P1Center(m_i=None)],
+                         ids=["p1", "nv", "p1-thermal"])
+def test_mixed_group_sizes_multiply_per_group_signals(central):
+    groups, schedules = _mixed_groups()
+    # a thermal nitrogen averages the products of its three projections
+    variants = ([replace(central, m_i=m) for m in (-1, 0, 1)]
+                if isinstance(central, P1Center) and central.m_i is None
+                else [central])
+    got = _echo(central, groups, schedules, 72.0)
+    for sched, value in zip(schedules, got):
+        want = np.mean([np.prod([group_signal(variant, group, sched, 72.0)
+                                 for group in groups])
+                        for variant in variants])
+        assert value == pytest.approx(want, abs=1e-12)
+
+
+def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
+    groups, schedules = _mixed_groups()
+    whole = _echo(P1Center(m_i=None), groups, schedules, 72.0)
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", 1)  # one group a stack
+    split = _echo(P1Center(m_i=None), groups, schedules, 72.0)
+    assert whole.tobytes() == split.tobytes()
 
 
 def test_target_pulses_are_rejected_by_the_engine():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import constants as si
 
-from spinbath.bathgen import BathSpin
+from oracles import group_hamiltonian
+from spinbath.bathgen import BathSpin, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
@@ -18,6 +19,7 @@ from spinbath.hamiltonians import (
     P1Center,
     P1Params,
     build_nv_hamiltonian,
+    build_hamiltonian_stack,
     build_p1_hamiltonian,
     build_system_hamiltonian,
     hyperfine_tensor,
@@ -92,8 +94,7 @@ def test_rotation_onto_axis_properties():
 
 
 def test_hyperfine_tensor_structure():
-    t = hyperfine_tensor((0.0, 0.0, 0.8), GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
-    a = t.a
+    a = hyperfine_tensor((0.0, 0.0, 0.8), GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
     assert np.allclose(a, a.T, atol=0)
     assert np.trace(a) == pytest.approx(0.0, abs=1e-9)
     # along z the tensor is diag(c, c, -2c)
@@ -101,7 +102,7 @@ def test_hyperfine_tensor_structure():
     assert a[2, 2] == pytest.approx(-2.0 * a[0, 0])
     # 1/r^3
     t2 = hyperfine_tensor((0.0, 0.0, 1.6), GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
-    assert a[2, 2] / t2.a[2, 2] == pytest.approx(8.0)
+    assert a[2, 2] / t2[2, 2] == pytest.approx(8.0)
     with pytest.raises(ValueError):
         hyperfine_tensor((0.0, 0.0, 0.0), 1e3, 1e3)
 
@@ -295,7 +296,7 @@ def test_system_hamiltonian_secular_mode_keeps_sz_row_only():
     h_sec = build_system_hamiltonian(BareElectron(), group, 72.0,
                                      secular_hyperfine=True)
     tensor = hyperfine_tensor((0.4, 0.3, 0.6), GAMMA_E_HZ_PER_G,
-                              GAMMA_C13_HZ_PER_G).a
+                              GAMMA_C13_HZ_PER_G)
     sx = np.kron(_SX2, np.eye(2))
     sy = np.kron(_SY2, np.eye(2))
     cx, cy, cz = (np.kron(np.eye(2), o) for o in (_SX2, _SY2, _SZ2))
@@ -318,6 +319,54 @@ def test_system_hamiltonian_scale_zero_decouples_bath():
 def test_system_hamiltonian_empty_group_is_central_only():
     h = build_system_hamiltonian(NVCenter(), [], 65.0)
     assert np.allclose(h, build_nv_hamiltonian(NVParams(), 65.0), atol=0)
+
+
+def _stacks():
+    """Groups of a seeded bath by size; each stack also holds a group with
+    an on-axis carbon, whose tensor has exact zeros the others lack."""
+    spins = generate_bath(seed=3, n_spins=30).spins
+    on_axis = BathSpin(position=(0.0, 0.0, 0.535))
+    stacks = []
+    for size in (1, 2, 3):
+        groups = [list(spins[m:m + size]) for m in range(0, 10 * size, size)]
+        groups.insert(1, [on_axis] + groups[0][1:])
+        stacks.append(groups)
+    return stacks
+
+
+@pytest.mark.parametrize("central", [P1Center(), NVCenter(),
+                                     P1Center(m_i=None)],
+                         ids=["p1", "nv", "p1-thermal"])
+@pytest.mark.parametrize("options", [
+    {}, {"include_nn": False}, {"secular_hyperfine": True},
+    {"hyperfine_scale": 0.0}, {"hyperfine_scale": 0.5}])
+@pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
+def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
+    for groups in _stacks():
+        stack = build_hamiltonian_stack(central, groups, b, **options)
+        assert stack.shape[0] == len(groups)
+        for h, group in zip(stack, groups):
+            want = group_hamiltonian(central, group, b, **options)
+            # bit for bit, zeros' signs included
+            assert h.tobytes() == want.tobytes()
+
+
+def test_stacked_eigh_equals_one_matrix_at_a_time():
+    for groups in _stacks():
+        stack = build_hamiltonian_stack(P1Center(), groups, 72.0)
+        w, v = np.linalg.eigh(stack)
+        for h, wg, vg in zip(stack, w, v):
+            w1, v1 = np.linalg.eigh(h)
+            assert w1.tobytes() == wg.tobytes()
+            assert v1.tobytes() == vg.tobytes()
+
+
+def test_hamiltonian_stack_needs_one_group_size():
+    spins = [BathSpin(position=(0.5, 0.5, 0.5)),
+             BathSpin(position=(0.7, 0.5, 0.5))]
+    with pytest.raises(ValueError, match="share a size"):
+        build_hamiltonian_stack(NVCenter(), [spins[:1], spins], 72.0)
+    assert build_hamiltonian_stack(NVCenter(), [], 72.0).shape == (0, 3, 3)
 
 
 def test_field_vector_forms_agree():
