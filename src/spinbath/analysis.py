@@ -31,6 +31,7 @@ from .dynamics import EchoCurve
 from .hamiltonians import (
     JtOrientation,
     P1Params,
+    _field_vector,
     build_p1_hamiltonian,
     build_system_hamiltonian,
     label_levels,
@@ -190,10 +191,8 @@ def transition_table(params: P1Params, b_field,
                       moment=m / scale, orientation=orient)
         for f, a, b, kind, m, orient in raw_rows
     )
-    b_vec = np.atleast_1d(np.asarray(b_field, dtype=float))
-    if b_vec.shape == (1,):
-        b_vec = np.array([0.0, 0.0, float(b_vec[0])])
-    return TransitionTable(rows=rows, b_field=tuple(float(x) for x in b_vec))
+    return TransitionTable(rows=rows, b_field=tuple(
+        float(x) for x in _field_vector(b_field)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +288,13 @@ def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
         tuple(int(c) for c in np.histogram(np.array(f), bins=edges)[0])
         for f in freqs
     )
-    b_vec = np.atleast_1d(np.asarray(b_field, dtype=float))
-    if b_vec.shape == (1,):
-        b_vec = np.array([0.0, 0.0, float(b_vec[0])])
     return LarmorHistogram(
         branch_labels=labels,
         frequencies=(tuple(freqs[0]), tuple(freqs[1])),
         bin_edges=tuple(float(e) for e in edges),
         counts=counts,
         flagged=tuple(flagged),
-        b_field=tuple(float(x) for x in b_vec),
+        b_field=tuple(float(x) for x in _field_vector(b_field)),
     )
 
 

@@ -2,11 +2,12 @@
 
 Commands: spectrum, echo, scan, larmor-dist, stats, parse, dump-constants.
 Values resolve as CLI flag > config file (--config, flat JSON keyed by flag
-name with underscores) > documented default, and the resolved configuration
-is embedded in every output's metadata (JSON outputs inline; CSV outputs get
-a .meta.json sidecar).  Output directory: --out, else $SPINBATH_OUT, else
-the working directory.  All floats in CSV are written with 17 significant
-digits; reruns of an identical configuration are byte-identical.
+name with underscores; a string value is parsed as the flag's text would be)
+> the flag's default, and the resolved configuration is embedded in every
+output's metadata (JSON outputs inline; CSV outputs get a .meta.json
+sidecar).  Output directory: --out, else $SPINBATH_OUT, else the working
+directory.  All floats in CSV are written with 17 significant digits;
+reruns of an identical configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,19 +26,15 @@ from .bathgen import check_bath_parameters, generate_bath
 from .constants import constants_table, ppm_to_density_nm3
 from .dynamics import SimulationConfig, ensemble_signal, field_scan, scan_csv
 from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center, P1Params
-from .pulses import (
-    ParseError,
-    PRESET_NAMES,
-    canonical_text,
-    expand_preset,
-    parse_sequence,
-)
+from .pulses import PRESET_NAMES, canonical_text, expand_preset, parse_sequence
+
+_FORMATS = ("csv", "json")
 
 _TIME_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(us|ns|s)?$")
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Validation failure: message goes to stderr, exit code 2."""
 
 
@@ -135,32 +132,26 @@ def _make_sequence(spec: str, n):
     return parse_sequence(spec)
 
 
-def _out_dir(resolved: dict) -> str:
-    out = resolved.get("out") or os.environ.get("SPINBATH_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _emit(resolved: dict, stem: str, csv_text: str | None, payload: dict,
+          meta: dict | None = None) -> None:
+    """Write one command's output files and print each path.
 
-
-def _write(out_dir: str, stem: str, fmt: str, csv_text: str, json_text: str,
-           meta: dict) -> list[str]:
-    paths = []
-    if fmt == "csv":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        paths.append(path)
-        meta_path = os.path.join(out_dir, f"{stem}.meta.json")
-        with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(meta, indent=2) + "\n")
-        paths.append(meta_path)
-    elif fmt == "json":
-        path = os.path.join(out_dir, f"{stem}.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json_text + ("" if json_text.endswith("\n") else "\n"))
-        paths.append(path)
+    Format csv writes csv_text to <stem>.csv and meta to a <stem>.meta.json
+    sidecar; otherwise (json, or stats, which has no format) payload goes to
+    <stem>.json.  The directory is --out, else $SPINBATH_OUT, else '.'.
+    """
+    if resolved.get("format") == "csv":
+        files = {f"{stem}.csv": csv_text,
+                 f"{stem}.meta.json": json.dumps(meta, indent=2) + "\n"}
     else:
-        raise _CliError(f"unknown format '{fmt}'")
-    return paths
+        files = {f"{stem}.json": json.dumps(payload, indent=2) + "\n"}
+    out = resolved["out"] or os.environ.get("SPINBATH_OUT") or "."
+    os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        path = os.path.join(out, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(path)
 
 
 def _print_constants():
@@ -177,78 +168,79 @@ def _dry_run(resolved: dict) -> int:
     return 0
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config file > default, erroring on unknown config keys."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise _CliError(f"cannot read config file: {err}") from None
-        if not isinstance(file_values, dict):
-            raise _CliError("config file must hold a JSON object")
-        for key, value in file_values.items():
-            if key not in defaults:
-                raise _CliError(f"unknown config key '{key}'")
-            resolved[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _read_config(args: argparse.Namespace) -> dict:
+    """The --config file's values, each keyed like one of the command's flags."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise _CliError(f"cannot read config file: {err}") from None
+    if not isinstance(values, dict):
+        raise _CliError("config file must hold a JSON object")
+    for key in values:
+        if key in ("command", "config", "func") or key not in vars(args):
+            raise _CliError(f"unknown config key '{key}'")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # shared flag groups
 
-_SIM_DEFAULTS = {
-    "central": "p1",
-    "b": 72.0,
-    "jt": "off-axis",
-    "m_i": "-1",
-    "n_spins": 125,
-    "abundance": 0.011,
-    "g": 3,
-    "n_baths": 20,
-    "seed": 0,
-    "min_radius": None,  # library default (one bond length)
-    "continuum": False,
-    "no_nn": False,
-    "threads": 1,
-    "out": None,
-    "dry_run": False,
-}
-
-
-def _add_common(p: argparse.ArgumentParser, *, bath: bool = True):
+def _add_output(p: argparse.ArgumentParser, fmt: str | None,
+                out_help: str = "output directory (default $SPINBATH_OUT or .)"):
+    """--config, --out, --dry-run and, given its default, --format."""
+    if fmt is not None:
+        p.add_argument("--format", choices=_FORMATS, default=fmt)
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output directory (default $SPINBATH_OUT or .)")
-    p.add_argument("--dry-run", dest="dry_run", action="store_true",
-                   default=None,
+    p.add_argument("--out", help=out_help)
+    p.add_argument("--dry-run", action="store_true",
                    help="validate, print resolved config and constants, exit")
-    if bath:
-        p.add_argument("--central", choices=["p1", "nv", "electron"])
-        p.add_argument("--jt", help="P1 bond orientation "
-                       "(on-axis, off-axis, off-axis-2, off-axis-3)")
-        p.add_argument("--m-i", dest="m_i",
-                       help="nitrogen projection: -1, 0, 1, or thermal")
-        p.add_argument("--n-spins", dest="n_spins", type=int)
-        p.add_argument("--abundance", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--min-radius", dest="min_radius", type=float,
-                       help="exclusion radius in nm")
-        p.add_argument("--continuum", action="store_true", default=None,
-                       help="continuum bath placement instead of the lattice")
 
 
-def _sim_config(resolved: dict, tau_grid, sequence) -> SimulationConfig:
+def _add_field(p: argparse.ArgumentParser):
+    p.add_argument("--b", type=float, default=72.0,
+                   help="field in gauss (along z)")
+
+
+def _add_bath(p: argparse.ArgumentParser, central: str):
+    p.add_argument("--central", choices=["p1", "nv", "electron"],
+                   default=central)
+    p.add_argument("--jt", default="off-axis", help="P1 bond orientation "
+                   "(on-axis, off-axis, off-axis-2, off-axis-3)")
+    p.add_argument("--m-i", default="-1",
+                   help="nitrogen projection: -1, 0, 1, or thermal")
+    p.add_argument("--n-spins", type=int, default=125)
+    p.add_argument("--abundance", type=float, default=0.011)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-radius", type=float,
+                   help="exclusion radius in nm (default one bond length)")
+    p.add_argument("--continuum", action="store_true",
+                   help="continuum bath placement instead of the lattice")
+
+
+def _add_simulation(p: argparse.ArgumentParser):
+    """The flags echo and scan share besides the bath and the field."""
+    p.add_argument("--tau", default="0:30us:150",
+                   help="per-arm delay grid start:stop:count (default unit us)")
+    p.add_argument("--sequence", default="hahn",
+                   help="preset name, DSL text, or .seq file")
+    p.add_argument("--n", type=int, help="repetition count for cpmg/xy8")
+    p.add_argument("--g", type=int, default=3, help="max cluster size")
+    p.add_argument("--n-baths", type=int, default=20)
+    p.add_argument("--no-nn", action="store_true",
+                   help="drop carbon-carbon couplings inside groups")
+    p.add_argument("--threads", type=int, default=1)
+    _add_output(p, "csv")
+
+
+def _sim_config(resolved: dict, b) -> SimulationConfig:
+    tau_grid = _parse_tau_grid(resolved["tau"])
+    sequence = _make_sequence(resolved["sequence"], resolved["n"])
     central = _make_central(resolved["central"], resolved["jt"],
                             str(resolved["m_i"]))
     kwargs = dict(
         central=central,
-        b_field=resolved["b"],
+        b_field=b,
         n_spins=resolved["n_spins"],
         abundance=resolved["abundance"],
         g=resolved["g"],
@@ -266,7 +258,7 @@ def _sim_config(resolved: dict, tau_grid, sequence) -> SimulationConfig:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the resolved flags, "command" first
 
 def _check_field(b):
     try:
@@ -279,95 +271,54 @@ def _check_field(b):
         raise _CliError("field must be ≥ 0")
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(resolved: dict) -> int:
     from .analysis import transition_table
 
-    defaults = {"b": 72.0, "jt": "all", "out": None, "format": "csv",
-                "dry_run": False}
-    resolved = _resolve(args, defaults)
     b = float(resolved["b"])
     _check_field(b)
     jt = resolved["jt"].lower()
-    if jt == "all":
-        orientations = None
-    elif jt == "off-axis":
-        orientations = [JtOrientation.off_axis(1)]
-    else:
-        orientations = [_make_jt(jt)]
-    meta = {"command": "spectrum", **resolved}
+    orientations = None if jt == "all" else [_make_jt(jt)]
     if resolved["dry_run"]:
-        return _dry_run(meta)
+        return _dry_run(resolved)
     table = transition_table(P1Params(), b, orientations)
-    payload = json.loads(table.to_json())
-    payload["metadata"] = meta
-    paths = _write(_out_dir(resolved), "spectrum", resolved["format"],
-                   table.to_csv(), json.dumps(payload, indent=2), meta)
-    for path in paths:
-        print(path)
+    _emit(resolved, "spectrum", table.to_csv(),
+          {**json.loads(table.to_json()), "metadata": resolved}, resolved)
     return 0
 
 
-
-
-def _cmd_echo(args) -> int:
-    defaults = dict(_SIM_DEFAULTS)
-    defaults.update({"tau": "0:30us:150", "sequence": "hahn", "n": None,
-                     "format": "csv", "include_baths": False})
-    resolved = _resolve(args, defaults)
+def _cmd_echo(resolved: dict) -> int:
     _check_field(resolved["b"])
-    tau_grid = _parse_tau_grid(resolved["tau"])
-    sequence = _make_sequence(resolved["sequence"], resolved["n"])
-    config = _sim_config(resolved, tau_grid, sequence)
-    meta = {"command": "echo", **resolved,
-            "resolved_simulation": config.describe()}
+    config = _sim_config(resolved, resolved["b"])
+    meta = {**resolved, "resolved_simulation": config.describe()}
     if resolved["dry_run"]:
         return _dry_run(meta)
     curve = ensemble_signal(config)
-    paths = _write(_out_dir(resolved), "echo", resolved["format"],
-                   curve.to_csv(include_baths=resolved["include_baths"]),
-                   curve.to_json(), meta)
-    for path in paths:
-        print(path)
+    _emit(resolved, "echo",
+          curve.to_csv(include_baths=resolved["include_baths"]),
+          json.loads(curve.to_json()), meta)
     return 0
 
 
-def _cmd_scan(args) -> int:
-    defaults = dict(_SIM_DEFAULTS)
-    defaults.update({"tau": "0:30us:150", "sequence": "hahn", "n": None,
-                     "format": "csv", "b": "40:110:8"})
-    resolved = _resolve(args, defaults)
+def _cmd_scan(resolved: dict) -> int:
     fields = _parse_field_list(str(resolved["b"]))
     if not fields:
         raise _CliError("field list must be non-empty")
     for b in fields:
         _check_field(b)
-    tau_grid = _parse_tau_grid(resolved["tau"])
-    sequence = _make_sequence(resolved["sequence"], resolved["n"])
-    base = dict(resolved)
-    base["b"] = fields[0]
-    config = _sim_config(base, tau_grid, sequence)
-    meta = {"command": "scan", **resolved, "fields_gauss": fields}
+    config = _sim_config(resolved, fields[0])
+    meta = {**resolved, "fields_gauss": fields}
     if resolved["dry_run"]:
         return _dry_run(meta)
     curves = field_scan(config, fields)
-    json_payload = json.dumps(
-        {"metadata": meta,
-         "curves": [json.loads(c.to_json()) for c in curves]}, indent=2)
-    paths = _write(_out_dir(resolved), "scan", resolved["format"],
-                   scan_csv(curves), json_payload, meta)
-    for path in paths:
-        print(path)
+    _emit(resolved, "scan", scan_csv(curves),
+          {"metadata": meta,
+           "curves": [json.loads(c.to_json()) for c in curves]}, meta)
     return 0
 
 
-def _cmd_larmor_dist(args) -> int:
+def _cmd_larmor_dist(resolved: dict) -> int:
     from .analysis import larmor_distribution
 
-    defaults = {"central": "nv", "jt": "off-axis", "m_i": "-1", "b": 72.0,
-                "n_spins": 125, "abundance": 0.011, "seed": 0,
-                "min_radius": None, "continuum": False, "bins": "fd",
-                "out": None, "format": "json", "dry_run": False}
-    resolved = _resolve(args, defaults)
     b = float(resolved["b"])
     _check_field(b)
     central = _make_central(resolved["central"], resolved["jt"],
@@ -376,9 +327,8 @@ def _cmd_larmor_dist(args) -> int:
     if resolved["min_radius"] is not None:
         kwargs["min_radius"] = resolved["min_radius"]
     check_bath_parameters(resolved["n_spins"], resolved["abundance"], **kwargs)
-    meta = {"command": "larmor-dist", **resolved}
     if resolved["dry_run"]:
-        return _dry_run(meta)
+        return _dry_run(resolved)
     bath = generate_bath(resolved["seed"], resolved["n_spins"],
                          resolved["abundance"],
                          lattice=not resolved["continuum"], **kwargs)
@@ -386,25 +336,17 @@ def _cmd_larmor_dist(args) -> int:
     if isinstance(bins, str) and bins.isdigit():
         bins = int(bins)
     hist = larmor_distribution(central, bath, b, bins=bins)
-    payload = json.loads(hist.to_json())
-    payload["metadata"] = meta
-    paths = _write(_out_dir(resolved), "larmor_dist", resolved["format"],
-                   hist.to_csv(), json.dumps(payload, indent=2), meta)
-    for path in paths:
-        print(path)
+    _emit(resolved, "larmor_dist", hist.to_csv(),
+          {**json.loads(hist.to_json()), "metadata": resolved}, resolved)
     return 0
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(resolved: dict) -> int:
     from .analysis import (concentration_from_td, larmor_frequency,
                            mean_dipolar_coupling, mean_kth_distance)
 
-    defaults = {"ppm": None, "k": 1, "r": None, "theta_deg": None,
-                "angular_factor": None, "td": None, "b": None, "out": None,
-                "dry_run": False}
-    resolved = _resolve(args, defaults)
     if resolved["dry_run"]:
-        return _dry_run({"command": "stats", **resolved})
+        return _dry_run(resolved)
     results: dict = {}
     if resolved["ppm"] is not None:
         n = ppm_to_density_nm3(float(resolved["ppm"]))
@@ -436,36 +378,31 @@ def _cmd_stats(args) -> int:
     for name, value in results.items():
         print(f"{name} {'' if value is None else format(value, '.17g')}".rstrip())
     if resolved["out"]:
-        path = os.path.join(_out_dir(resolved), "stats.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"command": "stats", "inputs": resolved,
-                       "results": results}, fh, indent=2)
-            fh.write("\n")
-        print(path)
+        inputs = {k: v for k, v in resolved.items() if k != "command"}
+        _emit(resolved, "stats", None, {"command": "stats", "inputs": inputs,
+                                        "results": results})
     return 0
 
 
-def _cmd_parse(args) -> int:
-    spec = args.sequence_text
+def _cmd_parse(resolved: dict) -> int:
+    spec = resolved["sequence_text"]
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = spec
-    prog = parse_sequence(text)
-    print(canonical_text(prog))
+            spec = fh.read()
+    print(canonical_text(parse_sequence(spec)))
     return 0
 
 
-def _cmd_dump_constants(args) -> int:
-    if getattr(args, "format", None) == "json":
+def _cmd_dump_constants(resolved: dict) -> int:
+    if resolved["format"] == "json":
         print(json.dumps(constants_table(), indent=2))
     else:
         _print_constants()
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and its subparsers action, whose choices map names to parsers."""
     parser = argparse.ArgumentParser(
         prog="spinbath",
         description="Spin-echo decoherence of diamond defect spins in a "
@@ -473,64 +410,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="resonance table of the six-level center")
-    p.add_argument("--b", type=float, help="field in gauss (along z)")
-    p.add_argument("--jt", help="on-axis, off-axis[-k], or all")
-    p.add_argument("--format", choices=["csv", "json"])
-    _add_common(p, bath=False)
+    _add_field(p)
+    p.add_argument("--jt", default="all", help="on-axis, off-axis[-k], or all")
+    _add_output(p, "csv")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("echo", help="ensemble-averaged echo curve")
-    p.add_argument("--b", type=float, help="field in gauss (along z)")
-    p.add_argument("--tau", help="per-arm delay grid start:stop:count "
-                                 "(default unit us)")
-    p.add_argument("--sequence", help="preset name, DSL text, or .seq file")
-    p.add_argument("--n", type=int, help="repetition count for cpmg/xy8")
-    p.add_argument("--g", type=int, help="max cluster size")
-    p.add_argument("--n-baths", dest="n_baths", type=int)
-    p.add_argument("--no-nn", dest="no_nn", action="store_true", default=None,
-                   help="drop carbon-carbon couplings inside groups")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--include-baths", dest="include_baths",
-                   action="store_true", default=None,
+    _add_field(p)
+    _add_simulation(p)
+    p.add_argument("--include-baths", action="store_true",
                    help="add per-bath columns to the CSV")
-    p.add_argument("--format", choices=["csv", "json"])
-    _add_common(p)
+    _add_bath(p, "p1")
     p.set_defaults(func=_cmd_echo)
 
     p = sub.add_parser("scan", help="echo curves across a field list")
-    p.add_argument("--b", help="fields: start:stop:count or b1,b2,...")
-    p.add_argument("--tau", help="per-arm delay grid start:stop:count")
-    p.add_argument("--sequence", help="preset name, DSL text, or .seq file")
-    p.add_argument("--n", type=int, help="repetition count for cpmg/xy8")
-    p.add_argument("--g", type=int)
-    p.add_argument("--n-baths", dest="n_baths", type=int)
-    p.add_argument("--no-nn", dest="no_nn", action="store_true", default=None)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--format", choices=["csv", "json"])
-    _add_common(p)
+    p.add_argument("--b", default="40:110:8",
+                   help="fields: start:stop:count or b1,b2,...")
+    _add_simulation(p)
+    _add_bath(p, "p1")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("larmor-dist",
                        help="conditional nuclear precession histogram")
-    p.add_argument("--b", type=float)
-    p.add_argument("--bins", help="histogram bins: fd, auto, or a count")
-    p.add_argument("--format", choices=["csv", "json"])
-    _add_common(p)
+    _add_field(p)
+    p.add_argument("--bins", default="fd",
+                   help="histogram bins: fd, auto, or a count")
+    _add_output(p, "json")
+    _add_bath(p, "nv")
     p.set_defaults(func=_cmd_larmor_dist)
 
     p = sub.add_parser("stats", help="closed-form ensemble statistics")
     p.add_argument("--ppm", type=float, help="defect concentration")
-    p.add_argument("--k", type=int, help="neighbor index for --ppm")
+    p.add_argument("--k", type=int, default=1, help="neighbor index for --ppm")
     p.add_argument("--r", type=float, help="separation in nm")
-    p.add_argument("--theta-deg", dest="theta_deg", type=float)
-    p.add_argument("--angular-factor", dest="angular_factor", type=float,
+    p.add_argument("--theta-deg", type=float)
+    p.add_argument("--angular-factor", type=float,
                    help="value of 1 - 3cos^2(theta)")
     p.add_argument("--td", type=float, help="diffusion decay time in us")
     p.add_argument("--b", type=float, help="field in gauss")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="also write stats.json here")
-    p.add_argument("--dry-run", dest="dry_run", action="store_true",
-                   default=None)
+    _add_output(p, None, "also write stats.json here")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("parse", help="validate sequence text, echo canonical form")
@@ -538,24 +456,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("dump-constants", help="print the constants table")
-    p.add_argument("--format", choices=["text", "json"])
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_dump_constants)
 
-    return parser
+    return parser, sub
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, sub = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _CliError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except ParseError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except ValueError as err:
+        if getattr(args, "config", None):
+            # file values become the command's defaults, so each goes
+            # through its flag's type and a flag given still wins
+            sub.choices[args.command].set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
+            # argparse checks choices on flags only, not on defaults
+            if getattr(args, "format", "csv") not in _FORMATS:
+                raise _CliError(f"unknown format '{args.format}'")
+        resolved = vars(args)
+        func = resolved.pop("func")
+        resolved.pop("config", None)
+        return func(resolved)
+    except ValueError as err:  # _CliError and ParseError among them
         print(str(err), file=sys.stderr)
         return 2
 

@@ -500,11 +500,18 @@ def _group_operators(central, k: int) -> np.ndarray:
         s_ops = [np.kron(o, eye_b) for o in central.electron_ops()]
         carbons = [[embed(o, len(central.dims) + m, space)
                     for o in (half.sx, half.sy, half.sz)] for m in range(k)]
-        terms = [t for ops_m in carbons
-                 for t in ops_m + [s @ c for s in s_ops for c in ops_m]]
-        terms += [c1 @ c2 for m1, m2 in itertools.combinations(range(k), 2)
-                  for c1 in carbons[m1] for c2 in carbons[m2]]
-        ops = np.array(terms)
+        pairs = list(itertools.combinations(range(k), 2))
+        terms = itertools.chain(
+            (t for ops_m in carbons
+             for t in ops_m + [s @ c for s in s_ops for c in ops_m]),
+            (c1 @ c2 for m1, m2 in pairs
+             for c1 in carbons[m1] for c2 in carbons[m2]))
+        # filled row by row, so the terms are never held twice (the cache
+        # is 488 MB at k = 6)
+        n_terms = 3 * k * (1 + len(s_ops)) + 9 * len(pairs)
+        ops = np.empty((n_terms, space.total_dim, space.total_dim), complex)
+        for row, term in zip(ops, terms, strict=True):
+            row[...] = term
         ops.flags.writeable = False
         _GROUP_OPERATORS[key] = ops
     return ops

@@ -405,6 +405,107 @@ def test_config_file_unknown_key_fails(tmp_path, capsys):
     assert "unknown config key 'bogus'" in err
 
 
+def _write_config(tmp_path, values: dict) -> str:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    return str(cfg)
+
+
+def test_config_strings_are_parsed_like_flags(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"g": "3", "n_spins": "12", "b": "47",
+                                   "abundance": "0.02"})
+    code, out, _ = _run(["echo", "--config", cfg, "--dry-run"], capsys)
+    assert code == 0
+    resolved = _dry_run_config(out)
+    assert (resolved["g"], resolved["n_spins"]) == (3, 12)
+    assert (resolved["b"], resolved["abundance"]) == (47.0, 0.02)
+    assert resolved["resolved_simulation"]["g"] == 3
+
+
+@pytest.mark.parametrize("values,message", [
+    ({"g": "x"}, "argument --g: invalid int value: 'x'"),
+    ({"b": "strong"}, "argument --b: invalid float value: 'strong'")])
+def test_config_value_its_flag_rejects_is_a_usage_error(tmp_path, capsys,
+                                                        values, message):
+    cfg = _write_config(tmp_path, values)
+    with pytest.raises(SystemExit) as exc:
+        main(["echo", "--config", cfg, "--dry-run"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_field_vector_stays_accepted(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"b": [0.0, 0.0, 72.0]})
+    code, _, _ = _run(["echo", *_SMALL, "--config", cfg,
+                       "--out", str(tmp_path / "vec")], capsys)
+    assert code == 0
+    _run(["echo", *_SMALL, "--out", str(tmp_path / "z")], capsys)
+    assert ((tmp_path / "vec" / "echo.csv").read_bytes()
+            == (tmp_path / "z" / "echo.csv").read_bytes())
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
+    cfg = _write_config(tmp_path, {"format": "xml"})
+    target = tmp_path / "never_created"
+    argv = ["--dry-run"] if dry_run else ["--out", str(target)]
+    code, out, err = _run(["echo", *_SMALL, "--config", cfg, *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown format 'xml'" in err
+    assert not target.exists()
+
+
+def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"no_nn": True, "continuum": True,
+                                   "include_baths": True, "seed": 5})
+    code, out, _ = _run(["echo", "--config", cfg, "--seed", "7", "--dry-run"],
+                        capsys)
+    assert code == 0
+    resolved = _dry_run_config(out)
+    assert resolved["no_nn"] and resolved["continuum"]
+    assert resolved["include_baths"]
+    assert resolved["seed"] == 7
+    assert resolved["resolved_simulation"]["include_nn"] is False
+    assert resolved["resolved_simulation"]["lattice"] is False
+    code, out, _ = _run(["echo", "--dry-run"], capsys)
+    resolved = _dry_run_config(out)
+    assert not (resolved["no_nn"] or resolved["continuum"]
+                or resolved["include_baths"])
+
+
+def test_larmor_dist_keeps_its_central_default_under_a_config(tmp_path,
+                                                               capsys):
+    cfg = _write_config(tmp_path, {"n_spins": 10})
+    code, out, _ = _run(["larmor-dist", "--config", cfg, "--dry-run"], capsys)
+    assert code == 0
+    resolved = _dry_run_config(out)
+    assert resolved["central"] == "nv"
+    assert resolved["n_spins"] == 10
+
+
+def test_stats_out_prints_results_then_the_file(tmp_path, capsys):
+    code, out, _ = _run(["stats", "--td", "70", "--b", "72",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == str(tmp_path / "stats.json")
+    payload = json.loads((tmp_path / "stats.json").read_text())
+    printed = [line.split(" ")[0] for line in lines[:-1]]
+    assert printed == list(payload["results"])
+    assert payload["command"] == "stats"
+    assert "command" not in payload["inputs"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "echo", "scan", "larmor-dist",
+                                     "stats", "parse", "dump-constants"])
+def test_help_exits_0_for_every_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: spinbath {command}" in capsys.readouterr().out
+
+
 def test_out_env_var_used_when_no_flag(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SPINBATH_OUT", str(tmp_path))
     code, out, _ = _run(["spectrum", "--format", "json"], capsys)
