@@ -15,7 +15,6 @@ search radius appends sites, so the near-origin draws never change.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -95,26 +94,6 @@ class Bath:
 
     def __iter__(self):
         return iter(self.spins)
-
-    def nearest_distance(self) -> float:
-        """Distance from the origin to the closest bath spin (nm)."""
-        if not self.spins:
-            raise ValueError("empty bath has no nearest spin")
-        return min(s.r for s in self.spins)
-
-    def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "abundance": self.abundance,
-            "min_radius": self.min_radius,
-            "lattice": self.lattice,
-            "spins": [
-                {"position": list(s.position), "gamma": s.gamma,
-                 "species": s.species}
-                for s in self.spins
-            ],
-        }
-        return json.dumps(payload, indent=2)
 
 
 @dataclass(frozen=True)

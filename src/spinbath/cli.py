@@ -2,7 +2,7 @@
 
 Commands: spectrum, echo, scan, larmor-dist, stats, parse, dump-constants.
 Values resolve as CLI flag > config file (--config, flat JSON keyed by flag
-name with underscores; a string value is parsed as the flag's text would be)
+name with underscores; a string or number is parsed as the flag's text is)
 > the flag's default, and the resolved configuration is embedded in every
 output's metadata (JSON outputs inline; CSV outputs get a .meta.json
 sidecar).  Output directory: --out, else $SPINBATH_OUT, else the working
@@ -169,7 +169,11 @@ def _dry_run(resolved: dict) -> int:
 
 
 def _read_config(args: argparse.Namespace) -> dict:
-    """The --config file's values, each keyed like one of the command's flags."""
+    """The --config file's values, each keyed like one of the command's flags.
+
+    A number becomes its text, so it goes through its flag's type; booleans,
+    null and on/off flags' values stay.  Only echo's and scan's b is a list.
+    """
     try:
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -177,9 +181,15 @@ def _read_config(args: argparse.Namespace) -> dict:
         raise _CliError(f"cannot read config file: {err}") from None
     if not isinstance(values, dict):
         raise _CliError("config file must hold a JSON object")
-    for key in values:
+    for key, value in values.items():
         if key in ("command", "config", "func") or key not in vars(args):
             raise _CliError(f"unknown config key '{key}'")
+        vector = key == "b" and args.command in ("echo", "scan")
+        if type(value) in (int, float) and type(getattr(args, key)) is not bool:
+            values[key] = repr(value)
+        elif type(value) is dict or (type(value) is list and not vector):
+            raise _CliError(f"config key '{key}' takes a string, a number, "
+                            "true, false or null")
     return values
 
 

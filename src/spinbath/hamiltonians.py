@@ -436,7 +436,8 @@ def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
     bare product form).  secular_hyperfine keeps only the S_z row of each
     electron-carbon tensor, the regime in which the echo has a closed
     form, and hyperfine_scale multiplies the electron-carbon coupling (0
-    decouples the bath); both are validation modes, not the model.
+    decouples the bath); both are validation modes, not the model.  Each
+    term enters through its nonzeros alone (see _term_table).
     """
     if central is None:
         raise ValueError("a central-spin specification is required")
@@ -463,7 +464,7 @@ def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
     hyperfine = hyperfine_scale * tensors[:, :k]
     if secular_hyperfine:
         hyperfine[:, :, :6] = 0.0
-    # coefficients (n, terms) in the row order of _group_operators
+    # coefficients (n, terms) in the order of _dense_terms
     zeeman = -gamma[:, :, None] * _field_vector(b)
     coeffs = np.concatenate([zeeman, hyperfine], axis=2).reshape(n, -1)
     if include_nn:
@@ -471,47 +472,67 @@ def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
     # One term at a time in a fixed order, zeros skipped: the diagonal holds
     # the central spin's splittings (GHz for the NV), and a summed update
     # (tensordot) rounds it differently, moving NV CPMG echoes by 3e-10.
-    for c, op in zip(coeffs.T, _group_operators(central, k)):
-        keep = c != 0.0
-        if keep.all():
-            h += c[:, None, None] * op
-        elif keep.any():
-            np.add(h, c[:, None, None] * op, out=h, where=keep[:, None, None])
+    # A term adds c * values at its nonzeros, so every nonzero gets the bits
+    # of the dense sum.  A zero part of that sum is -0 only where kron(H_c,
+    # 1) is -0 and every addend there is -0; `dead` marks where one is not.
+    flat = h.reshape(n, -1)
+    parts = flat.view(float)
+    zero = np.flatnonzero((parts[0] == 0.0) & np.signbit(parts[0]))
+    dead = np.zeros((n, len(zero)), bool)
+    for c, (index, values, neg) in zip(coeffs.T, _term_table(central, k)):
+        rows = np.flatnonzero(c != 0.0)
+        flat[rows[:, None], index] += c[rows, None] * values
+        live = np.flatnonzero(~dead[rows].all(axis=0))
+        if not live.size:
+            continue
+        q = zero[live]  # the term's elements at q: signed zeros, nonzeros
+        z = np.where(np.isin((q & -2)[:, None] + [0, 1], neg), -0.0,
+                     0.0).view(complex).ravel()
+        at = np.minimum(np.searchsorted(index, q >> 1), len(index) - 1)
+        hit = index[at] == q >> 1
+        z[hit] = values[at[hit]]
+        add = (c[rows, None] * z).view(float)[:, (q & 1) + 2 * np.arange(q.size)]
+        dead[np.ix_(rows, live)] |= (add != 0.0) | ~np.signbit(add)
+    parts[:, zero] += np.where(dead, 0.0, -0.0)  # -0 + 0 is +0
     return h
 
 
-_GROUP_OPERATORS: dict = {}
+def _dense_terms(central, k: int):
+    """The operator terms of a central spin plus k carbons, dense, in turn:
+    per carbon its x, y, z (the Zeeman term) and its 9 products S_i I_j with
+    the electron, then per carbon pair, in index order, the 9 I_i I'_j.
+    """
+    space = CompositeSpace(tuple(central.dims) + (2,) * k)
+    half = spin_operators(0.5)
+    s_ops = [np.kron(o, np.eye(1 << k, dtype=complex))
+             for o in central.electron_ops()]
+    carbons = [[embed(o, len(central.dims) + m, space)
+                for o in (half.sx, half.sy, half.sz)] for m in range(k)]
+    for ops_m in carbons:
+        yield from ops_m
+        yield from (s @ c for s in s_ops for c in ops_m)
+    for m1, m2 in itertools.combinations(range(k), 2):
+        yield from (c1 @ c2 for c1 in carbons[m1] for c2 in carbons[m2])
 
 
-def _group_operators(central, k: int) -> np.ndarray:
-    """Operator stack of a central spin plus k carbons, built once per kind.
+_TERM_TABLES: dict = {}
 
-    Rows, in order: for each carbon its x, y, z operators (the Zeeman
-    term) and its 9 products S_i I_j with the electron; then for each pair
-    of carbons, in index order, the 9 products I_i I'_j.  Cached per
-    (central type, dims, k), which fixes the electron operators.
+
+def _term_table(central, k: int) -> list:
+    """Per term of _dense_terms: the flat indices of its nonzero elements
+    (ascending), their values, and the indices of the -0.0 parts of its
+    float view.  Its matrix products leave -0 parts that kron alone does
+    not, so each dense term is built and read in turn, one at a time.
+    Cached per (central type, dims, k), as that fixes the electron.
     """
     key = (type(central), tuple(central.dims), k)
-    ops = _GROUP_OPERATORS.get(key)
-    if ops is None:
-        space = CompositeSpace(tuple(central.dims) + (2,) * k)
-        eye_b = np.eye(1 << k, dtype=complex)
-        half = spin_operators(0.5)
-        s_ops = [np.kron(o, eye_b) for o in central.electron_ops()]
-        carbons = [[embed(o, len(central.dims) + m, space)
-                    for o in (half.sx, half.sy, half.sz)] for m in range(k)]
-        pairs = list(itertools.combinations(range(k), 2))
-        terms = itertools.chain(
-            (t for ops_m in carbons
-             for t in ops_m + [s @ c for s in s_ops for c in ops_m]),
-            (c1 @ c2 for m1, m2 in pairs
-             for c1 in carbons[m1] for c2 in carbons[m2]))
-        # filled row by row, so the terms are never held twice (the cache
-        # is 488 MB at k = 6)
-        n_terms = 3 * k * (1 + len(s_ops)) + 9 * len(pairs)
-        ops = np.empty((n_terms, space.total_dim, space.total_dim), complex)
-        for row, term in zip(ops, terms, strict=True):
-            row[...] = term
-        ops.flags.writeable = False
-        _GROUP_OPERATORS[key] = ops
-    return ops
+    table = _TERM_TABLES.get(key)
+    if table is None:
+        table = []
+        for term in _dense_terms(central, k):
+            flat, parts = term.ravel(), term.view(float).ravel()
+            index = np.flatnonzero(flat)
+            table.append((index, flat[index],
+                          np.flatnonzero((parts == 0.0) & np.signbit(parts))))
+        _TERM_TABLES[key] = table
+    return table

@@ -419,10 +419,6 @@ class Schedule:
 
     events: tuple
 
-    @property
-    def total_time(self) -> float:
-        return sum(e.duration_s for e in self.events if isinstance(e, Interval))
-
     def rotations(self) -> list[Rotation]:
         return [e for e in self.events if isinstance(e, Rotation)]
 

@@ -91,13 +91,6 @@ class CompositeSpace:
             raise ValueError("every slot must have dimension >= 2")
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def total_dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
 
 def embed(op: np.ndarray, slot: int, space: CompositeSpace) -> np.ndarray:
     """Tensor op on the given slot with identities on every other slot."""

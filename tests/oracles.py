@@ -4,9 +4,10 @@ Brute-force counterparts of what the library does in its eigenbasis
 kernel: exact propagators, validated density matrices, projectors and
 ideal pulses embedded in a composite space.  One-at-a-time counterparts
 of its vectorised set-up: a group Hamiltonian assembled from scalar
-dipole tensors, and the greedy clustering visiting every pair.  Also the
-inverses of two library serialisations: a bath read back from its JSON
-and a number density converted back to ppm.
+dipole tensors and dense terms, and the greedy clustering visiting every
+pair.  Also a bath's JSON form and its inverse, a bath's nearest-spin
+distance, a schedule's total evolution time, and a number density
+converted back to ppm.
 """
 
 import functools
@@ -22,12 +23,29 @@ from spinbath.constants import (
     DIAMOND_BOND_NM,
     dipole_prefactor_hz,
 )
-from spinbath.hamiltonians import _field_vector, _group_operators
+from spinbath.hamiltonians import _dense_terms, _field_vector
+from spinbath.pulses import Interval, Schedule
 from spinbath.spinops import CompositeSpace, embed, two_level_unitary
 
 
+def bath_to_json(bath: Bath) -> str:
+    """A bath's spins and generation parameters as JSON text."""
+    payload = {
+        "seed": bath.seed,
+        "abundance": bath.abundance,
+        "min_radius": bath.min_radius,
+        "lattice": bath.lattice,
+        "spins": [
+            {"position": list(s.position), "gamma": s.gamma,
+             "species": s.species}
+            for s in bath.spins
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
 def bath_from_json(text: str) -> Bath:
-    """Inverse of Bath.to_json."""
+    """Inverse of bath_to_json."""
     payload = json.loads(text)
     spins = tuple(
         BathSpin(position=tuple(entry["position"]), gamma=entry["gamma"],
@@ -38,6 +56,18 @@ def bath_from_json(text: str) -> Bath:
                 abundance=payload["abundance"],
                 min_radius=payload.get("min_radius", DIAMOND_BOND_NM),
                 lattice=payload.get("lattice", True))
+
+
+def nearest_distance(bath: Bath) -> float:
+    """Distance from the origin to the closest bath spin (nm)."""
+    if not bath.spins:
+        raise ValueError("empty bath has no nearest spin")
+    return min(s.r for s in bath.spins)
+
+
+def total_time(schedule: Schedule) -> float:
+    """Total free-evolution time of a compiled schedule (seconds)."""
+    return sum(e.duration_s for e in schedule.events if isinstance(e, Interval))
 
 
 def density_nm3_to_ppm(n_nm3: float) -> float:
@@ -160,11 +190,21 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
         for s1, s2 in itertools.combinations(group, 2):
             r = np.asarray(s2.position) - np.asarray(s1.position)
             coeffs.append(scalar_dipole_tensor(r, s1.gamma, s2.gamma).ravel())
-    for c, op in zip(np.concatenate(coeffs),
-                     _group_operators(central, len(group))):
+    for c, op in zip(np.concatenate(coeffs), _term_stack(central, len(group))):
         if c != 0.0:
             h += c * op
     return h
+
+
+_TERM_STACKS: dict = {}
+
+
+def _term_stack(central, k: int) -> np.ndarray:
+    """The dense terms of _dense_terms as one (terms, D, D) stack, per kind."""
+    key = (type(central), tuple(central.dims), k)
+    if key not in _TERM_STACKS:
+        _TERM_STACKS[key] = np.stack(list(_dense_terms(central, k)))
+    return _TERM_STACKS[key]
 
 
 @functools.lru_cache(maxsize=2)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import spinbath.bathgen as bathgen
-from oracles import bath_from_json, cluster_every_pair
+from oracles import (bath_from_json, bath_to_json, cluster_every_pair,
+                     nearest_distance)
 from spinbath.bathgen import (
     Bath,
     BathSpin,
@@ -65,7 +66,7 @@ def test_zero_spin_bath():
     bath = generate_bath(seed=0, n_spins=0)
     assert len(bath) == 0
     with pytest.raises(ValueError):
-        bath.nearest_distance()
+        nearest_distance(bath)
 
 
 def test_positions_sit_on_the_diamond_lattice():
@@ -80,7 +81,7 @@ def test_full_occupancy_starts_at_one_bond_length():
     # abundance 1 fills the lattice, so the nearest spin must sit exactly
     # on the first-neighbor shell; the shell is kept despite rounding
     bath = generate_bath(seed=1, n_spins=8, abundance=1.0)
-    assert bath.nearest_distance() == pytest.approx(DIAMOND_BOND_NM, rel=1e-12)
+    assert nearest_distance(bath) == pytest.approx(DIAMOND_BOND_NM, rel=1e-12)
     # the first shell has four members
     on_shell = [s for s in bath
                 if abs(s.r - DIAMOND_BOND_NM) < 1e-9]
@@ -89,7 +90,7 @@ def test_full_occupancy_starts_at_one_bond_length():
 
 def test_larger_exclusion_radius_is_respected():
     bath = generate_bath(seed=5, n_spins=30, min_radius=1.0)
-    assert bath.nearest_distance() >= 1.0 * (1.0 - 1e-9)
+    assert nearest_distance(bath) >= 1.0 * (1.0 - 1e-9)
 
 
 def test_growing_the_bath_keeps_the_near_spins():
@@ -107,7 +108,7 @@ def test_nearest_spin_statistic_matches_closed_form():
     expect = (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0) * math.gamma(4.0 / 3.0)
     for lattice in (True, False):
         mean = np.mean([
-            generate_bath(seed=k, n_spins=1, lattice=lattice).nearest_distance()
+            nearest_distance(generate_bath(seed=k, n_spins=1, lattice=lattice))
             for k in range(200)])
         assert mean == pytest.approx(expect, rel=0.05), lattice
 
@@ -116,7 +117,7 @@ def test_continuum_mode():
     bath = generate_bath(seed=21, n_spins=50, lattice=False)
     assert len(bath) == 50
     assert not bath.lattice
-    assert bath.nearest_distance() >= DIAMOND_BOND_NM * (1.0 - 1e-9)
+    assert nearest_distance(bath) >= DIAMOND_BOND_NM * (1.0 - 1e-9)
     again = generate_bath(seed=21, n_spins=50, lattice=False)
     assert [s.position for s in bath] == [s.position for s in again]
     # continuum points are generic, never lattice sites
@@ -214,7 +215,7 @@ def test_bath_validation():
 
 def test_bath_json_round_trip():
     bath = generate_bath(seed=17, n_spins=25)
-    clone = bath_from_json(bath.to_json())
+    clone = bath_from_json(bath_to_json(bath))
     assert clone.seed == bath.seed
     assert clone.abundance == bath.abundance
     assert clone.min_radius == bath.min_radius

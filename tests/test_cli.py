@@ -424,7 +424,9 @@ def test_config_strings_are_parsed_like_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("values,message", [
     ({"g": "x"}, "argument --g: invalid int value: 'x'"),
-    ({"b": "strong"}, "argument --b: invalid float value: 'strong'")])
+    ({"b": "strong"}, "argument --b: invalid float value: 'strong'"),
+    ({"g": 3.5}, "argument --g: invalid int value: '3.5'"),
+    ({"n_spins": 12.5}, "argument --n-spins: invalid int value: '12.5'")])
 def test_config_value_its_flag_rejects_is_a_usage_error(tmp_path, capsys,
                                                         values, message):
     cfg = _write_config(tmp_path, values)
@@ -432,6 +434,41 @@ def test_config_value_its_flag_rejects_is_a_usage_error(tmp_path, capsys,
         main(["echo", "--config", cfg, "--dry-run"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_numbers_go_through_their_flags_type(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"g": 2, "n_spins": 12, "b": 47,
+                                   "abundance": 0.02, "seed": 5,
+                                   "min_radius": None, "no_nn": True})
+    code, out, _ = _run(["echo", "--config", cfg, "--dry-run"], capsys)
+    assert code == 0
+    resolved = _dry_run_config(out)
+    assert (resolved["g"], resolved["n_spins"], resolved["seed"]) == (2, 12, 5)
+    assert resolved["b"] == 47.0 and isinstance(resolved["b"], float)
+    assert resolved["abundance"] == 0.02
+    assert resolved["min_radius"] is None and resolved["no_nn"] is True
+
+
+def test_config_number_for_a_text_flag_is_parsed_as_its_text(tmp_path,
+                                                             capsys):
+    cfg = _write_config(tmp_path, {"tau": 5})
+    code, out, err = _run(["echo", *_SMALL[:4], "--config", cfg,
+                           "--out", str(tmp_path / "never")], capsys)
+    assert code == 2
+    assert "tau must be start:stop:count" in err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "larmor-dist", "stats"])
+def test_config_field_vector_is_refused_where_the_field_is_a_number(
+        tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, {"b": [0, 0, 72]})
+    code, out, err = _run([command, "--config", cfg,
+                           "--out", str(tmp_path / "never")], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config key 'b' takes a string, a number" in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_config_field_vector_stays_accepted(tmp_path, capsys):
@@ -512,6 +549,34 @@ def test_out_env_var_used_when_no_flag(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert (tmp_path / "spectrum.json").exists()
     assert out.strip().splitlines() == [str(tmp_path / "spectrum.json")]
+
+
+# Runs a command in a child and prints its exit code and its own peak RSS
+# (ru_maxrss from os.wait4, in KiB on Linux).  It runs in a fresh
+# interpreter: a child forked straight from the test process would carry
+# that process's peak across exec into its ru_maxrss.
+_PEAK_SCRIPT = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "spinbath.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def test_g5_echo_peak_memory_stays_under_100_mb(tmp_path):
+    # A dense (terms, D, D) operator cache took this run to 145 MB.
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, "echo", "--g", "5", "--n-baths",
+         "1", "--tau", "0:30us:5", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert (tmp_path / "echo.csv").exists()
+    assert peak_kib / 1024 <= 100.0
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:

