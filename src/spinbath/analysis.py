@@ -361,11 +361,6 @@ class FitResult:
             raise ValueError("revival_times must ascend")
         object.__setattr__(self, "revival_times", times)
 
-    def to_dict(self) -> dict:
-        return {"t2_s": self.t2, "model": self.model,
-                "residual_norm": self.residual_norm,
-                "revival_times_s": list(self.revival_times)}
-
 
 def _peak_amplitudes(curve: EchoCurve, revival_times) -> list[float]:
     tau = np.asarray(curve.tau)

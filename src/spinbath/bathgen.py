@@ -7,9 +7,13 @@ scatters points uniformly at the matching number density.  All randomness
 comes from numpy's default generator seeded per bath, so a (seed, parameters)
 pair is fully replayable.
 
-Site ordering in lattice mode is by (r^2, x, y, z), which makes the occupancy
-draws independent of how far the enumeration happened to extend: growing the
-search radius appends sites, so the near-origin draws never change.
+Lattice mode enumerates only the sites inside the search ball: in integer
+quarter-cell coordinates q (site = q a / 4) a site has three coordinates of
+one parity and a sum of 0 or 3 mod 4, so each (qx, qy) row of the ball holds
+one arithmetic run of qz.  Sites are ordered by (r^2, x, y, z), which makes
+the occupancy draws independent of how far the enumeration happened to
+extend: growing the search radius appends sites, so the near-origin draws
+never change.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .constants import (
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
+    dipole_prefactor_hz,
 )
 from .hamiltonians import _dipole_tensors, hyperfine_tensor
 
@@ -39,17 +44,10 @@ __all__ = [
     "child_seed",
 ]
 
-# fractional coordinates of the 8-atom conventional diamond cell
-_CELL_SITES = np.array([
-    [0.00, 0.00, 0.00], [0.00, 0.50, 0.50],
-    [0.50, 0.00, 0.50], [0.50, 0.50, 0.00],
-    [0.25, 0.25, 0.25], [0.25, 0.75, 0.75],
-    [0.75, 0.25, 0.75], [0.75, 0.75, 0.25],
-])
-
-# Most candidate sites (lattice) or points (continuum) one enumeration may
-# hold; at this budget (r near 18.5 nm on the lattice) the enumeration
-# peaks at about 0.55 GB.  A larger request fails before it allocates.
+# Most candidate sites (lattice: 8 per cell of the cube around the search
+# ball; continuum: the expected points) one enumeration may hold; at this
+# budget (r near 18.5 nm on the lattice) the enumeration peaks at about
+# 0.4 GB.  A larger request fails before it allocates.
 _MAX_SITES = 10_000_000
 
 @dataclass(frozen=True)
@@ -146,16 +144,35 @@ def _lattice_sites(r_max: float) -> np.ndarray:
     """All lattice sites with 0 < r <= r_max, sorted by (r^2, x, y, z)."""
     a = DIAMOND_LATTICE_NM
     m = int(math.ceil(r_max / a)) + 1
-    _check_site_budget(len(_CELL_SITES) * (2 * m + 1) ** 3, r_max)
-    cells = np.arange(-m, m + 1)
-    ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
-    corners = np.stack([ci.ravel(), cj.ravel(), ck.ravel()], axis=1)
-    sites = (corners[:, None, :] + _CELL_SITES[None, :, :]).reshape(-1, 3) * a
+    _check_site_budget(8 * (2 * m + 1) ** 3, r_max)
+    # rows (qx, qy) of one parity, each with its run of qz: from the first
+    # value >= -top of the row's residue mod 4, step 4, up to top; the
+    # runs reach past the ball, whose edge the float r^2 decides below
+    qmax = int(4.0 * r_max / a) + 1
+    span = np.arange(-qmax, qmax + 1)
+    qx, qy = np.repeat(span, len(span)), np.tile(span, len(span))
+    room = qmax * qmax - qx * qx - qy * qy
+    row = ((qx - qy) % 2 == 0) & (room >= 0)
+    qx, qy, room = qx[row], qy[row], room[row]
+    top = np.sqrt(room).astype(np.int64) + 1
+    start = -top + (3 * (qx % 2) - qx - qy + top) % 4
+    count = np.maximum((top - start) // 4 + 1, 0)
+    qz = 4 * np.arange(count.sum()) \
+        + np.repeat(start - 4 * (np.cumsum(count) - count), count)
+    # q / 4 * a rounds as (cell corner + cell fraction) * a
+    sites = np.stack([np.repeat(qx, count), np.repeat(qy, count), qz],
+                     axis=1) * 0.25
+    sites *= a
     r2 = np.einsum("ij,ij->i", sites, sites)
-    keep = (r2 > 1e-18) & (r2 <= r_max * r_max)
-    sites, r2 = sites[keep], r2[keep]
-    order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0], r2))
-    return sites[order]
+    # Sites are in (x, y, z) order, so a stable sort by r^2 gives the
+    # (r^2, x, y, z) order.  A stable radix sort by the integer q.q (under
+    # 2^16 within the budget) first leaves r^2 nearly sorted; equal r^2
+    # implies equal q.q, so it keeps the tie order.
+    qq = (np.repeat(qx * qx + qy * qy, count) + qz * qz).astype(np.uint16)
+    order = np.argsort(qq, kind="stable")
+    order = order[np.argsort(r2[order], kind="stable")]
+    r2 = r2[order]
+    return sites[order[(r2 > 1e-18) & (r2 <= r_max * r_max)]]
 
 
 def _continuum_points(rng: np.random.Generator, r_max: float,
@@ -248,25 +265,64 @@ def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
     raise ValueError(f"unknown clustering metric {metric!r}")
 
 
-def _pair_couplings(bath: Bath, metric: str):
-    """(i, j, coupling) for every pair i < j, bit-identical to pair_coupling.
+def _pair_couplings(pos, gamma, first, second, metric: str) -> np.ndarray:
+    """Coupling of pairs (first[k], second[k]), bit-identical to pair_coupling.
 
-    The tensors come from pair_coupling's dipole formula, 8192 pairs at a
+    pos and gamma hold the bath's positions and gyromagnetic ratios.  The
+    tensors come from pair_coupling's dipole formula, 8192 pairs at a
     time, and the norm is a dot product as in np.linalg.norm.
     """
-    if metric not in ("zz", "frobenius"):
-        raise ValueError(f"unknown clustering metric {metric!r}")
+    coupling = np.empty(len(first))
+    for start in range(0, len(first), 8192):
+        i, j = first[start:start + 8192], second[start:start + 8192]
+        tensors = _dipole_tensors(pos.take(j, 0) - pos.take(i, 0), gamma[i],
+                                  gamma[j]).reshape(-1, 9)
+        coupling[start:start + 8192] = (
+            np.abs(tensors[:, 8]) if metric == "zz"  # A_zz
+            else np.sqrt(np.vecdot(tensors, tensors)))
+    return coupling
+
+
+def _descending_pairs(bath: Bath, metric: str):
+    """Pairs (i, j), i < j, by descending coupling, ties by the lower pair.
+
+    Lazy, so a visit that stops early skips most couplings.  Each round
+    computes the couplings of a window, the pairs of largest
+    |gamma_i gamma_j| / r^3, and yields, sorted, those above the bound
+    sqrt(6) |c| of every pair outside it, c the pair's dipole prefactor:
+    the norm of c (1 - 3 rhat rhat) is sqrt(6) |c|, its zz element at most
+    2 |c|.  The window starts at 16 pairs a spin and grows 4x a round; the
+    last round takes the rest, pairs with a zero gamma among them.
+    """
     pos = np.array([s.position for s in bath.spins])
     gamma = np.array([s.gamma for s in bath.spins])
-    i, j = np.triu_indices(len(bath), 1)
-    coupling = np.empty(len(i))
-    for start in range(0, len(i), 8192):
-        k = slice(start, start + 8192)
-        tensors = _dipole_tensors(pos[j[k]] - pos[i[k]], gamma[i[k]],
-                                  gamma[j[k]]).reshape(-1, 9)
-        coupling[k] = (np.abs(tensors[:, 8]) if metric == "zz"  # A_zz
-                       else np.sqrt(np.vecdot(tensors, tensors)))
-    return i, j, coupling
+    first, second = np.triu_indices(len(bath), 1)
+    r2 = sum((x[second] - x[first]) ** 2 for x in pos.T)
+    weight = np.abs(gamma[first] * gamma[second]) / (r2 * np.sqrt(r2))
+    # relative margin far above the rounding of weight and coupling
+    scale = math.sqrt(6.0) * (1.0 + 1e-6) * dipole_prefactor_hz(1.0, 1.0, 1.0)
+    total = len(weight)
+    coupling = np.zeros(total)
+    done = np.zeros(total, dtype=bool)
+    width, upper = 16 * len(bath), math.inf
+    while True:
+        if width < total:
+            cut = np.partition(weight, total - width)[total - width]
+            window, bound = weight >= cut, scale * cut
+        else:
+            window, bound = np.ones(total, dtype=bool), -1.0
+        new = np.flatnonzero(window & ~done)
+        coupling[new] = _pair_couplings(pos, gamma, first[new], second[new],
+                                        metric)
+        done = window
+        # pair order ascending, so the stable sort breaks ties by it
+        ready = np.flatnonzero(window & (coupling > bound)
+                               & (coupling <= upper))
+        ready = ready[np.argsort(-coupling[ready], kind="stable")]
+        yield from zip(first[ready].tolist(), second[ready].tolist())
+        if bound < 0.0:
+            return
+        width, upper = 4 * width, bound
 
 
 def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
@@ -280,6 +336,8 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
     """
     if g < 1:
         raise ValueError("g must be at least 1")
+    if metric not in ("zz", "frobenius"):
+        raise ValueError(f"unknown clustering metric {metric!r}")
     n = len(bath)
     parent = list(range(n))
     size = [1] * n
@@ -292,10 +350,7 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
         return i
 
     if g > 1 and n > 1:
-        first, second, coupling = _pair_couplings(bath, metric)
-        # stable, so ties keep the lower-index-first order of the pairs
-        order = np.argsort(-coupling, kind="stable")
-        for i, j in zip(first[order].tolist(), second[order].tolist()):
+        for i, j in _descending_pairs(bath, metric):
             ri, rj = find(i), find(j)
             if ri == rj:
                 continue

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,6 +106,7 @@ class SimulationConfig:
                                       self.min_radius)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        _check_targets(pulses.compile_schedule(self.sequence, 0.0).rotations())
 
     def describe(self) -> dict:
         """JSON-ready echo of the configuration."""
@@ -225,6 +225,15 @@ def _eta(steps) -> float:
     return -1.0 if 2.0 * abs(u[0, 0]) ** 2 - 1.0 < -0.99 else 1.0
 
 
+def _check_targets(rotations) -> None:
+    """Reject rotations aimed at anything but the probed central spin."""
+    for step in rotations:
+        if step.target != "probe":
+            raise ValueError(
+                f"sequence addresses target {step.target!r}, but this "
+                "model evolves only the probed central spin")
+
+
 def _plans(schedules: list[Schedule]) -> list:
     """Schedules grouped by event structure, one propagation plan each.
 
@@ -242,11 +251,7 @@ def _plans(schedules: list[Schedule]) -> list:
         indices.setdefault(steps, []).append(k)
     plans = []
     for steps, index in indices.items():
-        for step in steps:
-            if step is not None and step.target != "probe":
-                raise ValueError(
-                    f"sequence addresses target {step.target!r}, but this "
-                    "model evolves only the probed central spin")
+        _check_targets(step for step in steps if step is not None)
         lengths = zip(*([e.duration_s for e in schedules[k].events
                          if isinstance(e, Interval)] for k in index))
         rows: dict = {}
@@ -390,6 +395,9 @@ def _ensemble_curve(config: SimulationConfig, baths) -> EchoCurve:
         for index in range(len(baths)):
             work(index)
     else:
+        # only here, so that no other run pays for importing it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             list(pool.map(work, range(len(baths))))
 

@@ -4,23 +4,27 @@ Brute-force counterparts of what the library does in its eigenbasis
 kernel: exact propagators, validated density matrices, projectors and
 ideal pulses embedded in a composite space.  One-at-a-time counterparts
 of its vectorised set-up: a group Hamiltonian assembled from scalar
-dipole tensors and dense terms, and the greedy clustering visiting every
-pair.  Also a bath's JSON form and its inverse, a bath's nearest-spin
-distance, a schedule's total evolution time, and a number density
-converted back to ppm.
+dipole tensors and dense terms, the greedy clustering visiting every
+pair, and the lattice enumeration over a whole cube of cells sorted by a
+four-key lexsort.  Also a bath's JSON form and its inverse, a bath's
+nearest-spin distance, a schedule's total evolution time, a number
+density converted back to ppm, and a coherence-time fit as a dict.
 """
 
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from spinbath.bathgen import Bath, BathSpin, Partition, _pair_couplings
+from spinbath.bathgen import (Bath, BathSpin, Partition, _check_site_budget,
+                              _pair_couplings)
 from spinbath.constants import (
     DIAMOND_ATOM_DENSITY_NM3,
     DIAMOND_BOND_NM,
+    DIAMOND_LATTICE_NM,
     dipole_prefactor_hz,
 )
 from spinbath.hamiltonians import _dense_terms, _field_vector
@@ -73,6 +77,13 @@ def total_time(schedule: Schedule) -> float:
 def density_nm3_to_ppm(n_nm3: float) -> float:
     """Inverse of constants.ppm_to_density_nm3."""
     return n_nm3 / DIAMOND_ATOM_DENSITY_NM3 * 1e6
+
+
+def fit_to_dict(fit) -> dict:
+    """An analysis.FitResult's fields, keyed with their units."""
+    return {"t2_s": fit.t2, "model": fit.model,
+            "residual_norm": fit.residual_norm,
+            "revival_times_s": list(fit.revival_times)}
 
 
 def projector(ops, m: float) -> np.ndarray:
@@ -196,6 +207,31 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
     return h
 
 
+# fractional coordinates of the 8-atom conventional diamond cell
+_CELL_SITES = np.array([
+    [0.00, 0.00, 0.00], [0.00, 0.50, 0.50],
+    [0.50, 0.00, 0.50], [0.50, 0.50, 0.00],
+    [0.25, 0.25, 0.25], [0.25, 0.75, 0.75],
+    [0.75, 0.25, 0.75], [0.75, 0.75, 0.25],
+])
+
+
+def lattice_sites_by_lexsort(r_max: float) -> np.ndarray:
+    """Sites of every cell of a cube, cut to 0 < r <= r_max, lexsorted."""
+    a = DIAMOND_LATTICE_NM
+    m = int(math.ceil(r_max / a)) + 1
+    _check_site_budget(len(_CELL_SITES) * (2 * m + 1) ** 3, r_max)
+    cells = np.arange(-m, m + 1)
+    ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
+    corners = np.stack([ci.ravel(), cj.ravel(), ck.ravel()], axis=1)
+    sites = (corners[:, None, :] + _CELL_SITES[None, :, :]).reshape(-1, 3) * a
+    r2 = np.einsum("ij,ij->i", sites, sites)
+    keep = (r2 > 1e-18) & (r2 <= r_max * r_max)
+    sites, r2 = sites[keep], r2[keep]
+    order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0], r2))
+    return sites[order]
+
+
 _TERM_STACKS: dict = {}
 
 
@@ -207,9 +243,17 @@ def _term_stack(central, k: int) -> np.ndarray:
     return _TERM_STACKS[key]
 
 
+def every_pair_coupling(bath: Bath, metric: str = "zz"):
+    """(i, j, coupling) of every pair i < j, in pair order."""
+    pos = np.array([s.position for s in bath.spins])
+    gamma = np.array([s.gamma for s in bath.spins])
+    first, second = np.triu_indices(len(bath), 1)
+    return first, second, _pair_couplings(pos, gamma, first, second, metric)
+
+
 @functools.lru_cache(maxsize=2)
 def _pairs_by_coupling(bath: Bath, metric: str):
-    first, second, coupling = _pair_couplings(bath, metric)
+    first, second, coupling = every_pair_coupling(bath, metric)
     order = np.lexsort((second, first, -coupling))
     return list(zip(first[order].tolist(), second[order].tolist()))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import fit_to_dict
 from spinbath.analysis import (
     FitResult,
     LarmorHistogram,
@@ -264,7 +265,7 @@ def test_fit_t2_exponential_envelope():
     assert fit.model == "exponential"
     assert len(fit.revival_times) == 3
     assert fit.t2 == pytest.approx(30e-6, rel=0.05)
-    assert fit.to_dict()["t2_s"] == fit.t2
+    assert fit_to_dict(fit)["t2_s"] == fit.t2
 
 
 def test_fit_t2_gaussian_model():

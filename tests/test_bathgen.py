@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import math
@@ -11,12 +10,12 @@ import pytest
 
 import spinbath.bathgen as bathgen
 from oracles import (bath_from_json, bath_to_json, cluster_every_pair,
+                     every_pair_coupling, lattice_sites_by_lexsort,
                      nearest_distance)
 from spinbath.bathgen import (
     Bath,
     BathSpin,
     Partition,
-    _pair_couplings,
     child_seed,
     cluster_bath,
     generate_bath,
@@ -28,6 +27,7 @@ from spinbath.constants import (
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
+    GAMMA_N14_HZ_PER_G,
     dipole_prefactor_hz,
 )
 
@@ -123,6 +123,29 @@ def test_continuum_mode():
     # continuum points are generic, never lattice sites
     frac = np.mod(np.asarray(bath.spins[0].position) / DIAMOND_LATTICE_NM, 1.0)
     assert tuple(np.round(frac, 6)) not in _CELL_FRACTIONS
+
+
+def test_ball_enumeration_matches_the_cube_lexsort(monkeypatch):
+    # the starting radii of the default and 400-spin baths, as generated
+    radii = []
+    real = bathgen._lattice_sites
+    monkeypatch.setattr(bathgen, "_lattice_sites",
+                        lambda r_max: radii.append(r_max) or real(r_max))
+    for n_spins in (125, 400):
+        generate_bath(seed=0, n_spins=n_spins)
+    monkeypatch.undo()
+    assert [round(r, 2) for r in radii] == [3.24, 4.77]
+    # one growth step, inside the first shell, and on and beside the
+    # shells at q.q = 3 (one bond), 8, 11, 16 (one cell edge), 19, 24, 27
+    radii += [radii[-1] * 1.4, 0.1]
+    for qq in (3, 8, 11, 16, 19, 24, 27):
+        r = math.sqrt(qq) * DIAMOND_LATTICE_NM / 4.0
+        radii += [r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)]
+    radii += [DIAMOND_BOND_NM, DIAMOND_LATTICE_NM]
+    for r_max in radii:
+        sites = real(r_max)
+        assert sites.tobytes() == lattice_sites_by_lexsort(r_max).tobytes(), \
+            r_max
 
 
 def test_generation_input_validation():
@@ -298,13 +321,32 @@ def test_cluster_g1_gives_singletons():
 
 @pytest.mark.parametrize("metric", ["zz", "frobenius"])
 @pytest.mark.parametrize("n_spins", [125, 400])
-def test_early_stop_keeps_the_partition_of_the_full_visit(monkeypatch,
-                                                          n_spins, metric):
-    # each bath's couplings are computed once, for every g
-    monkeypatch.setattr(bathgen, "_pair_couplings", functools.lru_cache(
-        maxsize=1)(_pair_couplings))
+def test_early_stop_keeps_the_partition_of_the_full_visit(n_spins, metric):
     for seed in range(20):
         bath = generate_bath(seed=seed, n_spins=n_spins)
+        for g in range(1, 6):
+            assert (cluster_bath(bath, g, metric=metric)
+                    == cluster_every_pair(bath, g, metric)), (seed, g)
+
+
+def _mixed_gamma_bath(seed):
+    """A default bath with some spins of other (signed) or zero gamma."""
+    spins = list(generate_bath(seed=seed, n_spins=125))
+    for k in range(0, len(spins), 9):
+        gamma = GAMMA_N14_HZ_PER_G if k % 2 else -GAMMA_N14_HZ_PER_G
+        spins[k] = BathSpin(spins[k].position, gamma=gamma, species="14N")
+    spins[4] = BathSpin(spins[4].position, gamma=0.0, species="none")
+    return Bath(spins=tuple(spins), seed=seed)
+
+
+@pytest.mark.parametrize("metric", ["zz", "frobenius"])
+@pytest.mark.parametrize("make_bath", [
+    lambda seed: generate_bath(seed=seed, n_spins=150, lattice=False),
+    _mixed_gamma_bath,
+], ids=["continuum", "mixed-gamma"])
+def test_early_stop_keeps_the_partition_on_other_baths(make_bath, metric):
+    for seed in range(5):
+        bath = make_bath(seed)
         for g in range(1, 6):
             assert (cluster_bath(bath, g, metric=metric)
                     == cluster_every_pair(bath, g, metric)), (seed, g)
@@ -340,7 +382,7 @@ def _scalar_greedy_groups(n, pairs, couplings, g):
 
 def _check_against_scalar(bath, metric):
     # bit-equal couplings are what keep the greedy order, ties included
-    first, second, coupling = _pair_couplings(bath, metric)
+    first, second, coupling = every_pair_coupling(bath, metric)
     pairs, scalar = _scalar_couplings(bath, metric)
     assert list(zip(first.tolist(), second.tolist())) == pairs
     assert np.array_equal(coupling, scalar)

@@ -493,6 +493,27 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("sequence", ["deer", "pi/2(x) - tau - pi(x)@nitrogen"
+                                               " - tau - pi/2(x)"])
+@pytest.mark.parametrize("command", ["echo", "scan"])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_target_pulses_are_rejected_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, sequence,
+                                                    command, dry_run):
+    def no_bath(*args, **kwargs):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.bathgen.generate_bath", no_bath)
+    target = tmp_path / "never_created"
+    argv = ["--dry-run"] if dry_run else ["--out", str(target)]
+    code, out, err = _run([command, *_SMALL, "--sequence", sequence, *argv],
+                          capsys)
+    assert code == 2
+    assert out == ""
+    assert "model evolves only the probed central spin" in err
+    assert not target.exists()
+
+
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"no_nn": True, "continuum": True,
                                    "include_baths": True, "seed": 5})
@@ -593,6 +614,14 @@ def test_cli_import_leaves_scipy_unloaded():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # only --threads > 1 uses a thread pool; every command would pay its import
+    proc = _run_python(
+        "import sys, spinbath.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_analysis_unloaded():
