@@ -31,7 +31,7 @@ from .constants import (
     GAMMA_C13_HZ_PER_G,
     dipole_prefactor_hz,
 )
-from .hamiltonians import _dipole_tensors, hyperfine_tensor
+from .hamiltonians import _dipole_tensors, _dipole_zz, hyperfine_tensor
 
 __all__ = [
     "BathSpin",
@@ -269,17 +269,19 @@ def _pair_couplings(pos, gamma, first, second, metric: str) -> np.ndarray:
     """Coupling of pairs (first[k], second[k]), bit-identical to pair_coupling.
 
     pos and gamma hold the bath's positions and gyromagnetic ratios.  The
-    tensors come from pair_coupling's dipole formula, 8192 pairs at a
-    time, and the norm is a dot product as in np.linalg.norm.
+    couplings come from pair_coupling's dipole formula, 8192 pairs at a
+    time: A_zz alone for "zz", else the whole tensor, whose norm is a dot
+    product as in np.linalg.norm.
     """
     coupling = np.empty(len(first))
     for start in range(0, len(first), 8192):
         i, j = first[start:start + 8192], second[start:start + 8192]
-        tensors = _dipole_tensors(pos.take(j, 0) - pos.take(i, 0), gamma[i],
-                                  gamma[j]).reshape(-1, 9)
-        coupling[start:start + 8192] = (
-            np.abs(tensors[:, 8]) if metric == "zz"  # A_zz
-            else np.sqrt(np.vecdot(tensors, tensors)))
+        args = pos.take(j, 0) - pos.take(i, 0), gamma[i], gamma[j]
+        if metric == "zz":
+            coupling[start:start + 8192] = np.abs(_dipole_zz(*args))
+        else:
+            tensors = _dipole_tensors(*args).reshape(-1, 9)
+            coupling[start:start + 8192] = np.sqrt(np.vecdot(tensors, tensors))
     return coupling
 
 

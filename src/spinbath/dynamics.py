@@ -2,17 +2,15 @@
 
 One kernel computes every echo.  It evolves the central spin together
 with one carbon group at a time; the groups of one size are assembled
-and diagonalized as one (G, D, D) stack, and share their lifted pulses.
-The initial state |a><a| (x) 1/2^g (probed central eigenstate, fully
-mixed carbons) is carried as nb = 2^g pure-state columns in each group's
-eigenbasis, so free evolution is a diagonal phase multiply and each pulse
-a small cached matrix.  The whole tau grid runs at once: the schedules
-compiled at each tau are grouped by event structure (tau = 0 drops the
-symbolic intervals, so it forms its own group), and each structure
-propagates one (D, T*nb) slab, one GEMM per pulse and one broadcast phase
-multiply per interval with a duration per tau.  Only one group's slab is
-held at a time; group_signal is the case of one group and one schedule.
-The group signal is
+and diagonalized as one (G, D, D) stack.  The initial state
+|a><a| (x) 1/2^g (probed central eigenstate, fully mixed carbons) is
+carried as nb = 2^g pure-state columns.  Schedules of one event structure
+share a plan (tau = 0 drops the symbolic intervals); the pulses before
+its first interval and after its last fold into those columns and the
+read-out row, and each group propagates one (D, nb, T) slab over the tau
+grid in its eigenbasis: one GEMM per pulse in between and one in-place
+phase multiply along tau per interval.  group_signal is the case of one
+group and one schedule.  The group signal is
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -216,13 +214,13 @@ def _thermal_variants(central):
     return [(1.0, central)]
 
 
-def _eta(steps) -> float:
-    """Sign normalization from the zero-delay composition on the pair."""
+def _pair_unitary(steps) -> np.ndarray:
+    """The rotations among steps, composed on the probed pair (2 x 2)."""
     u = np.eye(2, dtype=complex)
     for step in steps:
-        if step is not None:
-            u = two_level_unitary(step.axis, np.radians(step.angle_deg)) @ u
-    return -1.0 if 2.0 * abs(u[0, 0]) ** 2 - 1.0 < -0.99 else 1.0
+        if isinstance(step, Rotation):
+            u = two_level_unitary(step.axis, step.angle_rad) @ u
+    return u
 
 
 def _check_targets(rotations) -> None:
@@ -241,8 +239,9 @@ def _plans(schedules: list[Schedule]) -> list:
     each interval replaced by the row of durations, a (distinct intervals,
     schedules) array, that holds its length on every schedule; intervals
     of equal length on every schedule share a row.  eta is the sign
-    normalization.  Taus of one program share a structure except tau = 0,
-    whose symbolic intervals are dropped.
+    normalization from the zero-delay composition on the pair.  Taus of
+    one program share a structure except tau = 0, whose symbolic
+    intervals are dropped.
     """
     indices: dict = {}
     for k, schedule in enumerate(schedules):
@@ -259,60 +258,65 @@ def _plans(schedules: list[Schedule]) -> list:
         steps_rows = tuple(next(slots) if step is None else step
                            for step in steps)
         durations = np.array(list(rows)).reshape(len(rows), len(index))
-        plans.append((steps_rows, index, durations, _eta(steps)))
+        zero_delay = _pair_unitary(steps)[0, 0]
+        eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
+        plans.append((steps_rows, index, durations, eta))
     return plans
 
 
-def _group_curves(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
-    """S_G of each group of one size on every schedule of the plans.
+def _group_curves(w, v, probes, plans, n_schedules: int) -> np.ndarray:
+    """S_G of each group of one size, per probed pair, on every schedule.
 
-    (w, v) is the groups' eigen-stack and a, b the probed central
-    eigenstates; the lifted pulses kron(u_c, 1) and selectors of a are
-    built once for the stack.  Per group, in its eigenbasis, rotations
-    before the first interval act on the nb initial columns once and those
-    after the last fold into the read-out row; in between, the (D, T*nb)
-    slab of a plan takes one GEMM per rotation and one broadcast phase
-    multiply per interval, with a duration per schedule.
+    (w, v) is the groups' eigen-stack and probes the (a, b) central
+    eigenstates of each projection.  Per pair and plan, the rotations
+    before the first interval and after the last fold into the initial
+    columns kron(U a, 1) and the read-out row kron(a^H U, 1), in the lab
+    basis.  Per group, each plan's phase table serves every pair; the
+    (D, nb, T) slab takes one GEMM per pulse in between, moved to the
+    eigenbasis, and one in-place phase multiply along tau per interval.
     """
-    dim, dc = w.shape[1], len(a)
+    dim, dc = w.shape[1], len(probes[0][0])
     nb = dim // dc
     eye_b = np.eye(nb, dtype=complex)
-    select = np.kron(a.reshape(dc, 1), eye_b)
-    read = np.kron(a.conj().reshape(1, dc), eye_b)
-    pair = np.stack([a, b], axis=1)
-    lifted = {}
-    for step in {s for steps, *_ in plans for s in steps
-                 if isinstance(s, Rotation)}:
-        u2 = two_level_unitary(step.axis, step.angle_rad)
-        uc = np.eye(dc, dtype=complex) \
-            + pair @ (u2 - np.eye(2)) @ pair.conj().T
-        lifted[step] = np.kron(uc, eye_b)
-    out = np.empty((len(w), n_schedules))
-    for wg, vg, curve in zip(w, v, out):
+    spans = []  # steps first to last run on the slab
+    for steps, *_ in plans:
+        free = [k for k, s in enumerate(steps) if not isinstance(s, Rotation)]
+        spans.append((free[0], free[-1] + 1) if free else (len(steps),) * 2)
+    inner = {s for (steps, *_), (first, last) in zip(plans, spans)
+             for s in steps[first:last] if isinstance(s, Rotation)}
+    out = np.empty((len(w), len(probes), n_schedules))
+    folded = []
+    for a, b in probes:
+        pair = np.stack([a, b], axis=1)
+        lifted = {s: np.kron(pair @ (_pair_unitary([s]) - np.eye(2))
+                             @ pair.conj().T + np.eye(dc), eye_b)
+                  for s in inner}
+        edges = [(np.kron(pair @ _pair_unitary(steps[:first])[:, :1], eye_b),
+                  np.kron(_pair_unitary(steps[last:])[:1] @ pair.conj().T,
+                          eye_b))
+                 for (steps, *_), (first, last) in zip(plans, spans)]
+        folded.append((lifted, edges))
+    for wg, vg, curves in zip(w, v, out):
         rate = -2j * np.pi * wg
         vh = vg.conj().T
-        rotations = {step: vh @ u @ vg for step, u in lifted.items()}
-        m0, row0 = vh @ select, read @ vg
-        for steps, index, durations, eta in plans:
-            phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
-            free = [k for k, step in enumerate(steps)
-                    if not isinstance(step, Rotation)]
-            first, last = (free[0], free[-1] + 1) if free else (len(steps),) * 2
-            m, row = m0, row0
-            for step in steps[:first]:
-                m = rotations[step] @ m
-            for step in reversed(steps[last:]):
-                row = row @ rotations[step]
-            m = np.tile(m, (1, len(index)))
-            for step in steps[first:last]:
-                if isinstance(step, Rotation):
-                    m = rotations[step] @ m
-                else:
-                    m = (m.reshape(dim, -1, nb)
-                         * phases[:, step, :, None]).reshape(dim, -1)
-            amp = (row @ m).reshape(nb, -1, nb)
-            power = (amp.real ** 2 + amp.imag ** 2).sum(axis=(0, 2))
-            curve[index] = eta * (2.0 / nb * power - 1.0)
+        phases = [np.exp(rate[:, None, None] * durations)  # (D, rows, T)
+                  for _, _, durations, _ in plans]
+        for (lifted, edges), curve in zip(folded, curves):
+            rot = {s: vh @ u @ vg for s, u in lifted.items()}
+            for (steps, index, _, eta), (first, last), (select, read), \
+                    phase in zip(plans, spans, edges, phases):
+                m = (vh @ select)[:, :, None]
+                if first < last:  # the first interval spreads m along tau
+                    m = m * phase[:, None, steps[first]]
+                for step in steps[first + 1:last]:
+                    if isinstance(step, Rotation):
+                        m = (rot[step] @ m.reshape(dim, -1)).reshape(m.shape)
+                    else:
+                        m *= phase[:, None, step]
+                amp = ((read @ vg) @ m.reshape(dim, -1)).view(float)
+                amp = amp.reshape(nb * nb, -1)  # re, im alternate along tau
+                sums = np.einsum("ks,ks->s", amp, amp)
+                curve[index] = eta * (2.0 / nb * (sums[::2] + sums[1::2]) - 1.0)
     return out
 
 
@@ -328,11 +332,10 @@ def _echo(central, groups, schedules: list[Schedule], b_field,
     """
     plans = _plans(schedules)
     wc, vc = np.linalg.eigh(central.hamiltonian(b_field))
-    pairs = []
-    for weight, variant in _thermal_variants(central):
-        ia, ib = variant.level_pair(wc, vc)
-        pairs.append((weight, vc[:, ia], vc[:, ib]))
-    curves = np.empty((len(groups), len(pairs), len(schedules)))
+    variants = _thermal_variants(central)
+    probes = [(vc[:, ia], vc[:, ib]) for ia, ib in
+              (variant.level_pair(wc, vc) for _, variant in variants)]
+    curves = np.empty((len(groups), len(probes), len(schedules)))
     # largest first, so the largest term table is built before the rest
     for size in sorted({len(group) for group in groups}, reverse=True):
         same = [k for k, group in enumerate(groups) if len(group) == size]
@@ -340,13 +343,10 @@ def _echo(central, groups, schedules: list[Schedule], b_field,
         for index in (same[k:k + step] for k in range(0, len(same), step)):
             w, v = np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
                 central, [groups[k] for k in index], b_field, **options))
-            for p, (_, a, b) in enumerate(pairs):
-                curves[index, p] = _group_curves(w, v, a, b, plans,
-                                                 len(schedules))
-    total = np.zeros(len(schedules))
-    for product, (weight, _, _) in zip(np.prod(curves, axis=0), pairs):
-        total += weight * product
-    return total
+            curves[index] = _group_curves(w, v, probes, plans,
+                                          len(schedules))
+    return sum(weight * product for (weight, _), product
+               in zip(variants, np.prod(curves, axis=0)))
 
 
 def group_signal(central, group, schedule: Schedule, b_field, *,

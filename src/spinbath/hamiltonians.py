@@ -145,14 +145,14 @@ class JtOrientation:
         return cls(axis, f"off-axis-{k}")
 
 
-def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
-    """Point-dipole tensors, (N, 3, 3) in Hz, for N separations (N, 3) in nm.
+def _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g):
+    """(rhat, c) of N separations (N, 3) in nm: unit vectors and prefactors.
 
-    A_ij = c (delta_ij - 3 rhat_i rhat_j) with c from dipole_prefactor_hz;
-    the ratios are scalars or length-N arrays.  Each step repeats the
-    scalar formula's float operations, so the tensors are bit-identical to
-    it: |r| is a dot product (np.vecdot, as np.linalg.norm) and r^3 libm's
-    pow, as for a Python float (numpy's power rounds differently).
+    c is dipole_prefactor_hz; the ratios are scalars or length-N arrays.
+    Each step repeats the scalar formula's float operations, so the
+    results are bit-identical to it: |r| is a dot product (np.vecdot, as
+    np.linalg.norm) and r^3 libm's pow, as for a Python float (numpy's
+    power rounds differently).
     """
     r = np.asarray(r_nm, dtype=float).reshape(-1, 3)
     dist = np.sqrt(np.vecdot(r, r))
@@ -163,12 +163,32 @@ def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
                          itertools.repeat(3.0)), float, len(dist))
     c = (MU0_SI * PLANCK_SI * (np.asarray(gamma1_hz_per_g) * 1e4)
          * (np.asarray(gamma2_hz_per_g) * 1e4) / (4.0 * math.pi * r3))
+    return rhat, c
+
+
+def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
+    """Point-dipole tensors, (N, 3, 3) in Hz, for N separations (N, 3) in nm.
+
+    A_ij = c (delta_ij - 3 rhat_i rhat_j) from _dipole_axes, bit-identical
+    to the scalar formula.
+    """
+    rhat, c = _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g)
     # c (1 - 3 rhat rhat), built in place: -3x + 1 rounds as 1 - 3x
     a = rhat[:, :, None] * rhat[:, None, :]
     a *= -3.0
     a += np.eye(3)
     a *= c[:, None, None]
     return a
+
+
+def _dipole_zz(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
+    """A_zz of _dipole_tensors, (N,), by the same operations in order."""
+    rhat, c = _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g)
+    zz = rhat[:, 2] * rhat[:, 2]
+    zz *= -3.0
+    zz += 1.0
+    zz *= c
+    return zz
 
 
 def hyperfine_tensor(r_nm, gamma1_hz_per_g: float,

@@ -6,7 +6,9 @@ ideal pulses embedded in a composite space.  One-at-a-time counterparts
 of its vectorised set-up: a group Hamiltonian assembled from scalar
 dipole tensors and dense terms, the greedy clustering visiting every
 pair, and the lattice enumeration over a whole cube of cells sorted by a
-four-key lexsort.  Also a bath's JSON form and its inverse, a bath's
+four-key lexsort.  An unrolled echo kernel that propagates one
+(D, T*nb) slab per group and probed pair, with every pulse moved to the
+eigenbasis.  Also a bath's JSON form and its inverse, a bath's
 nearest-spin distance, a schedule's total evolution time, a number
 density converted back to ppm, and a coherence-time fit as a dict.
 """
@@ -28,7 +30,7 @@ from spinbath.constants import (
     dipole_prefactor_hz,
 )
 from spinbath.hamiltonians import _dense_terms, _field_vector
-from spinbath.pulses import Interval, Schedule
+from spinbath.pulses import Interval, Rotation, Schedule
 from spinbath.spinops import CompositeSpace, embed, two_level_unitary
 
 
@@ -280,3 +282,55 @@ def cluster_every_pair(bath: Bath, g: int, metric: str = "zz") -> Partition:
         members.setdefault(find(i), []).append(i)
     groups = sorted(tuple(m) for m in members.values())
     return Partition(groups=tuple(groups), g=g, n_spins=n)
+
+
+def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
+    """S_G of each group of one size on every schedule, for one pair (a, b).
+
+    The unrolled reference for dynamics._group_curves: per group, every
+    distinct rotation is moved to the eigenbasis; rotations before the
+    first interval act on the nb initial columns and those after the last
+    fold into the read-out row; in between, the (D, T*nb) slab of a plan
+    takes one GEMM per rotation and one broadcast phase multiply per
+    interval.
+    """
+    dim, dc = w.shape[1], len(a)
+    nb = dim // dc
+    eye_b = np.eye(nb, dtype=complex)
+    select = np.kron(a.reshape(dc, 1), eye_b)
+    read = np.kron(a.conj().reshape(1, dc), eye_b)
+    pair = np.stack([a, b], axis=1)
+    lifted = {}
+    for step in {s for steps, *_ in plans for s in steps
+                 if isinstance(s, Rotation)}:
+        u2 = two_level_unitary(step.axis, step.angle_rad)
+        uc = np.eye(dc, dtype=complex) \
+            + pair @ (u2 - np.eye(2)) @ pair.conj().T
+        lifted[step] = np.kron(uc, eye_b)
+    out = np.empty((len(w), n_schedules))
+    for wg, vg, curve in zip(w, v, out):
+        rate = -2j * np.pi * wg
+        vh = vg.conj().T
+        rotations = {step: vh @ u @ vg for step, u in lifted.items()}
+        m0, row0 = vh @ select, read @ vg
+        for steps, index, durations, eta in plans:
+            phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
+            free = [k for k, step in enumerate(steps)
+                    if not isinstance(step, Rotation)]
+            first, last = (free[0], free[-1] + 1) if free else (len(steps),) * 2
+            m, row = m0, row0
+            for step in steps[:first]:
+                m = rotations[step] @ m
+            for step in reversed(steps[last:]):
+                row = row @ rotations[step]
+            m = np.tile(m, (1, len(index)))
+            for step in steps[first:last]:
+                if isinstance(step, Rotation):
+                    m = rotations[step] @ m
+                else:
+                    m = (m.reshape(dim, -1, nb)
+                         * phases[:, step, :, None]).reshape(dim, -1)
+            amp = (row @ m).reshape(nb, -1, nb)
+            power = (amp.real ** 2 + amp.imag ** 2).sum(axis=(0, 2))
+            curve[index] = eta * (2.0 / nb * power - 1.0)
+    return out

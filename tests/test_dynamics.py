@@ -1,11 +1,15 @@
+import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinbath.dynamics as dynamics
-from oracles import evolve
+from oracles import evolve, group_curves_unrolled
 from spinbath.bathgen import (Bath, BathSpin, Partition, child_seed,
                               cluster_bath, generate_bath)
 from spinbath.constants import GAMMA_C13_HZ_PER_G, GAMMA_E_HZ_PER_G
@@ -23,6 +27,7 @@ from spinbath.hamiltonians import (
     BareElectron,
     NVCenter,
     P1Center,
+    build_hamiltonian_stack,
     build_system_hamiltonian,
     hyperfine_tensor,
 )
@@ -218,6 +223,61 @@ def test_batched_kernel_matches_single_schedules(prog):
         for tau, sched, got in zip(taus, schedules, batched):
             want = group_signal(central, group, sched, 72.0)
             assert got == pytest.approx(want, abs=1e-10), tau
+
+
+_KERNEL_CENTRALS = [P1Center(), P1Center(m_i=None), NVCenter(), BareElectron()]
+_KERNEL_PROGRAMS = [expand_preset("hahn"), expand_preset("cpmg", 4),
+                    expand_preset("xy8", 2),
+                    parse_sequence("pi/2(x) - 2us - tau - pi(y) - tau - pi/2(x)")]
+
+
+@pytest.mark.parametrize("central", _KERNEL_CENTRALS,
+                         ids=["p1", "p1-thermal", "nv", "electron"])
+@pytest.mark.parametrize("prog", _KERNEL_PROGRAMS,
+                         ids=["hahn", "cpmg-4", "xy8-2", "fixed-delay"])
+def test_kernel_matches_the_unrolled_oracle(central, prog):
+    # tau = 0 twice and a repeated tau: the zero-delay plan holds two
+    # schedules and the timed plan two equal columns
+    taus = (0.0, 1e-6, 3e-6, 3e-6, 0.0, 12e-6)
+    schedules = [compile_schedule(prog, tau) for tau in taus]
+    plans = dynamics._plans(schedules)
+    wc, vc = np.linalg.eigh(central.hamiltonian(72.0))
+    probes = [(vc[:, ia], vc[:, ib]) for ia, ib in
+              (variant.level_pair(wc, vc)
+               for _, variant in dynamics._thermal_variants(central))]
+    spins = generate_bath(seed=4, n_spins=12).spins
+    for g in (1, 2, 3, 4):
+        groups = [list(spins[k:k + g]) for k in range(0, 12 - g + 1, g)]
+        w, v = np.linalg.eigh(build_hamiltonian_stack(central, groups, 72.0))
+        got = dynamics._group_curves(w, v, probes, plans, len(schedules))
+        for p, (a, b) in enumerate(probes):
+            want = group_curves_unrolled(w, v, a, b, plans, len(schedules))
+            assert np.abs(got[:, p] - want).max() <= 1e-12, (g, p)
+
+
+_coordinate = st.floats(-1.2, 1.2)
+_position = st.tuples(_coordinate, _coordinate, _coordinate).filter(
+    lambda p: math.hypot(*p) >= 0.15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(positions=st.lists(_position, min_size=1, max_size=3).filter(
+           lambda ps: all(math.dist(p, q) >= 0.1
+                          for p, q in itertools.combinations(ps, 2))),
+       central=st.sampled_from([P1Center(m_i=m) for m in (-1, 0, 1, None)]
+                               + [NVCenter(), BareElectron()]),
+       preset=st.sampled_from([("hahn", None), ("cpmg", 1), ("cpmg", 4),
+                               ("xy8", 1), ("xy8", 2)]),
+       b=st.floats(40.0, 120.0),
+       taus=st.lists(st.floats(0.0, 40e-6), min_size=1, max_size=4))
+def test_echo_is_bounded_and_starts_at_one(positions, central, preset, b,
+                                           taus):
+    group = [BathSpin(position=p) for p in positions]
+    schedules = [compile_schedule(expand_preset(*preset), tau)
+                 for tau in (0.0, *taus)]
+    signal = _echo(central, [group], schedules, b)
+    assert abs(signal[0] - 1.0) <= 1e-12
+    assert np.abs(signal).max() <= 1.0 + 1e-12
 
 
 def _mixed_groups():
