@@ -119,11 +119,7 @@ def _make_central(kind: str, jt: str, m_i: str):
 def _make_sequence(spec: str, n):
     name = spec.lower()
     if name in PRESET_NAMES:
-        if name in ("cpmg", "xy8"):
-            return expand_preset(name, n if n is not None else 1)
-        if n is not None:
-            raise _CliError(f"preset '{name}' takes no repetition count")
-        return expand_preset(name)
+        return expand_preset(name, n)
     if n is not None:
         raise _CliError("--n applies to the cpmg and xy8 presets only")
     if spec.endswith(".seq") and os.path.exists(spec):

@@ -104,7 +104,6 @@ class SimulationConfig:
                                       self.min_radius)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        _check_targets(pulses.compile_schedule(self.sequence, 0.0).rotations())
 
     def describe(self) -> dict:
         """JSON-ready echo of the configuration."""
@@ -223,15 +222,6 @@ def _pair_unitary(steps) -> np.ndarray:
     return u
 
 
-def _check_targets(rotations) -> None:
-    """Reject rotations aimed at anything but the probed central spin."""
-    for step in rotations:
-        if step.target != "probe":
-            raise ValueError(
-                f"sequence addresses target {step.target!r}, but this "
-                "model evolves only the probed central spin")
-
-
 def _plans(schedules: list[Schedule]) -> list:
     """Schedules grouped by event structure, one propagation plan each.
 
@@ -250,7 +240,6 @@ def _plans(schedules: list[Schedule]) -> list:
         indices.setdefault(steps, []).append(k)
     plans = []
     for steps, index in indices.items():
-        _check_targets(step for step in steps if step is not None)
         lengths = zip(*([e.duration_s for e in schedules[k].events
                          if isinstance(e, Interval)] for k in index))
         rows: dict = {}

@@ -4,15 +4,15 @@ The grammar is deliberately small:
 
     sequence := item ('-' item)*
     item     := pulse | delay | repeat
-    pulse    := ('pi' | 'pi/2' | FLOAT 'deg') '(' axis ')' ('@' IDENT)?
+    pulse    := ('pi' | 'pi/2' | FLOAT 'deg') '(' axis ')'
     delay    := 'tau' ('/' INT)? | FLOAT ('us' | 'ns' | 's')
     repeat   := '[' sequence ']' '^' INT
     axis     := x | y | -x | -y
 
 Keywords are case-insensitive and whitespace never matters.  'tau/INT'
-(fractional symbolic delay, needed for symmetric block edges) and
-'@IDENT' (pulse target other than the probed spin, needed for
-recoupling sequences) are the only constructs beyond the bare core.
+(fractional symbolic delay, needed for symmetric block edges) is the
+only construct beyond the bare core.  Every pulse rotates the probed
+pair of the central spin, the only spin the echo model drives.
 
 Angles are stored in degrees exactly as written, so the canonical
 printer round-trips bit-for-bit; radians are derived on demand.
@@ -44,7 +44,7 @@ __all__ = [
 
 _AXES = ("x", "y", "-x", "-y")
 _UNIT_SECONDS = {"us": 1e-6, "ns": 1e-9, "s": 1.0}
-PRESET_NAMES = ("hahn", "cpmg", "xy8", "deer")
+PRESET_NAMES = ("hahn", "cpmg", "xy8")
 
 
 class ParseError(ValueError):
@@ -57,15 +57,12 @@ class Pulse:
 
     axis: str
     angle_deg: float
-    target: str = "probe"
 
     def __post_init__(self):
         if self.axis not in _AXES:
             raise ValueError(f"unknown axis {self.axis!r}")
         if not 0.0 < self.angle_deg <= 360.0:
             raise ValueError("pulse angle must lie in (0, 360] degrees")
-        if not self.target:
-            raise ValueError("pulse target must be non-empty")
 
     @property
     def angle_rad(self) -> float:
@@ -125,11 +122,10 @@ class Repeat:
 
 @dataclass(frozen=True, eq=False)
 class PulseProgram:
-    """Parsed sequence plus optional bookkeeping (preset name, sensing period)."""
+    """Parsed sequence plus an optional preset name (bookkeeping)."""
 
     items: tuple
     name: str | None = None
-    t_s: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
@@ -149,7 +145,7 @@ class PulseProgram:
 _TOKEN_RE = re.compile(
     r"(?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<SYM>[-()\[\]^@/])"
+    r"|(?P<SYM>[-()\[\]^/])"
     r"|(?P<WS>\s+)"
 )
 
@@ -268,14 +264,7 @@ class _Parser:
         self.expect_sym("(")
         axis = self.axis()
         self.expect_sym(")")
-        target = "probe"
-        if self.at_sym("@"):
-            self.next()
-            tok = self.next()
-            if tok.kind != "IDENT":
-                raise ParseError(f"expected a target name at {tok.where}")
-            target = tok.text.lower()
-        return Pulse(axis=axis, angle_deg=angle_deg, target=target)
+        return Pulse(axis=axis, angle_deg=angle_deg)
 
     def axis(self) -> str:
         tok = self.next()
@@ -334,8 +323,8 @@ def parse_sequence(text: str) -> PulseProgram:
 # ---------------------------------------------------------------------------
 # presets
 
-def _pi(axis: str, target: str = "probe") -> Pulse:
-    return Pulse(axis=axis, angle_deg=180.0, target=target)
+def _pi(axis: str) -> Pulse:
+    return Pulse(axis=axis, angle_deg=180.0)
 
 
 def _pi2(axis: str) -> Pulse:
@@ -358,17 +347,15 @@ def _xy8_block() -> tuple:
 
 
 def expand_preset(name: str, n: int | None = None) -> PulseProgram:
-    """Named sequences: hahn, cpmg (n blocks), xy8 (n blocks), deer.
+    """Named sequences: hahn, cpmg (n blocks), xy8 (n blocks).
 
-    cpmg and xy8 take a repetition count n >= 1 (default 1); hahn and
-    deer take none.  deer is the echo on the probed spin plus one
-    recoupling pi pulse on the 'target' spin alongside the refocusing
-    pulse.
+    cpmg and xy8 take a repetition count n >= 1 (default 1); hahn takes
+    none.
     """
     key = name.lower()
     if key not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}")
-    if key in ("hahn", "deer"):
+    if key == "hahn":
         if n is not None:
             raise ValueError(f"preset {key!r} takes no repetition count")
     else:
@@ -382,11 +369,8 @@ def expand_preset(name: str, n: int | None = None) -> PulseProgram:
     elif key == "cpmg":
         items = (_pi2("x"), Repeat(block=(_TAU, _pi("y"), _TAU), count=n),
                  _pi2("x"))
-    elif key == "xy8":
+    else:
         items = (_pi2("x"), Repeat(block=_xy8_block(), count=n), _pi2("x"))
-    else:  # deer
-        items = (_pi2("x"), _TAU, _pi("x"), _pi("x", target="target"),
-                 _TAU, _pi2("x"))
     return PulseProgram(items=items, name=key)
 
 
@@ -399,7 +383,6 @@ class Rotation:
 
     axis: str
     angle_deg: float
-    target: str = "probe"
 
     @property
     def angle_rad(self) -> float:
@@ -445,8 +428,7 @@ def compile_schedule(prog: PulseProgram, tau: float | None = None) -> Schedule:
     def walk(items):
         for item in items:
             if isinstance(item, Pulse):
-                events.append(Rotation(axis=item.axis, angle_deg=item.angle_deg,
-                                       target=item.target))
+                events.append(Rotation(item.axis, item.angle_deg))
             elif isinstance(item, Delay):
                 emit_delay(item.duration_s(tau))
             elif isinstance(item, Repeat):
@@ -473,10 +455,7 @@ def _format_pulse(p: Pulse) -> str:
         head = "pi/2"
     else:
         head = f"{_format_float(p.angle_deg)}deg"
-    text = f"{head}({p.axis})"
-    if p.target != "probe":
-        text += f"@{p.target}"
-    return text
+    return f"{head}({p.axis})"
 
 
 def _format_delay(d: Delay) -> str:

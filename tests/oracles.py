@@ -4,13 +4,14 @@ Brute-force counterparts of what the library does in its eigenbasis
 kernel: exact propagators, validated density matrices, projectors and
 ideal pulses embedded in a composite space.  One-at-a-time counterparts
 of its vectorised set-up: a group Hamiltonian assembled from scalar
-dipole tensors and dense terms, the greedy clustering visiting every
-pair, and the lattice enumeration over a whole cube of cells sorted by a
-four-key lexsort.  An unrolled echo kernel that propagates one
-(D, T*nb) slab per group and probed pair, with every pulse moved to the
-eigenbasis.  Also a bath's JSON form and its inverse, a bath's
-nearest-spin distance, a schedule's total evolution time, a number
-density converted back to ppm, and a coherence-time fit as a dict.
+dipole tensors and dense terms, the operator terms as matrix products of
+embedded operators, the greedy clustering visiting every pair, and the
+lattice enumeration over a whole cube of cells sorted by a four-key
+lexsort.  An unrolled echo kernel that propagates one (D, T*nb) slab per
+group and probed pair, with every pulse moved to the eigenbasis.  Also a
+bath's JSON form and its inverse, a bath's nearest-spin distance, a
+schedule's total evolution time, a number density converted back to ppm,
+and a coherence-time fit as a dict.
 """
 
 import functools
@@ -31,7 +32,8 @@ from spinbath.constants import (
 )
 from spinbath.hamiltonians import _dense_terms, _field_vector
 from spinbath.pulses import Interval, Rotation, Schedule
-from spinbath.spinops import CompositeSpace, embed, two_level_unitary
+from spinbath.spinops import (CompositeSpace, embed, spin_operators,
+                              two_level_unitary)
 
 
 def bath_to_json(bath: Bath) -> str:
@@ -232,6 +234,22 @@ def lattice_sites_by_lexsort(r_max: float) -> np.ndarray:
     sites, r2 = sites[keep], r2[keep]
     order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0], r2))
     return sites[order]
+
+
+def gemm_terms(central, k: int):
+    """The terms of hamiltonians._dense_terms, in its order, each built as
+    a D x D matrix product of operators embedded in the whole space."""
+    space = CompositeSpace(tuple(central.dims) + (2,) * k)
+    half = spin_operators(0.5)
+    s_ops = [np.kron(o, np.eye(1 << k, dtype=complex))
+             for o in central.electron_ops()]
+    carbons = [[embed(o, len(central.dims) + m, space)
+                for o in (half.sx, half.sy, half.sz)] for m in range(k)]
+    for ops_m in carbons:
+        yield from ops_m
+        yield from (s @ c for s in s_ops for c in ops_m)
+    for m1, m2 in itertools.combinations(range(k), 2):
+        yield from (c1 @ c2 for c1 in carbons[m1] for c2 in carbons[m2])
 
 
 _TERM_STACKS: dict = {}

@@ -347,6 +347,13 @@ def test_parse_error_exit_code(capsys):
     assert "unknown axis 'z'" in err
 
 
+def test_parse_rejects_a_pulse_target(capsys):
+    code, out, err = _run(["parse", "pi(x)@target"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unexpected character '@' at 1:6" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["parse", "--check", "pi(x) - tau"],
     ["stats", "--b", "72", "--format", "json"],
@@ -493,8 +500,15 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("sequence", ["deer", "pi/2(x) - tau - pi(x)@nitrogen"
-                                               " - tau - pi/2(x)"])
+# The removed deer preset and @target suffix, with the parser's message.
+_TARGETED = {
+    "deer": "unexpected token 'deer' at 1:1",
+    "pi/2(x) - tau - pi(x)@nitrogen - tau - pi/2(x)":
+        "unexpected character '@' at 1:22",
+}
+
+
+@pytest.mark.parametrize("sequence", list(_TARGETED))
 @pytest.mark.parametrize("command", ["echo", "scan"])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_target_pulses_are_rejected_before_any_work(tmp_path, capsys,
@@ -510,7 +524,7 @@ def test_target_pulses_are_rejected_before_any_work(tmp_path, capsys,
                           capsys)
     assert code == 2
     assert out == ""
-    assert "model evolves only the probed central spin" in err
+    assert _TARGETED[sequence] in err
     assert not target.exists()
 
 

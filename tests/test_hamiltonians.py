@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import constants as si
 
-from oracles import group_hamiltonian
+from oracles import gemm_terms, group_hamiltonian
 from spinbath.bathgen import BathSpin, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
@@ -18,6 +18,7 @@ from spinbath.hamiltonians import (
     NVParams,
     P1Center,
     P1Params,
+    _dense_terms,
     build_nv_hamiltonian,
     build_hamiltonian_stack,
     build_p1_hamiltonian,
@@ -349,6 +350,20 @@ def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
             want = group_hamiltonian(central, group, b, **options)
             # bit for bit, zeros' signs included
             assert h.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("central", [P1Center(), NVCenter(), BareElectron()],
+                         ids=["p1", "nv", "electron"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kron_terms_equal_the_matrix_products(central, k):
+    terms = list(_dense_terms(central, k))
+    products = list(gemm_terms(central, k))
+    assert len(terms) == len(products) == 12 * k + 9 * k * (k - 1) // 2
+    for term, product in zip(terms, products):
+        support = np.flatnonzero(term)
+        # the same nonzeros, equal in value; only signs of zeros may differ
+        assert np.array_equal(support, np.flatnonzero(product))
+        assert (term.ravel()[support] == product.ravel()[support]).all()
 
 
 def test_stacked_eigh_equals_one_matrix_at_a_time():

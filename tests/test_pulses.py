@@ -46,10 +46,12 @@ def test_parse_fractional_symbolic_delay():
 
 
 def test_parse_repeat_and_target():
-    prog = parse_sequence("pi/2(x) - [tau - pi(y) - tau]^3 - pi(x)@target")
+    prog = parse_sequence("pi/2(x) - [tau - pi(y) - tau]^3 - pi(x)")
     rep = prog.items[1]
     assert isinstance(rep, Repeat) and rep.count == 3
-    assert prog.items[2].target == "target"
+    # every pulse drives the probed pair; there is no target suffix
+    with pytest.raises(ParseError, match=r"unexpected character '@' at 1:6"):
+        parse_sequence("pi(x)@target")
 
 
 def test_parse_error_positions():
@@ -81,8 +83,6 @@ def test_item_validation():
     with pytest.raises(ValueError):
         Pulse(axis="x", angle_deg=0.0)
     with pytest.raises(ValueError):
-        Pulse(axis="x", angle_deg=90.0, target="")
-    with pytest.raises(ValueError):
         Delay(value=-1.0, unit="us")
     with pytest.raises(ValueError):
         Delay(value=1.0, unit="min")
@@ -98,7 +98,7 @@ def test_item_validation():
 
 def test_program_equality_ignores_metadata():
     items = (Pulse(axis="x", angle_deg=90.0),)
-    assert PulseProgram(items, name="a", t_s=1e-6) == PulseProgram(items)
+    assert PulseProgram(items, name="a") == PulseProgram(items)
     assert hash(PulseProgram(items, name="a")) == hash(PulseProgram(items))
     assert PulseProgram(items) != PulseProgram(
         (Pulse(axis="y", angle_deg=90.0),))
@@ -112,8 +112,7 @@ def _random_program(rng, depth=0) -> PulseProgram:
         if kind == 0:
             angle = float(rng.choice([90.0, 180.0, rng.uniform(1.0, 360.0)]))
             axis = str(rng.choice(["x", "y", "-x", "-y"]))
-            target = str(rng.choice(["probe", "target"]))
-            return Pulse(axis=axis, angle_deg=angle, target=target)
+            return Pulse(axis=axis, angle_deg=angle)
         if kind == 1:
             return Delay(divisor=int(rng.integers(1, 5)))
         if kind == 2:
@@ -137,14 +136,14 @@ def test_canonical_text_round_trips_random_programs():
 
 
 def test_canonical_text_spellings():
-    prog = parse_sequence("pi/2(x)-tau/2-[180deg(y)-tau]^2-pi(-y)@target-2.5us")
+    prog = parse_sequence("pi/2(x)-tau/2-[180deg(y)-tau]^2-pi(-y)-2.5us")
     assert canonical_text(prog) == (
-        "pi/2(x) - tau/2 - [pi(y) - tau]^2 - pi(-y)@target - 2.5us")
+        "pi/2(x) - tau/2 - [pi(y) - tau]^2 - pi(-y) - 2.5us")
 
 
 @pytest.mark.parametrize("name,n,pi_count", [
     ("hahn", None, 1), ("cpmg", 1, 1), ("cpmg", 4, 4),
-    ("xy8", 1, 8), ("xy8", 2, 16), ("deer", None, 2),
+    ("xy8", 1, 8), ("xy8", 2, 16),
 ])
 def test_preset_pi_pulse_counts(name, n, pi_count):
     prog = expand_preset(name, n)
@@ -170,17 +169,6 @@ def test_xy8_axis_order():
     sched = compile_schedule(expand_preset("xy8"), tau=1e-6)
     axes = [r.axis for r in sched.rotations() if r.angle_deg == 180.0]
     assert axes == ["x", "y", "x", "y", "y", "x", "y", "x"]
-
-
-def test_deer_recoupling_pulse_rides_with_refocusing():
-    sched = compile_schedule(expand_preset("deer"), tau=2e-6)
-    events = sched.events
-    # pi/2, tau, pi, pi@target (no gap), tau, pi/2
-    kinds = [type(e).__name__ for e in events]
-    assert kinds == ["Rotation", "Interval", "Rotation", "Rotation",
-                     "Interval", "Rotation"]
-    assert events[3].target == "target"
-    assert events[2].target == "probe"
 
 
 # --- schedule compilation ----------------------------------------------------
