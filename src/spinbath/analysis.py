@@ -32,11 +32,12 @@ from .hamiltonians import (
     JtOrientation,
     P1Params,
     _field_vector,
+    _p1_operators,
     build_p1_hamiltonian,
     build_system_hamiltonian,
     label_levels,
+    level_pair,
 )
-from .spinops import CompositeSpace, embed, spin_operators
 
 __all__ = [
     "TransitionRow",
@@ -128,9 +129,7 @@ def transition_moment(eigvec_i, eigvec_f, params: P1Params) -> float:
     vf = np.asarray(eigvec_f, dtype=complex).ravel()
     if vi.shape != (6,) or vf.shape != (6,):
         raise ValueError("eigenvectors must live in the six-level space")
-    space = CompositeSpace((2, 3))
-    sx = embed(spin_operators(0.5).sx, 0, space)
-    ix = embed(spin_operators(1.0).sx, 1, space)
+    (sx, _, _), (ix, _, _) = _p1_operators()
     op = params.gamma_e_hz * sx + params.gamma_n14 * ix
     return abs(complex(vf.conj() @ (op @ vi)))
 
@@ -258,8 +257,8 @@ def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
     if len(bath) == 0:
         raise ValueError("bath must be non-empty")
     hc = central.hamiltonian(b_field)
-    wc, vc = np.linalg.eigh(hc)
-    ia, ib = central.level_pair(wc, vc)
+    _, vc = np.linalg.eigh(hc)
+    ia, ib = level_pair(central, vc)
     branch_states = (vc[:, ia], vc[:, ib])
     labels = _branch_labels(central)
     dc = hc.shape[0]

@@ -26,12 +26,13 @@ from .bathgen import check_bath_parameters, generate_bath
 from .constants import constants_table, ppm_to_density_nm3
 from .dynamics import SimulationConfig, ensemble_signal, field_scan, scan_csv
 from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center, P1Params
-from .pulses import PRESET_NAMES, canonical_text, expand_preset, parse_sequence
+from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
+                     expand_preset, parse_sequence)
 
 _FORMATS = ("csv", "json")
 
-_TIME_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(us|ns|s)?$")
+_TIME_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                      f"({'|'.join(_UNIT_SECONDS)})?$")
 
 
 class _CliError(ValueError):
@@ -41,14 +42,9 @@ class _CliError(ValueError):
 def _parse_time_us(token: str) -> float:
     """One time token, default unit microseconds; returns seconds."""
     m = _TIME_RE.match(token.strip().lower())
-    if not m:
+    if not m:  # the number the pattern matches is a valid float
         raise _CliError(f"bad time value '{token}'")
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise _CliError(f"bad time value '{token}'") from None
-    unit = m.group(2) or "us"
-    return value * {"us": 1e-6, "ns": 1e-9, "s": 1.0}[unit]
+    return float(m.group(1)) * _UNIT_SECONDS[m.group(2) or "us"]
 
 
 def _parse_tau_grid(text: str) -> tuple[float, ...]:
@@ -164,11 +160,13 @@ def _dry_run(resolved: dict) -> int:
     return 0
 
 
-def _read_config(args: argparse.Namespace) -> dict:
-    """The --config file's values, each keyed like one of the command's flags.
+def _read_config(args: argparse.Namespace,
+                 p: argparse.ArgumentParser) -> dict:
+    """The --config file's values, each keyed like one of p's flags.
 
-    A number becomes its text, so it goes through its flag's type; booleans,
-    null and on/off flags' values stay.  Only echo's and scan's b is a list.
+    An on/off flag takes true or false, any other a string or a number (as
+    its text, so through the flag's type), null where its default is null,
+    and a list only as echo's and scan's b.
     """
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -180,12 +178,20 @@ def _read_config(args: argparse.Namespace) -> dict:
     for key, value in values.items():
         if key in ("command", "config", "func") or key not in vars(args):
             raise _CliError(f"unknown config key '{key}'")
-        vector = key == "b" and args.command in ("echo", "scan")
-        if type(value) in (int, float) and type(getattr(args, key)) is not bool:
+        default = p.get_default(key)
+        if type(default) is bool:
+            if type(value) is not bool:
+                raise _CliError(f"config key '{key}' takes true or false, "
+                                f"not {json.dumps(value)}")
+        elif type(value) in (int, float):
             values[key] = repr(value)
-        elif type(value) is dict or (type(value) is list and not vector):
-            raise _CliError(f"config key '{key}' takes a string, a number, "
-                            "true, false or null")
+        elif not (type(value) is str or (value is None and default is None)
+                  or (type(value) is list and key == "b"
+                      and args.command in ("echo", "scan"))):
+            raise _CliError(
+                f"config key '{key}' takes a string, a number"
+                f"{' or null' if default is None else ''}, "
+                f"not {json.dumps(value)}")
     return values
 
 
@@ -475,7 +481,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # file values become the command's defaults, so each goes
             # through its flag's type and a flag given still wins
-            sub.choices[args.command].set_defaults(**_read_config(args))
+            command = sub.choices[args.command]
+            command.set_defaults(**_read_config(args, command))
             args = parser.parse_args(argv)
             # argparse checks choices on flags only, not on defaults
             if getattr(args, "format", "csv") not in _FORMATS:

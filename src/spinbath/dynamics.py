@@ -42,8 +42,8 @@ from .constants import DIAMOND_BOND_NM
 from .hamiltonians import NVCenter, P1Center
 from .pulses import (
     Interval,
+    Pulse,
     PulseProgram,
-    Rotation,
     Schedule,
     canonical_text,
     expand_preset,
@@ -217,7 +217,7 @@ def _pair_unitary(steps) -> np.ndarray:
     """The rotations among steps, composed on the probed pair (2 x 2)."""
     u = np.eye(2, dtype=complex)
     for step in steps:
-        if isinstance(step, Rotation):
+        if isinstance(step, Pulse):
             u = two_level_unitary(step.axis, step.angle_rad) @ u
     return u
 
@@ -235,7 +235,7 @@ def _plans(schedules: list[Schedule]) -> list:
     """
     indices: dict = {}
     for k, schedule in enumerate(schedules):
-        steps = tuple(e if isinstance(e, Rotation) else None
+        steps = tuple(e if isinstance(e, Pulse) else None
                       for e in schedule.events)
         indices.setdefault(steps, []).append(k)
     plans = []
@@ -269,10 +269,10 @@ def _group_curves(w, v, probes, plans, n_schedules: int) -> np.ndarray:
     eye_b = np.eye(nb, dtype=complex)
     spans = []  # steps first to last run on the slab
     for steps, *_ in plans:
-        free = [k for k, s in enumerate(steps) if not isinstance(s, Rotation)]
+        free = [k for k, s in enumerate(steps) if not isinstance(s, Pulse)]
         spans.append((free[0], free[-1] + 1) if free else (len(steps),) * 2)
     inner = {s for (steps, *_), (first, last) in zip(plans, spans)
-             for s in steps[first:last] if isinstance(s, Rotation)}
+             for s in steps[first:last] if isinstance(s, Pulse)}
     out = np.empty((len(w), len(probes), n_schedules))
     folded = []
     for a, b in probes:
@@ -298,7 +298,7 @@ def _group_curves(w, v, probes, plans, n_schedules: int) -> np.ndarray:
                 if first < last:  # the first interval spreads m along tau
                     m = m * phase[:, None, steps[first]]
                 for step in steps[first + 1:last]:
-                    if isinstance(step, Rotation):
+                    if isinstance(step, Pulse):
                         m = (rot[step] @ m.reshape(dim, -1)).reshape(m.shape)
                     else:
                         m *= phase[:, None, step]
@@ -323,7 +323,8 @@ def _echo(central, groups, schedules: list[Schedule], b_field,
     wc, vc = np.linalg.eigh(central.hamiltonian(b_field))
     variants = _thermal_variants(central)
     probes = [(vc[:, ia], vc[:, ib]) for ia, ib in
-              (variant.level_pair(wc, vc) for _, variant in variants)]
+              (hamiltonians.level_pair(variant, vc)
+               for _, variant in variants)]
     curves = np.empty((len(groups), len(probes), len(schedules)))
     # largest first, so the largest term table is built before the rest
     for size in sorted({len(group) for group in groups}, reverse=True):

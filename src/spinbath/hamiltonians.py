@@ -52,6 +52,7 @@ __all__ = [
     "build_hamiltonian_stack",
     "rotation_onto_axis",
     "label_levels",
+    "level_pair",
 ]
 
 _OFF_AXIS_COS = -1.0 / 3.0  # tetrahedral bond angle to the field axis
@@ -341,23 +342,13 @@ class P1Center:
     def electron_ops(self):
         return list(_p1_operators()[0])
 
-    def level_pair(self, evals, evecs) -> tuple[int, int]:
-        """Eigenstate indices labeled (m_S=+1/2, m_i) and (-1/2, m_i)."""
+    @property
+    def probed(self) -> tuple[tuple, tuple]:
+        """Labels (m_S, m_I) of the pair: (+1/2, m_i) and (-1/2, m_i)."""
         if self.m_i is None:
             raise ValueError("thermal nitrogen has no single level pair; "
                              "fix m_i first")
-        labels = label_levels(evecs, self.dims)
-        found = {}
-        for idx, ((ms, mi), weight) in enumerate(labels):
-            if weight <= 0.5:
-                continue
-            if round(mi) == self.m_i and abs(abs(ms) - 0.5) < 1e-9:
-                found[0.5 if ms > 0 else -0.5] = idx
-        if 0.5 not in found or -0.5 not in found:
-            raise ValueError(
-                "could not identify both electron levels at m_i = "
-                f"{self.m_i}; state mixing leaves no dominant labels")
-        return found[0.5], found[-0.5]
+        return (0.5, self.m_i), (-0.5, self.m_i)
 
 
 @dataclass(frozen=True)
@@ -388,19 +379,10 @@ class NVCenter:
         one = spin_operators(1.0)
         return [one.sx, one.sy, one.sz]
 
-    def level_pair(self, evals, evecs) -> tuple[int, int]:
-        """Indices of the (first, second) named m_S levels; first is initialized."""
-        labels = label_levels(evecs, self.dims)
-        found = {}
-        for idx, ((ms,), weight) in enumerate(labels):
-            if weight > 0.5:
-                found[int(round(ms))] = idx
-        try:
-            return found[self.levels[0]], found[self.levels[1]]
-        except KeyError as err:
-            raise ValueError(
-                f"m_S = {err.args[0]} has no dominant eigenstate at this "
-                "field; the subspace is not addressable") from None
+    @property
+    def probed(self) -> tuple[tuple, tuple]:
+        """Labels (m_S,) of the pair; the first level is initialized."""
+        return (self.levels[0],), (self.levels[1],)
 
 
 @dataclass(frozen=True)
@@ -426,16 +408,23 @@ class BareElectron:
         half = spin_operators(0.5)
         return [half.sx, half.sy, half.sz]
 
-    def level_pair(self, evals, evecs) -> tuple[int, int]:
-        labels = label_levels(evecs, self.dims)
-        found = {}
-        for idx, ((ms,), weight) in enumerate(labels):
-            if weight > 0.5:
-                found[0.5 if ms > 0 else -0.5] = idx
-        if 0.5 not in found or -0.5 not in found:
-            raise ValueError("electron eigenstates are fully mixed; "
-                             "no projection labels available")
-        return found[0.5], found[-0.5]
+    @property
+    def probed(self) -> tuple[tuple, tuple]:
+        return (0.5,), (-0.5,)
+
+
+def level_pair(central, evecs) -> tuple[int, int]:
+    """Indices of the central eigenvectors labeled central.probed: those
+    whose dominant product-basis component carries the label with a weight
+    above 1/2 (label_levels)."""
+    found = {proj: k for k, (proj, weight)
+             in enumerate(label_levels(evecs, central.dims)) if weight > 0.5}
+    try:
+        return tuple(found[label] for label in central.probed)
+    except KeyError as err:
+        raise ValueError(f"no eigenstate is dominantly labeled {err.args[0]} "
+                         "at this field; state mixing leaves the probed pair "
+                         "unaddressable") from None
 
 
 def build_system_hamiltonian(central, group, b, **options) -> np.ndarray:

@@ -26,12 +26,13 @@ import math
 import re
 from dataclasses import dataclass
 
+from .spinops import AXIS_VECTORS
+
 __all__ = [
     "Pulse",
     "Delay",
     "Repeat",
     "PulseProgram",
-    "Rotation",
     "Interval",
     "Schedule",
     "ParseError",
@@ -42,7 +43,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-_AXES = ("x", "y", "-x", "-y")
 _UNIT_SECONDS = {"us": 1e-6, "ns": 1e-9, "s": 1.0}
 PRESET_NAMES = ("hahn", "cpmg", "xy8")
 
@@ -59,7 +59,7 @@ class Pulse:
     angle_deg: float
 
     def __post_init__(self):
-        if self.axis not in _AXES:
+        if self.axis not in AXIS_VECTORS:
             raise ValueError(f"unknown axis {self.axis!r}")
         if not 0.0 < self.angle_deg <= 360.0:
             raise ValueError("pulse angle must lie in (0, 360] degrees")
@@ -116,8 +116,8 @@ class Repeat:
         object.__setattr__(self, "block", tuple(self.block))
         if not self.block:
             raise ValueError("repeat block must be non-empty")
-        if not (isinstance(self.count, int) and self.count >= 1):
-            raise ValueError("repeat count must be at least 1")
+        if type(self.count) is not int or self.count < 1:
+            raise ValueError("repeat count must be a positive integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +276,7 @@ class _Parser:
             name = tok
         text = ("-" if negative else "") + name.text
         axis = text.lower()
-        if name.kind != "IDENT" or axis not in _AXES:
+        if name.kind != "IDENT" or axis not in AXIS_VECTORS:
             raise ParseError(f"unknown axis {text!r} at {tok.where}")
         return axis
 
@@ -361,7 +361,7 @@ def expand_preset(name: str, n: int | None = None) -> PulseProgram:
     else:
         if n is None:
             n = 1
-        if not (isinstance(n, int) and n >= 1):
+        if type(n) is not int or n < 1:
             raise ValueError("repetition count must be a positive integer")
 
     if key == "hahn":
@@ -378,18 +378,6 @@ def expand_preset(name: str, n: int | None = None) -> PulseProgram:
 # schedule
 
 @dataclass(frozen=True)
-class Rotation:
-    """Timed ideal rotation event."""
-
-    axis: str
-    angle_deg: float
-
-    @property
-    def angle_rad(self) -> float:
-        return math.radians(self.angle_deg)
-
-
-@dataclass(frozen=True)
 class Interval:
     """Free-evolution event of fixed duration (seconds)."""
 
@@ -398,12 +386,12 @@ class Interval:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Alternating rotations and evolution intervals, adjacent delays merged."""
+    """The program's pulses and evolution intervals, adjacent delays merged."""
 
     events: tuple
 
-    def rotations(self) -> list[Rotation]:
-        return [e for e in self.events if isinstance(e, Rotation)]
+    def rotations(self) -> list[Pulse]:
+        return [e for e in self.events if isinstance(e, Pulse)]
 
 
 def compile_schedule(prog: PulseProgram, tau: float | None = None) -> Schedule:
@@ -428,7 +416,7 @@ def compile_schedule(prog: PulseProgram, tau: float | None = None) -> Schedule:
     def walk(items):
         for item in items:
             if isinstance(item, Pulse):
-                events.append(Rotation(item.axis, item.angle_deg))
+                events.append(item)
             elif isinstance(item, Delay):
                 emit_delay(item.duration_s(tau))
             elif isinstance(item, Repeat):

@@ -30,7 +30,7 @@ __all__ = [
     "AXIS_VECTORS",
 ]
 
-# unit vectors for the four pulse-phase labels
+# unit vectors (x, y) of the four pulse-phase labels, the only axis table
 AXIS_VECTORS = {
     "x": (1.0, 0.0),
     "y": (0.0, 1.0),
@@ -106,29 +106,11 @@ def embed(op: np.ndarray, slot: int, space: CompositeSpace) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _axis_components(axis) -> tuple[float, float]:
-    """Resolve a pulse axis to (nx, ny); anything out of the xy-plane is rejected."""
-    if isinstance(axis, str):
-        key = axis.strip().lower()
-        if key not in AXIS_VECTORS:
-            raise ValueError(f"unknown pulse axis {axis!r}")
-        return AXIS_VECTORS[key]
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape == (3,):
-        if abs(vec[2]) > 1e-12:
-            raise ValueError("pulse axis must lie in the xy-plane")
-        vec = vec[:2]
-    if vec.shape != (2,):
-        raise ValueError("pulse axis must be a label or a 2- or 3-vector")
-    norm = np.hypot(vec[0], vec[1])
-    if norm == 0:
-        raise ValueError("pulse axis must be non-zero")
-    return float(vec[0] / norm), float(vec[1] / norm)
-
-
-def two_level_unitary(axis, angle: float) -> np.ndarray:
-    """Ideal rotation exp(-i angle (n . sigma) / 2) on one two-level system."""
-    nx, ny = _axis_components(axis)
+def two_level_unitary(axis: str, angle: float) -> np.ndarray:
+    """Ideal rotation exp(-i angle (n . sigma) / 2), n = AXIS_VECTORS[axis]."""
+    if axis not in AXIS_VECTORS:
+        raise ValueError(f"unknown pulse axis {axis!r}")
+    nx, ny = AXIS_VECTORS[axis]
     c = np.cos(angle / 2.0)
     s = np.sin(angle / 2.0)
     return np.array(

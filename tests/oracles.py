@@ -31,7 +31,7 @@ from spinbath.constants import (
     dipole_prefactor_hz,
 )
 from spinbath.hamiltonians import _dense_terms, _field_vector
-from spinbath.pulses import Interval, Rotation, Schedule
+from spinbath.pulses import Interval, Pulse, Schedule
 from spinbath.spinops import (CompositeSpace, embed, spin_operators,
                               two_level_unitary)
 
@@ -320,7 +320,7 @@ def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
     pair = np.stack([a, b], axis=1)
     lifted = {}
     for step in {s for steps, *_ in plans for s in steps
-                 if isinstance(s, Rotation)}:
+                 if isinstance(s, Pulse)}:
         u2 = two_level_unitary(step.axis, step.angle_rad)
         uc = np.eye(dc, dtype=complex) \
             + pair @ (u2 - np.eye(2)) @ pair.conj().T
@@ -334,7 +334,7 @@ def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
         for steps, index, durations, eta in plans:
             phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
             free = [k for k, step in enumerate(steps)
-                    if not isinstance(step, Rotation)]
+                    if not isinstance(step, Pulse)]
             first, last = (free[0], free[-1] + 1) if free else (len(steps),) * 2
             m, row = m0, row0
             for step in steps[:first]:
@@ -343,7 +343,7 @@ def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
                 row = row @ rotations[step]
             m = np.tile(m, (1, len(index)))
             for step in steps[first:last]:
-                if isinstance(step, Rotation):
+                if isinstance(step, Pulse):
                     m = rotations[step] @ m
                 else:
                     m = (m.reshape(dim, -1, nb)

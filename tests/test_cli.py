@@ -500,6 +500,33 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("values,message", [
+    ({"continuum": "false"}, "config key 'continuum' takes true or false"),
+    ({"no_nn": 0}, "config key 'no_nn' takes true or false"),
+    ({"g": None}, "config key 'g' takes a string, a number, not null"),
+    ({"threads": None}, "config key 'threads' takes a string, a number, "
+                        "not null"),
+    ({"out": True}, "config key 'out' takes a string, a number or null, "
+                    "not true"),
+    ({"n": True, "sequence": "cpmg"}, "config key 'n' takes a string, a "
+                                      "number or null, not true"),
+    ({"seed": True}, "config key 'seed' takes a string, a number, not true")])
+def test_config_value_of_the_wrong_kind_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, values, message):
+    def no_bath(*args, **kwargs):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.bathgen.generate_bath", no_bath)
+    cfg = _write_config(tmp_path, values)
+    target = tmp_path / "never_created"
+    code, out, err = _run(["echo", *_SMALL, "--config", cfg,
+                           "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not target.exists()
+
+
 # The removed deer preset and @target suffix, with the parser's message.
 _TARGETED = {
     "deer": "unexpected token 'deer' at 1:1",

@@ -30,6 +30,7 @@ from spinbath.hamiltonians import (
     build_hamiltonian_stack,
     build_system_hamiltonian,
     hyperfine_tensor,
+    level_pair,
 )
 from spinbath.pulses import compile_schedule, expand_preset, parse_sequence
 from spinbath.spinops import two_level_unitary
@@ -94,7 +95,7 @@ def test_engine_agrees_with_direct_density_matrix_evolution():
 
     hc = central.hamiltonian(b)
     wc, vc = np.linalg.eigh(hc)
-    ia, ib = central.level_pair(wc, vc)
+    ia, ib = level_pair(central, vc)
     a_vec, b_vec = vc[:, ia], vc[:, ib]
     h = build_system_hamiltonian(central, group, b)
 
@@ -243,7 +244,7 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
     plans = dynamics._plans(schedules)
     wc, vc = np.linalg.eigh(central.hamiltonian(72.0))
     probes = [(vc[:, ia], vc[:, ib]) for ia, ib in
-              (variant.level_pair(wc, vc)
+              (level_pair(variant, vc)
                for _, variant in dynamics._thermal_variants(central))]
     spins = generate_bath(seed=4, n_spins=12).spins
     for g in (1, 2, 3, 4):

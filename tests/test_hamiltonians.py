@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from spinbath.hamiltonians import (
     build_system_hamiltonian,
     hyperfine_tensor,
     label_levels,
+    level_pair,
     rotation_onto_axis,
 )
 
@@ -183,35 +185,51 @@ def test_label_levels_on_product_basis():
     assert projections == {(s, m) for s in (0.5, -0.5) for m in (1.0, 0.0, -1.0)}
 
 
-def test_p1_center_level_pair_labels():
-    center = P1Center(m_i=-1)
+@pytest.mark.parametrize("m_i", [-1, 0, 1])
+def test_p1_center_level_pair_labels(m_i):
+    center = P1Center(m_i=m_i)
     h = center.hamiltonian(72.0)
     w, v = np.linalg.eigh(h)
-    i_up, i_dn = center.level_pair(w, v)
+    i_up, i_dn = level_pair(center, v)
     labels = label_levels(v, (2, 3))
-    assert labels[i_up][0] == (0.5, -1.0)
-    assert labels[i_dn][0] == (-0.5, -1.0)
+    assert center.probed == ((0.5, m_i), (-0.5, m_i))
+    assert labels[i_up][0] == (0.5, m_i)
+    assert labels[i_dn][0] == (-0.5, m_i)
     assert w[i_up] > w[i_dn]
+
+
+@pytest.mark.parametrize("b", [0.0, 2.0])
+def test_p1_center_level_pair_refuses_mixed_low_field_levels(b):
+    # off the bond axis, the m_I = 0 levels have no label above 1/2 here
+    center = P1Center(m_i=0)
+    _, v = np.linalg.eigh(center.hamiltonian(b))
+    with pytest.raises(ValueError, match="unaddressable"):
+        level_pair(center, v)
 
 
 def test_p1_center_thermal_has_no_level_pair():
     center = P1Center(m_i=None)
     h = center.hamiltonian(72.0)
     w, v = np.linalg.eigh(h)
-    with pytest.raises(ValueError):
-        center.level_pair(w, v)
+    with pytest.raises(ValueError, match="no single level pair"):
+        level_pair(center, v)
     with pytest.raises(ValueError):
         P1Center(m_i=2)
 
 
-def test_nv_center_level_pair():
-    center = NVCenter(levels=(0, -1))
+@pytest.mark.parametrize(
+    "center",
+    [NVCenter(levels=lv) for lv in itertools.permutations((0, -1, 1), 2)]
+    + [BareElectron()],
+    ids=lambda c: "electron" if isinstance(c, BareElectron) else
+    "nv{:+d}{:+d}".format(*c.levels))
+def test_nv_center_level_pair(center):
     h = center.hamiltonian(72.0)
     w, v = np.linalg.eigh(h)
-    i0, i1 = center.level_pair(w, v)
-    labels = label_levels(v, (3,))
-    assert labels[i0][0] == (0.0,)
-    assert labels[i1][0] == (-1.0,)
+    i0, i1 = level_pair(center, v)
+    labels = label_levels(v, center.dims)
+    assert (labels[i0][0], labels[i1][0]) == center.probed
+    assert i0 != i1
     with pytest.raises(ValueError):
         NVCenter(levels=(0, 2))
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from spinbath.pulses import (
     Pulse,
     PulseProgram,
     Repeat,
-    Rotation,
     canonical_text,
     compile_schedule,
     expand_preset,
@@ -94,6 +93,8 @@ def test_item_validation():
         Repeat(block=(), count=2)
     with pytest.raises(ValueError):
         Repeat(block=(Delay(),), count=0)
+    with pytest.raises(ValueError):
+        Repeat(block=(Delay(),), count=True)
 
 
 def test_program_equality_ignores_metadata():
@@ -158,7 +159,7 @@ def test_preset_validation():
     with pytest.raises(ValueError):
         expand_preset("hahn", 2)
     with pytest.raises(ValueError):
-        expand_preset("deer", 1)
+        expand_preset("cpmg", True)
     with pytest.raises(ValueError):
         expand_preset("cpmg", 0)
     with pytest.raises(ValueError):
@@ -234,7 +235,7 @@ def _net_unitary(schedule) -> np.ndarray:
     # system at zero field, so only rotations matter
     u = np.eye(2, dtype=complex)
     for event in schedule.events:
-        if isinstance(event, Rotation):
+        if isinstance(event, Pulse):
             u = two_level_unitary(event.axis, event.angle_rad) @ u
     return u
 
@@ -252,5 +253,5 @@ def test_preset_zero_field_composition():
 
 
 def test_rotation_angle_radians():
-    rot = Rotation(axis="y", angle_deg=90.0)
+    rot = Pulse(axis="y", angle_deg=90.0)
     assert rot.angle_rad == pytest.approx(np.pi / 2.0)

@@ -146,21 +146,9 @@ def test_two_level_unitary_composition():
     assert np.allclose(u @ u, two_level_unitary("y", np.pi), atol=1e-12)
 
 
-def test_two_level_unitary_vector_axis():
-    u_label = two_level_unitary("y", 1.1)
-    u_vec = two_level_unitary((0.0, 2.0), 1.1)
-    u_vec3 = two_level_unitary((0.0, 0.5, 0.0), 1.1)
-    assert np.allclose(u_label, u_vec, atol=1e-12)
-    assert np.allclose(u_label, u_vec3, atol=1e-12)
-
-
 def test_two_level_unitary_rejects_bad_axis():
     with pytest.raises(ValueError):
         two_level_unitary("z", np.pi)
-    with pytest.raises(ValueError):
-        two_level_unitary((0.0, 0.0), np.pi)
-    with pytest.raises(ValueError):
-        two_level_unitary((0.0, 0.0, 1.0), np.pi)
 
 
 def test_rotation_on_subspace_leaves_spectator_level_alone():
