@@ -13,7 +13,6 @@ from .bathgen import (
     child_seed,
     cluster_bath,
     generate_bath,
-    pair_coupling,
 )
 from .constants import (
     GAMMA_C13_HZ_PER_G,
@@ -59,7 +58,6 @@ __all__ = [
     "child_seed",
     "cluster_bath",
     "generate_bath",
-    "pair_coupling",
     "GAMMA_C13_HZ_PER_G",
     "GAMMA_E_MHZ_PER_G",
     "GAMMA_N14_HZ_PER_G",

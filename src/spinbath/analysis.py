@@ -298,10 +298,9 @@ def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
 
 
 def _branch_labels(central) -> tuple[str, str]:
-    levels = getattr(central, "levels", None)
-    if levels is not None:
-        return tuple(f"mS={lv:+d}" if lv else "mS=0" for lv in levels)
-    return ("mS=+1/2", "mS=-1/2")
+    """'mS=...' of the electron projection of each level of central.probed."""
+    return tuple("mS=0" if m == 0 else f"mS={m:+g}" if m == int(m)
+                 else f"mS={2 * m:+g}/2" for m, *_ in central.probed)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .constants import (
     GAMMA_C13_HZ_PER_G,
     dipole_prefactor_hz,
 )
-from .hamiltonians import _dipole_tensors, _dipole_zz, hyperfine_tensor
+from .hamiltonians import _dipole_tensors, _dipole_zz
 
 __all__ = [
     "BathSpin",
@@ -39,7 +39,6 @@ __all__ = [
     "Partition",
     "generate_bath",
     "check_bath_parameters",
-    "pair_coupling",
     "cluster_bath",
     "child_seed",
 ]
@@ -248,30 +247,11 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
     raise RuntimeError("bath generation failed to converge")  # pragma: no cover
 
 
-def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
-                  metric: str = "zz") -> float:
-    """Coupling magnitude (Hz) between two bath spins, used for clustering.
-
-    The default metric is the |zz| element of the point-dipole tensor (the
-    secular part along the field axis); "frobenius" uses the full tensor
-    norm instead.
-    """
-    r = np.asarray(spin_j.position) - np.asarray(spin_i.position)
-    tensor = hyperfine_tensor(r, spin_i.gamma, spin_j.gamma)
-    if metric == "zz":
-        return abs(float(tensor[2, 2]))
-    if metric == "frobenius":
-        return float(np.linalg.norm(tensor))
-    raise ValueError(f"unknown clustering metric {metric!r}")
-
-
 def _pair_couplings(pos, gamma, first, second, metric: str) -> np.ndarray:
-    """Coupling of pairs (first[k], second[k]), bit-identical to pair_coupling.
-
-    pos and gamma hold the bath's positions and gyromagnetic ratios.  The
-    couplings come from pair_coupling's dipole formula, 8192 pairs at a
-    time: A_zz alone for "zz", else the whole tensor, whose norm is a dot
-    product as in np.linalg.norm.
+    """Coupling (Hz) of pairs (first[k], second[k]) of spins at pos with
+    ratios gamma, 8192 at a time: |A_zz| of the point-dipole tensor (the
+    secular part) for "zz", else the tensor's norm, a dot product as in
+    np.linalg.norm; bit-identical to each pair's hyperfine_tensor.
     """
     coupling = np.empty(len(first))
     for start in range(0, len(first), 8192):

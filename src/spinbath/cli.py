@@ -317,7 +317,7 @@ def _cmd_scan(resolved: dict) -> int:
         raise _CliError("field list must be non-empty")
     for b in fields:
         _check_field(b)
-    config = _sim_config(resolved, fields[0])
+        config = _sim_config(resolved, b)  # checks the probed pair at b
     meta = {**resolved, "fields_gauss": fields}
     if resolved["dry_run"]:
         return _dry_run(meta)

@@ -482,27 +482,11 @@ def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
     # the central spin's splittings (GHz for the NV), and a summed update
     # (tensordot) rounds it differently, moving NV CPMG echoes by 3e-10.
     # A term adds c * values at its nonzeros, so every nonzero gets the bits
-    # of the dense sum.  A zero part of that sum is -0 only where kron(H_c,
-    # 1) is -0 and every addend there is -0; `dead` marks where one is not.
+    # of the dense sum.
     flat = h.reshape(n, -1)
-    parts = flat.view(float)
-    zero = np.flatnonzero((parts[0] == 0.0) & np.signbit(parts[0]))
-    dead = np.zeros((n, len(zero)), bool)
-    for c, (index, values, neg) in zip(coeffs.T, _term_table(central, k)):
+    for c, (index, values) in zip(coeffs.T, _term_table(central, k)):
         rows = np.flatnonzero(c != 0.0)
         flat[rows[:, None], index] += c[rows, None] * values
-        live = np.flatnonzero(~dead[rows].all(axis=0))
-        if not live.size:
-            continue
-        q = zero[live]  # the term's elements at q: signed zeros, nonzeros
-        z = np.where(np.isin((q & -2)[:, None] + [0, 1], neg), -0.0,
-                     0.0).view(complex).ravel()
-        at = np.minimum(np.searchsorted(index, q >> 1), len(index) - 1)
-        hit = index[at] == q >> 1
-        z[hit] = values[at[hit]]
-        add = (c[rows, None] * z).view(float)[:, (q & 1) + 2 * np.arange(q.size)]
-        dead[np.ix_(rows, live)] |= (add != 0.0) | ~np.signbit(add)
-    parts[:, zero] += np.where(dead, 0.0, -0.0)  # -0 + 0 is +0
     return h
 
 
@@ -538,18 +522,16 @@ _TERM_TABLES: dict = {}
 
 def _term_table(central, k: int) -> list:
     """Per term of _dense_terms: the flat indices of its nonzero elements
-    (ascending), their values, and the indices of the -0.0 parts of its
-    float view, read from each dense term in turn.  Cached per (central
-    type, dims, k), as that fixes the electron.
+    (ascending) and their values.  Cached per (central type, dims, k), as
+    that fixes the electron.
     """
     key = (type(central), tuple(central.dims), k)
     table = _TERM_TABLES.get(key)
     if table is None:
         table = []
         for term in _dense_terms(central, k):
-            flat, parts = term.ravel(), term.view(float).ravel()
+            flat = term.ravel()
             index = np.flatnonzero(flat)
-            table.append((index, flat[index],
-                          np.flatnonzero((parts == 0.0) & np.signbit(parts))))
+            table.append((index, flat[index]))
         _TERM_TABLES[key] = table
     return table

@@ -5,13 +5,13 @@ kernel: exact propagators, validated density matrices, projectors and
 ideal pulses embedded in a composite space.  One-at-a-time counterparts
 of its vectorised set-up: a group Hamiltonian assembled from scalar
 dipole tensors and dense terms, the operator terms as matrix products of
-embedded operators, the greedy clustering visiting every pair, and the
-lattice enumeration over a whole cube of cells sorted by a four-key
-lexsort.  An unrolled echo kernel that propagates one (D, T*nb) slab per
-group and probed pair, with every pulse moved to the eigenbasis.  Also a
-bath's JSON form and its inverse, a bath's nearest-spin distance, a
-schedule's total evolution time, a number density converted back to ppm,
-and a coherence-time fit as a dict.
+embedded operators, the coupling of one pair of bath spins, the greedy
+clustering visiting every pair, and the lattice enumeration over a whole
+cube of cells sorted by a four-key lexsort.  An unrolled echo kernel that
+propagates one (D, T*nb) slab per group and probed pair, with every
+pulse moved to the eigenbasis.  Also a bath's JSON form and its inverse,
+a bath's nearest-spin distance, a schedule's total evolution time, a
+number density converted back to ppm, and a coherence-time fit as a dict.
 """
 
 import functools
@@ -30,7 +30,8 @@ from spinbath.constants import (
     DIAMOND_LATTICE_NM,
     dipole_prefactor_hz,
 )
-from spinbath.hamiltonians import _dense_terms, _field_vector
+from spinbath.hamiltonians import (_dense_terms, _field_vector,
+                                   hyperfine_tensor)
 from spinbath.pulses import Interval, Pulse, Schedule
 from spinbath.spinops import (CompositeSpace, embed, spin_operators,
                               two_level_unitary)
@@ -263,6 +264,19 @@ def _term_stack(central, k: int) -> np.ndarray:
     return _TERM_STACKS[key]
 
 
+def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
+                  metric: str = "zz") -> float:
+    """Coupling magnitude (Hz) of two bath spins from the scalar tensor:
+    |A_zz| for "zz", the tensor's norm for "frobenius"."""
+    r = np.asarray(spin_j.position) - np.asarray(spin_i.position)
+    tensor = hyperfine_tensor(r, spin_i.gamma, spin_j.gamma)
+    if metric == "zz":
+        return abs(float(tensor[2, 2]))
+    if metric == "frobenius":
+        return float(np.linalg.norm(tensor))
+    raise ValueError(f"unknown clustering metric {metric!r}")
+
+
 def every_pair_coupling(bath: Bath, metric: str = "zz"):
     """(i, j, coupling) of every pair i < j, in pair order."""
     pos = np.array([s.position for s in bath.spins])
@@ -331,7 +345,7 @@ def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
         vh = vg.conj().T
         rotations = {step: vh @ u @ vg for step, u in lifted.items()}
         m0, row0 = vh @ select, read @ vg
-        for steps, index, durations, eta in plans:
+        for steps, index, durations, eta, _ in plans:
             phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
             free = [k for k, step in enumerate(steps)
                     if not isinstance(step, Pulse)]

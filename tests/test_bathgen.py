@@ -7,11 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinbath.bathgen as bathgen
 from oracles import (bath_from_json, bath_to_json, cluster_every_pair,
                      every_pair_coupling, lattice_sites_by_lexsort,
-                     nearest_distance)
+                     nearest_distance, pair_coupling)
 from spinbath.bathgen import (
     Bath,
     BathSpin,
@@ -19,7 +21,6 @@ from spinbath.bathgen import (
     child_seed,
     cluster_bath,
     generate_bath,
-    pair_coupling,
 )
 from spinbath.constants import (
     C13_ABUNDANCE,
@@ -328,6 +329,30 @@ def test_early_stop_keeps_the_partition_of_the_full_visit(n_spins, metric):
         for g in range(1, 6):
             assert (cluster_bath(bath, g, metric=metric)
                     == cluster_every_pair(bath, g, metric)), (seed, g)
+
+
+# on a 0.01 nm grid, so that equal couplings (ties) come up often
+_coordinate = st.integers(-150, 150).map(lambda q: q / 100)
+_drawn_spin = st.builds(
+    BathSpin, st.tuples(_coordinate, _coordinate, _coordinate).filter(any),
+    st.sampled_from([GAMMA_C13_HZ_PER_G, -GAMMA_N14_HZ_PER_G, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bath=st.one_of(
+           st.builds(generate_bath, st.integers(0, 2 ** 32 - 1),
+                     st.integers(1, 60), lattice=st.booleans()),
+           st.lists(_drawn_spin, min_size=1, max_size=30).filter(
+               lambda spins: all(a.position != b.position for a, b
+                                 in itertools.combinations(spins, 2))).map(
+               lambda spins: Bath(spins=tuple(spins), seed=0))),
+       g=st.integers(1, 5), metric=st.sampled_from(["zz", "frobenius"]))
+def test_partition_covers_the_bath_and_equals_the_every_pair_visit(
+        bath, g, metric):
+    part = cluster_bath(bath, g, metric=metric)
+    assert sorted(i for group in part for i in group) == list(range(len(bath)))
+    assert all(1 <= len(group) <= g for group in part)
+    assert part == cluster_every_pair(bath, g, metric)
 
 
 def _mixed_gamma_bath(seed):

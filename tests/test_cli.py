@@ -555,6 +555,28 @@ def test_target_pulses_are_rejected_before_any_work(tmp_path, capsys,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["echo", "--b", "0", "--m-i", "0"],
+    ["scan", "--b", "72,0", "--m-i", "0"],
+    ["scan", "--b", "72,0", "--m-i", "thermal"],
+], ids=["echo", "scan", "scan-thermal"])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_unaddressable_probed_pair_is_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, dry_run):
+    def no_bath(*args, **kwargs):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.bathgen.generate_bath", no_bath)
+    target = tmp_path / "never_created"
+    code, out, err = _run([*argv, *_SMALL, "--out", str(target),
+                           *(["--dry-run"] if dry_run else [])], capsys)
+    assert code == 2
+    assert out == ""
+    assert ("no eigenstate is dominantly labeled (0.5, 0) at this field; "
+            "state mixing leaves the probed pair unaddressable") in err
+    assert not target.exists()
+
+
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"no_nn": True, "continuum": True,
                                    "include_baths": True, "seed": 5})

@@ -232,28 +232,76 @@ _KERNEL_PROGRAMS = [expand_preset("hahn"), expand_preset("cpmg", 4),
                     parse_sequence("pi/2(x) - 2us - tau - pi(y) - tau - pi/2(x)")]
 
 
+def _kernel_inputs(central, taus):
+    """Schedules, plans and probed pairs, then per size g = 1-4 the
+    eigen-stack of the groups of one seeded bath, for the kernel tests."""
+    schedules = [compile_schedule(prog, tau) for prog, tau in taus]
+    plans = dynamics._plans(schedules)
+    probes = dynamics._probes(central, 72.0)
+    spins = generate_bath(seed=4, n_spins=12).spins
+    stacks = [np.linalg.eigh(build_hamiltonian_stack(
+                  central, [list(spins[k:k + g])
+                            for k in range(0, 12 - g + 1, g)], 72.0))
+              for g in (1, 2, 3, 4)]
+    return schedules, plans, probes, stacks
+
+
 @pytest.mark.parametrize("central", _KERNEL_CENTRALS,
                          ids=["p1", "p1-thermal", "nv", "electron"])
 @pytest.mark.parametrize("prog", _KERNEL_PROGRAMS,
                          ids=["hahn", "cpmg-4", "xy8-2", "fixed-delay"])
 def test_kernel_matches_the_unrolled_oracle(central, prog):
-    # tau = 0 twice and a repeated tau: the zero-delay plan holds two
-    # schedules and the timed plan two equal columns
-    taus = (0.0, 1e-6, 3e-6, 3e-6, 0.0, 12e-6)
-    schedules = [compile_schedule(prog, tau) for tau in taus]
-    plans = dynamics._plans(schedules)
-    wc, vc = np.linalg.eigh(central.hamiltonian(72.0))
-    probes = [(vc[:, ia], vc[:, ib]) for ia, ib in
-              (level_pair(variant, vc)
-               for _, variant in dynamics._thermal_variants(central))]
-    spins = generate_bath(seed=4, n_spins=12).spins
-    for g in (1, 2, 3, 4):
-        groups = [list(spins[k:k + g]) for k in range(0, 12 - g + 1, g)]
-        w, v = np.linalg.eigh(build_hamiltonian_stack(central, groups, 72.0))
-        got = dynamics._group_curves(w, v, probes, plans, len(schedules))
-        for p, (a, b) in enumerate(probes):
-            want = group_curves_unrolled(w, v, a, b, plans, len(schedules))
-            assert np.abs(got[:, p] - want).max() <= 1e-12, (g, p)
+    # mixed: tau = 0 twice and a repeated tau, so the zero-delay plan holds
+    # two schedules and the timed plan two equal columns; every table is
+    # the direct exp.  uniform, the default grid: the timed plan's table
+    # is factorized and rounds its phase arguments differently.  At the
+    # NV's 2.9 GHz over 60 us (1.1e6 rad) one rounding of an argument is
+    # 1.2e-10 rad, and the oracle's direct exp itself is up to 3.9e-10
+    # from exact phases on XY8-2, so there the bound is 1e-9
+    grids = [((0.0, 1e-6, 3e-6, 3e-6, 0.0, 12e-6), False, 1e-12),
+             (np.linspace(0.0, 30e-6, 150), True,
+              1e-9 if isinstance(central, NVCenter) else 1e-10)]
+    for taus, uniform, tol in grids:
+        schedules, plans, probes, stacks = _kernel_inputs(
+            central, [(prog, tau) for tau in taus])
+        assert any(plan[4] is not None for plan in plans) == uniform
+        n = len(schedules)
+        for g, (w, v) in enumerate(stacks, 1):
+            got = dynamics._group_curves(w, v, probes, plans, n)
+            for p, (a, b) in enumerate(probes):
+                want = group_curves_unrolled(w, v, a, b, plans, n)
+                assert np.abs(got[:, p] - want).max() <= tol, (uniform, g, p)
+
+
+@pytest.mark.parametrize("central", [P1Center(), NVCenter()], ids=["p1", "nv"])
+@pytest.mark.parametrize("taus", [
+    np.geomspace(1e-7, 30e-6, 40),
+    np.linspace(0.0, 30e-6, 150) + np.where(np.arange(150) == 70, 1e-12, 0.0),
+], ids=["geometric", "one-tau-off"])
+def test_non_uniform_grid_keeps_the_direct_exp(central, taus, monkeypatch):
+    prog = expand_preset("xy8", 2)
+    schedules, plans, probes, stacks = _kernel_inputs(
+        central, [(prog, tau) for tau in taus])
+    assert all(plan[4] is None for plan in plans)
+    got = [dynamics._group_curves(w, v, probes, plans, len(schedules))
+           for w, v in stacks]
+    monkeypatch.setattr(dynamics, "_phase_table", lambda rate, durations, _:
+                        np.exp(rate[:, None, None] * durations))
+    for (w, v), curves in zip(stacks, got):
+        want = dynamics._group_curves(w, v, probes, plans, len(schedules))
+        assert curves.tobytes() == want.tobytes()
+
+
+def test_program_without_delays_runs_on_a_uniform_grid():
+    # one plan for every tau, with no row of durations to tabulate
+    prog = parse_sequence("pi/2(x) - pi/2(y)")
+    schedules = [compile_schedule(prog, tau)
+                 for tau in np.linspace(0.0, 30e-6, 10)]
+    group = [_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)]
+    for central in (P1Center(), NVCenter()):
+        signal = _echo(central, [group], schedules, 72.0)
+        assert (signal == group_signal(central, group, schedules[0],
+                                       72.0)).all()
 
 
 _coordinate = st.floats(-1.2, 1.2)

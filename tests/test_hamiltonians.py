@@ -366,8 +366,28 @@ def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
         assert stack.shape[0] == len(groups)
         for h, group in zip(stack, groups):
             want = group_hamiltonian(central, group, b, **options)
-            # bit for bit, zeros' signs included
-            assert h.tobytes() == want.tobytes()
+            # bit for bit on every nonzero; + 0.0 makes every zero +0
+            assert (h + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("central", [P1Center(), NVCenter(),
+                                     P1Center(m_i=None)],
+                         ids=["p1", "nv", "p1-thermal"])
+@pytest.mark.parametrize("options", [
+    {}, {"include_nn": False}, {"secular_hyperfine": True},
+    {"hyperfine_scale": 0.0}, {"hyperfine_scale": 0.5}])
+@pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
+def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
+                                                                options, b):
+    # the signs of zeros the stack may differ in do not reach eigh
+    for groups in _stacks():
+        w, v = np.linalg.eigh(build_hamiltonian_stack(central, groups, b,
+                                                      **options))
+        for wg, vg, group in zip(w, v, groups):
+            w1, v1 = np.linalg.eigh(group_hamiltonian(central, group, b,
+                                                      **options))
+            assert w1.tobytes() == wg.tobytes()
+            assert v1.tobytes() == vg.tobytes()
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(), BareElectron()],
