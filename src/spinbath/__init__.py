@@ -31,9 +31,7 @@ from .hamiltonians import (
     BareElectron,
     JtOrientation,
     NVCenter,
-    NVParams,
     P1Center,
-    P1Params,
     build_nv_hamiltonian,
     build_p1_hamiltonian,
     build_system_hamiltonian,
@@ -70,9 +68,7 @@ __all__ = [
     "BareElectron",
     "JtOrientation",
     "NVCenter",
-    "NVParams",
     "P1Center",
-    "P1Params",
     "build_nv_hamiltonian",
     "build_p1_hamiltonian",
     "build_system_hamiltonian",

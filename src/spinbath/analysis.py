@@ -7,7 +7,8 @@ statistics (neighbor distances, dipolar couplings, concentration from
 the instantaneous-diffusion time).
 
 Units: frequencies in Hz unless a name says MHz/kHz; times in seconds;
-fields in gauss; distances in nm; densities in nm^-3.
+fields in gauss; distances in nm; densities in nm^-3.  The center's
+constants come from constants.py (`spinbath dump-constants`).
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ import numpy as np
 from .constants import (
     GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
+    GAMMA_N14_HZ_PER_G,
     KAPPA_ID_PPM_US,
     dipole_prefactor_hz,
 )
-from .dynamics import EchoCurve
+from .dynamics import _STACK_BYTES, EchoCurve, _probed_states
 from .hamiltonians import (
+    _JT_AXES,
     JtOrientation,
-    P1Params,
     _field_vector,
     _p1_operators,
+    build_hamiltonian_stack,
     build_p1_hamiltonian,
-    build_system_hamiltonian,
     label_levels,
-    level_pair,
 )
 
 __all__ = [
@@ -118,7 +119,7 @@ class TransitionTable:
         return json.dumps(payload, indent=2)
 
 
-def transition_moment(eigvec_i, eigvec_f, params: P1Params) -> float:
+def transition_moment(eigvec_i, eigvec_f) -> float:
     """|<f| gamma_e S_x + gamma_n I_x |i>| on the six-level center, Hz/G.
 
     The raw transverse-moment matrix element; divide by the strongest
@@ -130,7 +131,7 @@ def transition_moment(eigvec_i, eigvec_f, params: P1Params) -> float:
     if vi.shape != (6,) or vf.shape != (6,):
         raise ValueError("eigenvectors must live in the six-level space")
     (sx, _, _), (ix, _, _) = _p1_operators()
-    op = params.gamma_e_hz * sx + params.gamma_n14 * ix
+    op = GAMMA_E_HZ_PER_G * sx + GAMMA_N14_HZ_PER_G * ix
     return abs(complex(vf.conj() @ (op @ vi)))
 
 
@@ -150,9 +151,10 @@ def _classify(label_i, label_f) -> str:
     return "double-quantum"
 
 
-def transition_table(params: P1Params, b_field,
-                     orientations=None) -> TransitionTable:
+def transition_table(b_field, orientations=None) -> TransitionTable:
     """All 15 pairwise gaps per bond orientation, labeled and classified.
+
+    orientations is a list of JtOrientation, by default all four.
 
     Labels come from the dominant product-basis component ("mixed" when
     no component exceeds 1/2); the kind follows the dominant-label
@@ -160,11 +162,10 @@ def transition_table(params: P1Params, b_field,
     are relative to the strongest electron line in the table.
     """
     if orientations is None:
-        orientations = [JtOrientation.on_axis(), JtOrientation.off_axis(1),
-                        JtOrientation.off_axis(2), JtOrientation.off_axis(3)]
+        orientations = [JtOrientation(label) for label in _JT_AXES]
     raw_rows = []
     for jt in orientations:
-        h = build_p1_hamiltonian(params, b_field, jt)
+        h = build_p1_hamiltonian(b_field, jt.axis)
         w, v = np.linalg.eigh(h)
         labels = label_levels(v, (2, 3))
         names = []
@@ -175,7 +176,7 @@ def transition_table(params: P1Params, b_field,
             for j in range(i + 1, 6):
                 freq_mhz = (w[j] - w[i]) / 1e6
                 kind = _classify(labels[i], labels[j])
-                moment = transition_moment(v[:, i], v[:, j], params)
+                moment = transition_moment(v[:, i], v[:, j])
                 raw_rows.append((freq_mhz, names[i], names[j], kind, moment,
                                  jt.label))
 
@@ -248,38 +249,37 @@ def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
     """Nuclear splitting of each bath spin, conditioned on the electron branch.
 
     For every bath spin the central+one-carbon Hamiltonian is
-    diagonalized; within each probed electron manifold (selected by
-    dominant central-eigenstate character) the two levels' gap is that
-    spin's conditional precession frequency.  `bins` is anything
-    numpy.histogram_bin_edges accepts; binning is shared by both
-    branches.
+    diagonalized (the spins as stacks of one-spin groups); within each
+    probed electron manifold (selected by dominant central-eigenstate
+    character) the two levels' gap is that spin's conditional precession
+    frequency.  `bins` is anything numpy.histogram_bin_edges accepts;
+    binning is shared by both branches.
     """
     if len(bath) == 0:
         raise ValueError("bath must be non-empty")
-    hc = central.hamiltonian(b_field)
-    _, vc = np.linalg.eigh(hc)
-    ia, ib = level_pair(central, vc)
-    branch_states = (vc[:, ia], vc[:, ib])
-    labels = _branch_labels(central)
-    dc = hc.shape[0]
+    branch_states = _probed_states(central, b_field)
+    dc = len(branch_states[0])
+    step = max(1, _STACK_BYTES // (16 * (dc << 1) ** 2))  # as _echo, size 1
 
     freqs: tuple[list[float], list[float]] = ([], [])
     flagged = []
-    for index, spin in enumerate(bath):
-        h = build_system_hamiltonian(central, [spin], b_field)
-        w, v = np.linalg.eigh(h)
-        ambiguous = False
-        for branch, cvec in enumerate(branch_states):
-            # weight of each eigenstate on this central level
-            m = v.reshape(dc, 2, len(w))
-            overlap = np.einsum("c,cbk->bk", cvec.conj(), m)
-            weight = np.abs(overlap[0]) ** 2 + np.abs(overlap[1]) ** 2
-            top = np.argsort(weight)[-2:]
-            if weight[top].min() < _MANIFOLD_THRESHOLD:
-                ambiguous = True
-            freqs[branch].append(abs(float(w[top[0]] - w[top[1]])))
-        if ambiguous:
-            flagged.append(index)
+    for start in range(0, len(bath), step):
+        ws, vs = np.linalg.eigh(build_hamiltonian_stack(
+            central, [[spin] for spin in bath.spins[start:start + step]],
+            b_field))
+        for index, (w, v) in enumerate(zip(ws, vs), start):
+            ambiguous = False
+            for branch, cvec in enumerate(branch_states):
+                # weight of each eigenstate on this central level
+                m = v.reshape(dc, 2, len(w))
+                overlap = np.einsum("c,cbk->bk", cvec.conj(), m)
+                weight = np.abs(overlap[0]) ** 2 + np.abs(overlap[1]) ** 2
+                top = np.argsort(weight)[-2:]
+                if weight[top].min() < _MANIFOLD_THRESHOLD:
+                    ambiguous = True
+                freqs[branch].append(abs(float(w[top[0]] - w[top[1]])))
+            if ambiguous:
+                flagged.append(index)
 
     pooled = np.array(freqs[0] + freqs[1])
     edges = np.histogram_bin_edges(pooled, bins=bins)
@@ -288,7 +288,7 @@ def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
         for f in freqs
     )
     return LarmorHistogram(
-        branch_labels=labels,
+        branch_labels=_branch_labels(central),
         frequencies=(tuple(freqs[0]), tuple(freqs[1])),
         bin_edges=tuple(float(e) for e in edges),
         counts=counts,

@@ -31,7 +31,7 @@ from .constants import (
     GAMMA_C13_HZ_PER_G,
     dipole_prefactor_hz,
 )
-from .hamiltonians import _dipole_tensors, _dipole_zz
+from .hamiltonians import _dipole_zz
 
 __all__ = [
     "BathSpin",
@@ -247,25 +247,20 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
     raise RuntimeError("bath generation failed to converge")  # pragma: no cover
 
 
-def _pair_couplings(pos, gamma, first, second, metric: str) -> np.ndarray:
+def _pair_couplings(pos, gamma, first, second) -> np.ndarray:
     """Coupling (Hz) of pairs (first[k], second[k]) of spins at pos with
     ratios gamma, 8192 at a time: |A_zz| of the point-dipole tensor (the
-    secular part) for "zz", else the tensor's norm, a dot product as in
-    np.linalg.norm; bit-identical to each pair's hyperfine_tensor.
+    secular part), bit-identical to each pair's hyperfine_tensor.
     """
     coupling = np.empty(len(first))
     for start in range(0, len(first), 8192):
         i, j = first[start:start + 8192], second[start:start + 8192]
-        args = pos.take(j, 0) - pos.take(i, 0), gamma[i], gamma[j]
-        if metric == "zz":
-            coupling[start:start + 8192] = np.abs(_dipole_zz(*args))
-        else:
-            tensors = _dipole_tensors(*args).reshape(-1, 9)
-            coupling[start:start + 8192] = np.sqrt(np.vecdot(tensors, tensors))
+        coupling[start:start + 8192] = np.abs(_dipole_zz(
+            pos.take(j, 0) - pos.take(i, 0), gamma[i], gamma[j]))
     return coupling
 
 
-def _descending_pairs(bath: Bath, metric: str):
+def _descending_pairs(bath: Bath):
     """Pairs (i, j), i < j, by descending coupling, ties by the lower pair.
 
     Lazy, so a visit that stops early skips most couplings.  Each round
@@ -294,8 +289,7 @@ def _descending_pairs(bath: Bath, metric: str):
         else:
             window, bound = np.ones(total, dtype=bool), -1.0
         new = np.flatnonzero(window & ~done)
-        coupling[new] = _pair_couplings(pos, gamma, first[new], second[new],
-                                        metric)
+        coupling[new] = _pair_couplings(pos, gamma, first[new], second[new])
         done = window
         # pair order ascending, so the stable sort breaks ties by it
         ready = np.flatnonzero(window & (coupling > bound)
@@ -307,7 +301,7 @@ def _descending_pairs(bath: Bath, metric: str):
         width, upper = 4 * width, bound
 
 
-def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
+def cluster_bath(bath: Bath, g: int = 3) -> Partition:
     """Greedy agglomeration into groups of size at most g.
 
     All pairs are visited in order of descending coupling (ties broken by
@@ -318,8 +312,6 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
     """
     if g < 1:
         raise ValueError("g must be at least 1")
-    if metric not in ("zz", "frobenius"):
-        raise ValueError(f"unknown clustering metric {metric!r}")
     n = len(bath)
     parent = list(range(n))
     size = [1] * n
@@ -332,7 +324,7 @@ def cluster_bath(bath: Bath, g: int = 3, *, metric: str = "zz") -> Partition:
         return i
 
     if g > 1 and n > 1:
-        for i, j in _descending_pairs(bath, metric):
+        for i, j in _descending_pairs(bath):
             ri, rj = find(i), find(j)
             if ri == rj:
                 continue

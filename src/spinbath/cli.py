@@ -24,8 +24,9 @@ import numpy as np
 # analysis is imported by the commands that use it, not at start-up
 from .bathgen import check_bath_parameters, generate_bath
 from .constants import constants_table, ppm_to_density_nm3
-from .dynamics import SimulationConfig, ensemble_signal, field_scan, scan_csv
-from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center, P1Params
+from .dynamics import (SimulationConfig, _probed_states, ensemble_signal,
+                       field_scan, scan_csv)
+from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center
 from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
                      expand_preset, parse_sequence)
 
@@ -81,17 +82,9 @@ def _parse_field_list(text: str) -> list[float]:
 
 
 def _make_jt(name: str) -> JtOrientation:
+    """A JtOrientation by label; "off-axis" names off-axis-1."""
     key = name.lower()
-    table = {
-        "on-axis": JtOrientation.on_axis,
-        "off-axis": lambda: JtOrientation.off_axis(1),
-        "off-axis-1": lambda: JtOrientation.off_axis(1),
-        "off-axis-2": lambda: JtOrientation.off_axis(2),
-        "off-axis-3": lambda: JtOrientation.off_axis(3),
-    }
-    if key not in table:
-        raise _CliError(f"unknown orientation '{name}'")
-    return table[key]()
+    return JtOrientation("off-axis-1" if key == "off-axis" else key)
 
 
 def _make_central(kind: str, jt: str, m_i: str):
@@ -292,7 +285,7 @@ def _cmd_spectrum(resolved: dict) -> int:
     orientations = None if jt == "all" else [_make_jt(jt)]
     if resolved["dry_run"]:
         return _dry_run(resolved)
-    table = transition_table(P1Params(), b, orientations)
+    table = transition_table(b, orientations)
     _emit(resolved, "spectrum", table.to_csv(),
           {**json.loads(table.to_json()), "metadata": resolved}, resolved)
     return 0
@@ -339,6 +332,7 @@ def _cmd_larmor_dist(resolved: dict) -> int:
     if resolved["min_radius"] is not None:
         kwargs["min_radius"] = resolved["min_radius"]
     check_bath_parameters(resolved["n_spins"], resolved["abundance"], **kwargs)
+    _probed_states(central, b)  # raises if the pair is unaddressable
     if resolved["dry_run"]:
         return _dry_run(resolved)
     bath = generate_bath(resolved["seed"], resolved["n_spins"],

@@ -3,8 +3,8 @@
 Units
 -----
     magnetic field      gauss (G)
-    gyromagnetic ratio  Hz/G (electron values also quoted in MHz/G where
-                        the parameter records mirror the common notation)
+    gyromagnetic ratio  Hz/G (the electron's also in MHz/G, the common
+                        notation, which run metadata records)
     energy / coupling   ordinary frequency, Hz (every Hamiltonian is E/h;
                         the factor 2*pi is supplied by the propagator)
     distance            nm

@@ -38,7 +38,14 @@ import numpy as np
 
 from . import bathgen, hamiltonians, pulses
 from .bathgen import Bath, Partition, child_seed
-from .constants import DIAMOND_BOND_NM
+from .constants import (
+    A_PAR_MHZ,
+    A_PERP_MHZ,
+    D_NV_MHZ,
+    DIAMOND_BOND_NM,
+    GAMMA_E_MHZ_PER_G,
+    Q_N14_MHZ,
+)
 from .hamiltonians import NVCenter, P1Center
 from .pulses import (
     Interval,
@@ -107,22 +114,21 @@ class SimulationConfig:
         _probes(self.central, self.b_field)  # raises if unaddressable
 
     def describe(self) -> dict:
-        """JSON-ready echo of the configuration."""
+        """JSON-ready echo of the configuration, the central spin's
+        constants (from constants.py) included."""
         central = self.central
         info: dict = {"type": type(central).__name__}
         if isinstance(central, P1Center):
             info.update(m_i=central.m_i, jt_label=central.jt.label,
                         jt_axis=list(central.jt.axis),
-                        gamma_e_mhz_per_g=central.params.gamma_e,
-                        a_par_mhz=central.params.a_par,
-                        a_perp_mhz=central.params.a_perp,
-                        q_mhz=central.params.q)
+                        gamma_e_mhz_per_g=GAMMA_E_MHZ_PER_G,
+                        a_par_mhz=A_PAR_MHZ, a_perp_mhz=A_PERP_MHZ,
+                        q_mhz=Q_N14_MHZ)
         elif isinstance(central, NVCenter):
-            info.update(levels=list(central.levels),
-                        d_zfs_mhz=central.params.d_zfs,
-                        gamma_e_mhz_per_g=central.params.gamma_e)
+            info.update(levels=list(central.levels), d_zfs_mhz=D_NV_MHZ,
+                        gamma_e_mhz_per_g=GAMMA_E_MHZ_PER_G)
         else:
-            info.update(gamma_e_mhz_per_g=central.gamma_e)
+            info.update(gamma_e_mhz_per_g=GAMMA_E_MHZ_PER_G)
         return {
             "schema_version": _SCHEMA_VERSION,
             "central": info,
@@ -214,13 +220,18 @@ def _thermal_variants(central):
     return [(1.0, central)]
 
 
-def _probes(central, b_field) -> list:
-    """The (a, b) central eigenvectors of each variant's probed pair;
-    level_pair raises where state mixing leaves it unaddressable."""
+def _probed_states(central, b_field) -> tuple:
+    """The (a, b) central eigenvectors of central.probed; level_pair raises
+    where state mixing leaves the pair unaddressable (a thermal nitrogen
+    has no pair)."""
     vc = np.linalg.eigh(central.hamiltonian(b_field))[1]
-    return [(vc[:, ia], vc[:, ib]) for ia, ib in
-            (hamiltonians.level_pair(variant, vc)
-             for _, variant in _thermal_variants(central))]
+    return tuple(vc[:, k] for k in hamiltonians.level_pair(central, vc))
+
+
+def _probes(central, b_field) -> list:
+    """_probed_states of each thermal variant of central."""
+    return [_probed_states(variant, b_field)
+            for _, variant in _thermal_variants(central)]
 
 
 def _pair_unitary(steps) -> np.ndarray:

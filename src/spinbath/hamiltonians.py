@@ -8,6 +8,10 @@ complex arrays.  Basis conventions:
       first, then the bath carbons in the order the group lists them;
     * the NV keeps its full spin-1 triplet as the central slot.
 
+The defect constants (gyromagnetic ratios, the 14N hyperfine and
+quadrupole constants, the NV zero-field splitting) are read from
+constants.py; `spinbath dump-constants` prints them.
+
 Zeeman terms are assembled with the physical magnetic-moment sign,
 H_Z = -gamma B . S, for electrons and nuclei alike, with signed
 gyromagnetic ratios.  The -gamma convention (rather than a literal
@@ -29,8 +33,7 @@ from .constants import (
     A_PAR_MHZ,
     A_PERP_MHZ,
     D_NV_MHZ,
-    GAMMA_C13_HZ_PER_G,
-    GAMMA_E_MHZ_PER_G,
+    GAMMA_E_HZ_PER_G,
     GAMMA_N14_HZ_PER_G,
     MU0_SI,
     PLANCK_SI,
@@ -39,8 +42,6 @@ from .constants import (
 from .spinops import CompositeSpace, embed, spin_operators
 
 __all__ = [
-    "P1Params",
-    "NVParams",
     "JtOrientation",
     "P1Center",
     "NVCenter",
@@ -58,92 +59,46 @@ __all__ = [
 _OFF_AXIS_COS = -1.0 / 3.0  # tetrahedral bond angle to the field axis
 
 
-@dataclass(frozen=True)
-class P1Params:
-    """Constants of the substitutional-nitrogen center.
-
-    gamma_e is in MHz/G; the nuclear ratio in Hz/G; hyperfine and
-    quadrupole constants in MHz.  Defaults satisfy a_par > a_perp > 0.
-    """
-
-    gamma_e: float = GAMMA_E_MHZ_PER_G
-    gamma_n14: float = GAMMA_N14_HZ_PER_G
-    a_par: float = A_PAR_MHZ
-    a_perp: float = A_PERP_MHZ
-    q: float = Q_N14_MHZ
-
-    def __post_init__(self):
-        for name in ("gamma_e", "gamma_n14", "a_par", "a_perp", "q"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-    @property
-    def gamma_e_hz(self) -> float:
-        return self.gamma_e * 1e6
+def _off_axis(k: int) -> tuple[float, float, float]:
+    """Unit vector of bond k = 1..3: the tetrahedral angle, azimuth
+    120 (k - 1) degrees; the division by its norm moves the last bit for
+    k = 1 and 2."""
+    sin_t = math.sqrt(1.0 - _OFF_AXIS_COS ** 2)
+    phi = 2.0 * math.pi * (k - 1) / 3.0
+    v = np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), _OFF_AXIS_COS])
+    return tuple(float(x) for x in v / np.linalg.norm(v))
 
 
-@dataclass(frozen=True)
-class NVParams:
-    """NV ground-state constants: zero-field splitting (MHz), gamma_e (MHz/G)."""
-
-    d_zfs: float = D_NV_MHZ
-    gamma_e: float = GAMMA_E_MHZ_PER_G
-
-    def __post_init__(self):
-        if not (math.isfinite(self.d_zfs) and self.d_zfs > 0):
-            raise ValueError("d_zfs must be positive and finite")
-        if not math.isfinite(self.gamma_e):
-            raise ValueError("gamma_e must be finite")
-
-    @property
-    def gamma_e_hz(self) -> float:
-        return self.gamma_e * 1e6
+# unit vector of each bond axis, by label
+_JT_AXES = {"on-axis": (0.0, 0.0, 1.0),
+            **{f"off-axis-{k}": _off_axis(k) for k in (1, 2, 3)}}
 
 
 @dataclass(frozen=True)
 class JtOrientation:
-    """Principal axis of the nitrogen center's distorted bond.
+    """Principal axis of the nitrogen center's distorted bond, by label.
 
     Four crystallographic choices exist relative to a field along the
-    symmetry axis: one aligned and three at the tetrahedral angle
-    (cos theta = -1/3, i.e. 109.47 degrees).  The label is validated
-    against the axis; 'custom' axes are accepted unvalidated for frame
-    tests.
+    symmetry axis: one aligned (on-axis) and three at the tetrahedral
+    angle (cos theta = -1/3, i.e. 109.47 degrees), 120 degrees apart in
+    azimuth (off-axis-1..3).  The axis comes from _JT_AXES.
     """
 
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     label: str = "on-axis"
 
     def __post_init__(self):
-        v = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("axis must be non-zero")
-        v = v / norm
-        object.__setattr__(self, "axis", (float(v[0]), float(v[1]), float(v[2])))
-        cos_z = v[2]
-        if self.label == "on-axis":
-            if abs(cos_z - 1.0) > 1e-9:
-                raise ValueError("on-axis label requires the axis along z")
-        elif self.label in ("off-axis-1", "off-axis-2", "off-axis-3"):
-            # 0.01 degree tolerance on the tetrahedral angle
-            if abs(abs(cos_z) - 1.0 / 3.0) > 1.7e-4:
-                raise ValueError("off-axis label requires a 109.47 degree axis")
-        elif self.label != "custom":
+        if self.label not in _JT_AXES:
             raise ValueError(f"unknown orientation label {self.label!r}")
 
-    @classmethod
-    def on_axis(cls) -> "JtOrientation":
-        return cls((0.0, 0.0, 1.0), "on-axis")
+    @property
+    def axis(self) -> tuple[float, float, float]:
+        return _JT_AXES[self.label]
 
     @classmethod
     def off_axis(cls, k: int = 1) -> "JtOrientation":
         if k not in (1, 2, 3):
             raise ValueError("off-axis index must be 1, 2 or 3")
-        sin_t = math.sqrt(1.0 - _OFF_AXIS_COS ** 2)
-        phi = 2.0 * math.pi * (k - 1) / 3.0
-        axis = (sin_t * math.cos(phi), sin_t * math.sin(phi), _OFF_AXIS_COS)
-        return cls(axis, f"off-axis-{k}")
+        return cls(f"off-axis-{k}")
 
 
 def _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g):
@@ -249,14 +204,14 @@ def _p1_operators():
             tuple(embed(o, 1, space) for o in (one.sx, one.sy, one.sz)))
 
 
-def build_p1_hamiltonian(params: P1Params, b, jt) -> np.ndarray:
+def build_p1_hamiltonian(b, axis) -> np.ndarray:
     """Six-level Hamiltonian of the nitrogen center in Hz.
 
     Zeeman terms for the electron and the 14N, the axial/transverse
-    hyperfine coupling along the bond axis, and the nuclear quadrupole
-    term.  `jt` is a JtOrientation or a raw axis vector.
+    hyperfine coupling along the bond axis (a 3-vector, e.g. a
+    JtOrientation's axis), and the nuclear quadrupole term, with the
+    constants of constants.py.
     """
-    axis = jt.axis if isinstance(jt, JtOrientation) else jt
     b_vec = _field_vector(b)
     s_ops, i_ops = _p1_operators()
 
@@ -268,21 +223,21 @@ def build_p1_hamiltonian(params: P1Params, b, jt) -> np.ndarray:
 
     s_zp = along(s_ops, zp)
     i_zp = along(i_ops, zp)
-    h = _zeeman(params.gamma_e_hz, b_vec, s_ops)
-    h = h + _zeeman(params.gamma_n14, b_vec, i_ops)
-    h = h + params.a_par * 1e6 * (s_zp @ i_zp)
-    h = h + params.a_perp * 1e6 * (along(s_ops, xp) @ along(i_ops, xp)
-                                   + along(s_ops, yp) @ along(i_ops, yp))
-    h = h + params.q * 1e6 * (i_zp @ i_zp)
+    h = _zeeman(GAMMA_E_HZ_PER_G, b_vec, s_ops)
+    h = h + _zeeman(GAMMA_N14_HZ_PER_G, b_vec, i_ops)
+    h = h + A_PAR_MHZ * 1e6 * (s_zp @ i_zp)
+    h = h + A_PERP_MHZ * 1e6 * (along(s_ops, xp) @ along(i_ops, xp)
+                                + along(s_ops, yp) @ along(i_ops, yp))
+    h = h + Q_N14_MHZ * 1e6 * (i_zp @ i_zp)
     return h
 
 
-def build_nv_hamiltonian(params: NVParams, b) -> np.ndarray:
+def build_nv_hamiltonian(b) -> np.ndarray:
     """Spin-1 NV ground-state Hamiltonian, symmetry axis fixed to z."""
     b_vec = _field_vector(b)
     one = spin_operators(1.0)
-    h = params.d_zfs * 1e6 * (one.sz @ one.sz)
-    return h + _zeeman(params.gamma_e_hz, b_vec, (one.sx, one.sy, one.sz))
+    h = D_NV_MHZ * 1e6 * (one.sz @ one.sz)
+    return h + _zeeman(GAMMA_E_HZ_PER_G, b_vec, (one.sx, one.sy, one.sz))
 
 
 def label_levels(evecs: np.ndarray, dims: tuple[int, ...]):
@@ -320,7 +275,6 @@ class P1Center:
     a thermal nitrogen, averaged over all three projections.
     """
 
-    params: P1Params = field(default_factory=P1Params)
     jt: JtOrientation = field(default_factory=lambda: JtOrientation.off_axis(1))
     m_i: int | None = -1
 
@@ -332,12 +286,8 @@ class P1Center:
     def dims(self) -> tuple[int, ...]:
         return (2, 3)
 
-    @property
-    def gamma_e_hz(self) -> float:
-        return self.params.gamma_e_hz
-
     def hamiltonian(self, b) -> np.ndarray:
-        return build_p1_hamiltonian(self.params, b, self.jt)
+        return build_p1_hamiltonian(b, self.jt.axis)
 
     def electron_ops(self):
         return list(_p1_operators()[0])
@@ -355,7 +305,6 @@ class P1Center:
 class NVCenter:
     """An NV center probed on a two-level subspace of the triplet."""
 
-    params: NVParams = field(default_factory=NVParams)
     levels: tuple[int, int] = (0, -1)
 
     def __post_init__(self):
@@ -368,12 +317,8 @@ class NVCenter:
     def dims(self) -> tuple[int, ...]:
         return (3,)
 
-    @property
-    def gamma_e_hz(self) -> float:
-        return self.params.gamma_e_hz
-
     def hamiltonian(self, b) -> np.ndarray:
-        return build_nv_hamiltonian(self.params, b)
+        return build_nv_hamiltonian(b)
 
     def electron_ops(self):
         one = spin_operators(1.0)
@@ -389,20 +334,14 @@ class NVCenter:
 class BareElectron:
     """A lone spin-1/2 electron; the reduction used for closed-form checks."""
 
-    gamma_e: float = GAMMA_E_MHZ_PER_G  # MHz/G
-
     @property
     def dims(self) -> tuple[int, ...]:
         return (2,)
 
-    @property
-    def gamma_e_hz(self) -> float:
-        return self.gamma_e * 1e6
-
     def hamiltonian(self, b) -> np.ndarray:
         b_vec = _field_vector(b)
         half = spin_operators(0.5)
-        return _zeeman(self.gamma_e_hz, b_vec, (half.sx, half.sy, half.sz))
+        return _zeeman(GAMMA_E_HZ_PER_G, b_vec, (half.sx, half.sy, half.sz))
 
     def electron_ops(self):
         half = spin_operators(0.5)
@@ -467,7 +406,7 @@ def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
     # per group: the k electron-carbon tensors, then the carbon pairs'
     tensors = _dipole_tensors(
         np.concatenate([pos, pos[:, j] - pos[:, i]], axis=1),
-        np.concatenate([np.full((n, k), central.gamma_e_hz), gamma[:, i]],
+        np.concatenate([np.full((n, k), GAMMA_E_HZ_PER_G), gamma[:, i]],
                        axis=1).ravel(),
         np.concatenate([gamma, gamma[:, j]], axis=1).ravel()).reshape(n, -1, 9)
     hyperfine = hyperfine_scale * tensors[:, :k]

@@ -28,6 +28,7 @@ from spinbath.constants import (
     DIAMOND_ATOM_DENSITY_NM3,
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
+    GAMMA_E_HZ_PER_G,
     dipole_prefactor_hz,
 )
 from spinbath.hamiltonians import (_dense_terms, _field_vector,
@@ -198,7 +199,7 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
         tensor = np.zeros((3, 3))
         if hyperfine_scale != 0.0:
             tensor = hyperfine_scale * scalar_dipole_tensor(
-                spin.position, central.gamma_e_hz, spin.gamma)
+                spin.position, GAMMA_E_HZ_PER_G, spin.gamma)
         if secular_hyperfine:
             tensor[:2] = 0.0
         coeffs += [-spin.gamma * b_vec, tensor.ravel()]
@@ -264,35 +265,29 @@ def _term_stack(central, k: int) -> np.ndarray:
     return _TERM_STACKS[key]
 
 
-def pair_coupling(spin_i: BathSpin, spin_j: BathSpin, *,
-                  metric: str = "zz") -> float:
-    """Coupling magnitude (Hz) of two bath spins from the scalar tensor:
-    |A_zz| for "zz", the tensor's norm for "frobenius"."""
+def pair_coupling(spin_i: BathSpin, spin_j: BathSpin) -> float:
+    """Coupling magnitude (Hz) of two bath spins, |A_zz| of the scalar
+    tensor."""
     r = np.asarray(spin_j.position) - np.asarray(spin_i.position)
-    tensor = hyperfine_tensor(r, spin_i.gamma, spin_j.gamma)
-    if metric == "zz":
-        return abs(float(tensor[2, 2]))
-    if metric == "frobenius":
-        return float(np.linalg.norm(tensor))
-    raise ValueError(f"unknown clustering metric {metric!r}")
+    return abs(float(hyperfine_tensor(r, spin_i.gamma, spin_j.gamma)[2, 2]))
 
 
-def every_pair_coupling(bath: Bath, metric: str = "zz"):
+def every_pair_coupling(bath: Bath):
     """(i, j, coupling) of every pair i < j, in pair order."""
     pos = np.array([s.position for s in bath.spins])
     gamma = np.array([s.gamma for s in bath.spins])
     first, second = np.triu_indices(len(bath), 1)
-    return first, second, _pair_couplings(pos, gamma, first, second, metric)
+    return first, second, _pair_couplings(pos, gamma, first, second)
 
 
 @functools.lru_cache(maxsize=2)
-def _pairs_by_coupling(bath: Bath, metric: str):
-    first, second, coupling = every_pair_coupling(bath, metric)
+def _pairs_by_coupling(bath: Bath):
+    first, second, coupling = every_pair_coupling(bath)
     order = np.lexsort((second, first, -coupling))
     return list(zip(first[order].tolist(), second[order].tolist()))
 
 
-def cluster_every_pair(bath: Bath, g: int, metric: str = "zz") -> Partition:
+def cluster_every_pair(bath: Bath, g: int) -> Partition:
     """Greedy clustering that visits all pairs, with no early stop."""
     n = len(bath)
     parent = list(range(n))
@@ -303,7 +298,7 @@ def cluster_every_pair(bath: Bath, g: int, metric: str = "zz") -> Partition:
             i = parent[i]
         return i
 
-    for i, j in _pairs_by_coupling(bath, metric) if n > 1 else ():
+    for i, j in _pairs_by_coupling(bath) if n > 1 else ():
         ri, rj = find(i), find(j)
         if ri != rj and size[ri] + size[rj] <= g:
             ri, rj = min(ri, rj), max(ri, rj)

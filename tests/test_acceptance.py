@@ -32,7 +32,6 @@ from spinbath.hamiltonians import (
     JtOrientation,
     NVCenter,
     P1Center,
-    P1Params,
     hyperfine_tensor,
 )
 from spinbath.pulses import (
@@ -136,8 +135,8 @@ def test_criterion_2_revival_time_scales_inversely_with_field(nv_desk_curves,
 def test_criterion_3_transition_spectroscopy(accept):
     off = [JtOrientation.off_axis(1)]
     t0 = time.perf_counter()
-    t72 = transition_table(P1Params(), 72.0, off)
-    t32 = transition_table(P1Params(), 32.0, off)
+    t72 = transition_table(72.0, off)
+    t32 = transition_table(32.0, off)
     elapsed = time.perf_counter() - t0
     f72 = [r.freq_mhz for r in t72]
     n32 = [r.freq_mhz for r in t32 if r.kind == "nuclear"]

@@ -36,7 +36,6 @@ from spinbath.hamiltonians import (
     JtOrientation,
     NVCenter,
     P1Center,
-    P1Params,
     build_p1_hamiltonian,
 )
 
@@ -44,7 +43,7 @@ from spinbath.hamiltonians import (
 # --- transition spectroscopy -------------------------------------------------
 
 def test_transition_table_covers_all_orientations():
-    table = transition_table(P1Params(), 72.0)
+    table = transition_table(72.0)
     assert len(table) == 4 * 15
     assert {r.orientation for r in table} == {
         "on-axis", "off-axis-1", "off-axis-2", "off-axis-3"}
@@ -53,8 +52,7 @@ def test_transition_table_covers_all_orientations():
 
 
 def test_off_axis_resonances_at_72_gauss():
-    table = transition_table(P1Params(), 72.0,
-                             [JtOrientation.off_axis(1)])
+    table = transition_table(72.0, [JtOrientation.off_axis(1)])
     electron = [r.freq_mhz for r in table if r.kind == "electron"]
     nuclear = [r.freq_mhz for r in table if r.kind == "nuclear"]
     assert min(abs(f - 144.0) for f in electron) <= 2.0
@@ -62,8 +60,7 @@ def test_off_axis_resonances_at_72_gauss():
 
 
 def test_nuclear_resonance_at_32_gauss():
-    table = transition_table(P1Params(), 32.0,
-                             [JtOrientation.off_axis(1)])
+    table = transition_table(32.0, [JtOrientation.off_axis(1)])
     nuclear = [r.freq_mhz for r in table if r.kind == "nuclear"]
     assert min(abs(f - 90.0) for f in nuclear) <= 2.0
 
@@ -71,15 +68,15 @@ def test_nuclear_resonance_at_32_gauss():
 def test_azimuthal_orientations_share_a_spectrum():
     # with the field along z the three tetrahedral bonds differ only by
     # azimuth, so their line positions coincide
-    t1 = transition_table(P1Params(), 72.0, [JtOrientation.off_axis(1)])
-    t2 = transition_table(P1Params(), 72.0, [JtOrientation.off_axis(2)])
+    t1 = transition_table(72.0, [JtOrientation.off_axis(1)])
+    t2 = transition_table(72.0, [JtOrientation.off_axis(2)])
     f1 = sorted(r.freq_mhz for r in t1)
     f2 = sorted(r.freq_mhz for r in t2)
     assert f1 == pytest.approx(f2, abs=1e-6)
 
 
 def test_moment_normalization_and_scale():
-    table = transition_table(P1Params(), 72.0)
+    table = transition_table(72.0)
     electron = [r.moment for r in table if r.kind == "electron"]
     assert max(electron) == pytest.approx(1.0, abs=1e-12)
     assert all(m <= 1.0 + 1e-9 for m in electron)
@@ -99,24 +96,24 @@ def test_moment_of_unmixed_states_is_the_gyromagnetic_ratio():
     basis = np.eye(6)
     # slots: |mS, mI> with mS in (+1/2, -1/2), mI in (+1, 0, -1)
     up0, up_m1, dn0 = basis[:, 1], basis[:, 2], basis[:, 4]
-    m_nuc = transition_moment(up0, up_m1, P1Params())
-    m_el = transition_moment(up0, dn0, P1Params())
+    m_nuc = transition_moment(up0, up_m1)
+    m_el = transition_moment(up0, dn0)
     assert m_nuc / m_el == pytest.approx(
         math.sqrt(2.0) * GAMMA_N14_HZ_PER_G / abs(GAMMA_E_HZ_PER_G), rel=1e-12)
     assert m_nuc / m_el == pytest.approx(1.1e-4, rel=0.5)
 
 
 def test_transition_moment_raw_units():
-    h = build_p1_hamiltonian(P1Params(), 72.0, JtOrientation.on_axis())
+    h = build_p1_hamiltonian(72.0, JtOrientation("on-axis").axis)
     w, v = np.linalg.eigh(h)
-    m = transition_moment(v[:, 0], v[:, 1], P1Params())
+    m = transition_moment(v[:, 0], v[:, 1])
     assert m >= 0
     with pytest.raises(ValueError):
-        transition_moment(np.ones(3), np.ones(3), P1Params())
+        transition_moment(np.ones(3), np.ones(3))
 
 
 def test_labels_name_both_projections():
-    table = transition_table(P1Params(), 72.0, [JtOrientation.on_axis()])
+    table = transition_table(72.0, [JtOrientation("on-axis")])
     labels = {r.from_label for r in table} | {r.to_label for r in table}
     named = {lb for lb in labels if lb != "mixed"}
     assert named <= {f"mS={s},mI={m:+d}"
@@ -139,7 +136,7 @@ def test_transition_row_validation():
 
 
 def test_transition_table_serialization_round_trip():
-    table = transition_table(P1Params(), 72.0, [JtOrientation.off_axis(1)])
+    table = transition_table(72.0, [JtOrientation.off_axis(1)])
     rows = list(csv.DictReader(io.StringIO(table.to_csv())))
     assert len(rows) == len(table)
     for parsed, row in zip(rows, table.rows):

@@ -280,14 +280,6 @@ def test_pair_coupling_vanishes_at_magic_angle():
         s1, BathSpin(position=(0.3, 0.0, 1.0)))
 
 
-def test_pair_coupling_metrics():
-    s1 = BathSpin(position=(0.0, 0.0, 0.5))
-    s2 = BathSpin(position=(0.4, 0.0, 0.8))
-    assert pair_coupling(s1, s2, metric="frobenius") > pair_coupling(s1, s2)
-    with pytest.raises(ValueError):
-        pair_coupling(s1, s2, metric="trace")
-
-
 def test_partition_validation():
     Partition(groups=((0, 1), (2,)), g=2, n_spins=3)
     with pytest.raises(ValueError):
@@ -321,14 +313,14 @@ def test_cluster_g1_gives_singletons():
         cluster_bath(bath, g=0)
 
 
-@pytest.mark.parametrize("metric", ["zz", "frobenius"])
-@pytest.mark.parametrize("n_spins", [125, 400])
-def test_early_stop_keeps_the_partition_of_the_full_visit(n_spins, metric):
+# the "-zz" ids name the coupling clustering ranks pairs by, |A_zz|
+@pytest.mark.parametrize("n_spins", [125, 400], ids=["125-zz", "400-zz"])
+def test_early_stop_keeps_the_partition_of_the_full_visit(n_spins):
     for seed in range(20):
         bath = generate_bath(seed=seed, n_spins=n_spins)
         for g in range(1, 6):
-            assert (cluster_bath(bath, g, metric=metric)
-                    == cluster_every_pair(bath, g, metric)), (seed, g)
+            assert cluster_bath(bath, g) == cluster_every_pair(bath, g), \
+                (seed, g)
 
 
 # on a 0.01 nm grid, so that equal couplings (ties) come up often
@@ -346,13 +338,12 @@ _drawn_spin = st.builds(
                lambda spins: all(a.position != b.position for a, b
                                  in itertools.combinations(spins, 2))).map(
                lambda spins: Bath(spins=tuple(spins), seed=0))),
-       g=st.integers(1, 5), metric=st.sampled_from(["zz", "frobenius"]))
-def test_partition_covers_the_bath_and_equals_the_every_pair_visit(
-        bath, g, metric):
-    part = cluster_bath(bath, g, metric=metric)
+       g=st.integers(1, 5))
+def test_partition_covers_the_bath_and_equals_the_every_pair_visit(bath, g):
+    part = cluster_bath(bath, g)
     assert sorted(i for group in part for i in group) == list(range(len(bath)))
     assert all(1 <= len(group) <= g for group in part)
-    assert part == cluster_every_pair(bath, g, metric)
+    assert part == cluster_every_pair(bath, g)
 
 
 def _mixed_gamma_bath(seed):
@@ -365,23 +356,22 @@ def _mixed_gamma_bath(seed):
     return Bath(spins=tuple(spins), seed=seed)
 
 
-@pytest.mark.parametrize("metric", ["zz", "frobenius"])
 @pytest.mark.parametrize("make_bath", [
     lambda seed: generate_bath(seed=seed, n_spins=150, lattice=False),
     _mixed_gamma_bath,
-], ids=["continuum", "mixed-gamma"])
-def test_early_stop_keeps_the_partition_on_other_baths(make_bath, metric):
+], ids=["continuum-zz", "mixed-gamma-zz"])
+def test_early_stop_keeps_the_partition_on_other_baths(make_bath):
     for seed in range(5):
         bath = make_bath(seed)
         for g in range(1, 6):
-            assert (cluster_bath(bath, g, metric=metric)
-                    == cluster_every_pair(bath, g, metric)), (seed, g)
+            assert cluster_bath(bath, g) == cluster_every_pair(bath, g), \
+                (seed, g)
 
 
-def _scalar_couplings(bath, metric="zz"):
+def _scalar_couplings(bath):
     """(i, j, coupling) of every pair i < j through pair_coupling."""
     pairs = list(itertools.combinations(range(len(bath)), 2))
-    return pairs, [pair_coupling(bath.spins[i], bath.spins[j], metric=metric)
+    return pairs, [pair_coupling(bath.spins[i], bath.spins[j])
                    for i, j in pairs]
 
 
@@ -406,33 +396,26 @@ def _scalar_greedy_groups(n, pairs, couplings, g):
     return tuple(tuple(m) for m in sorted(members.values()))
 
 
-def _check_against_scalar(bath, metric):
+def _check_against_scalar(bath):
     # bit-equal couplings are what keep the greedy order, ties included
-    first, second, coupling = every_pair_coupling(bath, metric)
-    pairs, scalar = _scalar_couplings(bath, metric)
+    first, second, coupling = every_pair_coupling(bath)
+    pairs, scalar = _scalar_couplings(bath)
     assert list(zip(first.tolist(), second.tolist())) == pairs
     assert np.array_equal(coupling, scalar)
-    assert cluster_bath(bath, g=3, metric=metric).groups == \
+    assert cluster_bath(bath, g=3).groups == \
         _scalar_greedy_groups(len(bath), pairs, scalar, 3)
 
 
 @pytest.mark.parametrize("n_spins,seeds", [(125, range(10)), (400, range(2))])
 def test_vectorised_clustering_matches_scalar_pair_loop(n_spins, seeds):
     for seed in seeds:
-        _check_against_scalar(generate_bath(seed=seed, n_spins=n_spins), "zz")
-
-
-def test_frobenius_clustering_matches_scalar_pair_loop():
-    bath = generate_bath(seed=4, n_spins=40)
-    _check_against_scalar(bath, "frobenius")
-    with pytest.raises(ValueError, match="metric"):
-        cluster_bath(bath, g=3, metric="trace")
+        _check_against_scalar(generate_bath(seed=seed, n_spins=n_spins))
 
 
 @pytest.mark.parametrize("n_spins,lattice", [(400, True), (125, False)],
                          ids=["bath-large-nv", "continuum"])
 def test_zz_couplings_equal_the_tensor_element(n_spins, lattice):
-    # the zz metric computes A_zz alone; it must keep every bit of the
+    # clustering computes A_zz alone; it must keep every bit of the
     # tensor's element, signed zeros included
     bath = generate_bath(child_seed(0, 0), n_spins=n_spins, lattice=lattice)
     pos = np.array([s.position for s in bath.spins])
@@ -441,7 +424,7 @@ def test_zz_couplings_equal_the_tensor_element(n_spins, lattice):
     args = pos[second] - pos[first], gamma[first], gamma[second]
     tensor_zz = _dipole_tensors(*args)[:, 2, 2]
     assert _dipole_zz(*args).tobytes() == tensor_zz.tobytes()
-    coupling = bathgen._pair_couplings(pos, gamma, first, second, "zz")
+    coupling = bathgen._pair_couplings(pos, gamma, first, second)
     assert coupling.tobytes() == np.abs(tensor_zz).tobytes()
 
 
@@ -489,7 +472,7 @@ def test_greedy_quality_statistic():
     worst-pair-beats-best-external reading is unattainable for any
     size-capped partition of a dense bath, because four mutually close
     spins cannot share a group of three (one always keeps a strong
-    external bond) and the zz metric has magic-angle zeros that park
+    external bond) and the zz coupling has magic-angle zeros that park
     near-zero couplings inside otherwise tight groups.  Measured over
     20 default baths the aggregate form holds in 99.5% of multi-spin
     groups and the partition-wide contrast exceeds a factor of 45.

@@ -577,6 +577,31 @@ def test_unaddressable_probed_pair_is_rejected_before_any_work(
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--m-i", "thermal"],
+     "thermal nitrogen has no single level pair; fix m_i first"),
+    (["--m-i", "0", "--b", "0"],
+     "no eigenstate is dominantly labeled (0.5, 0) at this field; "
+     "state mixing leaves the probed pair unaddressable"),
+], ids=["thermal", "b0"])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_larmor_dist_rejects_an_unaddressable_pair_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message, dry_run):
+    def no_bath(*args, **kwargs):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.cli.generate_bath", no_bath)
+    target = tmp_path / "never_created"
+    code, out, err = _run(["larmor-dist", "--central", "p1", *argv,
+                           "--n-spins", "12", "--seed", "3",
+                           "--out", str(target),
+                           *(["--dry-run"] if dry_run else [])], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not target.exists()
+
+
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"no_nn": True, "continuum": True,
                                    "include_baths": True, "seed": 5})

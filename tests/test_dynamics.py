@@ -12,7 +12,15 @@ import spinbath.dynamics as dynamics
 from oracles import evolve, group_curves_unrolled
 from spinbath.bathgen import (Bath, BathSpin, Partition, child_seed,
                               cluster_bath, generate_bath)
-from spinbath.constants import GAMMA_C13_HZ_PER_G, GAMMA_E_HZ_PER_G
+from spinbath.constants import (
+    A_PAR_MHZ,
+    A_PERP_MHZ,
+    D_NV_MHZ,
+    GAMMA_C13_HZ_PER_G,
+    GAMMA_E_HZ_PER_G,
+    GAMMA_E_MHZ_PER_G,
+    Q_N14_MHZ,
+)
 from spinbath.dynamics import (
     EchoCurve,
     SimulationConfig,
@@ -25,6 +33,7 @@ from spinbath.dynamics import (
 )
 from spinbath.hamiltonians import (
     BareElectron,
+    JtOrientation,
     NVCenter,
     P1Center,
     build_hamiltonian_stack,
@@ -471,6 +480,19 @@ def test_simulation_config_rejects_bad_min_radius():
             SimulationConfig(min_radius=r)
 
 
+# The bits of each bond axis that every output has been computed with: the
+# off-axis vectors divided by their norm (which moves off-axis-1 and -2).
+_JT_AXIS_BITS = {
+    "on-axis": ("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+    "off-axis-1": ("0x1.e2b7dddfefa67p-1", "0x0.0p+0",
+                   "-0x1.5555555555556p-2"),
+    "off-axis-2": ("-0x1.e2b7dddfefa63p-2", "0x1.a20bd700c2c3fp-1",
+                   "-0x1.5555555555556p-2"),
+    "off-axis-3": ("-0x1.e2b7dddfefa6ep-2", "-0x1.a20bd700c2c3cp-1",
+                   "-0x1.5555555555555p-2"),
+}
+
+
 def test_config_describe_round_trips_to_json():
     config = SimulationConfig(central=P1Center(m_i=None),
                               sequence=expand_preset("cpmg", 2))
@@ -481,8 +503,20 @@ def test_config_describe_round_trips_to_json():
     assert info["central"]["jt_label"] == "off-axis-1"
     assert info["sequence"] == "pi/2(x) - [tau - pi(y) - tau]^2 - pi/2(x)"
     assert info["sequence_name"] == "cpmg"
-    nv = SimulationConfig(central=NVCenter()).describe()
-    assert nv["central"]["levels"] == [0, -1]
+    assert [info["central"][key] for key in (
+        "gamma_e_mhz_per_g", "a_par_mhz", "a_perp_mhz", "q_mhz")] == \
+        [GAMMA_E_MHZ_PER_G, A_PAR_MHZ, A_PERP_MHZ, Q_N14_MHZ]
+    nv = json.loads(json.dumps(SimulationConfig(central=NVCenter()).describe()))
+    assert nv["central"] == {"type": "NVCenter", "levels": [0, -1],
+                             "d_zfs_mhz": D_NV_MHZ,
+                             "gamma_e_mhz_per_g": GAMMA_E_MHZ_PER_G}
+    electron = SimulationConfig(central=BareElectron()).describe()
+    assert electron["central"] == {"type": "BareElectron",
+                                   "gamma_e_mhz_per_g": GAMMA_E_MHZ_PER_G}
+    for label, bits in _JT_AXIS_BITS.items():
+        p1 = SimulationConfig(central=P1Center(jt=JtOrientation(label)))
+        axis = json.loads(json.dumps(p1.describe()))["central"]["jt_axis"]
+        assert tuple(map(float.hex, axis)) == bits, label
 
 
 def test_echo_curve_validation_and_serialization():
