@@ -1,10 +1,9 @@
 """Spectroscopy and statistics on top of the dynamics engine.
 
 Transition tables and relative drive strengths of the six-level nitrogen
-center, conditional nuclear precession distributions, revival detection
-and coherence-time fits of echo curves, and the closed-form ensemble
-statistics (neighbor distances, dipolar couplings, concentration from
-the instantaneous-diffusion time).
+center, conditional nuclear precession distributions, and the closed-form
+ensemble statistics (neighbor distances, dipolar couplings, concentration
+from the instantaneous-diffusion time).
 
 Units: frequencies in Hz unless a name says MHz/kHz; times in seconds;
 fields in gauss; distances in nm; densities in nm^-3.  The center's
@@ -15,10 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +26,7 @@ from .constants import (
     KAPPA_ID_PPM_US,
     dipole_prefactor_hz,
 )
-from .dynamics import _STACK_BYTES, EchoCurve, _probed_states
+from .dynamics import _STACK_BYTES, _probed_states
 from .hamiltonians import (
     _JT_AXES,
     JtOrientation,
@@ -44,12 +41,9 @@ __all__ = [
     "TransitionRow",
     "TransitionTable",
     "LarmorHistogram",
-    "FitResult",
     "transition_table",
     "transition_moment",
     "larmor_distribution",
-    "detect_revivals",
-    "fit_t2",
     "mean_kth_distance",
     "mean_dipolar_coupling",
     "concentration_from_td",
@@ -106,8 +100,8 @@ class TransitionTable:
                              r.kind, f"{r.moment:.17g}", r.orientation])
         return out.getvalue()
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "b_field_gauss": list(self.b_field),
             "rows": [
                 {"freq_mhz": r.freq_mhz, "from": r.from_label,
@@ -116,7 +110,6 @@ class TransitionTable:
                 for r in self.rows
             ],
         }
-        return json.dumps(payload, indent=2)
 
 
 def transition_moment(eigvec_i, eigvec_f) -> float:
@@ -230,8 +223,8 @@ class LarmorHistogram:
                 out.write(f"{i},{label},{f:.17g},{flag}\n")
         return out.getvalue()
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "b_field_gauss": list(self.b_field),
             "branches": [
                 {"label": label, "frequencies_hz": list(freqs),
@@ -242,7 +235,6 @@ class LarmorHistogram:
             "bin_edges_hz": list(self.bin_edges),
             "flagged_spins": list(self.flagged),
         }
-        return json.dumps(payload, indent=2)
 
 
 def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
@@ -301,122 +293,6 @@ def _branch_labels(central) -> tuple[str, str]:
     """'mS=...' of the electron projection of each level of central.probed."""
     return tuple("mS=0" if m == 0 else f"mS={m:+g}" if m == int(m)
                  else f"mS={2 * m:+g}/2" for m, *_ in central.probed)
-
-
-# ---------------------------------------------------------------------------
-# revival detection and coherence fits
-
-def detect_revivals(curve: EchoCurve, expected_period: float) -> list[float]:
-    """Local echo maxima near integer multiples of the expected period.
-
-    Each window [n - 0.4, n + 0.4] * period is searched for an interior
-    local maximum, refined by quadratic interpolation through the peak
-    and its neighbors.  Windows without a maximum are skipped with a
-    warning; monotone curves yield an empty list.
-    """
-    if expected_period <= 0:
-        raise ValueError("expected_period must be positive")
-    tau = np.asarray(curve.tau)
-    sig = np.asarray(curve.signal)
-    if len(tau) < 3:
-        return []
-    revivals = []
-    n_max = int(math.floor(tau[-1] / expected_period + 0.4))
-    for n in range(1, n_max + 1):
-        lo, hi = (n - 0.4) * expected_period, (n + 0.4) * expected_period
-        idx = np.nonzero((tau >= lo) & (tau <= hi))[0]
-        idx = idx[(idx > 0) & (idx < len(tau) - 1)]
-        peaks = [k for k in idx if sig[k] >= sig[k - 1] and sig[k] >= sig[k + 1]]
-        if not peaks:
-            warnings.warn(f"no echo maximum inside window {n} "
-                          f"([{lo * 1e6:.2f}, {hi * 1e6:.2f}] us)")
-            continue
-        k = max(peaks, key=lambda i: sig[i])
-        t, y = tau[k - 1:k + 2], sig[k - 1:k + 2]
-        # vertex of the parabola through the three points (any spacing)
-        a, b, _ = np.polyfit(t - t[1], y, 2)
-        if a >= 0:  # flat or degenerate triple: keep the grid point
-            revivals.append(float(tau[k]))
-        else:
-            revivals.append(float(t[1] - b / (2 * a)))
-    return revivals
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Coherence-time fit: T2, model tag, residual norm, revival times."""
-
-    t2: float
-    model: str
-    residual_norm: float
-    revival_times: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.t2 > 0:
-            raise ValueError("t2 must be positive")
-        times = tuple(float(t) for t in self.revival_times)
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("revival_times must ascend")
-        object.__setattr__(self, "revival_times", times)
-
-
-def _peak_amplitudes(curve: EchoCurve, revival_times) -> list[float]:
-    tau = np.asarray(curve.tau)
-    sig = np.asarray(curve.signal)
-    return [float(np.interp(t, tau, sig)) for t in revival_times]
-
-
-def fit_t2(curve: EchoCurve, model: str = "exponential", *,
-           expected_period: float | None = None) -> FitResult:
-    """Fit the revival envelope (or the bare curve) to a decay law.
-
-    The envelope is the set of revival maxima anchored at (0, 1); when
-    fewer than three revivals exist the whole curve is fitted instead
-    (at least five points).  model is "exponential" (exp(-tau/T2)) or
-    "gaussian" (exp(-(tau/T2)^2)).  The revival period comes from the
-    curve metadata's field unless expected_period is given.  Flat data
-    raises: a decay time is not identifiable from it.
-    """
-    if model not in ("exponential", "gaussian"):
-        raise ValueError(f"unknown model {model!r}")
-    if expected_period is None:
-        b_vec = curve.metadata.get("b_field_gauss")
-        if b_vec is None:
-            raise ValueError("curve metadata has no field; pass expected_period")
-        b_mag = float(np.linalg.norm(b_vec))
-        if b_mag <= 0:
-            raise ValueError("zero field; pass expected_period explicitly")
-        expected_period = 1.0 / (GAMMA_C13_HZ_PER_G * b_mag)
-
-    revivals = detect_revivals(curve, expected_period)
-    if len(revivals) >= 3:
-        x = np.array([0.0] + revivals)
-        y = np.array([1.0] + _peak_amplitudes(curve, revivals))
-    else:
-        if len(curve.tau) < 5:
-            raise ValueError("need at least 3 revivals or 5 curve points")
-        x = np.asarray(curve.tau)
-        y = np.asarray(curve.signal)
-
-    if float(np.ptp(y)) < 1e-12:
-        raise ValueError("flat signal; decay time is not identifiable")
-
-    if model == "exponential":
-        def decay(t, t2):
-            return np.exp(-t / t2)
-    else:
-        def decay(t, t2):
-            return np.exp(-((t / t2) ** 2))
-
-    from scipy.optimize import curve_fit  # deferred: slow to import
-
-    t_scale = float(x[-1]) if x[-1] > 0 else expected_period
-    popt, _ = curve_fit(decay, x, y, p0=[0.5 * t_scale],
-                        bounds=(1e-12, np.inf), maxfev=10000)
-    t2 = float(popt[0])
-    residual = float(np.linalg.norm(decay(x, t2) - y))
-    return FitResult(t2=t2, model=model, residual_norm=residual,
-                     revival_times=tuple(revivals))
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def _cmd_spectrum(resolved: dict) -> int:
         return _dry_run(resolved)
     table = transition_table(b, orientations)
     _emit(resolved, "spectrum", table.to_csv(),
-          {**json.loads(table.to_json()), "metadata": resolved}, resolved)
+          {**table.to_dict(), "metadata": resolved}, resolved)
     return 0
 
 
@@ -300,7 +300,7 @@ def _cmd_echo(resolved: dict) -> int:
     curve = ensemble_signal(config)
     _emit(resolved, "echo",
           curve.to_csv(include_baths=resolved["include_baths"]),
-          json.loads(curve.to_json()), meta)
+          curve.to_dict(), meta)
     return 0
 
 
@@ -317,7 +317,7 @@ def _cmd_scan(resolved: dict) -> int:
     curves = field_scan(config, fields)
     _emit(resolved, "scan", scan_csv(curves),
           {"metadata": meta,
-           "curves": [json.loads(c.to_json()) for c in curves]}, meta)
+           "curves": [c.to_dict() for c in curves]}, meta)
     return 0
 
 
@@ -343,7 +343,7 @@ def _cmd_larmor_dist(resolved: dict) -> int:
         bins = int(bins)
     hist = larmor_distribution(central, bath, b, bins=bins)
     _emit(resolved, "larmor_dist", hist.to_csv(),
-          {**json.loads(hist.to_json()), "metadata": resolved}, resolved)
+          {**hist.to_dict(), "metadata": resolved}, resolved)
     return 0
 
 

@@ -162,7 +162,7 @@ class EchoCurve:
         object.__setattr__(self, "signal", signal)
         if len(tau) != len(signal):
             raise ValueError("tau and signal must have equal length")
-        if any(abs(s) > 1.0 + 1e-9 for s in signal):
+        if any(not abs(s) <= 1.0 + 1e-9 for s in signal):
             raise ValueError("signal outside [-1, 1]")
         if self.per_bath is not None:
             pb = tuple(tuple(float(s) for s in row) for row in self.per_bath)
@@ -186,9 +186,7 @@ class EchoCurve:
             out.write(",".join(cells) + "\n")
         return out.getvalue()
 
-    def to_json(self) -> str:
-        import json
-
+    def to_dict(self) -> dict:
         payload = {
             "metadata": self.metadata,
             "tau_us": list(self.tau_us),
@@ -196,7 +194,7 @@ class EchoCurve:
         }
         if self.per_bath is not None:
             payload["per_bath"] = [list(row) for row in self.per_bath]
-        return json.dumps(payload, indent=2)
+        return payload
 
 
 def scan_csv(curves: list[EchoCurve]) -> str:

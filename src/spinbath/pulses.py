@@ -88,6 +88,8 @@ class Delay:
         else:
             if self.unit not in _UNIT_SECONDS:
                 raise ValueError(f"unknown time unit {self.unit!r}")
+            if not math.isfinite(self.value):
+                raise ValueError("delays must be finite")
             if self.value < 0.0:
                 raise ValueError("delays must be non-negative")
             if self.divisor != 1:
@@ -257,6 +259,8 @@ class _Parser:
                     f"pulse angle must lie in (0, 360] degrees at {num.where}")
             return self.finish_pulse(value)
         if word in _UNIT_SECONDS:
+            if not math.isfinite(value):
+                raise ParseError(f"delay must be finite at {num.where}")
             return Delay(value=value, unit=word)
         raise ParseError(f"unknown unit {word!r} at {suffix.where}")
 
@@ -307,7 +311,8 @@ def parse_sequence(text: str) -> PulseProgram:
     """Parse sequence text into a PulseProgram.
 
     Raises ParseError with a 1-based line:column position on any syntax
-    problem, unknown axis, bad unit, or zero repeat count.
+    problem, unknown axis, bad unit, non-finite delay, or zero repeat
+    count.
     """
     tokens = _tokenize(text)
     if not tokens:

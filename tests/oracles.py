@@ -11,16 +11,20 @@ cube of cells sorted by a four-key lexsort.  An unrolled echo kernel that
 propagates one (D, T*nb) slab per group and probed pair, with every
 pulse moved to the eigenbasis.  Also a bath's JSON form and its inverse,
 a bath's nearest-spin distance, a schedule's total evolution time, a
-number density converted back to ppm, and a coherence-time fit as a dict.
+number density converted back to ppm, the revival finder and the
+coherence-time (T2) fit that the acceptance gate runs on echo curves,
+and such a fit as a dict.
 """
 
 import functools
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import curve_fit
 
 from spinbath.bathgen import (Bath, BathSpin, Partition, _check_site_budget,
                               _pair_couplings)
@@ -28,9 +32,11 @@ from spinbath.constants import (
     DIAMOND_ATOM_DENSITY_NM3,
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
+    GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
     dipole_prefactor_hz,
 )
+from spinbath.dynamics import EchoCurve
 from spinbath.hamiltonians import (_dense_terms, _field_vector,
                                    hyperfine_tensor)
 from spinbath.pulses import Interval, Pulse, Schedule
@@ -85,8 +91,119 @@ def density_nm3_to_ppm(n_nm3: float) -> float:
     return n_nm3 / DIAMOND_ATOM_DENSITY_NM3 * 1e6
 
 
+def detect_revivals(curve: EchoCurve, expected_period: float) -> list[float]:
+    """Local echo maxima near integer multiples of the expected period.
+
+    Each window [n - 0.4, n + 0.4] * period is searched for an interior
+    local maximum, refined by quadratic interpolation through the peak
+    and its neighbors.  Windows without a maximum are skipped with a
+    warning; monotone curves yield an empty list.
+    """
+    if expected_period <= 0:
+        raise ValueError("expected_period must be positive")
+    tau = np.asarray(curve.tau)
+    sig = np.asarray(curve.signal)
+    if len(tau) < 3:
+        return []
+    revivals = []
+    n_max = int(math.floor(tau[-1] / expected_period + 0.4))
+    for n in range(1, n_max + 1):
+        lo, hi = (n - 0.4) * expected_period, (n + 0.4) * expected_period
+        idx = np.nonzero((tau >= lo) & (tau <= hi))[0]
+        idx = idx[(idx > 0) & (idx < len(tau) - 1)]
+        peaks = [k for k in idx if sig[k] >= sig[k - 1] and sig[k] >= sig[k + 1]]
+        if not peaks:
+            warnings.warn(f"no echo maximum inside window {n} "
+                          f"([{lo * 1e6:.2f}, {hi * 1e6:.2f}] us)")
+            continue
+        k = max(peaks, key=lambda i: sig[i])
+        t, y = tau[k - 1:k + 2], sig[k - 1:k + 2]
+        # vertex of the parabola through the three points (any spacing)
+        a, b, _ = np.polyfit(t - t[1], y, 2)
+        if a >= 0:  # flat or degenerate triple: keep the grid point
+            revivals.append(float(tau[k]))
+        else:
+            revivals.append(float(t[1] - b / (2 * a)))
+    return revivals
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Coherence-time fit: T2, model tag, residual norm, revival times."""
+
+    t2: float
+    model: str
+    residual_norm: float
+    revival_times: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not self.t2 > 0:
+            raise ValueError("t2 must be positive")
+        times = tuple(float(t) for t in self.revival_times)
+        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+            raise ValueError("revival_times must ascend")
+        object.__setattr__(self, "revival_times", times)
+
+
+def _peak_amplitudes(curve: EchoCurve, revival_times) -> list[float]:
+    tau = np.asarray(curve.tau)
+    sig = np.asarray(curve.signal)
+    return [float(np.interp(t, tau, sig)) for t in revival_times]
+
+
+def fit_t2(curve: EchoCurve, model: str = "exponential", *,
+           expected_period: float | None = None) -> FitResult:
+    """Fit the revival envelope (or the bare curve) to a decay law.
+
+    The envelope is the set of revival maxima anchored at (0, 1); when
+    fewer than three revivals exist the whole curve is fitted instead
+    (at least five points).  model is "exponential" (exp(-tau/T2)) or
+    "gaussian" (exp(-(tau/T2)^2)).  The revival period comes from the
+    curve metadata's field unless expected_period is given.  Flat data
+    raises: a decay time is not identifiable from it.
+    """
+    if model not in ("exponential", "gaussian"):
+        raise ValueError(f"unknown model {model!r}")
+    if expected_period is None:
+        b_vec = curve.metadata.get("b_field_gauss")
+        if b_vec is None:
+            raise ValueError("curve metadata has no field; pass expected_period")
+        b_mag = float(np.linalg.norm(b_vec))
+        if b_mag <= 0:
+            raise ValueError("zero field; pass expected_period explicitly")
+        expected_period = 1.0 / (GAMMA_C13_HZ_PER_G * b_mag)
+
+    revivals = detect_revivals(curve, expected_period)
+    if len(revivals) >= 3:
+        x = np.array([0.0] + revivals)
+        y = np.array([1.0] + _peak_amplitudes(curve, revivals))
+    else:
+        if len(curve.tau) < 5:
+            raise ValueError("need at least 3 revivals or 5 curve points")
+        x = np.asarray(curve.tau)
+        y = np.asarray(curve.signal)
+
+    if float(np.ptp(y)) < 1e-12:
+        raise ValueError("flat signal; decay time is not identifiable")
+
+    if model == "exponential":
+        def decay(t, t2):
+            return np.exp(-t / t2)
+    else:
+        def decay(t, t2):
+            return np.exp(-((t / t2) ** 2))
+
+    t_scale = float(x[-1]) if x[-1] > 0 else expected_period
+    popt, _ = curve_fit(decay, x, y, p0=[0.5 * t_scale],
+                        bounds=(1e-12, np.inf), maxfev=10000)
+    t2 = float(popt[0])
+    residual = float(np.linalg.norm(decay(x, t2) - y))
+    return FitResult(t2=t2, model=model, residual_norm=residual,
+                     revival_times=tuple(revivals))
+
+
 def fit_to_dict(fit) -> dict:
-    """An analysis.FitResult's fields, keyed with their units."""
+    """A FitResult's fields, keyed with their units."""
     return {"t2_s": fit.t2, "model": fit.model,
             "residual_norm": fit.residual_norm,
             "revival_times_s": list(fit.revival_times)}

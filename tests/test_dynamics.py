@@ -519,6 +519,11 @@ def test_config_describe_round_trips_to_json():
         assert tuple(map(float.hex, axis)) == bits, label
 
 
+def test_echo_curve_refuses_a_nan_signal():
+    with pytest.raises(ValueError, match="signal outside"):
+        EchoCurve(tau=(0.0, 1e-6), signal=(1.0, math.nan))
+
+
 def test_echo_curve_validation_and_serialization():
     with pytest.raises(ValueError):
         EchoCurve(tau=(0.0, 1e-6), signal=(1.0,))
@@ -541,7 +546,7 @@ def test_echo_curve_validation_and_serialization():
     header = wide.strip().split("\n")[0].split(",")
     assert header == ["tau_us", "signal", "bath_00", "bath_01"]
 
-    payload = json.loads(curve.to_json())
+    payload = json.loads(json.dumps(curve.to_dict()))
     assert payload["tau_us"] == [0.0, 2.0]
     assert payload["signal"] == [1.0, -0.25]
     assert payload["per_bath"] == [[1.0, -0.5], [1.0, 0.0]]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import total_time
 from spinbath.pulses import (
@@ -76,6 +80,17 @@ def test_parse_error_positions():
         parse_sequence("pi(x) + tau")
 
 
+def test_non_finite_literal_delay_is_refused():
+    # 1e400 overflows to inf, which would print as 'infus'
+    with pytest.raises(ParseError, match=r"delay must be finite at 1:11"):
+        parse_sequence("pi/2(x) - 1e400us - pi/2(x)")
+    with pytest.raises(ParseError, match=r"delay must be finite at 2:3"):
+        parse_sequence("pi/2(x) -\n  1e400ns - pi/2(x)")
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="delays must be finite"):
+            Delay(value=value, unit="us")
+
+
 def test_item_validation():
     with pytest.raises(ValueError):
         Pulse(axis="z", angle_deg=90.0)
@@ -134,6 +149,31 @@ def test_canonical_text_round_trips_random_programs():
         assert again == prog, text
         # printing is a fixed point
         assert canonical_text(again) == text
+
+
+_leaf_items = st.one_of(
+    st.builds(Pulse, axis=st.sampled_from(["x", "y", "-x", "-y"]),
+              angle_deg=st.floats(0.0, 360.0, exclude_min=True)),
+    st.builds(Delay, divisor=st.integers(1, 1000)),
+    st.builds(Delay, value=st.floats(min_value=0.0, allow_infinity=False),
+              unit=st.sampled_from(["us", "ns", "s"])),
+)
+_items = st.recursive(
+    _leaf_items,
+    lambda inner: st.builds(Repeat, block=st.lists(inner, min_size=1,
+                                                   max_size=4),
+                            count=st.integers(1, 1000)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(_items, min_size=1, max_size=6))
+def test_canonical_text_round_trips_drawn_programs(items):
+    prog = PulseProgram(items=tuple(items))
+    text = canonical_text(prog)
+    again = parse_sequence(text)
+    assert again == prog, text
+    assert canonical_text(again) == text
 
 
 def test_canonical_text_spellings():
