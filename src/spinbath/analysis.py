@@ -237,7 +237,8 @@ class LarmorHistogram:
         }
 
 
-def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
+def larmor_distribution(central, bath, b_field,
+                        bins="auto") -> LarmorHistogram:
     """Nuclear splitting of each bath spin, conditioned on the electron branch.
 
     For every bath spin the central+one-carbon Hamiltonian is
@@ -245,7 +246,9 @@ def larmor_distribution(central, bath, b_field, bins="fd") -> LarmorHistogram:
     probed electron manifold (selected by dominant central-eigenstate
     character) the two levels' gap is that spin's conditional precession
     frequency.  `bins` is anything numpy.histogram_bin_edges accepts;
-    binning is shared by both branches.
+    binning is shared by both branches.  The default "auto" takes at most
+    twice the square-root rule's count; "fd" alone can make hundreds of
+    thousands of bins when one branch is tightly bunched (the NV mS=0).
     """
     if len(bath) == 0:
         raise ValueError("bath must be non-empty")

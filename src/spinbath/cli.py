@@ -439,8 +439,8 @@ def _build_parser():
     p = sub.add_parser("larmor-dist",
                        help="conditional nuclear precession histogram")
     _add_field(p)
-    p.add_argument("--bins", default="fd",
-                   help="histogram bins: fd, auto, or a count")
+    p.add_argument("--bins", default="auto",
+                   help="histogram bins: auto, fd, or a count")
     _add_output(p, "json")
     _add_bath(p, "nv")
     p.set_defaults(func=_cmd_larmor_dist)

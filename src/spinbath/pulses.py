@@ -94,6 +94,9 @@ class Delay:
                 raise ValueError("delays must be non-negative")
             if self.divisor != 1:
                 raise ValueError("literal delays take no divisor")
+            if self.value == 0.0:
+                # -0.0 would print as "-0.0us", which the parser refuses
+                object.__setattr__(self, "value", 0.0)
 
     @property
     def symbolic(self) -> bool:

@@ -29,6 +29,7 @@ from scipy.optimize import curve_fit
 from spinbath.bathgen import (Bath, BathSpin, Partition, _check_site_budget,
                               _pair_couplings)
 from spinbath.constants import (
+    C13_ABUNDANCE,
     DIAMOND_ATOM_DENSITY_NM3,
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
@@ -353,6 +354,27 @@ def lattice_sites_by_lexsort(r_max: float) -> np.ndarray:
     sites, r2 = sites[keep], r2[keep]
     order = np.lexsort((sites[:, 2], sites[:, 1], sites[:, 0], r2))
     return sites[order]
+
+
+def lattice_bath_by_ball(seed: int, n_spins: int,
+                         abundance: float = C13_ABUNDANCE,
+                         min_radius: float = DIAMOND_BOND_NM) -> np.ndarray:
+    """The sites of a lattice bath drawn over whole balls: one occupancy
+    draw over the sorted sites of a ball with headroom, grown 1.4x until
+    the occupied sites beyond min_radius suffice."""
+    volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
+    r_max = max((volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
+                min_radius + 2.0 * DIAMOND_BOND_NM)
+    r2_min = (min_radius * (1.0 - 1e-9)) ** 2
+    while True:
+        sites = lattice_sites_by_lexsort(r_max)
+        rng = np.random.default_rng(seed)
+        occupied = sites[rng.random(len(sites)) < abundance]
+        occupied = occupied[np.einsum("ij,ij->i", occupied, occupied)
+                            >= r2_min]
+        if len(occupied) >= n_spins:
+            return occupied[:n_spins]
+        r_max *= 1.4
 
 
 def gemm_terms(central, k: int):

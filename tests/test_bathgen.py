@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import spinbath.bathgen as bathgen
 from oracles import (bath_from_json, bath_to_json, cluster_every_pair,
-                     every_pair_coupling, lattice_sites_by_lexsort,
-                     nearest_distance, pair_coupling)
+                     every_pair_coupling, lattice_bath_by_ball,
+                     lattice_sites_by_lexsort, nearest_distance,
+                     pair_coupling)
 from spinbath.bathgen import (
     Bath,
     BathSpin,
@@ -127,12 +128,23 @@ def test_continuum_mode():
     assert tuple(np.round(frac, 6)) not in _CELL_FRACTIONS
 
 
+def _shells_up_to(r_max):
+    """The sites of the lattice walk with r <= r_max, in walk order."""
+    parts = []
+    for sites, r2 in bathgen._lattice_shells():
+        assert r2.tobytes() == np.einsum("ij,ij->i", sites, sites).tobytes()
+        parts.append(sites[r2 <= r_max * r_max])
+        if r2[-1] > r_max * r_max:
+            return np.concatenate(parts)
+
+
 def test_ball_enumeration_matches_the_cube_lexsort(monkeypatch):
     # the starting radii of the default and 400-spin baths, as generated
     radii = []
-    real = bathgen._lattice_sites
-    monkeypatch.setattr(bathgen, "_lattice_sites",
-                        lambda r_max: radii.append(r_max) or real(r_max))
+    real = bathgen._occupied_lattice_sites
+    monkeypatch.setattr(bathgen, "_occupied_lattice_sites",
+                        lambda rng, r_max, *args:
+                        radii.append(r_max) or real(rng, r_max, *args))
     for n_spins in (125, 400):
         generate_bath(seed=0, n_spins=n_spins)
     monkeypatch.undo()
@@ -145,9 +157,44 @@ def test_ball_enumeration_matches_the_cube_lexsort(monkeypatch):
         radii += [r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)]
     radii += [DIAMOND_BOND_NM, DIAMOND_LATTICE_NM]
     for r_max in radii:
-        sites = real(r_max)
+        sites = _shells_up_to(r_max)
         assert sites.tobytes() == lattice_sites_by_lexsort(r_max).tobytes(), \
             r_max
+
+
+@pytest.mark.parametrize("n_spins,seeds", [(1, range(20)), (125, range(6)),
+                                           (400, range(2))])
+def test_shell_draws_give_the_bath_of_one_ball_draw(n_spins, seeds):
+    # one occupancy draw per shell equals one draw over the sorted ball
+    for seed in seeds:
+        for abundance, min_radius in ((C13_ABUNDANCE, DIAMOND_BOND_NM),
+                                      (1.0, 0.0), (0.05, 1.0)):
+            bath = generate_bath(seed, n_spins, abundance, min_radius)
+            ball = lattice_bath_by_ball(seed, n_spins, abundance, min_radius)
+            assert np.array([s.position for s in bath]).tobytes() \
+                == ball.tobytes(), (seed, abundance, min_radius)
+
+
+def test_shell_walk_meets_the_budget_where_the_ball_does(monkeypatch):
+    # A budget for balls up to about 3.9 nm: baths that need a larger ball
+    # (a wider exclusion zone, more spins) must fail as the ball did.
+    monkeypatch.setattr(bathgen, "_MAX_SITES", 8 * 25 ** 3)
+    outcomes = set()
+    for n_spins in (1, 40, 120, 200):
+        for min_radius in (0.0, 0.5, 1.0, 1.5, 2.0, 2.75, 3.25):
+            try:
+                ball = lattice_bath_by_ball(3, n_spins, min_radius=min_radius)
+            except ValueError as err:
+                assert "above the budget" in str(err)
+                with pytest.raises(ValueError, match="above the budget"):
+                    generate_bath(3, n_spins, min_radius=min_radius)
+                outcomes.add("over")
+            else:
+                bath = generate_bath(3, n_spins, min_radius=min_radius)
+                assert np.array([s.position for s in bath]).tobytes() \
+                    == ball.tobytes()
+                outcomes.add("within")
+    assert outcomes == {"over", "within"}
 
 
 def test_generation_input_validation():
@@ -163,24 +210,34 @@ def test_generation_input_validation():
 
 @pytest.fixture
 def enumeration_up_to_20_nm(monkeypatch):
-    # Beyond 20 nm the real enumerations allocate gigabytes; stop there so
-    # that a missing check fails fast instead of exhausting memory.
-    real_sites, real_points = bathgen._lattice_sites, bathgen._continuum_points
+    # Beyond 20 nm the real enumerations allocate gigabytes or walk millions
+    # of sites; stop there so that a missing check fails fast.
+    real_shells = bathgen._lattice_shells
+    real_points = bathgen._continuum_points
 
     def check(r_max):
         if r_max > 20.0:
             pytest.fail(f"bath enumeration reached r = {r_max:.3g} nm")
 
-    def sites(r_max):
-        check(r_max)
-        return real_sites(r_max)
+    def shells():
+        for sites, r2 in real_shells():
+            check(math.sqrt(r2[-1]))
+            yield sites, r2
 
     def points(rng, r_max, density):
         check(r_max)
         return real_points(rng, r_max, density)
 
-    monkeypatch.setattr(bathgen, "_lattice_sites", sites)
+    monkeypatch.setattr(bathgen, "_lattice_shells", shells)
     monkeypatch.setattr(bathgen, "_continuum_points", points)
+
+
+def test_shell_walk_stops_at_the_budget(enumeration_up_to_20_nm, monkeypatch):
+    # no site is ever kept, so only the budget can end the walk
+    monkeypatch.setattr(bathgen, "_MAX_SITES", 8 * 25 ** 3)
+    with pytest.raises(ValueError, match="above the budget"):
+        bathgen._occupied_lattice_sites(np.random.default_rng(0), 1.0, 1,
+                                        C13_ABUNDANCE, math.inf)
 
 
 @pytest.mark.parametrize("min_radius", [math.nan, math.inf])
@@ -197,8 +254,10 @@ import resource, sys
 # a missing budget check then fails with MemoryError, not by exhausting memory
 limit = 2 << 30
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
 from spinbath import bathgen
-for call in (lambda: bathgen._lattice_sites(100.0),
+for call in (lambda: bathgen._occupied_lattice_sites(
+                 np.random.default_rng(0), 100.0, 125, 0.011, 0.0),
              lambda: bathgen.generate_bath(0, 125, min_radius=100.0),
              lambda: bathgen.generate_bath(0, 125, min_radius=1000.0,
                                            lattice=False)):
@@ -221,6 +280,41 @@ def test_site_budget_fails_before_allocating():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# Builds and clusters a 4000-spin bath in a fresh interpreter and prints the
+# seconds it took and its peak RSS above the RSS after the imports (MiB).
+_LARGE_BATH_SCRIPT = """
+import time
+from spinbath.bathgen import cluster_bath, generate_bath
+
+def status_mib(field):
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+
+base = status_mib("VmRSS")
+start = time.perf_counter()
+cluster_bath(generate_bath(7, 4000), 3)
+print(time.perf_counter() - start, status_mib("VmHWM") - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_4000_spin_bath_builds_and_clusters_in_little_memory():
+    # A sorted headroom ball and arrays over every pair took this run to
+    # +453 MB and 2.7 s.
+    src = os.path.dirname(os.path.dirname(bathgen.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _LARGE_BATH_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seconds, peak_mib = map(float, proc.stdout.split())
+    assert peak_mib < 40.0
+    assert seconds < 1.0
 
 
 def test_site_budget_leaves_large_lattice_baths_alone():
@@ -303,6 +397,16 @@ def test_cluster_invariants_across_seeds():
         assert covered == list(range(40))
         # deterministic
         assert cluster_bath(bath, g=3).groups == part.groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 1), n_spins=st.integers(0, 300),
+       lattice=st.booleans(), g=st.integers(1, 5))
+def test_a_seed_replays_the_bath_and_its_partition(seed, n_spins, lattice, g):
+    bath = generate_bath(seed, n_spins, lattice=lattice)
+    again = generate_bath(seed, n_spins, lattice=lattice)
+    assert again == bath
+    assert cluster_bath(again, g) == cluster_bath(bath, g)
 
 
 def test_cluster_g1_gives_singletons():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spinbath
@@ -237,6 +238,26 @@ def test_larmor_dist_json_branches(tmp_path, capsys):
     assert spread0 < 0.1 * spread1
     assert all(abs(f - bare) < 0.05 * bare for f in f0)
     assert payload["metadata"]["central"] == "nv"
+
+
+def test_larmor_dist_default_bins_stay_few(tmp_path, capsys):
+    # Freedman-Diaconis alone made 196,172 edges here: the NV mS=0 branch
+    # is so tightly bunched that the pooled IQR is tiny.
+    code, _, _ = _run(["larmor-dist", "--seed", "0", "--out", str(tmp_path)],
+                      capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "larmor_dist.json").read_text())
+    assert 2 <= len(payload["bin_edges_hz"]) <= 33
+
+
+def test_larmor_dist_keeps_fd_bins_selectable(tmp_path, capsys):
+    code, _, _ = _run(["larmor-dist", "--n-spins", "20", "--bins", "fd",
+                       "--out", str(tmp_path)], capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "larmor_dist.json").read_text())
+    pooled = [f for br in payload["branches"] for f in br["frequencies_hz"]]
+    assert payload["bin_edges_hz"] == \
+        np.histogram_bin_edges(pooled, bins="fd").tolist()
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -151,12 +151,15 @@ def test_canonical_text_round_trips_random_programs():
         assert canonical_text(again) == text
 
 
+_pulses = st.builds(Pulse, axis=st.sampled_from(["x", "y", "-x", "-y"]),
+                    angle_deg=st.floats(0.0, 360.0, exclude_min=True))
+_symbolic_delays = st.builds(Delay, divisor=st.integers(1, 1000))
+_units = st.sampled_from(["us", "ns", "s"])
 _leaf_items = st.one_of(
-    st.builds(Pulse, axis=st.sampled_from(["x", "y", "-x", "-y"]),
-              angle_deg=st.floats(0.0, 360.0, exclude_min=True)),
-    st.builds(Delay, divisor=st.integers(1, 1000)),
-    st.builds(Delay, value=st.floats(min_value=0.0, allow_infinity=False),
-              unit=st.sampled_from(["us", "ns", "s"])),
+    _pulses, _symbolic_delays,
+    st.builds(Delay, value=st.just(-0.0) | st.floats(min_value=0.0,
+                                                     allow_infinity=False),
+              unit=_units),
 )
 _items = st.recursive(
     _leaf_items,
@@ -174,6 +177,48 @@ def test_canonical_text_round_trips_drawn_programs(items):
     again = parse_sequence(text)
     assert again == prog, text
     assert canonical_text(again) == text
+
+
+def test_negative_zero_delay_round_trips():
+    # -0.0 passes the non-negative check; it is stored, and so printed, as 0.0
+    delay = Delay(value=-0.0, unit="us")
+    assert math.copysign(1.0, delay.value) == 1.0
+    prog = PulseProgram(items=(Pulse("x", 90.0), delay, Pulse("x", 90.0)))
+    text = canonical_text(prog)
+    assert "-0.0" not in text
+    assert parse_sequence(text) == prog
+
+
+# Programs that compile quickly: few repeats and bounded literal delays.
+_timed_items = st.recursive(
+    st.one_of(_pulses, _symbolic_delays,
+              st.builds(Delay, value=st.floats(0.0, 1e3), unit=_units)),
+    lambda inner: st.builds(Repeat, block=st.lists(inner, min_size=1,
+                                                   max_size=4),
+                            count=st.integers(1, 3)),
+    max_leaves=10)
+
+
+def _unrolled_delays(items, tau):
+    for item in items:
+        if isinstance(item, Delay):
+            yield item.duration_s(tau)
+        elif isinstance(item, Repeat):
+            for _ in range(item.count):
+                yield from _unrolled_delays(item.block, tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(_timed_items, min_size=1, max_size=6),
+       tau=st.floats(0.0, 1e-3))
+def test_compiled_intervals_sum_to_the_unrolled_delays(items, tau):
+    schedule = compile_schedule(PulseProgram(items=tuple(items)), tau)
+    intervals = [e.duration_s for e in schedule.events
+                 if isinstance(e, Interval)]
+    assert all(d > 0.0 for d in intervals)
+    # merging adds the delays of a run in another order than one sum does
+    assert total_time(schedule) == pytest.approx(
+        math.fsum(_unrolled_delays(items, tau)), rel=1e-9, abs=0.0)
 
 
 def test_canonical_text_spellings():
