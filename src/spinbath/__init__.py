@@ -8,7 +8,6 @@ statistics helpers needed to interpret such measurements.
 
 from .bathgen import (
     Bath,
-    BathSpin,
     Partition,
     child_seed,
     cluster_bath,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bath",
-    "BathSpin",
     "Partition",
     "child_seed",
     "cluster_bath",

@@ -260,8 +260,8 @@ def larmor_distribution(central, bath, b_field,
     flagged = []
     for start in range(0, len(bath), step):
         ws, vs = np.linalg.eigh(build_hamiltonian_stack(
-            central, [[spin] for spin in bath.spins[start:start + step]],
-            b_field))
+            central, bath.positions[start:start + step, None],
+            bath.gammas[start:start + step, None], b_field))
         for index, (w, v) in enumerate(zip(ws, vs), start):
             ambiguous = False
             for branch, cvec in enumerate(branch_states):

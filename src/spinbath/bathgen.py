@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .constants import (
 from .hamiltonians import _dipole_zz
 
 __all__ = [
-    "BathSpin",
     "Bath",
     "Partition",
     "generate_bath",
@@ -51,51 +50,38 @@ __all__ = [
 # before it allocates.
 _MAX_SITES = 10_000_000
 
-# About how many sites one shell of the lattice walk holds.
+# About how many sites the inner shells of the lattice walk hold.
 _SHELL_SITES = 4096
 
-@dataclass(frozen=True)
-class BathSpin:
-    """One nuclear spin of the bath: position (nm) and gyromagnetic ratio (Hz/G)."""
-
-    position: tuple[float, float, float]
-    gamma: float = GAMMA_C13_HZ_PER_G
-    species: str = "13C"
-
-    def __post_init__(self):
-        pos = tuple(float(x) for x in self.position)
-        if len(pos) != 3:
-            raise ValueError("position must have three components")
-        object.__setattr__(self, "position", pos)
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(sum(x * x for x in self.position))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bath:
-    """An immutable collection of bath spins around the origin defect."""
+    """Bath spins around the origin defect: positions (n, 3) in nm and
+    gyromagnetic ratios (n,) in Hz/G, both read-only; the ratios default to
+    carbon-13.  Rows must be finite and distinct, and none at the origin.
+    """
 
-    spins: tuple[BathSpin, ...]
-    seed: int
-    abundance: float = 0.011
-    min_radius: float = DIAMOND_BOND_NM
-    lattice: bool = True
+    positions: np.ndarray
+    gammas: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "spins", tuple(self.spins))
-        positions = [s.position for s in self.spins]
-        if len(set(positions)) != len(positions):
+        # reshape refuses (ValueError) any other number of entries
+        pos = np.array(self.positions, dtype=float).reshape(
+            len(self.positions), 3)
+        gammas = np.full(len(pos), GAMMA_C13_HZ_PER_G) if self.gammas is None \
+            else np.array(self.gammas, dtype=float).reshape(len(pos))
+        if not (np.isfinite(pos).all() and np.isfinite(gammas).all()):
+            raise ValueError("bath positions and gammas must be finite")
+        order = np.lexsort(pos.T)
+        if (pos[order[1:]] == pos[order[:-1]]).all(axis=1).any():
             raise ValueError("bath spins must occupy distinct positions")
-        if any(s.r == 0.0 for s in self.spins):
+        if not np.einsum("ij,ij->i", pos, pos).all():
             raise ValueError("no bath spin may sit on the defect site")
+        pos.flags.writeable = gammas.flags.writeable = False
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "gammas", gammas)
 
     def __len__(self) -> int:
-        return len(self.spins)
-
-    def __iter__(self):
-        return iter(self.spins)
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -162,16 +148,18 @@ def _lattice_shells():
     """Yield the lattice sites with r > 0 outward, one shell at a time.
 
     A shell holds every site with lo <= q.q < hi for integer bounds, about
-    _SHELL_SITES of them, as (sites, r^2) in (r^2, x, y, z) order.  Float
-    r^2 is monotone in the integer q.q (lattice q.q are 0 or 3 mod 8, and
-    rounding moves r^2 by a few parts in 1e16), so the shells follow each
-    other in the (r^2, x, y, z) order of the whole lattice.
+    max(_SHELL_SITES, 2 lo) of them (so the shell count grows as the cube
+    root of the sites walked), as (sites, r^2) in (r^2, x, y, z) order.
+    Float r^2 is monotone in the integer q.q (lattice q.q are 0 or 3 mod 8,
+    and rounding moves r^2 by a few parts in 1e16), so the shells follow
+    each other in the (r^2, x, y, z) order of the whole lattice.
     """
     a = DIAMOND_LATTICE_NM
     lo = 1
     while True:
         # (pi / 6) Q^1.5 sites have q.q < Q
-        hi = int((lo ** 1.5 + 6.0 / math.pi * _SHELL_SITES) ** (2.0 / 3.0)) + 1
+        hi = int((lo ** 1.5 + 6.0 / math.pi * max(_SHELL_SITES, 2 * lo))
+                 ** (2.0 / 3.0)) + 1
         # rows (qx, qy) of one parity inside q.q < hi, each with two runs of
         # qz (step 4, residue fixed by the row): -outer..-inner and
         # inner..outer, the zero in the first one only
@@ -279,8 +267,7 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
     """
     check_bath_parameters(n_spins, abundance, min_radius)
     if n_spins == 0:
-        return Bath(spins=(), seed=seed, abundance=abundance,
-                    min_radius=min_radius, lattice=lattice)
+        return Bath(np.zeros((0, 3)))
 
     # the radius of a ball expected to hold the bath, with headroom: the
     # continuum draws in it, the lattice walk checks the site budget for it
@@ -305,10 +292,7 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
         else:  # pragma: no cover
             raise RuntimeError("bath generation failed to converge")
         chosen = points[:n_spins]
-    spins = tuple(BathSpin(position=(float(p[0]), float(p[1]), float(p[2])))
-                  for p in chosen)
-    return Bath(spins=spins, seed=seed, abundance=abundance,
-                min_radius=min_radius, lattice=lattice)
+    return Bath(chosen)
 
 
 def _pair_couplings(pos, gamma, first, second) -> np.ndarray:
@@ -365,9 +349,9 @@ def _pairs_within(pos: np.ndarray, radius: float):
     return (np.concatenate(part) for part in zip(*found))
 
 
-def _descending_pairs(bath: Bath, open_: np.ndarray):
-    """Pairs (i, j), i < j, of open spins by descending coupling, ties by
-    the lower pair.
+def _descending_pairs(pos: np.ndarray, gamma: np.ndarray, open_: np.ndarray):
+    """Pairs (i, j), i < j, of open spins at pos with ratios gamma by
+    descending coupling, ties by the lower pair.
 
     Lazy, so a visit that stops early skips most couplings.  Each round
     takes the window of open pairs no farther apart than a radius R,
@@ -383,8 +367,6 @@ def _descending_pairs(bath: Bath, open_: np.ndarray):
     clear spins between yields.  A pair with a cleared spin is never
     yielded after, as no merge could take it.
     """
-    pos = np.array([s.position for s in bath.spins])
-    gamma = np.array([s.gamma for s in bath.spins])
     # relative margin far above the rounding of distances and couplings
     scale = math.sqrt(6.0) * (1.0 + 1e-6) * dipole_prefactor_hz(1.0, 1.0, 1.0)
     first = second = np.zeros(0, dtype=np.intp)
@@ -436,40 +418,29 @@ def cluster_bath(bath: Bath, g: int = 3) -> Partition:
     if g < 1:
         raise ValueError("g must be at least 1")
     n = len(bath)
-    parent = list(range(n))
-    size = [1] * n
+    label = list(range(n))  # each spin's group, by the index of its list
+    members = [[i] for i in range(n)]
     count = [0, n] + [0] * (g - 1)  # count[s]: groups of size s
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    members = [[i] for i in range(n)]  # of each root
     if g > 1 and n > 1:
         open_ = np.ones(n, dtype=bool)  # spins whose group can still grow
-        for i, j in _descending_pairs(bath, open_):
-            ri, rj = find(i), find(j)
-            if ri == rj:
+        for i, j in _descending_pairs(bath.positions, bath.gammas, open_):
+            keep, gone = members[label[i]], members[label[j]]
+            if keep is gone or len(keep) + len(gone) > g:
                 continue
-            if size[ri] + size[rj] <= g:
-                if rj < ri:
-                    ri, rj = rj, ri
-                parent[rj] = ri
-                members[ri] += members[rj]
-                count[size[ri]] -= 1
-                count[size[rj]] -= 1
-                size[ri] += size[rj]
-                count[size[ri]] += 1
-                if size[ri] == g:
-                    open_[members[ri]] = False
-                # the two smallest group sizes left, with multiplicity
-                smallest = [s for s in range(1, g + 1)
-                            for _ in range(min(count[s], 2))][:2]
-                if len(smallest) < 2 or sum(smallest) > g:
-                    break
+            for m in gone:
+                label[m] = label[i]
+            count[len(keep)] -= 1
+            count[len(gone)] -= 1
+            keep += gone
+            gone.clear()
+            count[len(keep)] += 1
+            if len(keep) == g:
+                open_[keep] = False
+            # the two smallest group sizes left, with multiplicity
+            smallest = [s for s in range(1, g + 1)
+                        for _ in range(min(count[s], 2))][:2]
+            if len(smallest) < 2 or sum(smallest) > g:
+                break
 
-    groups = sorted(tuple(sorted(members[i])) for i in range(n)
-                    if parent[i] == i)
+    groups = sorted(tuple(sorted(group)) for group in members if group)
     return Partition(groups=groups, g=g, n_spins=n)

@@ -362,9 +362,10 @@ def _group_curves(w, v, probes, plans, n_schedules: int) -> np.ndarray:
     return out
 
 
-def _echo(central, groups, schedules: list[Schedule], b_field,
+def _echo(central, bath: Bath, groups, schedules: list[Schedule], b_field,
           **options) -> np.ndarray:
-    """Bath signal S_T on every schedule: the product of S_G over groups.
+    """Bath signal S_T on every schedule: the product of S_G over groups,
+    each a sequence of bath indices.
 
     With a thermal nitrogen the product is formed per projection and then
     averaged (one physical nitrogen is shared by every group), over the
@@ -382,20 +383,22 @@ def _echo(central, groups, schedules: list[Schedule], b_field,
         same = [k for k, group in enumerate(groups) if len(group) == size]
         step = max(1, _STACK_BYTES // (16 * (dc << size) ** 2))
         for index in (same[k:k + step] for k in range(0, len(same), step)):
+            idx = np.array([groups[k] for k in index], dtype=np.intp)
             w, v = np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
-                central, [groups[k] for k in index], b_field, **options))
+                central, bath.positions[idx], bath.gammas[idx], b_field,
+                **options))
             curves[index] = _group_curves(w, v, probes, plans,
                                           len(schedules))
     return sum(weight * product for (weight, _), product
                in zip(variants, np.prod(curves, axis=0)))
 
 
-def group_signal(central, group, schedule: Schedule, b_field, *,
+def group_signal(central, group: Bath, schedule: Schedule, b_field, *,
                  include_nn: bool = True, secular_hyperfine: bool = False,
                  hyperfine_scale: float = 1.0) -> float:
     """Echo signal of the central spin coupled to one carbon group."""
-    return float(_echo(central, [list(group)], [schedule], b_field,
-                       include_nn=include_nn,
+    return float(_echo(central, group, [range(len(group))], [schedule],
+                       b_field, include_nn=include_nn,
                        secular_hyperfine=secular_hyperfine,
                        hyperfine_scale=hyperfine_scale)[0])
 
@@ -406,8 +409,8 @@ def _bath_curve(central, bath: Bath, partition: Partition,
     """S_T of one bath on every schedule."""
     if partition.n_spins != len(bath):
         raise ValueError("partition does not cover this bath")
-    groups = [[bath.spins[i] for i in grp] for grp in partition]
-    return _echo(central, groups, schedules, b_field, include_nn=include_nn)
+    return _echo(central, bath, partition.groups, schedules, b_field,
+                 include_nn=include_nn)
 
 
 def _make_baths(config: SimulationConfig):
@@ -422,34 +425,24 @@ def _make_baths(config: SimulationConfig):
 
 
 def _ensemble_curve(config: SimulationConfig, baths) -> EchoCurve:
-    rows = [None] * len(baths)
     schedules = [pulses.compile_schedule(config.sequence, tau)
                  for tau in config.tau_grid]
 
-    def work(index: int):
-        bath, partition = baths[index]
-        rows[index] = _bath_curve(config.central, bath, partition, schedules,
-                                  config.b_field,
-                                  include_nn=config.include_nn)
+    def curve(pair) -> np.ndarray:
+        return _bath_curve(config.central, *pair, schedules, config.b_field,
+                           include_nn=config.include_nn)
 
     if config.workers == 1:
-        for index in range(len(baths)):
-            work(index)
+        rows = list(map(curve, baths))
     else:
         # only here, so that no other run pays for importing it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(work, range(len(baths))))
-
-    per_bath = np.vstack(rows) if rows else np.zeros((0, len(config.tau_grid)))
-    signal = per_bath.mean(axis=0) if len(rows) else np.zeros(0)
-    return EchoCurve(
-        tau=config.tau_grid,
-        signal=tuple(float(s) for s in signal),
-        per_bath=tuple(tuple(float(v) for v in row) for row in per_bath),
-        metadata=config.describe(),
-    )
+            rows = list(pool.map(curve, baths))
+    per_bath = np.vstack(rows)
+    return EchoCurve(tau=config.tau_grid, signal=per_bath.mean(axis=0),
+                     per_bath=per_bath, metadata=config.describe())
 
 
 def ensemble_signal(config: SimulationConfig) -> EchoCurve:

@@ -367,16 +367,19 @@ def level_pair(central, evecs) -> tuple[int, int]:
 
 
 def build_system_hamiltonian(central, group, b, **options) -> np.ndarray:
-    """Hamiltonian of a central spin plus one group: a one-group stack."""
-    return build_hamiltonian_stack(central, [group], b, **options)[0]
+    """Hamiltonian of a central spin plus one group (a Bath): one stack."""
+    return build_hamiltonian_stack(central, group.positions[None],
+                                   group.gammas[None], b, **options)[0]
 
 
-def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
+def build_hamiltonian_stack(central, pos, gamma, b, *,
+                            include_nn: bool = True,
                             secular_hyperfine: bool = False,
                             hyperfine_scale: float = 1.0) -> np.ndarray:
     """Hamiltonians (G, D, D) in Hz of a central spin plus each of G groups.
 
-    All groups must have the same size k.  The composite space is
+    pos (G, k, 3) holds each group's carbon positions in nm and gamma
+    (G, k) their gyromagnetic ratios in Hz/G.  The composite space is
     [central slots..., carbon 1, ..., carbon k] in the order each group
     lists them.  Each carbon gets its Zeeman term and a point-dipole
     hyperfine coupling to the central electron; carbon pairs inside a
@@ -389,13 +392,13 @@ def build_hamiltonian_stack(central, groups, b, *, include_nn: bool = True,
     """
     if central is None:
         raise ValueError("a central-spin specification is required")
-    groups = [list(group) for group in groups]
-    n, k = len(groups), len(groups[0]) if groups else 0
-    if any(len(group) != k for group in groups):
-        raise ValueError("the groups of one stack must share a size")
-    spins = [s for group in groups for s in group]
-    pos = np.array([s.position for s in spins], dtype=float).reshape(n, k, 3)
-    gamma = np.array([s.gamma for s in spins], dtype=float).reshape(n, k)
+    pos, gamma = np.asarray(pos, dtype=float), np.asarray(gamma, dtype=float)
+    if pos.ndim != 3 or pos.shape[2] != 3 or gamma.shape != pos.shape[:2]:
+        raise ValueError("a stack takes positions (G, k, 3) and gammas "
+                         "(G, k): its groups share a size k")
+    if not (np.isfinite(pos).all() and np.isfinite(gamma).all()):
+        raise ValueError("bath positions and gammas must be finite")
+    n, k = gamma.shape
     i, j = np.triu_indices(k, 1)  # carbon pairs in combinations order
     if (pos[:, i] == pos[:, j]).all(axis=2).any():
         raise ValueError("bath spins must occupy distinct positions")

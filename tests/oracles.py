@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from spinbath.bathgen import (Bath, BathSpin, Partition, _check_site_budget,
+from spinbath.bathgen import (Bath, Partition, _check_site_budget,
                               _pair_couplings)
 from spinbath.constants import (
     C13_ABUNDANCE,
@@ -46,40 +46,27 @@ from spinbath.spinops import (CompositeSpace, embed, spin_operators,
 
 
 def bath_to_json(bath: Bath) -> str:
-    """A bath's spins and generation parameters as JSON text."""
-    payload = {
-        "seed": bath.seed,
-        "abundance": bath.abundance,
-        "min_radius": bath.min_radius,
-        "lattice": bath.lattice,
-        "spins": [
-            {"position": list(s.position), "gamma": s.gamma,
-             "species": s.species}
-            for s in bath.spins
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    """A bath's positions and gyromagnetic ratios as JSON text."""
+    return json.dumps({"positions": bath.positions.tolist(),
+                       "gammas": bath.gammas.tolist()}, indent=2)
 
 
 def bath_from_json(text: str) -> Bath:
     """Inverse of bath_to_json."""
     payload = json.loads(text)
-    spins = tuple(
-        BathSpin(position=tuple(entry["position"]), gamma=entry["gamma"],
-                 species=entry.get("species", "13C"))
-        for entry in payload["spins"]
-    )
-    return Bath(spins=spins, seed=payload["seed"],
-                abundance=payload["abundance"],
-                min_radius=payload.get("min_radius", DIAMOND_BOND_NM),
-                lattice=payload.get("lattice", True))
+    return Bath(payload["positions"], payload["gammas"])
+
+
+def radii(bath: Bath) -> np.ndarray:
+    """Distance from the origin of each bath spin (nm)."""
+    return np.sqrt((bath.positions * bath.positions).sum(axis=1))
 
 
 def nearest_distance(bath: Bath) -> float:
     """Distance from the origin to the closest bath spin (nm)."""
-    if not bath.spins:
+    if not len(bath):
         raise ValueError("empty bath has no nearest spin")
-    return min(s.r for s in bath.spins)
+    return float(radii(bath).min())
 
 
 def total_time(schedule: Schedule) -> float:
@@ -303,28 +290,29 @@ def scalar_dipole_tensor(r_nm, gamma1: float, gamma2: float) -> np.ndarray:
 
 def group_hamiltonian(central, group, b, *, include_nn=True,
                       secular_hyperfine=False, hyperfine_scale=1.0):
-    """One group's Hamiltonian, one tensor and one term at a time.
+    """One group's (a Bath's) Hamiltonian, one tensor and one term at a time.
 
     The stacked builder must reproduce it bit for bit: the same terms,
     added in the same order, with zero coefficients skipped.
     """
     h = np.kron(central.hamiltonian(b), np.eye(1 << len(group), dtype=complex))
-    if not group:
+    if not len(group):
         return h
     b_vec = _field_vector(b)
     coeffs = []
-    for spin in group:
+    for position, gamma in zip(group.positions, group.gammas.tolist()):
         tensor = np.zeros((3, 3))
         if hyperfine_scale != 0.0:
             tensor = hyperfine_scale * scalar_dipole_tensor(
-                spin.position, GAMMA_E_HZ_PER_G, spin.gamma)
+                position, GAMMA_E_HZ_PER_G, gamma)
         if secular_hyperfine:
             tensor[:2] = 0.0
-        coeffs += [-spin.gamma * b_vec, tensor.ravel()]
+        coeffs += [-gamma * b_vec, tensor.ravel()]
     if include_nn:
-        for s1, s2 in itertools.combinations(group, 2):
-            r = np.asarray(s2.position) - np.asarray(s1.position)
-            coeffs.append(scalar_dipole_tensor(r, s1.gamma, s2.gamma).ravel())
+        for i, j in itertools.combinations(range(len(group)), 2):
+            r = group.positions[j] - group.positions[i]
+            coeffs.append(scalar_dipole_tensor(
+                r, float(group.gammas[i]), float(group.gammas[j])).ravel())
     for c, op in zip(np.concatenate(coeffs), _term_stack(central, len(group))):
         if c != 0.0:
             h += c * op
@@ -404,19 +392,19 @@ def _term_stack(central, k: int) -> np.ndarray:
     return _TERM_STACKS[key]
 
 
-def pair_coupling(spin_i: BathSpin, spin_j: BathSpin) -> float:
-    """Coupling magnitude (Hz) of two bath spins, |A_zz| of the scalar
+def pair_coupling(bath: Bath, i: int, j: int) -> float:
+    """Coupling magnitude (Hz) of bath spins i and j, |A_zz| of the scalar
     tensor."""
-    r = np.asarray(spin_j.position) - np.asarray(spin_i.position)
-    return abs(float(hyperfine_tensor(r, spin_i.gamma, spin_j.gamma)[2, 2]))
+    r = bath.positions[j] - bath.positions[i]
+    return abs(float(hyperfine_tensor(r, float(bath.gammas[i]),
+                                      float(bath.gammas[j]))[2, 2]))
 
 
 def every_pair_coupling(bath: Bath):
     """(i, j, coupling) of every pair i < j, in pair order."""
-    pos = np.array([s.position for s in bath.spins])
-    gamma = np.array([s.gamma for s in bath.spins])
     first, second = np.triu_indices(len(bath), 1)
-    return first, second, _pair_couplings(pos, gamma, first, second)
+    return first, second, _pair_couplings(bath.positions, bath.gammas,
+                                          first, second)
 
 
 @functools.lru_cache(maxsize=2)

@@ -19,7 +19,7 @@ from spinbath.analysis import (
     mean_kth_distance,
     transition_table,
 )
-from spinbath.bathgen import BathSpin, cluster_bath, generate_bath
+from spinbath.bathgen import Bath, cluster_bath, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
@@ -159,9 +159,9 @@ def test_criterion_4_single_carbon_closed_form(accept):
         while np.linalg.norm(pos) < 0.15:
             pos = rng.uniform(-0.9, 0.9, size=3)
         b = float(rng.uniform(20.0, 150.0))
-        spin = BathSpin(position=tuple(pos))
+        spin = Bath([pos])
         for tau in taus:
-            got = group_signal(BareElectron(), [spin],
+            got = group_signal(BareElectron(), spin,
                                compile_schedule(prog, float(tau)), b,
                                secular_hyperfine=True)
             worst = max(worst, abs(got - _eseem(pos, b, float(tau))))

@@ -20,7 +20,7 @@ from spinbath.analysis import (
     transition_moment,
     transition_table,
 )
-from spinbath.bathgen import Bath, BathSpin, generate_bath
+from spinbath.bathgen import Bath, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
     GAMMA_N14_HZ_PER_G,
@@ -149,7 +149,7 @@ def test_transition_table_serialization_round_trip():
 
 def test_distant_spin_precesses_at_the_bare_rate():
     bare = GAMMA_C13_HZ_PER_G * 72.0
-    bath = Bath(spins=(BathSpin(position=(30.0, 0.0, 40.0)),), seed=0)  # 50 nm
+    bath = Bath([(30.0, 0.0, 40.0)])  # 50 nm
     for central in (NVCenter(), P1Center()):
         hist = larmor_distribution(central, bath, 72.0)
         for branch in hist.frequencies:
@@ -176,7 +176,7 @@ def test_p1_branches_spread_comparably():
 
 
 def test_strong_mixing_is_flagged():
-    bath = Bath(spins=(BathSpin(position=(0.16, 0.0, 0.0)),), seed=0)
+    bath = Bath([(0.16, 0.0, 0.0)])
     low = larmor_distribution(BareElectron(), bath, 0.5)
     assert low.flagged == (0,)
     high = larmor_distribution(BareElectron(), bath, 72.0)
@@ -190,7 +190,7 @@ def test_histogram_binning():
     for counts in hist.counts:
         assert sum(counts) == 30
     with pytest.raises(ValueError):
-        larmor_distribution(NVCenter(), Bath(spins=(), seed=0), 72.0)
+        larmor_distribution(NVCenter(), Bath([]), 72.0)
 
 
 def test_histogram_serialization():

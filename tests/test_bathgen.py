@@ -14,10 +14,9 @@ import spinbath.bathgen as bathgen
 from oracles import (bath_from_json, bath_to_json, cluster_every_pair,
                      every_pair_coupling, lattice_bath_by_ball,
                      lattice_sites_by_lexsort, nearest_distance,
-                     pair_coupling)
+                     pair_coupling, radii)
 from spinbath.bathgen import (
     Bath,
-    BathSpin,
     Partition,
     child_seed,
     cluster_bath,
@@ -44,25 +43,23 @@ _CELL_FRACTIONS = {
 def test_generation_is_deterministic():
     b1 = generate_bath(seed=42, n_spins=60)
     b2 = generate_bath(seed=42, n_spins=60)
-    assert [s.position for s in b1] == [s.position for s in b2]
+    assert b1.positions.tolist() == b2.positions.tolist()
     b3 = generate_bath(seed=43, n_spins=60)
-    assert [s.position for s in b1] != [s.position for s in b3]
+    assert b1.positions.tolist() != b3.positions.tolist()
 
 
 def test_requested_count_and_exclusion_zone():
     bath = generate_bath(seed=3, n_spins=80)
     assert len(bath) == 80
-    assert bath.abundance == C13_ABUNDANCE
-    radii = [s.r for s in bath]
-    assert min(radii) >= DIAMOND_BOND_NM * (1.0 - 1e-9)
-    positions = {s.position for s in bath}
+    assert min(radii(bath)) >= DIAMOND_BOND_NM * (1.0 - 1e-9)
+    positions = {tuple(p) for p in bath.positions.tolist()}
     assert len(positions) == 80
 
 
 def test_spins_are_sorted_from_the_origin_outward():
     bath = generate_bath(seed=9, n_spins=50)
-    radii = [s.r for s in bath]
-    assert radii == sorted(radii)
+    r = radii(bath).tolist()
+    assert r == sorted(r)
 
 
 def test_zero_spin_bath():
@@ -74,10 +71,10 @@ def test_zero_spin_bath():
 
 def test_positions_sit_on_the_diamond_lattice():
     bath = generate_bath(seed=12, n_spins=40)
-    for s in bath:
-        frac = np.mod(np.asarray(s.position) / DIAMOND_LATTICE_NM, 1.0)
+    for position in bath.positions:
+        frac = np.mod(position / DIAMOND_LATTICE_NM, 1.0)
         frac = np.round(frac, 6) % 1.0
-        assert tuple(frac) in _CELL_FRACTIONS, s.position
+        assert tuple(frac) in _CELL_FRACTIONS, position
 
 
 def test_full_occupancy_starts_at_one_bond_length():
@@ -86,8 +83,7 @@ def test_full_occupancy_starts_at_one_bond_length():
     bath = generate_bath(seed=1, n_spins=8, abundance=1.0)
     assert nearest_distance(bath) == pytest.approx(DIAMOND_BOND_NM, rel=1e-12)
     # the first shell has four members
-    on_shell = [s for s in bath
-                if abs(s.r - DIAMOND_BOND_NM) < 1e-9]
+    on_shell = [r for r in radii(bath) if abs(r - DIAMOND_BOND_NM) < 1e-9]
     assert len(on_shell) == 4
 
 
@@ -101,7 +97,7 @@ def test_growing_the_bath_keeps_the_near_spins():
     # so a bigger bath extends a smaller one spin for spin
     small = generate_bath(seed=7, n_spins=20)
     large = generate_bath(seed=7, n_spins=90)
-    assert [s.position for s in small] == [s.position for s in large][:20]
+    assert small.positions.tolist() == large.positions.tolist()[:20]
 
 
 def test_nearest_spin_statistic_matches_closed_form():
@@ -119,12 +115,11 @@ def test_nearest_spin_statistic_matches_closed_form():
 def test_continuum_mode():
     bath = generate_bath(seed=21, n_spins=50, lattice=False)
     assert len(bath) == 50
-    assert not bath.lattice
     assert nearest_distance(bath) >= DIAMOND_BOND_NM * (1.0 - 1e-9)
     again = generate_bath(seed=21, n_spins=50, lattice=False)
-    assert [s.position for s in bath] == [s.position for s in again]
+    assert bath.positions.tolist() == again.positions.tolist()
     # continuum points are generic, never lattice sites
-    frac = np.mod(np.asarray(bath.spins[0].position) / DIAMOND_LATTICE_NM, 1.0)
+    frac = np.mod(bath.positions[0] / DIAMOND_LATTICE_NM, 1.0)
     assert tuple(np.round(frac, 6)) not in _CELL_FRACTIONS
 
 
@@ -163,15 +158,16 @@ def test_ball_enumeration_matches_the_cube_lexsort(monkeypatch):
 
 
 @pytest.mark.parametrize("n_spins,seeds", [(1, range(20)), (125, range(6)),
-                                           (400, range(2))])
+                                           (400, range(2)), (2000, range(1))])
 def test_shell_draws_give_the_bath_of_one_ball_draw(n_spins, seeds):
-    # one occupancy draw per shell equals one draw over the sorted ball
+    # one occupancy draw per shell equals one draw over the sorted ball;
+    # at 2000 spins the shells have grown past _SHELL_SITES sites
     for seed in seeds:
         for abundance, min_radius in ((C13_ABUNDANCE, DIAMOND_BOND_NM),
                                       (1.0, 0.0), (0.05, 1.0)):
             bath = generate_bath(seed, n_spins, abundance, min_radius)
             ball = lattice_bath_by_ball(seed, n_spins, abundance, min_radius)
-            assert np.array([s.position for s in bath]).tobytes() \
+            assert bath.positions.tobytes() \
                 == ball.tobytes(), (seed, abundance, min_radius)
 
 
@@ -191,8 +187,7 @@ def test_shell_walk_meets_the_budget_where_the_ball_does(monkeypatch):
                 outcomes.add("over")
             else:
                 bath = generate_bath(3, n_spins, min_radius=min_radius)
-                assert np.array([s.position for s in bath]).tobytes() \
-                    == ball.tobytes()
+                assert bath.positions.tobytes() == ball.tobytes()
                 outcomes.add("within")
     assert outcomes == {"over", "within"}
 
@@ -324,23 +319,39 @@ def test_site_budget_leaves_large_lattice_baths_alone():
 
 def test_bath_validation():
     with pytest.raises(ValueError):
-        Bath(spins=(BathSpin(position=(0.0, 0.0, 0.0)),), seed=0)
-    dup = BathSpin(position=(0.5, 0.0, 0.0))
+        Bath([(0.0, 0.0, 0.0)])
     with pytest.raises(ValueError):
-        Bath(spins=(dup, BathSpin(position=(0.5, 0.0, 0.0))), seed=0)
+        Bath([(0.5, 0.0, 0.0), (0.5, 0.0, 0.0)])
     with pytest.raises(ValueError):
-        BathSpin(position=(1.0, 2.0))
+        Bath([(1.0, 2.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bath_refuses_non_finite_positions_and_gammas(bad):
+    # such a spin used to pass, and its group's eigh failed to converge
+    with pytest.raises(ValueError, match="positions and gammas must be finite"):
+        Bath([(0.5, 0.0, 0.0), (0.0, bad, 0.3)])
+    with pytest.raises(ValueError, match="positions and gammas must be finite"):
+        Bath([(0.5, 0.0, 0.0), (0.0, 0.2, 0.3)], [GAMMA_C13_HZ_PER_G, bad])
+
+
+def test_bath_holds_read_only_arrays():
+    bath = Bath([(0.5, 0.0, 0.0), (0.0, 0.2, 0.3)])
+    assert bath.positions.shape == (2, 3)
+    assert bath.gammas.tolist() == [GAMMA_C13_HZ_PER_G] * 2
+    with pytest.raises(ValueError):
+        bath.positions[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        bath.gammas[0] = 1.0
+    with pytest.raises(ValueError):
+        Bath([(0.5, 0.0, 0.0)], [1.0, 2.0])
 
 
 def test_bath_json_round_trip():
     bath = generate_bath(seed=17, n_spins=25)
     clone = bath_from_json(bath_to_json(bath))
-    assert clone.seed == bath.seed
-    assert clone.abundance == bath.abundance
-    assert clone.min_radius == bath.min_radius
-    assert clone.lattice == bath.lattice
-    assert [s.position for s in clone] == [s.position for s in bath]
-    assert [s.gamma for s in clone] == [s.gamma for s in bath]
+    assert clone.positions.tolist() == bath.positions.tolist()
+    assert clone.gammas.tolist() == bath.gammas.tolist()
 
 
 def test_child_seed_is_stable_and_distinct():
@@ -355,23 +366,20 @@ def test_child_seed_is_stable_and_distinct():
 
 def test_pair_coupling_axial_pair():
     # two spins stacked along z: |A_zz| = 2 c / r^3
-    s1 = BathSpin(position=(0.0, 0.0, 0.5))
-    s2 = BathSpin(position=(0.0, 0.0, 1.0))
-    c = pair_coupling(s1, s2)
+    bath = Bath([(0.0, 0.0, 0.5), (0.0, 0.0, 1.0)])
+    c = pair_coupling(bath, 0, 1)
     expect = 2.0 * abs(dipole_prefactor_hz(GAMMA_C13_HZ_PER_G,
                                            GAMMA_C13_HZ_PER_G, 0.5))
     assert c == pytest.approx(expect, rel=1e-12)
-    assert c == pytest.approx(pair_coupling(s2, s1), rel=1e-12)
+    assert c == pytest.approx(pair_coupling(bath, 1, 0), rel=1e-12)
 
 
 def test_pair_coupling_vanishes_at_magic_angle():
     # 3 cos^2 theta = 1
     z = 1.0 / math.sqrt(3.0)
     t = math.sqrt(1.0 - z * z)
-    s1 = BathSpin(position=(0.3, 0.0, 0.0))
-    s2 = BathSpin(position=(0.3 + t, 0.0, z))
-    assert pair_coupling(s1, s2) < 1e-6 * pair_coupling(
-        s1, BathSpin(position=(0.3, 0.0, 1.0)))
+    bath = Bath([(0.3, 0.0, 0.0), (0.3 + t, 0.0, z), (0.3, 0.0, 1.0)])
+    assert pair_coupling(bath, 0, 1) < 1e-6 * pair_coupling(bath, 0, 2)
 
 
 def test_partition_validation():
@@ -405,7 +413,8 @@ def test_cluster_invariants_across_seeds():
 def test_a_seed_replays_the_bath_and_its_partition(seed, n_spins, lattice, g):
     bath = generate_bath(seed, n_spins, lattice=lattice)
     again = generate_bath(seed, n_spins, lattice=lattice)
-    assert again == bath
+    assert again.positions.tobytes() == bath.positions.tobytes()
+    assert again.gammas.tobytes() == bath.gammas.tobytes()
     assert cluster_bath(again, g) == cluster_bath(bath, g)
 
 
@@ -429,8 +438,8 @@ def test_early_stop_keeps_the_partition_of_the_full_visit(n_spins):
 
 # on a 0.01 nm grid, so that equal couplings (ties) come up often
 _coordinate = st.integers(-150, 150).map(lambda q: q / 100)
-_drawn_spin = st.builds(
-    BathSpin, st.tuples(_coordinate, _coordinate, _coordinate).filter(any),
+_drawn_spin = st.tuples(
+    st.tuples(_coordinate, _coordinate, _coordinate).filter(any),
     st.sampled_from([GAMMA_C13_HZ_PER_G, -GAMMA_N14_HZ_PER_G, 0.0]))
 
 
@@ -438,10 +447,9 @@ _drawn_spin = st.builds(
 @given(bath=st.one_of(
            st.builds(generate_bath, st.integers(0, 2 ** 32 - 1),
                      st.integers(1, 60), lattice=st.booleans()),
-           st.lists(_drawn_spin, min_size=1, max_size=30).filter(
-               lambda spins: all(a.position != b.position for a, b
-                                 in itertools.combinations(spins, 2))).map(
-               lambda spins: Bath(spins=tuple(spins), seed=0))),
+           st.lists(_drawn_spin, min_size=1, max_size=30,
+                    unique_by=lambda spin: spin[0]).map(
+               lambda spins: Bath(*zip(*spins)))),
        g=st.integers(1, 5))
 def test_partition_covers_the_bath_and_equals_the_every_pair_visit(bath, g):
     part = cluster_bath(bath, g)
@@ -452,12 +460,12 @@ def test_partition_covers_the_bath_and_equals_the_every_pair_visit(bath, g):
 
 def _mixed_gamma_bath(seed):
     """A default bath with some spins of other (signed) or zero gamma."""
-    spins = list(generate_bath(seed=seed, n_spins=125))
-    for k in range(0, len(spins), 9):
-        gamma = GAMMA_N14_HZ_PER_G if k % 2 else -GAMMA_N14_HZ_PER_G
-        spins[k] = BathSpin(spins[k].position, gamma=gamma, species="14N")
-    spins[4] = BathSpin(spins[4].position, gamma=0.0, species="none")
-    return Bath(spins=tuple(spins), seed=seed)
+    bath = generate_bath(seed=seed, n_spins=125)
+    gammas = bath.gammas.copy()
+    for k in range(0, len(gammas), 9):
+        gammas[k] = GAMMA_N14_HZ_PER_G if k % 2 else -GAMMA_N14_HZ_PER_G
+    gammas[4] = 0.0
+    return Bath(bath.positions, gammas)
 
 
 @pytest.mark.parametrize("make_bath", [
@@ -475,8 +483,7 @@ def test_early_stop_keeps_the_partition_on_other_baths(make_bath):
 def _scalar_couplings(bath):
     """(i, j, coupling) of every pair i < j through pair_coupling."""
     pairs = list(itertools.combinations(range(len(bath)), 2))
-    return pairs, [pair_coupling(bath.spins[i], bath.spins[j])
-                   for i, j in pairs]
+    return pairs, [pair_coupling(bath, i, j) for i, j in pairs]
 
 
 def _scalar_greedy_groups(n, pairs, couplings, g):
@@ -522,8 +529,7 @@ def test_zz_couplings_equal_the_tensor_element(n_spins, lattice):
     # clustering computes A_zz alone; it must keep every bit of the
     # tensor's element, signed zeros included
     bath = generate_bath(child_seed(0, 0), n_spins=n_spins, lattice=lattice)
-    pos = np.array([s.position for s in bath.spins])
-    gamma = np.array([s.gamma for s in bath.spins])
+    pos, gamma = bath.positions, bath.gammas
     first, second = np.triu_indices(len(bath), 1)
     args = pos[second] - pos[first], gamma[first], gamma[second]
     tensor_zz = _dipole_tensors(*args)[:, 2, 2]
@@ -536,19 +542,15 @@ def _intra_sum(bath, groups):
     total = 0.0
     for grp in groups:
         for i, j in itertools.combinations(grp, 2):
-            total += pair_coupling(bath.spins[i], bath.spins[j])
+            total += pair_coupling(bath, i, j)
     return total
 
 
 def test_two_tight_pairs_cluster_optimally():
     # two near pairs, far apart: the greedy result must match the best
     # partition found by exhaustive search
-    bath = Bath(spins=(
-        BathSpin(position=(1.0, 0.0, 0.0)),
-        BathSpin(position=(1.0, 0.0, 0.2)),
-        BathSpin(position=(-4.0, 2.0, 1.0)),
-        BathSpin(position=(-4.0, 2.0, 1.22)),
-    ), seed=0)
+    bath = Bath([(1.0, 0.0, 0.0), (1.0, 0.0, 0.2),
+                 (-4.0, 2.0, 1.0), (-4.0, 2.0, 1.22)])
     part = cluster_bath(bath, g=2)
     assert part.groups == ((0, 1), (2, 3))
 
@@ -587,7 +589,7 @@ def test_greedy_quality_statistic():
     pref = dipole_prefactor_hz(GAMMA_C13_HZ_PER_G, GAMMA_C13_HZ_PER_G, 1.0)
     for seed in range(20):
         bath = generate_bath(seed=seed, n_spins=125)
-        pos = np.array([s.position for s in bath])
+        pos = bath.positions
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
         np.fill_diagonal(dist, np.inf)
@@ -602,7 +604,7 @@ def test_greedy_quality_statistic():
                 if i == j:
                     continue
                 assert zz[i, j] == pytest.approx(
-                    pair_coupling(bath.spins[i], bath.spins[j]), rel=1e-9)
+                    pair_coupling(bath, i, j), rel=1e-9)
 
         part = cluster_bath(bath, g=3)
         intra_all = []

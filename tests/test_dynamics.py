@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import spinbath.dynamics as dynamics
 from oracles import evolve, group_curves_unrolled
-from spinbath.bathgen import (Bath, BathSpin, Partition, child_seed,
-                              cluster_bath, generate_bath)
+from spinbath.bathgen import (Bath, Partition, child_seed, cluster_bath,
+                              generate_bath)
 from spinbath.constants import (
     A_PAR_MHZ,
     A_PERP_MHZ,
@@ -46,7 +46,13 @@ from spinbath.spinops import two_level_unitary
 
 
 def _spin(x, y, z):
-    return BathSpin(position=(x, y, z))
+    return (x, y, z)
+
+
+def _subset(bath, index):
+    """The spins of bath at index, as a group."""
+    index = list(index)
+    return Bath(bath.positions[index], bath.gammas[index])
 
 
 def _eseem_closed_form(position, b, tau):
@@ -64,7 +70,7 @@ def _eseem_closed_form(position, b, tau):
 
 @pytest.mark.parametrize("name,n", [("hahn", None), ("cpmg", 2), ("xy8", 1)])
 def test_zero_delay_signal_is_unity(name, n):
-    group = [_spin(0.5, 0.2, 0.4), _spin(-0.4, 0.6, 0.1)]
+    group = Bath([_spin(0.5, 0.2, 0.4), _spin(-0.4, 0.6, 0.1)])
     sched = compile_schedule(expand_preset(name, n), tau=0.0)
     for central in (P1Center(), NVCenter(), BareElectron()):
         assert group_signal(central, group, sched, 72.0) == pytest.approx(
@@ -73,7 +79,7 @@ def test_zero_delay_signal_is_unity(name, n):
 
 def test_empty_group_keeps_full_coherence():
     sched = compile_schedule(expand_preset("hahn"), tau=7e-6)
-    assert group_signal(NVCenter(), [], sched, 72.0) == pytest.approx(
+    assert group_signal(NVCenter(), Bath([]), sched, 72.0) == pytest.approx(
         1.0, abs=1e-12)
 
 
@@ -86,9 +92,9 @@ def test_single_carbon_echo_matches_closed_form():
         if np.linalg.norm(pos) < 0.3:
             pos = pos + 0.5
         b = float(rng.uniform(30.0, 110.0))
-        spin = BathSpin(position=tuple(pos))
+        spin = Bath([pos])
         for tau in taus:
-            got = group_signal(BareElectron(), [spin],
+            got = group_signal(BareElectron(), spin,
                                compile_schedule(prog, tau), b,
                                secular_hyperfine=True)
             want = _eseem_closed_form(pos, b, tau)
@@ -98,7 +104,7 @@ def test_single_carbon_echo_matches_closed_form():
 def test_engine_agrees_with_direct_density_matrix_evolution():
     """Replay a schedule by brute force on the full density matrix."""
     central = P1Center()
-    group = [_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)]
+    group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)])
     b = 72.0
     nb = 4
 
@@ -139,9 +145,10 @@ def test_detached_groups_factorize():
     # two carbons far apart: the joint signal approximately factorizes
     s1, s2 = _spin(0.6, 0.0, 0.4), _spin(-8.0, 7.0, -9.0)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
-    joint = group_signal(NVCenter(), [s1, s2], sched, 72.0, include_nn=False)
-    split = (group_signal(NVCenter(), [s1], sched, 72.0)
-             * group_signal(NVCenter(), [s2], sched, 72.0))
+    joint = group_signal(NVCenter(), Bath([s1, s2]), sched, 72.0,
+                         include_nn=False)
+    split = (group_signal(NVCenter(), Bath([s1]), sched, 72.0)
+             * group_signal(NVCenter(), Bath([s2]), sched, 72.0))
     assert joint == pytest.approx(split, abs=1e-6)
 
 
@@ -151,14 +158,14 @@ def test_secular_factorization_is_exact():
     s1, s2 = _spin(0.6, 0.0, 0.4), _spin(0.1, 0.8, -0.3)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
     kw = dict(include_nn=False, secular_hyperfine=True)
-    joint = group_signal(BareElectron(), [s1, s2], sched, 72.0, **kw)
-    split = (group_signal(BareElectron(), [s1], sched, 72.0, **kw)
-             * group_signal(BareElectron(), [s2], sched, 72.0, **kw))
+    joint = group_signal(BareElectron(), Bath([s1, s2]), sched, 72.0, **kw)
+    split = (group_signal(BareElectron(), Bath([s1]), sched, 72.0, **kw)
+             * group_signal(BareElectron(), Bath([s2]), sched, 72.0, **kw))
     assert joint == pytest.approx(split, abs=1e-12)
 
 
 def test_decoupled_bath_shows_no_decay():
-    group = [_spin(0.4, 0.2, 0.3), _spin(-0.2, 0.5, 0.1)]
+    group = Bath([_spin(0.4, 0.2, 0.3), _spin(-0.2, 0.5, 0.1)])
     for tau in (3e-6, 11e-6, 27e-6):
         sched = compile_schedule(expand_preset("hahn"), tau)
         got = group_signal(P1Center(), group, sched, 72.0,
@@ -179,7 +186,7 @@ def test_signal_stays_in_physical_range():
 
 
 def test_thermal_nitrogen_averages_the_projections():
-    group = [_spin(0.5, 0.3, 0.2)]
+    group = Bath([_spin(0.5, 0.3, 0.2)])
     sched = compile_schedule(expand_preset("hahn"), tau=6e-6)
     fixed = [group_signal(P1Center(m_i=m), group, sched, 72.0)
              for m in (-1, 0, 1)]
@@ -193,7 +200,7 @@ def test_thermal_nitrogen_products_before_averaging():
     # one shared nitrogen: S_T is the product at fixed projection, then the
     # projection average; averaging each group first would be a different
     # (wrong) number
-    bath = Bath(spins=(_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)), seed=0)
+    bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,), (1,)), g=1, n_spins=2)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
     got = _bath_curve(P1Center(m_i=None), bath, part, [sched], 72.0)[0]
@@ -201,17 +208,19 @@ def test_thermal_nitrogen_products_before_averaging():
     for m in (-1, 0, 1):
         center = P1Center(m_i=m)
         per_m.append(np.prod([
-            group_signal(center, [s], sched, 72.0) for s in bath.spins]))
+            group_signal(center, _subset(bath, [k]), sched, 72.0)
+            for k in range(2)]))
     assert got == pytest.approx(np.mean(per_m), abs=1e-12)
     wrong = np.prod([
-        np.mean([group_signal(P1Center(m_i=m), [s], sched, 72.0)
+        np.mean([group_signal(P1Center(m_i=m), _subset(bath, [k]), sched,
+                              72.0)
                  for m in (-1, 0, 1)])
-        for s in bath.spins])
+        for k in range(2)])
     assert abs(got - wrong) > 1e-4
 
 
 def test_bath_signal_checks_partition_coverage():
-    bath = Bath(spins=(_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)), seed=0)
+    bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,),), g=1, n_spins=1)
     sched = compile_schedule(expand_preset("hahn"), tau=1e-6)
     with pytest.raises(ValueError):
@@ -227,9 +236,10 @@ def test_batched_kernel_matches_single_schedules(prog):
     # call runs two plans
     taus = (0.0, 1.5e-6, 4e-6, 0.0, 9.25e-6)
     schedules = [compile_schedule(prog, tau) for tau in taus]
-    group = [_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6), _spin(0.2, -0.5, 0.3)]
+    group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6),
+                  _spin(0.2, -0.5, 0.3)])
     for central in (P1Center(m_i=None), NVCenter()):
-        batched = _echo(central, [group], schedules, 72.0)
+        batched = _echo(central, group, [range(3)], schedules, 72.0)
         for tau, sched, got in zip(taus, schedules, batched):
             want = group_signal(central, group, sched, 72.0)
             assert got == pytest.approx(want, abs=1e-10), tau
@@ -247,11 +257,11 @@ def _kernel_inputs(central, taus):
     schedules = [compile_schedule(prog, tau) for prog, tau in taus]
     plans = dynamics._plans(schedules)
     probes = dynamics._probes(central, 72.0)
-    spins = generate_bath(seed=4, n_spins=12).spins
+    bath = generate_bath(seed=4, n_spins=12)
+    index = [np.arange(12 - 12 % g).reshape(-1, g) for g in (1, 2, 3, 4)]
     stacks = [np.linalg.eigh(build_hamiltonian_stack(
-                  central, [list(spins[k:k + g])
-                            for k in range(0, 12 - g + 1, g)], 72.0))
-              for g in (1, 2, 3, 4)]
+                  central, bath.positions[idx], bath.gammas[idx], 72.0))
+              for idx in index]
     return schedules, plans, probes, stacks
 
 
@@ -306,9 +316,9 @@ def test_program_without_delays_runs_on_a_uniform_grid():
     prog = parse_sequence("pi/2(x) - pi/2(y)")
     schedules = [compile_schedule(prog, tau)
                  for tau in np.linspace(0.0, 30e-6, 10)]
-    group = [_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)]
+    group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)])
     for central in (P1Center(), NVCenter()):
-        signal = _echo(central, [group], schedules, 72.0)
+        signal = _echo(central, group, [range(2)], schedules, 72.0)
         assert (signal == group_signal(central, group, schedules[0],
                                        72.0)).all()
 
@@ -330,46 +340,46 @@ _position = st.tuples(_coordinate, _coordinate, _coordinate).filter(
        taus=st.lists(st.floats(0.0, 40e-6), min_size=1, max_size=4))
 def test_echo_is_bounded_and_starts_at_one(positions, central, preset, b,
                                            taus):
-    group = [BathSpin(position=p) for p in positions]
+    group = Bath(positions)
     schedules = [compile_schedule(expand_preset(*preset), tau)
                  for tau in (0.0, *taus)]
-    signal = _echo(central, [group], schedules, b)
+    signal = _echo(central, group, [range(len(group))], schedules, b)
     assert abs(signal[0] - 1.0) <= 1e-12
     assert np.abs(signal).max() <= 1.0 + 1e-12
 
 
 def _mixed_groups():
     # sizes interleaved, so the stacks by size run out of the given order
-    spins = generate_bath(seed=4, n_spins=12).spins
-    groups = [list(spins[0:2]), [spins[2]], list(spins[3:6]), [spins[6]],
-              list(spins[7:9]), list(spins[9:12])]
+    bath = generate_bath(seed=4, n_spins=12)
+    groups = [range(0, 2), [2], range(3, 6), [6], range(7, 9), range(9, 12)]
     taus = (0.0, 2e-6, 7.5e-6, 13e-6)
-    return groups, [compile_schedule(expand_preset("hahn"), tau)
-                    for tau in taus]
+    return bath, groups, [compile_schedule(expand_preset("hahn"), tau)
+                          for tau in taus]
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(),
                                      P1Center(m_i=None)],
                          ids=["p1", "nv", "p1-thermal"])
 def test_mixed_group_sizes_multiply_per_group_signals(central):
-    groups, schedules = _mixed_groups()
+    bath, groups, schedules = _mixed_groups()
     # a thermal nitrogen averages the products of its three projections
     variants = ([replace(central, m_i=m) for m in (-1, 0, 1)]
                 if isinstance(central, P1Center) and central.m_i is None
                 else [central])
-    got = _echo(central, groups, schedules, 72.0)
+    got = _echo(central, bath, groups, schedules, 72.0)
     for sched, value in zip(schedules, got):
-        want = np.mean([np.prod([group_signal(variant, group, sched, 72.0)
+        want = np.mean([np.prod([group_signal(variant, _subset(bath, group),
+                                              sched, 72.0)
                                  for group in groups])
                         for variant in variants])
         assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
-    groups, schedules = _mixed_groups()
-    whole = _echo(P1Center(m_i=None), groups, schedules, 72.0)
+    bath, groups, schedules = _mixed_groups()
+    whole = _echo(P1Center(m_i=None), bath, groups, schedules, 72.0)
     monkeypatch.setattr(dynamics, "_STACK_BYTES", 1)  # one group a stack
-    split = _echo(P1Center(m_i=None), groups, schedules, 72.0)
+    split = _echo(P1Center(m_i=None), bath, groups, schedules, 72.0)
     assert whole.tobytes() == split.tobytes()
 
 
@@ -554,7 +564,7 @@ def test_echo_curve_validation_and_serialization():
 
 
 def test_parsed_and_preset_sequences_give_identical_dynamics():
-    group = [_spin(0.5, 0.3, 0.2)]
+    group = Bath([_spin(0.5, 0.3, 0.2)])
     text = parse_sequence("pi/2(x) - tau - pi(x) - tau - pi/2(x)")
     for tau in (3e-6, 9e-6):
         a = group_signal(P1Center(), group, compile_schedule(text, tau), 72.0)
@@ -588,11 +598,10 @@ def test_disjoint_cluster_error_against_exact_evolution(central, sequence):
     errors = dict.fromkeys(_DISJOINT_ERROR[central, sequence], 0.0)
     for index in (0, 1):
         bath = generate_bath(child_seed(0, index), n_spins=6)
-        exact = _echo(spec, [list(bath.spins)], schedules, 72.0)
+        exact = _echo(spec, bath, [range(len(bath))], schedules, 72.0)
         for g in errors:
-            groups = [[bath.spins[i] for i in group]
-                      for group in cluster_bath(bath, g)]
-            disjoint = _echo(spec, groups, schedules, 72.0)
+            groups = cluster_bath(bath, g).groups
+            disjoint = _echo(spec, bath, groups, schedules, 72.0)
             errors[g] = max(errors[g], np.abs(disjoint - exact).max())
     for g, measured in _DISJOINT_ERROR[central, sequence].items():
         assert errors[g] <= measured * (1.0 + _DISJOINT_MARGIN), (g, errors)

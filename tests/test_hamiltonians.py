@@ -6,7 +6,7 @@ import pytest
 from scipy import constants as si
 
 from oracles import gemm_terms, group_hamiltonian
-from spinbath.bathgen import BathSpin, generate_bath
+from spinbath.bathgen import Bath, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
@@ -222,9 +222,8 @@ def test_system_hamiltonian_matches_direct_kron_assembly():
     jt = JtOrientation.off_axis(1)
     central = P1Center(jt=jt)
     pos = (0.5, 0.5, 0.5)
-    spin = BathSpin(position=pos)
     b = 72.0
-    got = build_system_hamiltonian(central, [spin], b)
+    got = build_system_hamiltonian(central, Bath([pos]), b)
     assert got.shape == (12, 12)
 
     i2, i3 = np.eye(2), np.eye(3)
@@ -260,14 +259,13 @@ def test_system_hamiltonian_matches_direct_kron_assembly():
 
 def test_system_hamiltonian_rejects_coincident_spins():
     with pytest.raises(ValueError):
-        build_system_hamiltonian(
-            P1Center(), [BathSpin(position=(0.5, 0.5, 0.5)),
-                         BathSpin(position=(0.5, 0.5, 0.5))], 72.0)
+        build_hamiltonian_stack(
+            P1Center(), [[(0.5, 0.5, 0.5), (0.5, 0.5, 0.5)]],
+            [[GAMMA_C13_HZ_PER_G, GAMMA_C13_HZ_PER_G]], 72.0)
 
 
 def test_system_hamiltonian_carbon_pair_coupling_toggle():
-    group = [BathSpin(position=(0.5, 0.5, 0.5)),
-             BathSpin(position=(0.7, 0.5, 0.5))]
+    group = Bath([(0.5, 0.5, 0.5), (0.7, 0.5, 0.5)])
     h_on = build_system_hamiltonian(NVCenter(), group, 72.0)
     h_off = build_system_hamiltonian(NVCenter(), group, 72.0, include_nn=False)
     diff = h_on - h_off
@@ -285,7 +283,7 @@ def test_system_hamiltonian_carbon_pair_coupling_toggle():
 
 
 def test_system_hamiltonian_secular_mode_keeps_sz_row_only():
-    group = [BathSpin(position=(0.4, 0.3, 0.6))]
+    group = Bath([(0.4, 0.3, 0.6)])
     h_full = build_system_hamiltonian(BareElectron(), group, 72.0)
     h_sec = build_system_hamiltonian(BareElectron(), group, 72.0,
                                      secular_hyperfine=True)
@@ -301,7 +299,7 @@ def test_system_hamiltonian_secular_mode_keeps_sz_row_only():
 
 
 def test_system_hamiltonian_scale_zero_decouples_bath():
-    group = [BathSpin(position=(0.4, 0.3, 0.6))]
+    group = Bath([(0.4, 0.3, 0.6)])
     h = build_system_hamiltonian(BareElectron(), group, 72.0,
                                  hyperfine_scale=0.0, include_nn=False)
     hc = BareElectron().hamiltonian(72.0)
@@ -311,21 +309,28 @@ def test_system_hamiltonian_scale_zero_decouples_bath():
 
 
 def test_system_hamiltonian_empty_group_is_central_only():
-    h = build_system_hamiltonian(NVCenter(), [], 65.0)
+    h = build_system_hamiltonian(NVCenter(), Bath([]), 65.0)
     assert np.allclose(h, build_nv_hamiltonian(65.0), atol=0)
 
 
 def _stacks():
-    """Groups of a seeded bath by size; each stack also holds a group with
-    an on-axis carbon, whose tensor has exact zeros the others lack."""
-    spins = generate_bath(seed=3, n_spins=30).spins
-    on_axis = BathSpin(position=(0.0, 0.0, 0.535))
+    """Groups (each a Bath) of a seeded bath by size; each stack also holds
+    a group with an on-axis carbon, whose tensor has exact zeros the others
+    lack."""
+    positions = generate_bath(seed=3, n_spins=30).positions
     stacks = []
     for size in (1, 2, 3):
-        groups = [list(spins[m:m + size]) for m in range(0, 10 * size, size)]
-        groups.insert(1, [on_axis] + groups[0][1:])
-        stacks.append(groups)
+        groups = [positions[m:m + size] for m in range(0, 10 * size, size)]
+        groups.insert(1, np.vstack([(0.0, 0.0, 0.535), groups[0][1:]]))
+        stacks.append([Bath(group) for group in groups])
     return stacks
+
+
+def _stack(central, groups, b, **options):
+    """build_hamiltonian_stack of groups (Baths) of one size."""
+    return build_hamiltonian_stack(
+        central, np.stack([group.positions for group in groups]),
+        np.stack([group.gammas for group in groups]), b, **options)
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(),
@@ -337,7 +342,7 @@ def _stacks():
 @pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
 def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
     for groups in _stacks():
-        stack = build_hamiltonian_stack(central, groups, b, **options)
+        stack = _stack(central, groups, b, **options)
         assert stack.shape[0] == len(groups)
         for h, group in zip(stack, groups):
             want = group_hamiltonian(central, group, b, **options)
@@ -356,8 +361,7 @@ def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
                                                                 options, b):
     # the signs of zeros the stack may differ in do not reach eigh
     for groups in _stacks():
-        w, v = np.linalg.eigh(build_hamiltonian_stack(central, groups, b,
-                                                      **options))
+        w, v = np.linalg.eigh(_stack(central, groups, b, **options))
         for wg, vg, group in zip(w, v, groups):
             w1, v1 = np.linalg.eigh(group_hamiltonian(central, group, b,
                                                       **options))
@@ -381,7 +385,7 @@ def test_kron_terms_equal_the_matrix_products(central, k):
 
 def test_stacked_eigh_equals_one_matrix_at_a_time():
     for groups in _stacks():
-        stack = build_hamiltonian_stack(P1Center(), groups, 72.0)
+        stack = _stack(P1Center(), groups, 72.0)
         w, v = np.linalg.eigh(stack)
         for h, wg, vg in zip(stack, w, v):
             w1, v1 = np.linalg.eigh(h)
@@ -390,11 +394,24 @@ def test_stacked_eigh_equals_one_matrix_at_a_time():
 
 
 def test_hamiltonian_stack_needs_one_group_size():
-    spins = [BathSpin(position=(0.5, 0.5, 0.5)),
-             BathSpin(position=(0.7, 0.5, 0.5))]
+    pos = [[(0.5, 0.5, 0.5), (0.7, 0.5, 0.5)]]
     with pytest.raises(ValueError, match="share a size"):
-        build_hamiltonian_stack(NVCenter(), [spins[:1], spins], 72.0)
-    assert build_hamiltonian_stack(NVCenter(), [], 72.0).shape == (0, 3, 3)
+        build_hamiltonian_stack(NVCenter(), pos, [[GAMMA_C13_HZ_PER_G]], 72.0)
+    with pytest.raises(ValueError, match="share a size"):
+        build_hamiltonian_stack(NVCenter(), pos[0], [GAMMA_C13_HZ_PER_G] * 2,
+                                72.0)
+    assert build_hamiltonian_stack(NVCenter(), np.zeros((0, 0, 3)),
+                                   np.zeros((0, 0)), 72.0).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hamiltonian_stack_refuses_non_finite_spins(bad):
+    # refused before eigh, which fails to converge on such a matrix
+    with pytest.raises(ValueError, match="positions and gammas must be finite"):
+        build_hamiltonian_stack(P1Center(), [[(0.5, bad, 0.5)]],
+                                [[GAMMA_C13_HZ_PER_G]], 72.0)
+    with pytest.raises(ValueError, match="positions and gammas must be finite"):
+        build_hamiltonian_stack(P1Center(), [[(0.5, 0.4, 0.5)]], [[bad]], 72.0)
 
 
 def test_field_vector_forms_agree():
