@@ -26,13 +26,12 @@ from .constants import (
     KAPPA_ID_PPM_US,
     dipole_prefactor_hz,
 )
-from .dynamics import _STACK_BYTES, _probed_states
+from .dynamics import _eigen_stacks, _probed_states
 from .hamiltonians import (
     _JT_AXES,
     JtOrientation,
     _field_vector,
     _p1_operators,
-    build_hamiltonian_stack,
     build_p1_hamiltonian,
     label_levels,
 )
@@ -242,52 +241,42 @@ def larmor_distribution(central, bath, b_field,
     """Nuclear splitting of each bath spin, conditioned on the electron branch.
 
     For every bath spin the central+one-carbon Hamiltonian is
-    diagonalized (the spins as stacks of one-spin groups); within each
-    probed electron manifold (selected by dominant central-eigenstate
-    character) the two levels' gap is that spin's conditional precession
-    frequency.  `bins` is anything numpy.histogram_bin_edges accepts;
-    binning is shared by both branches.  The default "auto" takes at most
-    twice the square-root rule's count; "fd" alone can make hundreds of
-    thousands of bins when one branch is tightly bunched (the NV mS=0).
+    diagonalized (the spins as stacks of one-spin groups, _eigen_stacks);
+    within each probed electron manifold (selected by dominant
+    central-eigenstate character) the two levels' gap is that spin's
+    conditional precession frequency.  `bins` is anything
+    numpy.histogram_bin_edges accepts; binning is shared by both branches.
+    The default "auto" takes at most twice the square-root rule's count;
+    "fd" alone can make hundreds of thousands of bins when one branch is
+    tightly bunched (the NV mS=0).
     """
     if len(bath) == 0:
         raise ValueError("bath must be non-empty")
     branch_states = _probed_states(central, b_field)
-    dc = len(branch_states[0])
-    step = max(1, _STACK_BYTES // (16 * (dc << 1) ** 2))  # as _echo, size 1
+    freqs = np.empty((2, len(bath)))
+    ambiguous = np.zeros(len(bath), dtype=bool)
+    for rows, (w, v) in _eigen_stacks(central, bath,
+                                      np.arange(len(bath))[:, None], b_field):
+        # (spins, central level, carbon level, eigenstate)
+        v = v.reshape(len(w), len(branch_states[0]), 2, -1)
+        for branch, cvec in enumerate(branch_states):
+            # weight of each eigenstate on this central level
+            overlap = np.einsum("c,gcbk->gbk", cvec.conj(), v)
+            weight = np.abs(overlap[:, 0]) ** 2 + np.abs(overlap[:, 1]) ** 2
+            top = np.argsort(weight, axis=1)[:, -2:]
+            ambiguous[rows] |= (np.take_along_axis(weight, top, 1).min(axis=1)
+                                < _MANIFOLD_THRESHOLD)
+            pair = np.take_along_axis(w, top, 1)
+            freqs[branch, rows] = np.abs(pair[:, 0] - pair[:, 1])
 
-    freqs: tuple[list[float], list[float]] = ([], [])
-    flagged = []
-    for start in range(0, len(bath), step):
-        ws, vs = np.linalg.eigh(build_hamiltonian_stack(
-            central, bath.positions[start:start + step, None],
-            bath.gammas[start:start + step, None], b_field))
-        for index, (w, v) in enumerate(zip(ws, vs), start):
-            ambiguous = False
-            for branch, cvec in enumerate(branch_states):
-                # weight of each eigenstate on this central level
-                m = v.reshape(dc, 2, len(w))
-                overlap = np.einsum("c,cbk->bk", cvec.conj(), m)
-                weight = np.abs(overlap[0]) ** 2 + np.abs(overlap[1]) ** 2
-                top = np.argsort(weight)[-2:]
-                if weight[top].min() < _MANIFOLD_THRESHOLD:
-                    ambiguous = True
-                freqs[branch].append(abs(float(w[top[0]] - w[top[1]])))
-            if ambiguous:
-                flagged.append(index)
-
-    pooled = np.array(freqs[0] + freqs[1])
-    edges = np.histogram_bin_edges(pooled, bins=bins)
-    counts = tuple(
-        tuple(int(c) for c in np.histogram(np.array(f), bins=edges)[0])
-        for f in freqs
-    )
+    edges = np.histogram_bin_edges(freqs, bins=bins)
     return LarmorHistogram(
         branch_labels=_branch_labels(central),
-        frequencies=(tuple(freqs[0]), tuple(freqs[1])),
-        bin_edges=tuple(float(e) for e in edges),
-        counts=counts,
-        flagged=tuple(flagged),
+        frequencies=tuple(tuple(f.tolist()) for f in freqs),
+        bin_edges=tuple(edges.tolist()),
+        counts=tuple(tuple(np.histogram(f, bins=edges)[0].tolist())
+                     for f in freqs),
+        flagged=tuple(np.flatnonzero(ambiguous).tolist()),
         b_field=tuple(float(x) for x in _field_vector(b_field)),
     )
 

@@ -33,7 +33,7 @@ from .constants import (
     GAMMA_C13_HZ_PER_G,
     dipole_prefactor_hz,
 )
-from .hamiltonians import _dipole_zz
+from .hamiltonians import _dipole_tensors
 
 __all__ = [
     "Bath",
@@ -303,8 +303,8 @@ def _pair_couplings(pos, gamma, first, second) -> np.ndarray:
     coupling = np.empty(len(first))
     for start in range(0, len(first), 8192):
         i, j = first[start:start + 8192], second[start:start + 8192]
-        coupling[start:start + 8192] = np.abs(_dipole_zz(
-            pos.take(j, 0) - pos.take(i, 0), gamma[i], gamma[j]))
+        coupling[start:start + 8192] = np.abs(_dipole_tensors(
+            pos.take(j, 0) - pos.take(i, 0), gamma[i], gamma[j])[:, 2, 2])
     return coupling
 
 

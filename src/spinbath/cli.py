@@ -32,6 +32,11 @@ from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
 
 _FORMATS = ("csv", "json")
 
+# Most points of a tau grid or field range, checked before either is made:
+# every tau keeps a compiled schedule (0.4 kB for Hahn, 1.2 kB for XY8-1)
+# and output rows, so 2^20 take a gigabyte; every field runs an ensemble.
+_MAX_POINTS = 1 << 20
+
 _TIME_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                       f"({'|'.join(_UNIT_SECONDS)})?$")
 
@@ -58,8 +63,8 @@ def _parse_tau_grid(text: str) -> tuple[float, ...]:
         count = int(parts[2])
     except ValueError:
         raise _CliError(f"bad tau count '{parts[2]}'") from None
-    if count < 1:
-        raise _CliError("tau count must be at least 1")
+    if not 1 <= count <= _MAX_POINTS:
+        raise _CliError(f"tau count must be 1 to {_MAX_POINTS}, not {count}")
     if stop < start:
         raise _CliError("tau stop must not precede start")
     return tuple(float(t) for t in np.linspace(start, stop, count))
@@ -75,6 +80,9 @@ def _parse_field_list(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise _CliError(f"bad field range '{text}'") from None
+        if count > _MAX_POINTS:
+            raise _CliError(f"field count must be at most {_MAX_POINTS}, "
+                            f"not {count}")
         return [float(b) for b in np.linspace(start, stop, count)]
     if "," in text:
         return [float(tok) for tok in text.split(",") if tok.strip()]

@@ -73,6 +73,12 @@ _SCHEMA_VERSION = 1
 # peaks of 53/56/79/79 MB; g = 6 5.7/5.4/5.1/4.7 s at 100/100/114/185 MB.
 _STACK_BYTES = 1 << 22
 
+# Largest phase a run may reach: 2 pi x the central spin's spectral width x
+# the schedule's total evolution time.  fp64 rounds a phase x to within
+# x 2^-53: 1e-6 rad at 2^33 rad, the kernel's bound against the closed-form
+# echo.  The NV reaches 1.2e6 rad on the default grid, 7.4e7 under CPMG-64.
+_MAX_PHASE_RAD = 2.0 ** 33
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -112,6 +118,16 @@ class SimulationConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _probes(self.central, self.b_field)  # raises if unaddressable
+        w = np.linalg.eigvalsh(self.central.hamiltonian(self.b_field))
+        total = sum(e.duration_s for e in pulses.compile_schedule(
+            self.sequence, max(grid, default=0.0)).events
+            if isinstance(e, Interval))
+        if 2.0 * math.pi * (w[-1] - w[0]) * total > _MAX_PHASE_RAD:
+            raise ValueError(
+                f"the schedule evolves for {total:.3g} s at the largest tau: at"
+                f" a spectral width of {w[-1] - w[0]:.3g} Hz its phase passes"
+                f" {_MAX_PHASE_RAD:.3g} rad, where fp64 no longer resolves it"
+                " to 1e-6 rad")
 
     def describe(self) -> dict:
         """JSON-ready echo of the configuration, the central spin's
@@ -362,45 +378,50 @@ def _group_curves(w, v, probes, plans, n_schedules: int) -> np.ndarray:
     return out
 
 
-def _echo(central, bath: Bath, groups, schedules: list[Schedule], b_field,
-          **options) -> np.ndarray:
+def _eigen_stacks(central, bath: Bath, index, b_field, include_nn=True):
+    """(rows, (w, v)) per stack of at most _STACK_BYTES, in order: the
+    eigen-stack of the groups index[rows], index (G, k) of bath indices."""
+    dim = math.prod(central.dims) << index.shape[1]
+    step = max(1, _STACK_BYTES // (16 * dim ** 2))
+    for start in range(0, len(index), step):
+        rows = slice(start, start + step)
+        yield rows, np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
+            central, bath.positions[index[rows]], bath.gammas[index[rows]],
+            b_field, include_nn=include_nn))
+
+
+def _echo(central, bath: Bath, groups, schedules: list[Schedule], b_field, *,
+          include_nn: bool = True) -> np.ndarray:
     """Bath signal S_T on every schedule: the product of S_G over groups,
     each a sequence of bath indices.
 
     With a thermal nitrogen the product is formed per projection and then
     averaged (one physical nitrogen is shared by every group), over the
     groups in their given order.  The groups of one size are assembled and
-    diagonalized as stacks, which the projections share; options go to
-    build_hamiltonian_stack.
+    diagonalized as stacks (_eigen_stacks), which the projections share.
     """
     plans = _plans(schedules)
     variants = _thermal_variants(central)
     probes = _probes(central, b_field)
-    dc = len(probes[0][0])
     curves = np.empty((len(groups), len(probes), len(schedules)))
+    sizes = np.array([len(group) for group in groups])
     # largest first, so the largest term table is built before the rest
-    for size in sorted({len(group) for group in groups}, reverse=True):
-        same = [k for k, group in enumerate(groups) if len(group) == size]
-        step = max(1, _STACK_BYTES // (16 * (dc << size) ** 2))
-        for index in (same[k:k + step] for k in range(0, len(same), step)):
-            idx = np.array([groups[k] for k in index], dtype=np.intp)
-            w, v = np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
-                central, bath.positions[idx], bath.gammas[idx], b_field,
-                **options))
-            curves[index] = _group_curves(w, v, probes, plans,
-                                          len(schedules))
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        same = np.flatnonzero(sizes == size)
+        index = np.array([groups[k] for k in same], dtype=np.intp)
+        for rows, (w, v) in _eigen_stacks(central, bath, index, b_field,
+                                          include_nn=include_nn):
+            curves[same[rows]] = _group_curves(w, v, probes, plans,
+                                               len(schedules))
     return sum(weight * product for (weight, _), product
                in zip(variants, np.prod(curves, axis=0)))
 
 
 def group_signal(central, group: Bath, schedule: Schedule, b_field, *,
-                 include_nn: bool = True, secular_hyperfine: bool = False,
-                 hyperfine_scale: float = 1.0) -> float:
+                 include_nn: bool = True) -> float:
     """Echo signal of the central spin coupled to one carbon group."""
     return float(_echo(central, group, [range(len(group))], [schedule],
-                       b_field, include_nn=include_nn,
-                       secular_hyperfine=secular_hyperfine,
-                       hyperfine_scale=hyperfine_scale)[0])
+                       b_field, include_nn=include_nn)[0])
 
 
 def _bath_curve(central, bath: Bath, partition: Partition,
@@ -413,33 +434,32 @@ def _bath_curve(central, bath: Bath, partition: Partition,
                  include_nn=include_nn)
 
 
-def _make_baths(config: SimulationConfig):
-    baths = []
-    for index in range(config.n_baths):
-        seed = child_seed(config.master_seed, index)
-        bath = bathgen.generate_bath(seed, config.n_spins, config.abundance,
-                                     config.min_radius,
-                                     lattice=config.lattice)
-        baths.append((bath, bathgen.cluster_bath(bath, config.g)))
-    return baths
+def _make_bath(config: SimulationConfig, index: int):
+    """Bath index of config's ensemble and its partition."""
+    bath = bathgen.generate_bath(child_seed(config.master_seed, index),
+                                 config.n_spins, config.abundance,
+                                 config.min_radius, lattice=config.lattice)
+    return bath, bathgen.cluster_bath(bath, config.g)
 
 
-def _ensemble_curve(config: SimulationConfig, baths) -> EchoCurve:
+def _ensemble_curve(config: SimulationConfig, bath_of) -> EchoCurve:
+    """config's ensemble; bath_of(index) builds or looks up a bath and its
+    partition, so a worker can build the bath whose row it computes."""
     schedules = [pulses.compile_schedule(config.sequence, tau)
                  for tau in config.tau_grid]
 
-    def curve(pair) -> np.ndarray:
-        return _bath_curve(config.central, *pair, schedules, config.b_field,
-                           include_nn=config.include_nn)
+    def curve(index: int) -> np.ndarray:
+        return _bath_curve(config.central, *bath_of(index), schedules,
+                           config.b_field, include_nn=config.include_nn)
 
     if config.workers == 1:
-        rows = list(map(curve, baths))
+        rows = list(map(curve, range(config.n_baths)))
     else:
         # only here, so that no other run pays for importing it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(curve, baths))
+            rows = list(pool.map(curve, range(config.n_baths)))
     per_bath = np.vstack(rows)
     return EchoCurve(tau=config.tau_grid, signal=per_bath.mean(axis=0),
                      per_bath=per_bath, metadata=config.describe())
@@ -451,7 +471,7 @@ def ensemble_signal(config: SimulationConfig) -> EchoCurve:
     Bath b uses child_seed(master_seed, b), so any bath is replayable in
     isolation.  Worker count changes scheduling only, never the result.
     """
-    return _ensemble_curve(config, _make_baths(config))
+    return _ensemble_curve(config, lambda index: _make_bath(config, index))
 
 
 def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
@@ -466,5 +486,5 @@ def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
         raise ValueError("b_list must be non-empty")
     # every field's config checks its probed pair before any bath is built
     configs = [replace(config, b_field=(0.0, 0.0, b)) for b in b_values]
-    baths = _make_baths(config)
-    return [_ensemble_curve(c, baths) for c in configs]
+    baths = [_make_bath(config, k) for k in range(config.n_baths)]
+    return [_ensemble_curve(c, baths.__getitem__) for c in configs]

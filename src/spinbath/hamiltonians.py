@@ -137,16 +137,6 @@ def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
     return a
 
 
-def _dipole_zz(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
-    """A_zz of _dipole_tensors, (N,), by the same operations in order."""
-    rhat, c = _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g)
-    zz = rhat[:, 2] * rhat[:, 2]
-    zz *= -3.0
-    zz += 1.0
-    zz *= c
-    return zz
-
-
 def hyperfine_tensor(r_nm, gamma1_hz_per_g: float,
                      gamma2_hz_per_g: float) -> np.ndarray:
     """Point-dipole tensor A with A_ij = c (delta_ij - 3 rhat_i rhat_j).
@@ -373,9 +363,7 @@ def build_system_hamiltonian(central, group, b, **options) -> np.ndarray:
 
 
 def build_hamiltonian_stack(central, pos, gamma, b, *,
-                            include_nn: bool = True,
-                            secular_hyperfine: bool = False,
-                            hyperfine_scale: float = 1.0) -> np.ndarray:
+                            include_nn: bool = True) -> np.ndarray:
     """Hamiltonians (G, D, D) in Hz of a central spin plus each of G groups.
 
     pos (G, k, 3) holds each group's carbon positions in nm and gamma
@@ -384,11 +372,8 @@ def build_hamiltonian_stack(central, pos, gamma, b, *,
     lists them.  Each carbon gets its Zeeman term and a point-dipole
     hyperfine coupling to the central electron; carbon pairs inside a
     group are dipole-coupled to each other unless include_nn is False (the
-    bare product form).  secular_hyperfine keeps only the S_z row of each
-    electron-carbon tensor, the regime in which the echo has a closed
-    form, and hyperfine_scale multiplies the electron-carbon coupling (0
-    decouples the bath); both are validation modes, not the model.  Each
-    term enters through its nonzeros alone (see _term_table).
+    bare product form).  Each term enters through its nonzeros alone (see
+    _term_table).
     """
     if central is None:
         raise ValueError("a central-spin specification is required")
@@ -412,12 +397,9 @@ def build_hamiltonian_stack(central, pos, gamma, b, *,
         np.concatenate([np.full((n, k), GAMMA_E_HZ_PER_G), gamma[:, i]],
                        axis=1).ravel(),
         np.concatenate([gamma, gamma[:, j]], axis=1).ravel()).reshape(n, -1, 9)
-    hyperfine = hyperfine_scale * tensors[:, :k]
-    if secular_hyperfine:
-        hyperfine[:, :, :6] = 0.0
     # coefficients (n, terms) in the order of _dense_terms
     zeeman = -gamma[:, :, None] * _field_vector(b)
-    coeffs = np.concatenate([zeeman, hyperfine], axis=2).reshape(n, -1)
+    coeffs = np.concatenate([zeeman, tensors[:, :k]], axis=2).reshape(n, -1)
     if include_nn:
         coeffs = np.concatenate([coeffs, tensors[:, k:].reshape(n, -1)], axis=1)
     # One term at a time in a fixed order, zeros skipped: the diagonal holds

@@ -7,13 +7,16 @@ of its vectorised set-up: a group Hamiltonian assembled from scalar
 dipole tensors and dense terms, the operator terms as matrix products of
 embedded operators, the coupling of one pair of bath spins, the greedy
 clustering visiting every pair, and the lattice enumeration over a whole
-cube of cells sorted by a four-key lexsort.  An unrolled echo kernel that
-propagates one (D, T*nb) slab per group and probed pair, with every
-pulse moved to the eigenbasis.  Also a bath's JSON form and its inverse,
-a bath's nearest-spin distance, a schedule's total evolution time, a
-number density converted back to ppm, the revival finder and the
-coherence-time (T2) fit that the acceptance gate runs on echo curves,
-and such a fit as a dict.
+cube of cells sorted by a four-key lexsort.  The validation forms of a
+group Hamiltonian that the library does not build (secular hyperfine, a
+scaled or decoupled bath) and the echo the library kernel gives on them.
+An unrolled echo kernel that propagates one (D, T*nb) slab per group and
+probed pair, with every pulse moved to the eigenbasis.  The conditional
+precession frequencies of a bath one spin at a time.  Also a bath's JSON
+form and its inverse, a bath's nearest-spin distance, a schedule's total
+evolution time, a number density converted back to ppm, the revival
+finder and the coherence-time (T2) fit that the acceptance gate runs on
+echo curves, and such a fit as a dict.
 """
 
 import functools
@@ -37,7 +40,8 @@ from spinbath.constants import (
     GAMMA_E_HZ_PER_G,
     dipole_prefactor_hz,
 )
-from spinbath.dynamics import EchoCurve
+from spinbath.dynamics import (EchoCurve, _group_curves, _plans,
+                               _probed_states, _probes)
 from spinbath.hamiltonians import (_dense_terms, _field_vector,
                                    hyperfine_tensor)
 from spinbath.pulses import Interval, Pulse, Schedule
@@ -292,8 +296,12 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
                       secular_hyperfine=False, hyperfine_scale=1.0):
     """One group's (a Bath's) Hamiltonian, one tensor and one term at a time.
 
-    The stacked builder must reproduce it bit for bit: the same terms,
-    added in the same order, with zero coefficients skipped.
+    With the defaults this is the model, which the stacked builder must
+    reproduce bit for bit: the same terms, added in the same order, with
+    zero coefficients skipped.  secular_hyperfine keeps only the S_z row of
+    each electron-carbon tensor, the regime in which the echo has a closed
+    form, and hyperfine_scale multiplies the electron-carbon coupling (0
+    decouples the bath): validation forms, not the model.
     """
     h = np.kron(central.hamiltonian(b), np.eye(1 << len(group), dtype=complex))
     if not len(group):
@@ -317,6 +325,44 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
         if c != 0.0:
             h += c * op
     return h
+
+
+def kernel_signal(central, group, schedule, b, **options) -> float:
+    """S_G of one group on one schedule through the library kernel, as
+    dynamics.group_signal gives it for the model, but on
+    group_hamiltonian(**options); for a central spin with one probed pair
+    (not a thermal nitrogen)."""
+    w, v = np.linalg.eigh(group_hamiltonian(central, group, b, **options))
+    return float(_group_curves(w[None], v[None], _probes(central, b),
+                               _plans([schedule]), 1)[0, 0, 0])
+
+
+def larmor_by_spin(central, bath, b):
+    """(frequencies per branch, flagged spins) of
+    analysis.larmor_distribution, one spin at a time: per probed central
+    level, the gap of the two eigenstates of the central+one-carbon
+    Hamiltonian with most weight on it, flagged where either weight is
+    below 3/4."""
+    branch_states = _probed_states(central, b)
+    dc = len(branch_states[0])
+    freqs = ([], [])
+    flagged = []
+    for index in range(len(bath)):
+        spin = Bath(bath.positions[index:index + 1],
+                    bath.gammas[index:index + 1])
+        w, v = np.linalg.eigh(group_hamiltonian(central, spin, b))
+        ambiguous = False
+        for branch, cvec in enumerate(branch_states):
+            m = v.reshape(dc, 2, len(w))
+            overlap = np.einsum("c,cbk->bk", cvec.conj(), m)
+            weight = np.abs(overlap[0]) ** 2 + np.abs(overlap[1]) ** 2
+            top = np.argsort(weight)[-2:]
+            if weight[top].min() < 0.75:
+                ambiguous = True
+            freqs[branch].append(abs(float(w[top[0]] - w[top[1]])))
+        if ambiguous:
+            flagged.append(index)
+    return (tuple(freqs[0]), tuple(freqs[1])), tuple(flagged)
 
 
 # fractional coordinates of the 8-atom conventional diamond cell

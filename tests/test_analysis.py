@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import FitResult, detect_revivals, fit_t2, fit_to_dict
+import spinbath.dynamics as dynamics
+from oracles import (FitResult, detect_revivals, fit_t2, fit_to_dict,
+                     larmor_by_spin)
 from spinbath.analysis import (
     LarmorHistogram,
     TransitionRow,
@@ -22,6 +24,7 @@ from spinbath.analysis import (
 )
 from spinbath.bathgen import Bath, generate_bath
 from spinbath.constants import (
+    DIAMOND_BOND_NM,
     GAMMA_C13_HZ_PER_G,
     GAMMA_N14_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
@@ -181,6 +184,29 @@ def test_strong_mixing_is_flagged():
     assert low.flagged == (0,)
     high = larmor_distribution(BareElectron(), bath, 72.0)
     assert high.flagged == ()
+
+
+@pytest.mark.parametrize("central", [P1Center(), NVCenter()], ids=["p1", "nv"])
+@pytest.mark.parametrize("b", [72.0, 1024.0])
+@pytest.mark.parametrize("stack_bytes", [dynamics._STACK_BYTES, 1],
+                         ids=["default-stacks", "one-spin-stacks"])
+def test_batched_larmor_distribution_equals_the_per_spin_loop(
+        central, b, stack_bytes, monkeypatch):
+    # carbons one bond length off the defect: near the NV's ground-state
+    # anticrossing (1,024 G) the two off the axis mix the electron states
+    # and are flagged
+    bond = DIAMOND_BOND_NM * np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                                       [3 ** -0.5, 3 ** -0.5, 3 ** -0.5]])
+    bath = Bath(np.vstack([generate_bath(seed=2, n_spins=40).positions,
+                           bond]))
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", stack_bytes)
+    hist = larmor_distribution(central, bath, b)
+    frequencies, flagged = larmor_by_spin(central, bath, b)
+    assert np.array(hist.frequencies).tobytes() == \
+        np.array(frequencies).tobytes()
+    assert hist.flagged == flagged
+    if isinstance(central, NVCenter) and b == 1024.0:
+        assert set(flagged) >= {41, 42}
 
 
 def test_histogram_binning():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import spinbath
+import spinbath.cli as cli
 
 from spinbath.cli import main
 from spinbath.constants import GAMMA_C13_HZ_PER_G, constants_table
@@ -160,6 +161,47 @@ def test_echo_rejects_malformed_tau(tmp_path, capsys):
     code, _, err = _run(["echo", "--tau", "5us:1us:10",
                          "--out", str(tmp_path)], capsys)
     assert code == 2 and "must not precede" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["echo", "--tau", "0:30us:1000000000000"],
+     "tau count must be 1 to 1048576, not 1000000000000"),
+    (["scan", "--b", "40:110:100000000"],
+     "field count must be at most 1048576, not 100000000"),
+], ids=["tau", "field"])
+def test_grid_counts_over_budget_are_refused_before_allocation(
+        argv, message, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = _run([*argv, "--dry-run"], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_grid_count_budget_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_POINTS", 5)
+    for argv in (["echo", "--tau", "0:30us:{}"],
+                 ["scan", "--b", "40:72:{}", "--tau", "0:30us:5"],
+                 ["scan", "--b", "72", "--tau", "0:30us:{}"]):
+        code, _, _ = _run([a.format(5) for a in argv] + ["--dry-run"], capsys)
+        assert code == 0
+        code, _, err = _run([a.format(6) for a in argv] + ["--dry-run"],
+                            capsys)
+        assert code == 2 and "not 6" in err
+
+
+def test_echo_refuses_phases_fp64_cannot_resolve(tmp_path, capsys):
+    sequence = ["--sequence", "pi/2(x) - 1e300us - pi/2(x)"]
+    for argv in (["echo", *sequence, "--n-baths", "1", "--n-spins", "10",
+                  "--tau", "0:1us:2"],
+                 ["echo", *sequence, "--dry-run"],
+                 ["scan", *sequence, "--b", "40,72", "--dry-run"]):
+        code, out, err = _run([*argv, "--out", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert "fp64 no longer resolves it to 1e-6 rad" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_echo_rejects_repeat_count_on_fixed_presets(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbath.bathgen as bathgen
 import spinbath.dynamics as dynamics
-from oracles import evolve, group_curves_unrolled
+from oracles import evolve, group_curves_unrolled, kernel_signal
 from spinbath.bathgen import (Bath, Partition, child_seed, cluster_bath,
                               generate_bath)
 from spinbath.constants import (
@@ -94,9 +95,9 @@ def test_single_carbon_echo_matches_closed_form():
         b = float(rng.uniform(30.0, 110.0))
         spin = Bath([pos])
         for tau in taus:
-            got = group_signal(BareElectron(), spin,
-                               compile_schedule(prog, tau), b,
-                               secular_hyperfine=True)
+            got = kernel_signal(BareElectron(), spin,
+                                compile_schedule(prog, tau), b,
+                                secular_hyperfine=True)
             want = _eseem_closed_form(pos, b, tau)
             assert abs(got - want) < 1e-6, (pos, b, tau)
 
@@ -158,9 +159,9 @@ def test_secular_factorization_is_exact():
     s1, s2 = _spin(0.6, 0.0, 0.4), _spin(0.1, 0.8, -0.3)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
     kw = dict(include_nn=False, secular_hyperfine=True)
-    joint = group_signal(BareElectron(), Bath([s1, s2]), sched, 72.0, **kw)
-    split = (group_signal(BareElectron(), Bath([s1]), sched, 72.0, **kw)
-             * group_signal(BareElectron(), Bath([s2]), sched, 72.0, **kw))
+    joint = kernel_signal(BareElectron(), Bath([s1, s2]), sched, 72.0, **kw)
+    split = (kernel_signal(BareElectron(), Bath([s1]), sched, 72.0, **kw)
+             * kernel_signal(BareElectron(), Bath([s2]), sched, 72.0, **kw))
     assert joint == pytest.approx(split, abs=1e-12)
 
 
@@ -168,8 +169,8 @@ def test_decoupled_bath_shows_no_decay():
     group = Bath([_spin(0.4, 0.2, 0.3), _spin(-0.2, 0.5, 0.1)])
     for tau in (3e-6, 11e-6, 27e-6):
         sched = compile_schedule(expand_preset("hahn"), tau)
-        got = group_signal(P1Center(), group, sched, 72.0,
-                           hyperfine_scale=0.0)
+        got = kernel_signal(P1Center(), group, sched, 72.0,
+                            hyperfine_scale=0.0)
         assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -488,6 +489,37 @@ def test_simulation_config_rejects_bad_min_radius():
     for r in (float("nan"), float("inf"), -0.1):
         with pytest.raises(ValueError, match="min_radius"):
             SimulationConfig(min_radius=r)
+
+
+def test_simulation_config_refuses_phases_fp64_cannot_resolve():
+    # a literal 1e300 us leaves the phase argument no digits, even at tau = 0
+    prog = parse_sequence("pi/2(x) - 1e300us - pi/2(x)")
+    for central in (P1Center(), P1Center(m_i=None), NVCenter(),
+                    BareElectron()):
+        with pytest.raises(ValueError, match="no longer resolves"):
+            SimulationConfig(central=central, sequence=prog,
+                             tau_grid=(0.0, 1e-6))
+    # the NV is 3.1 GHz wide at 72 G, so a Hahn echo (2 tau in all) meets
+    # the 2^33 rad bound near tau = 0.22 s
+    SimulationConfig(central=NVCenter(), tau_grid=(0.0, 0.2))
+    with pytest.raises(ValueError, match="no longer resolves"):
+        SimulationConfig(central=NVCenter(), tau_grid=(0.0, 0.3))
+
+
+def test_each_bath_is_built_when_its_row_is_computed(monkeypatch):
+    events = []
+    generate, curve = bathgen.generate_bath, dynamics._bath_curve
+    monkeypatch.setattr(bathgen, "generate_bath", lambda *args, **kwargs:
+                        events.append("bath") or generate(*args, **kwargs))
+    monkeypatch.setattr(dynamics, "_bath_curve", lambda *args, **kwargs:
+                        events.append("row") or curve(*args, **kwargs))
+    config = SimulationConfig(n_spins=6, n_baths=3, tau_grid=(0.0, 5e-6))
+    ensemble_signal(config)
+    assert events == ["bath", "row"] * 3
+    # a scan shares its baths across the fields
+    events.clear()
+    field_scan(config, [60.0, 72.0])
+    assert events == ["bath"] * 3 + ["row"] * 6
 
 
 # The bits of each bond axis that every output has been computed with: the

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import constants as si
 
-from oracles import gemm_terms, group_hamiltonian
+import spinbath.dynamics as dynamics
+from oracles import (gemm_terms, group_curves_unrolled, group_hamiltonian,
+                     scalar_dipole_tensor)
 from spinbath.bathgen import Bath, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
@@ -27,6 +29,7 @@ from spinbath.hamiltonians import (
     level_pair,
     rotation_onto_axis,
 )
+from spinbath.pulses import compile_schedule, expand_preset
 
 # independent spin matrices for oracle assemblies (descending m order)
 _SX2 = np.array([[0, 1], [1, 0]], dtype=complex) / 2
@@ -283,10 +286,11 @@ def test_system_hamiltonian_carbon_pair_coupling_toggle():
 
 
 def test_system_hamiltonian_secular_mode_keeps_sz_row_only():
+    # the oracle's secular form, which the closed-form echo tests run
     group = Bath([(0.4, 0.3, 0.6)])
-    h_full = build_system_hamiltonian(BareElectron(), group, 72.0)
-    h_sec = build_system_hamiltonian(BareElectron(), group, 72.0,
-                                     secular_hyperfine=True)
+    h_full = group_hamiltonian(BareElectron(), group, 72.0)
+    h_sec = group_hamiltonian(BareElectron(), group, 72.0,
+                              secular_hyperfine=True)
     tensor = hyperfine_tensor((0.4, 0.3, 0.6), GAMMA_E_HZ_PER_G,
                               GAMMA_C13_HZ_PER_G)
     sx = np.kron(_SX2, np.eye(2))
@@ -299,9 +303,10 @@ def test_system_hamiltonian_secular_mode_keeps_sz_row_only():
 
 
 def test_system_hamiltonian_scale_zero_decouples_bath():
+    # the oracle's decoupled form, which the decoupled-bath test runs
     group = Bath([(0.4, 0.3, 0.6)])
-    h = build_system_hamiltonian(BareElectron(), group, 72.0,
-                                 hyperfine_scale=0.0, include_nn=False)
+    h = group_hamiltonian(BareElectron(), group, 72.0, hyperfine_scale=0.0,
+                          include_nn=False)
     hc = BareElectron().hamiltonian(72.0)
     cz = np.kron(np.eye(2), _SZ2)
     expect = np.kron(hc, np.eye(2)) - GAMMA_C13_HZ_PER_G * 72.0 * cz
@@ -333,40 +338,92 @@ def _stack(central, groups, b, **options):
         np.stack([group.gammas for group in groups]), b, **options)
 
 
+# The stack builds the model alone, include_nn its one option; the
+# validation forms (secular, scaled or decoupled hyperfine) exist only in
+# oracles.group_hamiltonian, from which the closed-form tests run them.
+_FORMS = [{}, {"include_nn": False}, {"secular_hyperfine": True},
+          {"hyperfine_scale": 0.0}, {"hyperfine_scale": 0.5}]
+
+
+def _model_options(options):
+    """The options of the model among options: include_nn alone."""
+    return {key: value for key, value in options.items()
+            if key == "include_nn"}
+
+
+def _dropped_hyperfine(central, group, options):
+    """The electron-carbon terms a validation form leaves out of the model,
+    longhand: per carbon, the part of its scalar tensor the form drops,
+    on the S_i I_j products of oracles.gemm_terms."""
+    terms = list(gemm_terms(central, len(group)))
+    dropped = np.zeros_like(terms[0])
+    for m, (position, gamma) in enumerate(zip(group.positions,
+                                              group.gammas.tolist())):
+        tensor = scalar_dipole_tensor(position, GAMMA_E_HZ_PER_G, gamma)
+        kept = options.get("hyperfine_scale", 1.0) * tensor
+        if options.get("secular_hyperfine"):
+            kept[:2] = 0.0
+        for ij, c in enumerate((tensor - kept).ravel()):
+            dropped += c * terms[12 * m + 3 + ij]
+    return dropped
+
+
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(),
                                      P1Center(m_i=None)],
                          ids=["p1", "nv", "p1-thermal"])
-@pytest.mark.parametrize("options", [
-    {}, {"include_nn": False}, {"secular_hyperfine": True},
-    {"hyperfine_scale": 0.0}, {"hyperfine_scale": 0.5}])
+@pytest.mark.parametrize("options", _FORMS)
 @pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
 def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
+    model = _model_options(options)
     for groups in _stacks():
-        stack = _stack(central, groups, b, **options)
+        stack = _stack(central, groups, b, **model)
         assert stack.shape[0] == len(groups)
         for h, group in zip(stack, groups):
             want = group_hamiltonian(central, group, b, **options)
-            # bit for bit on every nonzero; + 0.0 makes every zero +0
-            assert (h + 0.0).tobytes() == (want + 0.0).tobytes()
+            if options == model:
+                # bit for bit on every nonzero; + 0.0 makes every zero +0
+                assert (h + 0.0).tobytes() == (want + 0.0).tobytes()
+            else:
+                # a validation form is the model less the terms it names
+                dropped = _dropped_hyperfine(central, group, options)
+                assert np.abs(dropped).max() > 1.0
+                assert (np.abs(h - want - dropped).max()
+                        <= 1e-14 * np.abs(h).max())
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(),
                                      P1Center(m_i=None)],
                          ids=["p1", "nv", "p1-thermal"])
-@pytest.mark.parametrize("options", [
-    {}, {"include_nn": False}, {"secular_hyperfine": True},
-    {"hyperfine_scale": 0.0}, {"hyperfine_scale": 0.5}])
+@pytest.mark.parametrize("options", _FORMS)
 @pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
 def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
                                                                 options, b):
-    # the signs of zeros the stack may differ in do not reach eigh
+    model = _model_options(options)
+    schedules = [compile_schedule(prog, tau)
+                 for prog in (expand_preset("hahn"), expand_preset("xy8", 2))
+                 for tau in (0.0, 3e-6, 12e-6)]
+    plans = dynamics._plans(schedules)
+    probes = dynamics._probes(central, b)
     for groups in _stacks():
-        w, v = np.linalg.eigh(_stack(central, groups, b, **options))
-        for wg, vg, group in zip(w, v, groups):
-            w1, v1 = np.linalg.eigh(group_hamiltonian(central, group, b,
-                                                      **options))
-            assert w1.tobytes() == wg.tobytes()
-            assert v1.tobytes() == vg.tobytes()
+        w, v = np.linalg.eigh(_stack(central, groups, b, **model))
+        forms = [group_hamiltonian(central, group, b, **options)
+                 for group in groups]
+        if options == model:
+            # the signs of zeros the stack may differ in do not reach eigh
+            for wg, vg, h in zip(w, v, forms):
+                w1, v1 = np.linalg.eigh(h)
+                assert w1.tobytes() == wg.tobytes()
+                assert v1.tobytes() == vg.tobytes()
+            continue
+        # a validation form reaches the library kernel as the closed-form
+        # tests run it, through eigh and _group_curves, and gives the echo
+        # of the unrolled reference kernel
+        w, v = np.linalg.eigh(np.stack(forms))
+        got = dynamics._group_curves(w, v, probes, plans, len(schedules))
+        for p, (a, b_state) in enumerate(probes):
+            want = group_curves_unrolled(w, v, a, b_state, plans,
+                                         len(schedules))
+            assert np.abs(got[:, p] - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(), BareElectron()],
