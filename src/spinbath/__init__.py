@@ -34,7 +34,6 @@ from .hamiltonians import (
     build_nv_hamiltonian,
     build_p1_hamiltonian,
     build_system_hamiltonian,
-    hyperfine_tensor,
 )
 from .pulses import (
     ParseError,
@@ -70,7 +69,6 @@ __all__ = [
     "build_nv_hamiltonian",
     "build_p1_hamiltonian",
     "build_system_hamiltonian",
-    "hyperfine_tensor",
     "ParseError",
     "PulseProgram",
     "Schedule",

@@ -19,7 +19,6 @@ grows with the bath, not with a search ball around it.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -118,6 +117,8 @@ def child_seed(master_seed: int, index: int) -> int:
     First 8 bytes of sha256(f"{master_seed}:{index}") as a big-endian
     integer, masked to 63 bits.  Stable across versions and platforms.
     """
+    import hashlib  # only here, so that no run without a bath loads OpenSSL
+
     digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") & (2 ** 63 - 1)
 
@@ -298,7 +299,7 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
 def _pair_couplings(pos, gamma, first, second) -> np.ndarray:
     """Coupling (Hz) of pairs (first[k], second[k]) of spins at pos with
     ratios gamma, 8192 at a time: |A_zz| of the point-dipole tensor (the
-    secular part), bit-identical to each pair's hyperfine_tensor.
+    secular part), bit-identical to hamiltonians._dipole_tensors.
     """
     coupling = np.empty(len(first))
     for start in range(0, len(first), 8192):

@@ -24,8 +24,8 @@ import numpy as np
 # analysis is imported by the commands that use it, not at start-up
 from .bathgen import check_bath_parameters, generate_bath
 from .constants import constants_table, ppm_to_density_nm3
-from .dynamics import (SimulationConfig, _probed_states, ensemble_signal,
-                       field_scan, scan_csv)
+from .dynamics import (SimulationConfig, _field_configs, _probed_states,
+                       ensemble_signal, field_scan, scan_csv)
 from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center
 from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
                      expand_preset, parse_sequence)
@@ -318,9 +318,11 @@ def _cmd_scan(resolved: dict) -> int:
         raise _CliError("field list must be non-empty")
     for b in fields:
         _check_field(b)
-        config = _sim_config(resolved, b)  # checks the probed pair at b
+    # the shared flags are parsed once, into the first field's config
+    config = _sim_config(resolved, fields[0])
     meta = {**resolved, "fields_gauss": fields}
     if resolved["dry_run"]:
+        _field_configs(config, fields)  # checks the probed pair at each b
         return _dry_run(meta)
     curves = field_scan(config, fields)
     _emit(resolved, "scan", scan_csv(curves),

@@ -54,8 +54,8 @@ from .pulses import (
     Schedule,
     canonical_text,
     expand_preset,
+    two_level_unitary,
 )
-from .spinops import two_level_unitary
 
 __all__ = [
     "SimulationConfig",
@@ -474,6 +474,17 @@ def ensemble_signal(config: SimulationConfig) -> EchoCurve:
     return _ensemble_curve(config, lambda index: _make_bath(config, index))
 
 
+def _field_configs(config: SimulationConfig, b_list) -> list:
+    """config at each field magnitude (G, along z); config itself where
+    that is its own field (repr tells -0.0 from 0.0).  Building each
+    checks its probed pair and phase there."""
+    b_values = [float(b) for b in b_list]
+    if not b_values:
+        raise ValueError("b_list must be non-empty")
+    return [config if repr(config.b_field) == repr((0.0, 0.0, b))
+            else replace(config, b_field=(0.0, 0.0, b)) for b in b_values]
+
+
 def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
     """One EchoCurve per field magnitude (G, along z), on shared baths.
 
@@ -481,10 +492,7 @@ def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
     through the field, and each row is bit-identical to a single-field
     run at the same configuration.
     """
-    b_values = [float(b) for b in b_list]
-    if not b_values:
-        raise ValueError("b_list must be non-empty")
     # every field's config checks its probed pair before any bath is built
-    configs = [replace(config, b_field=(0.0, 0.0, b)) for b in b_values]
+    configs = _field_configs(config, b_list)
     baths = [_make_bath(config, k) for k in range(config.n_baths)]
     return [_ensemble_curve(c, baths.__getitem__) for c in configs]

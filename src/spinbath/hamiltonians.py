@@ -1,11 +1,13 @@
 """Hamiltonian builders for the defect centers and their carbon baths.
 
 All Hamiltonians are returned in ordinary-frequency units (Hz) on dense
-complex arrays.  Basis conventions:
+complex arrays, and evolution supplies the 2 pi: U(t) = exp(-i 2 pi H t).
+Basis conventions:
 
     * every slot orders its states by descending projection m = +s..-s;
-    * the six-level nitrogen center is |m_S> (x) |m_I| with the electron
-      first, then the bath carbons in the order the group lists them;
+    * slots are ordered [central electron, central nucleus (if present),
+      bath carbon 1..k], the carbons in the order the group lists them:
+      the six-level nitrogen center is |m_S> (x) |m_I>;
     * the NV keeps its full spin-1 triplet as the central slot.
 
 The defect constants (gyromagnetic ratios, the 14N hyperfine and
@@ -39,7 +41,6 @@ from .constants import (
     PLANCK_SI,
     Q_N14_MHZ,
 )
-from .spinops import CompositeSpace, embed, spin_operators
 
 __all__ = [
     "JtOrientation",
@@ -48,12 +49,12 @@ __all__ = [
     "BareElectron",
     "build_p1_hamiltonian",
     "build_nv_hamiltonian",
-    "hyperfine_tensor",
     "build_system_hamiltonian",
     "build_hamiltonian_stack",
     "rotation_onto_axis",
     "label_levels",
     "level_pair",
+    "spin_operators",
 ]
 
 _OFF_AXIS_COS = -1.0 / 3.0  # tetrahedral bond angle to the field axis
@@ -137,16 +138,6 @@ def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
     return a
 
 
-def hyperfine_tensor(r_nm, gamma1_hz_per_g: float,
-                     gamma2_hz_per_g: float) -> np.ndarray:
-    """Point-dipole tensor A with A_ij = c (delta_ij - 3 rhat_i rhat_j).
-
-    Separation in nm, gyromagnetic ratios in Hz/G (signed), result 3x3 in
-    Hz.  The tensor is symmetric and exactly traceless and scales as 1/r^3.
-    """
-    return _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g)[0]
-
-
 def rotation_onto_axis(n) -> np.ndarray:
     """Proper rotation R with R @ zhat = n (Rodrigues form).
 
@@ -185,13 +176,36 @@ def _zeeman(gamma_hz_per_g: float, b_vec: np.ndarray, ops) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _spin_matrices(twice_s: int):
+    s = twice_s / 2.0
+    dim = twice_s + 1
+    m = s - np.arange(dim)  # descending projections
+    sz = np.diag(m).astype(complex)
+    sp = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim - 1):
+        sp[k, k + 1] = np.sqrt(s * (s + 1) - m[k + 1] * (m[k + 1] + 1))
+    sx = (sp + sp.conj().T) / 2.0
+    sy = (sp - sp.conj().T) / 2.0j
+    for a in (sx, sy, sz):
+        a.flags.writeable = False
+    return sx, sy, sz
+
+
+def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (sx, sy, sz) for spin quantum number s (2s integral),
+    hbar = 1, in descending-projection order."""
+    twice_s = 2 * s
+    if abs(twice_s - round(twice_s)) > 1e-12 or twice_s < 1:
+        raise ValueError(f"spin quantum number must be half-integral, got {s}")
+    return _spin_matrices(int(round(twice_s)))
+
+
+@functools.lru_cache(maxsize=None)
 def _p1_operators():
-    """Electron and 14N spin operators embedded in the six-level space."""
-    space = CompositeSpace((2, 3))
-    half = spin_operators(0.5)
-    one = spin_operators(1.0)
-    return (tuple(embed(o, 0, space) for o in (half.sx, half.sy, half.sz)),
-            tuple(embed(o, 1, space) for o in (one.sx, one.sy, one.sz)))
+    """Electron and 14N spin operators in the six-level space
+    |m_S> (x) |m_I>."""
+    return (tuple(np.kron(o, np.eye(3)) for o in spin_operators(0.5)),
+            tuple(np.kron(np.eye(2), o) for o in spin_operators(1.0)))
 
 
 def build_p1_hamiltonian(b, axis) -> np.ndarray:
@@ -225,9 +239,9 @@ def build_p1_hamiltonian(b, axis) -> np.ndarray:
 def build_nv_hamiltonian(b) -> np.ndarray:
     """Spin-1 NV ground-state Hamiltonian, symmetry axis fixed to z."""
     b_vec = _field_vector(b)
-    one = spin_operators(1.0)
-    h = D_NV_MHZ * 1e6 * (one.sz @ one.sz)
-    return h + _zeeman(GAMMA_E_HZ_PER_G, b_vec, (one.sx, one.sy, one.sz))
+    ops = spin_operators(1.0)
+    h = D_NV_MHZ * 1e6 * (ops[2] @ ops[2])
+    return h + _zeeman(GAMMA_E_HZ_PER_G, b_vec, ops)
 
 
 def label_levels(evecs: np.ndarray, dims: tuple[int, ...]):
@@ -311,8 +325,7 @@ class NVCenter:
         return build_nv_hamiltonian(b)
 
     def electron_ops(self):
-        one = spin_operators(1.0)
-        return [one.sx, one.sy, one.sz]
+        return list(spin_operators(1.0))
 
     @property
     def probed(self) -> tuple[tuple, tuple]:
@@ -329,13 +342,10 @@ class BareElectron:
         return (2,)
 
     def hamiltonian(self, b) -> np.ndarray:
-        b_vec = _field_vector(b)
-        half = spin_operators(0.5)
-        return _zeeman(GAMMA_E_HZ_PER_G, b_vec, (half.sx, half.sy, half.sz))
+        return _zeeman(GAMMA_E_HZ_PER_G, _field_vector(b), spin_operators(0.5))
 
     def electron_ops(self):
-        half = spin_operators(0.5)
-        return [half.sx, half.sy, half.sz]
+        return list(spin_operators(0.5))
 
     @property
     def probed(self) -> tuple[tuple, tuple]:
@@ -427,10 +437,9 @@ def _dense_terms(central, k: int):
     the electron, then per carbon pair, in index order, the 9 I_i I'_j.
     Each is the kron of a central factor (S_i or 1) and a carbon factor.
     """
-    half = spin_operators(0.5)
     carbons = [[_kron(_kron(np.eye(1 << m, dtype=complex), o),
                       np.eye(1 << (k - m - 1), dtype=complex))
-                for o in (half.sx, half.sy, half.sz)] for m in range(k)]
+                for o in spin_operators(0.5)] for m in range(k)]
     eye = np.eye(math.prod(central.dims), dtype=complex)
     s_ops = central.electron_ops()
     for ops_m in carbons:

@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .spinops import AXIS_VECTORS
+import numpy as np
 
 __all__ = [
     "Pulse",
@@ -41,9 +41,20 @@ __all__ = [
     "compile_schedule",
     "canonical_text",
     "PRESET_NAMES",
+    "AXIS_VECTORS",
+    "two_level_unitary",
 ]
 
 _UNIT_SECONDS = {"us": 1e-6, "ns": 1e-9, "s": 1.0}
+
+# unit vectors (x, y) of the four pulse-phase labels, the only axis table
+AXIS_VECTORS = {
+    "x": (1.0, 0.0),
+    "y": (0.0, 1.0),
+    "-x": (-1.0, 0.0),
+    "-y": (0.0, -1.0),
+}
+
 PRESET_NAMES = ("hahn", "cpmg", "xy8")
 
 
@@ -67,6 +78,18 @@ class Pulse:
     @property
     def angle_rad(self) -> float:
         return math.radians(self.angle_deg)
+
+
+def two_level_unitary(axis: str, angle: float) -> np.ndarray:
+    """Ideal rotation exp(-i angle (n . sigma) / 2), n = AXIS_VECTORS[axis]."""
+    if axis not in AXIS_VECTORS:
+        raise ValueError(f"unknown pulse axis {axis!r}")
+    nx, ny = AXIS_VECTORS[axis]
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0)
+    return np.array(
+        [[c, -1j * s * (nx - 1j * ny)],
+         [-1j * s * (nx + 1j * ny), c]], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Reference code used only by the tests.
 
 Brute-force counterparts of what the library does in its eigenbasis
-kernel: exact propagators, validated density matrices, projectors and
-ideal pulses embedded in a composite space.  One-at-a-time counterparts
-of its vectorised set-up: a group Hamiltonian assembled from scalar
-dipole tensors and dense terms, the operator terms as matrix products of
-embedded operators, the coupling of one pair of bath spins, the greedy
-clustering visiting every pair, and the lattice enumeration over a whole
-cube of cells sorted by a four-key lexsort.  The validation forms of a
-group Hamiltonian that the library does not build (secular hyperfine, a
-scaled or decoupled bath) and the echo the library kernel gives on them.
+kernel: exact propagators, validated density matrices, projectors, and an
+operator or an ideal pulse embedded in a composite space.  One-at-a-time
+counterparts of its vectorised set-up: a group Hamiltonian assembled from
+scalar dipole tensors and dense terms, the operator terms as matrix
+products of embedded operators, the coupling of one pair of bath spins,
+the greedy clustering visiting every pair, and the lattice enumeration
+over a whole cube of cells sorted by a four-key lexsort.  The validation
+forms of a group Hamiltonian that the library does not build (secular
+hyperfine, a scaled or decoupled bath) and the echo the library kernel
+gives on them.
 An unrolled echo kernel that propagates one (D, T*nb) slab per group and
 probed pair, with every pulse moved to the eigenbasis.  The conditional
 precession frequencies of a bath one spin at a time.  Also a bath's JSON
@@ -42,11 +43,9 @@ from spinbath.constants import (
 )
 from spinbath.dynamics import (EchoCurve, _group_curves, _plans,
                                _probed_states, _probes)
-from spinbath.hamiltonians import (_dense_terms, _field_vector,
-                                   hyperfine_tensor)
-from spinbath.pulses import Interval, Pulse, Schedule
-from spinbath.spinops import (CompositeSpace, embed, spin_operators,
-                              two_level_unitary)
+from spinbath.hamiltonians import (_dense_terms, _dipole_tensors,
+                                   _field_vector, spin_operators)
+from spinbath.pulses import Interval, Pulse, Schedule, two_level_unitary
 
 
 def bath_to_json(bath: Bath) -> str:
@@ -202,11 +201,14 @@ def fit_to_dict(fit) -> dict:
 
 
 def projector(ops, m: float) -> np.ndarray:
-    """Projector onto the eigenstate of ops.sz with projection m."""
-    idx = int(round(ops.s - m))
-    if not (0 <= idx < ops.dim):
-        raise ValueError(f"projection {m} outside spin-{ops.s} ladder")
-    p = np.zeros((ops.dim, ops.dim), dtype=complex)
+    """Projector onto the eigenstate of sz with projection m, for the
+    (sx, sy, sz) of spin_operators."""
+    dim = len(ops[2])
+    s = (dim - 1) / 2.0
+    idx = int(round(s - m))
+    if not (0 <= idx < dim):
+        raise ValueError(f"projection {m} outside spin-{s} ladder")
+    p = np.zeros((dim, dim), dtype=complex)
     p[idx, idx] = 1.0
     return p
 
@@ -253,7 +255,24 @@ def evolve(h: np.ndarray, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def rotation(axis, angle: float, slot: int, space: CompositeSpace,
+def embed(op, slot: int, dims) -> np.ndarray:
+    """op on the given slot of the tensor product of spaces of dimensions
+    dims, with identities on every other slot."""
+    op = np.asarray(op, dtype=complex)
+    if any(d < 2 for d in dims):
+        raise ValueError("every slot must have dimension >= 2")
+    if not (0 <= slot < len(dims)):
+        raise ValueError(f"slot {slot} outside space with {len(dims)} slots")
+    if op.shape != (dims[slot], dims[slot]):
+        raise ValueError(
+            f"operator dimension {op.shape} does not match slot dimension "
+            f"{dims[slot]}")
+    factors = [op if k == slot else np.eye(d, dtype=complex)
+               for k, d in enumerate(dims)]
+    return functools.reduce(np.kron, factors)
+
+
+def rotation(axis, angle: float, slot: int, dims,
              subspace: tuple[int, int] | None = None) -> np.ndarray:
     """Ideal instantaneous pulse on a two-level subspace of one slot.
 
@@ -261,9 +280,9 @@ def rotation(axis, angle: float, slot: int, space: CompositeSpace,
     larger slots must name the two basis levels being driven.  The result
     acts as the identity everywhere outside the named pair.
     """
-    dim = space.dims[slot] if 0 <= slot < len(space.dims) else None
+    dim = dims[slot] if 0 <= slot < len(dims) else None
     if dim is None:
-        raise ValueError(f"slot {slot} outside space with {len(space.dims)} slots")
+        raise ValueError(f"slot {slot} outside space with {len(dims)} slots")
     if subspace is None:
         if dim != 2:
             raise ValueError("a two-level subspace must be named for slots "
@@ -280,7 +299,7 @@ def rotation(axis, angle: float, slot: int, space: CompositeSpace,
     u[i, j] = u2[0, 1]
     u[j, i] = u2[1, 0]
     u[j, j] = u2[1, 1]
-    return embed(u, slot, space)
+    return embed(u, slot, dims)
 
 
 def scalar_dipole_tensor(r_nm, gamma1: float, gamma2: float) -> np.ndarray:
@@ -414,12 +433,11 @@ def lattice_bath_by_ball(seed: int, n_spins: int,
 def gemm_terms(central, k: int):
     """The terms of hamiltonians._dense_terms, in its order, each built as
     a D x D matrix product of operators embedded in the whole space."""
-    space = CompositeSpace(tuple(central.dims) + (2,) * k)
-    half = spin_operators(0.5)
+    dims = tuple(central.dims) + (2,) * k
     s_ops = [np.kron(o, np.eye(1 << k, dtype=complex))
              for o in central.electron_ops()]
-    carbons = [[embed(o, len(central.dims) + m, space)
-                for o in (half.sx, half.sy, half.sz)] for m in range(k)]
+    carbons = [[embed(o, len(central.dims) + m, dims)
+                for o in spin_operators(0.5)] for m in range(k)]
     for ops_m in carbons:
         yield from ops_m
         yield from (s @ c for s in s_ops for c in ops_m)
@@ -439,11 +457,11 @@ def _term_stack(central, k: int) -> np.ndarray:
 
 
 def pair_coupling(bath: Bath, i: int, j: int) -> float:
-    """Coupling magnitude (Hz) of bath spins i and j, |A_zz| of the scalar
-    tensor."""
+    """Coupling magnitude (Hz) of bath spins i and j, |A_zz| of their
+    point-dipole tensor."""
     r = bath.positions[j] - bath.positions[i]
-    return abs(float(hyperfine_tensor(r, float(bath.gammas[i]),
-                                      float(bath.gammas[j]))[2, 2]))
+    return abs(float(_dipole_tensors(r, float(bath.gammas[i]),
+                                     float(bath.gammas[j]))[0, 2, 2]))
 
 
 def every_pair_coupling(bath: Bath):

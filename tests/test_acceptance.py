@@ -31,15 +31,15 @@ from spinbath.hamiltonians import (
     JtOrientation,
     NVCenter,
     P1Center,
-    hyperfine_tensor,
+    _dipole_tensors,
 )
 from spinbath.pulses import (
     canonical_text,
     compile_schedule,
     expand_preset,
     parse_sequence,
+    two_level_unitary,
 )
-from spinbath.spinops import two_level_unitary
 
 _WORKERS = min(8, os.cpu_count() or 1)
 
@@ -94,8 +94,8 @@ def full_scale_curves():
 
 def _eseem(position, b, tau):
     """Two-frequency single-carbon echo modulation, secular hyperfine."""
-    a = hyperfine_tensor(position, GAMMA_E_HZ_PER_G,
-                         GAMMA_C13_HZ_PER_G)[2, :]
+    a = _dipole_tensors(position, GAMMA_E_HZ_PER_G,
+                        GAMMA_C13_HZ_PER_G)[0, 2]
     f_l = GAMMA_C13_HZ_PER_G * b
     w_up = np.array([a[0] / 2.0, a[1] / 2.0, -f_l + a[2] / 2.0])
     w_dn = np.array([-a[0] / 2.0, -a[1] / 2.0, -f_l - a[2] / 2.0])

@@ -254,6 +254,24 @@ def test_scan_lists_every_field_in_metadata(tmp_path, capsys):
     assert len(rows) == 2 * 5
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_scan_builds_one_config_per_field(tmp_path, capsys, monkeypatch,
+                                          dry_run):
+    # the shared flags are parsed once; each field's config is built once
+    built = []
+    post_init = cli.SimulationConfig.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self.b_field[2])
+
+    monkeypatch.setattr(cli.SimulationConfig, "__post_init__", counted)
+    argv = ["scan", *_SMALL, "--b", "40:110:10", "--out", str(tmp_path)]
+    code, _, _ = _run(argv + ["--dry-run"] * dry_run, capsys)
+    assert code == 0
+    assert built == list(np.linspace(40.0, 110.0, 10))
+
+
 def test_scan_rejects_empty_field_list(tmp_path, capsys):
     code, _, err = _run(["scan", *_SMALL, "--b", ",", "--out", str(tmp_path)],
                         capsys)
@@ -791,6 +809,14 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     # only --threads > 1 uses a thread pool; every command would pay its import
     proc = _run_python(
         "import sys, spinbath.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only bath seeding hashes; dry runs and the other commands skip OpenSSL
+    proc = _run_python(
+        "import sys, spinbath.cli; print('_hashlib' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -37,13 +37,13 @@ from spinbath.hamiltonians import (
     JtOrientation,
     NVCenter,
     P1Center,
+    _dipole_tensors,
     build_hamiltonian_stack,
     build_system_hamiltonian,
-    hyperfine_tensor,
     level_pair,
 )
-from spinbath.pulses import compile_schedule, expand_preset, parse_sequence
-from spinbath.spinops import two_level_unitary
+from spinbath.pulses import (compile_schedule, expand_preset, parse_sequence,
+                             two_level_unitary)
 
 
 def _spin(x, y, z):
@@ -58,7 +58,7 @@ def _subset(bath, index):
 
 def _eseem_closed_form(position, b, tau):
     """Two-frequency echo modulation of one carbon, secular hyperfine."""
-    a = hyperfine_tensor(position, GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)[2, :]
+    a = _dipole_tensors(position, GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)[0, 2]
     f_l = GAMMA_C13_HZ_PER_G * b
     w_up = np.array([a[0] / 2.0, a[1] / 2.0, -f_l + a[2] / 2.0])
     w_dn = np.array([-a[0] / 2.0, -a[1] / 2.0, -f_l - a[2] / 2.0])

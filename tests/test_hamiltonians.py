@@ -6,8 +6,8 @@ import pytest
 from scipy import constants as si
 
 import spinbath.dynamics as dynamics
-from oracles import (gemm_terms, group_curves_unrolled, group_hamiltonian,
-                     scalar_dipole_tensor)
+from oracles import (embed, gemm_terms, group_curves_unrolled,
+                     group_hamiltonian, scalar_dipole_tensor)
 from spinbath.bathgen import Bath, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
@@ -20,14 +20,16 @@ from spinbath.hamiltonians import (
     NVCenter,
     P1Center,
     _dense_terms,
+    _dipole_tensors,
+    _p1_operators,
     build_nv_hamiltonian,
     build_hamiltonian_stack,
     build_p1_hamiltonian,
     build_system_hamiltonian,
-    hyperfine_tensor,
     label_levels,
     level_pair,
     rotation_onto_axis,
+    spin_operators,
 )
 from spinbath.pulses import compile_schedule, expand_preset
 
@@ -78,17 +80,28 @@ def test_rotation_onto_axis_properties():
 
 
 def test_hyperfine_tensor_structure():
-    a = hyperfine_tensor((0.0, 0.0, 0.8), GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
+    a = _dipole_tensors((0.0, 0.0, 0.8), GAMMA_E_HZ_PER_G,
+                        GAMMA_C13_HZ_PER_G)[0]
     assert np.allclose(a, a.T, atol=0)
     assert np.trace(a) == pytest.approx(0.0, abs=1e-9)
     # along z the tensor is diag(c, c, -2c)
     assert a[0, 0] == pytest.approx(a[1, 1])
     assert a[2, 2] == pytest.approx(-2.0 * a[0, 0])
     # 1/r^3
-    t2 = hyperfine_tensor((0.0, 0.0, 1.6), GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
+    t2 = _dipole_tensors((0.0, 0.0, 1.6), GAMMA_E_HZ_PER_G,
+                         GAMMA_C13_HZ_PER_G)[0]
     assert a[2, 2] / t2[2, 2] == pytest.approx(8.0)
     with pytest.raises(ValueError):
-        hyperfine_tensor((0.0, 0.0, 0.0), 1e3, 1e3)
+        _dipole_tensors((0.0, 0.0, 0.0), 1e3, 1e3)
+
+
+def test_p1_operators_are_the_embedded_spin_matrices_bit_for_bit():
+    # the six-level space |m_S> (x) |m_I>: electron slot 0, nitrogen slot 1
+    for ops, s, slot in zip(_p1_operators(), (0.5, 1.0), (0, 1)):
+        for got, op in zip(ops, spin_operators(s)):
+            want = embed(op, slot, (2, 3))
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_nv_hamiltonian_axial_field_is_analytic():
@@ -291,8 +304,8 @@ def test_system_hamiltonian_secular_mode_keeps_sz_row_only():
     h_full = group_hamiltonian(BareElectron(), group, 72.0)
     h_sec = group_hamiltonian(BareElectron(), group, 72.0,
                               secular_hyperfine=True)
-    tensor = hyperfine_tensor((0.4, 0.3, 0.6), GAMMA_E_HZ_PER_G,
-                              GAMMA_C13_HZ_PER_G)
+    tensor = _dipole_tensors((0.4, 0.3, 0.6), GAMMA_E_HZ_PER_G,
+                             GAMMA_C13_HZ_PER_G)[0]
     sx = np.kron(_SX2, np.eye(2))
     sy = np.kron(_SY2, np.eye(2))
     cx, cy, cz = (np.kron(np.eye(2), o) for o in (_SX2, _SY2, _SZ2))

@@ -17,8 +17,8 @@ from spinbath.pulses import (
     compile_schedule,
     expand_preset,
     parse_sequence,
+    two_level_unitary,
 )
-from spinbath.spinops import two_level_unitary
 
 
 def test_parse_hahn_text_matches_preset():

@@ -1,37 +1,35 @@
-import math
+"""Spin-operator algebra: the spin matrices of hamiltonians, the pulse
+axes and ideal two-level rotations of pulses, and the oracle's composite
+space (embed, rotation), propagator, density matrix and projector."""
 
 import numpy as np
 import pytest
 
-from oracles import DensityMatrix, evolve, projector, rotation
-from spinbath.spinops import (
-    AXIS_VECTORS,
-    CompositeSpace,
-    embed,
-    spin_operators,
-    two_level_unitary,
-)
+from oracles import DensityMatrix, embed, evolve, projector, rotation
+from spinbath.hamiltonians import spin_operators
+from spinbath.pulses import AXIS_VECTORS, two_level_unitary
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
 def test_commutation_relations(s):
-    ops = spin_operators(s)
-    comm = ops.sx @ ops.sy - ops.sy @ ops.sx
-    assert np.allclose(comm, 1j * ops.sz, atol=1e-12)
-    casimir = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
-    assert np.allclose(casimir, s * (s + 1) * np.eye(ops.dim), atol=1e-12)
+    sx, sy, sz = spin_operators(s)
+    assert sz.shape == (int(2 * s + 1),) * 2
+    comm = sx @ sy - sy @ sx
+    assert np.allclose(comm, 1j * sz, atol=1e-12)
+    casimir = sx @ sx + sy @ sy + sz @ sz
+    assert np.allclose(casimir, s * (s + 1) * np.eye(len(sz)), atol=1e-12)
 
 
 def test_spin_half_matches_pauli_over_two():
-    ops = spin_operators(0.5)
-    assert np.allclose(ops.sx, [[0, 0.5], [0.5, 0]])
-    assert np.allclose(ops.sy, [[0, -0.5j], [0.5j, 0]])
-    assert np.allclose(ops.sz, [[0.5, 0], [0, -0.5]])
+    sx, sy, sz = spin_operators(0.5)
+    assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
+    assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
+    assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
 
 
 def test_basis_order_is_descending_projection():
     ops = spin_operators(1.0)
-    assert np.allclose(np.diag(ops.sz).real, [1.0, 0.0, -1.0])
+    assert np.allclose(np.diag(ops[2]).real, [1.0, 0.0, -1.0])
     p = projector(ops, -1.0)
     assert p[2, 2] == 1.0 and np.trace(p) == 1.0
 
@@ -50,27 +48,27 @@ def test_invalid_spin_quantum_number():
 
 def test_operator_matrices_are_read_only():
     ops = spin_operators(0.5)
-    with pytest.raises(ValueError):
-        ops.sx[0, 0] = 5.0
+    assert spin_operators(0.5) is ops  # one cached tuple per spin
+    for op in ops:
+        with pytest.raises(ValueError):
+            op[0, 0] = 5.0
 
 
 def test_composite_space_dims():
-    space = CompositeSpace(dims=(2, 3, 2, 2))
-    assert math.prod(space.dims) == 24
+    assert embed(np.eye(3), 1, (2, 3, 2, 2)).shape == (24, 24)
     with pytest.raises(ValueError):
-        CompositeSpace(dims=(2, 1))
+        embed(np.eye(2), 0, (2, 1))
 
 
 def test_embed_acts_on_named_slot_only():
-    space = CompositeSpace(dims=(2, 3))
-    sz = spin_operators(1.0).sz
-    full = embed(sz, 1, space)
+    sz = spin_operators(1.0)[2]
+    full = embed(sz, 1, (2, 3))
     assert full.shape == (6, 6)
     assert np.allclose(full, np.kron(np.eye(2), sz))
     with pytest.raises(ValueError):
-        embed(sz, 0, space)  # dimension mismatch
+        embed(sz, 0, (2, 3))  # dimension mismatch
     with pytest.raises(ValueError):
-        embed(sz, 2, space)
+        embed(sz, 2, (2, 3))
 
 
 def test_density_matrix_validation():
@@ -152,8 +150,7 @@ def test_two_level_unitary_rejects_bad_axis():
 
 
 def test_rotation_on_subspace_leaves_spectator_level_alone():
-    space = CompositeSpace(dims=(3, 2))
-    u = rotation("x", np.pi, 0, space, subspace=(0, 2))
+    u = rotation("x", np.pi, 0, (3, 2), subspace=(0, 2))
     # the middle level of the first slot is untouched
     mid = np.zeros(6, dtype=complex)
     mid[2] = 1.0  # |m=0> x |up>
@@ -166,19 +163,17 @@ def test_rotation_on_subspace_leaves_spectator_level_alone():
 
 
 def test_rotation_requires_subspace_for_large_slots():
-    space = CompositeSpace(dims=(3,))
     with pytest.raises(ValueError):
-        rotation("x", np.pi, 0, space)
+        rotation("x", np.pi, 0, (3,))
     with pytest.raises(ValueError):
-        rotation("x", np.pi, 0, space, subspace=(1, 1))
+        rotation("x", np.pi, 0, (3,), subspace=(1, 1))
     with pytest.raises(ValueError):
-        rotation("x", np.pi, 0, space, subspace=(0, 3))
+        rotation("x", np.pi, 0, (3,), subspace=(0, 3))
     with pytest.raises(ValueError):
-        rotation("x", np.pi, 1, space)
+        rotation("x", np.pi, 1, (3,))
 
 
 def test_rotation_defaults_to_whole_two_level_slot():
-    space = CompositeSpace(dims=(2, 2))
-    u = rotation("y", np.pi / 2, 1, space)
+    u = rotation("y", np.pi / 2, 1, (2, 2))
     expect = np.kron(np.eye(2), two_level_unitary("y", np.pi / 2))
     assert np.allclose(u, expect, atol=1e-12)
