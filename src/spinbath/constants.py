@@ -85,76 +85,32 @@ def ppm_to_density_nm3(ppm: float) -> float:
 
 def constants_table() -> dict:
     """Audit table of every physical constant, with units, for file output."""
-    return {
-        "gamma_e_mhz_per_gauss": {
-            "value": GAMMA_E_MHZ_PER_G,
-            "units": "MHz/G",
-            "description": "electron gyromagnetic ratio (signed, g ~ 2.0024)",
-        },
-        "gamma_n14_hz_per_gauss": {
-            "value": GAMMA_N14_HZ_PER_G,
-            "units": "Hz/G",
-            "description": "14N nuclear gyromagnetic ratio",
-        },
-        "gamma_c13_hz_per_gauss": {
-            "value": GAMMA_C13_HZ_PER_G,
-            "units": "Hz/G",
-            "description": "13C nuclear gyromagnetic ratio",
-        },
-        "a_parallel_mhz": {
-            "value": A_PAR_MHZ,
-            "units": "MHz",
-            "description": "axial 14N hyperfine constant of the nitrogen center",
-        },
-        "a_perp_mhz": {
-            "value": A_PERP_MHZ,
-            "units": "MHz",
-            "description": "transverse 14N hyperfine constant",
-        },
-        "q_n14_mhz": {
-            "value": Q_N14_MHZ,
-            "units": "MHz",
-            "description": "14N quadrupole constant",
-        },
-        "d_nv_mhz": {
-            "value": D_NV_MHZ,
-            "units": "MHz",
-            "description": "NV ground-state zero-field splitting",
-        },
-        "diamond_lattice_nm": {
-            "value": DIAMOND_LATTICE_NM,
-            "units": "nm",
-            "description": "conventional diamond cubic lattice constant",
-        },
-        "diamond_bond_nm": {
-            "value": DIAMOND_BOND_NM,
-            "units": "nm",
-            "description": "nearest-neighbor bond length, a sqrt(3)/4",
-        },
-        "diamond_atom_density_cm3": {
-            "value": DIAMOND_ATOM_DENSITY_CM3,
-            "units": "cm^-3",
-            "description": "carbon site density used for ppm conversions",
-        },
-        "c13_abundance": {
-            "value": C13_ABUNDANCE,
-            "units": "1",
-            "description": "natural 13C isotopic abundance",
-        },
-        "kappa_id_ppm_us": {
-            "value": KAPPA_ID_PPM_US,
-            "units": "ppm*us",
-            "description": "instantaneous-diffusion calibration for "
-                           "concentration_from_td (ppm = kappa / T_D)",
-        },
-        "mu0_si": {
-            "value": MU0_SI,
-            "units": "T^2 m^3 / J",
-            "description": "vacuum permeability (CODATA 2022)",
-        },
-        "planck_si": {
-            "value": PLANCK_SI,
-            "units": "J s",
-            "description": "Planck constant (exact in the 2019 SI)",
-        },
-    }
+    rows = [  # name, value, units, description
+        ("gamma_e_mhz_per_gauss", GAMMA_E_MHZ_PER_G, "MHz/G",
+         "electron gyromagnetic ratio (signed, g ~ 2.0024)"),
+        ("gamma_n14_hz_per_gauss", GAMMA_N14_HZ_PER_G, "Hz/G",
+         "14N nuclear gyromagnetic ratio"),
+        ("gamma_c13_hz_per_gauss", GAMMA_C13_HZ_PER_G, "Hz/G",
+         "13C nuclear gyromagnetic ratio"),
+        ("a_parallel_mhz", A_PAR_MHZ, "MHz",
+         "axial 14N hyperfine constant of the nitrogen center"),
+        ("a_perp_mhz", A_PERP_MHZ, "MHz", "transverse 14N hyperfine constant"),
+        ("q_n14_mhz", Q_N14_MHZ, "MHz", "14N quadrupole constant"),
+        ("d_nv_mhz", D_NV_MHZ, "MHz", "NV ground-state zero-field splitting"),
+        ("diamond_lattice_nm", DIAMOND_LATTICE_NM, "nm",
+         "conventional diamond cubic lattice constant"),
+        ("diamond_bond_nm", DIAMOND_BOND_NM, "nm",
+         "nearest-neighbor bond length, a sqrt(3)/4"),
+        ("diamond_atom_density_cm3", DIAMOND_ATOM_DENSITY_CM3, "cm^-3",
+         "carbon site density used for ppm conversions"),
+        ("c13_abundance", C13_ABUNDANCE, "1",
+         "natural 13C isotopic abundance"),
+        ("kappa_id_ppm_us", KAPPA_ID_PPM_US, "ppm*us",
+         "instantaneous-diffusion calibration for concentration_from_td "
+         "(ppm = kappa / T_D)"),
+        ("mu0_si", MU0_SI, "T^2 m^3 / J", "vacuum permeability (CODATA 2022)"),
+        ("planck_si", PLANCK_SI, "J s",
+         "Planck constant (exact in the 2019 SI)"),
+    ]
+    return {name: {"value": value, "units": units, "description": text}
+            for name, value, units, text in rows}

@@ -97,6 +97,8 @@ class SimulationConfig:
     lattice: bool = True
     include_nn: bool = True
     workers: int = 1
+    # derived at b_field: each projection's weight and probed pair (_levels)
+    probes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b_field", tuple(
@@ -117,15 +119,16 @@ class SimulationConfig:
                                       self.min_radius)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        _probes(self.central, self.b_field)  # raises if unaddressable
-        w = np.linalg.eigvalsh(self.central.hamiltonian(self.b_field))
+        # raises if unaddressable
+        probes, width = _levels(self.central, self.b_field)
+        object.__setattr__(self, "probes", probes)
         total = sum(e.duration_s for e in pulses.compile_schedule(
             self.sequence, max(grid, default=0.0)).events
             if isinstance(e, Interval))
-        if 2.0 * math.pi * (w[-1] - w[0]) * total > _MAX_PHASE_RAD:
+        if 2.0 * math.pi * width * total > _MAX_PHASE_RAD:
             raise ValueError(
                 f"the schedule evolves for {total:.3g} s at the largest tau: at"
-                f" a spectral width of {w[-1] - w[0]:.3g} Hz its phase passes"
+                f" a spectral width of {width:.3g} Hz its phase passes"
                 f" {_MAX_PHASE_RAD:.3g} rad, where fp64 no longer resolves it"
                 " to 1e-6 rad")
 
@@ -227,13 +230,6 @@ def scan_csv(curves: list[EchoCurve]) -> str:
 # ---------------------------------------------------------------------------
 # echo kernel
 
-def _thermal_variants(central):
-    """(weight, central) pairs; a thermal nitrogen averages its projections."""
-    if isinstance(central, P1Center) and central.m_i is None:
-        return [(1.0 / 3.0, replace(central, m_i=m)) for m in (-1, 0, 1)]
-    return [(1.0, central)]
-
-
 def _probed_states(central, b_field) -> tuple:
     """The (a, b) central eigenvectors of central.probed; level_pair raises
     where state mixing leaves the pair unaddressable (a thermal nitrogen
@@ -242,10 +238,18 @@ def _probed_states(central, b_field) -> tuple:
     return tuple(vc[:, k] for k in hamiltonians.level_pair(central, vc))
 
 
-def _probes(central, b_field) -> list:
-    """_probed_states of each thermal variant of central."""
-    return [_probed_states(variant, b_field)
-            for _, variant in _thermal_variants(central)]
+def _levels(central, b_field) -> tuple:
+    """(probes, width) of central at b_field, from one eigh: per projection
+    (a thermal nitrogen averages its three) its weight and the (a, b)
+    eigenvectors of its probed pair, and the spectral width in Hz."""
+    w, vc = np.linalg.eigh(central.hamiltonian(b_field))
+    variants = ([(1.0 / 3.0, replace(central, m_i=m)) for m in (-1, 0, 1)]
+                if isinstance(central, P1Center) and central.m_i is None
+                else [(1.0, central)])
+    probes = tuple((weight, tuple(vc[:, k] for k in
+                                  hamiltonians.level_pair(variant, vc)))
+                   for weight, variant in variants)
+    return probes, w[-1] - w[0]
 
 
 def _pair_unitary(steps) -> np.ndarray:
@@ -260,14 +264,15 @@ def _pair_unitary(steps) -> np.ndarray:
 def _plans(schedules: list[Schedule]) -> list:
     """Schedules grouped by event structure, one propagation plan each.
 
-    A plan is (steps, indices, durations, eta, progression).  steps are
-    the events with each interval replaced by the row of durations, a
+    A plan is (steps, indices, durations, eta, progression, span).  steps
+    are the events with each interval replaced by the row of durations, a
     (distinct intervals, schedules) array, that holds its length on every
     schedule; intervals of equal length on every schedule share a row.
     eta is the sign normalization from the zero-delay composition on the
-    pair, and progression is _progression(durations).  Taus of one
-    program share a structure except tau = 0, whose symbolic intervals
-    are dropped.
+    pair, progression is _progression(durations), and span the (first,
+    last) steps that run on the slab, from the first interval to the last.
+    Taus of one program share a structure except tau = 0, whose symbolic
+    intervals are dropped.
     """
     indices: dict = {}
     for k, schedule in enumerate(schedules):
@@ -285,8 +290,10 @@ def _plans(schedules: list[Schedule]) -> list:
         durations = np.array(list(rows)).reshape(len(rows), len(index))
         zero_delay = _pair_unitary(steps)[0, 0]
         eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
+        free = [k for k, step in enumerate(steps) if step is None]
+        span = (free[0], free[-1] + 1) if free else (len(steps),) * 2
         plans.append((steps_rows, index, durations, eta,
-                      _progression(durations)))
+                      _progression(durations), span))
     return plans
 
 
@@ -322,47 +329,63 @@ def _phase_table(rate, durations, progression) -> np.ndarray:
     return table[:, :, :durations.shape[1]]
 
 
-def _group_curves(w, v, probes, plans, n_schedules: int) -> np.ndarray:
+class _Setup:
+    """An echo set up once per run and field, shared read-only by every
+    bath, stack and worker thread: central at b_field, the weights of its
+    probes (_levels), the plans of the run's schedules and, per Hilbert
+    dimension D of the given group sizes, each probed pair's folded pulses
+    (_group_curves).
+    """
+
+    def __init__(self, central, b_field, probes, plans, sizes,
+                 include_nn=True):
+        self.central, self.b_field = central, b_field
+        self.include_nn = include_nn
+        self.weights = [weight for weight, _ in probes]
+        self.plans, self.n_schedules = plans, sum(len(p[1]) for p in plans)
+        dc = math.prod(central.dims)
+        inner = {s for steps, *_, (first, last) in plans
+                 for s in steps[first:last] if isinstance(s, Pulse)}
+        self.folded = {dc << size: [] for size in sizes}
+        for dim, folded in self.folded.items():
+            eye_b = np.eye(dim // dc, dtype=complex)
+            for _, (a, b) in probes:
+                pair = np.stack([a, b], axis=1)
+                lifted = {s: np.kron(pair @ (_pair_unitary([s]) - np.eye(2))
+                                     @ pair.conj().T + np.eye(dc), eye_b)
+                          for s in inner}
+                edges = [(np.kron(pair @ _pair_unitary(steps[:first])[:, :1],
+                                  eye_b),
+                          np.kron(_pair_unitary(steps[last:])[:1]
+                                  @ pair.conj().T, eye_b))
+                         for steps, *_, (first, last) in plans]
+                folded.append((lifted, edges))
+
+
+def _group_curves(w, v, setup: _Setup) -> np.ndarray:
     """S_G of each group of one size, per probed pair, on every schedule.
 
-    (w, v) is the groups' eigen-stack and probes the (a, b) central
-    eigenstates of each projection.  Per pair and plan, the rotations
-    before the first interval and after the last fold into the initial
-    columns kron(U a, 1) and the read-out row kron(a^H U, 1), in the lab
-    basis.  Per group, each plan's phase table serves every pair; the
-    (D, nb, T) slab takes one GEMM per pulse in between, moved to the
-    eigenbasis, and one in-place phase multiply along tau per interval.
+    (w, v) is the groups' eigen-stack.  Per pair and plan, the rotations
+    before the first interval and after the last are folded into the
+    initial columns kron(U a, 1) and the read-out row kron(a^H U, 1), and
+    those in between lifted to kron(U_c, 1), in the lab basis (setup).  Per
+    group, each plan's phase table serves every pair; the (D, nb, T) slab
+    takes one GEMM per pulse in between, moved to the eigenbasis, and one
+    in-place phase multiply along tau per interval.
     """
-    dim, dc = w.shape[1], len(probes[0][0])
-    nb = dim // dc
-    eye_b = np.eye(nb, dtype=complex)
-    spans = []  # steps first to last run on the slab
-    for steps, *_ in plans:
-        free = [k for k, s in enumerate(steps) if not isinstance(s, Pulse)]
-        spans.append((free[0], free[-1] + 1) if free else (len(steps),) * 2)
-    inner = {s for (steps, *_), (first, last) in zip(plans, spans)
-             for s in steps[first:last] if isinstance(s, Pulse)}
-    out = np.empty((len(w), len(probes), n_schedules))
-    folded = []
-    for a, b in probes:
-        pair = np.stack([a, b], axis=1)
-        lifted = {s: np.kron(pair @ (_pair_unitary([s]) - np.eye(2))
-                             @ pair.conj().T + np.eye(dc), eye_b)
-                  for s in inner}
-        edges = [(np.kron(pair @ _pair_unitary(steps[:first])[:, :1], eye_b),
-                  np.kron(_pair_unitary(steps[last:])[:1] @ pair.conj().T,
-                          eye_b))
-                 for (steps, *_), (first, last) in zip(plans, spans)]
-        folded.append((lifted, edges))
+    dim = w.shape[1]
+    folded = setup.folded[dim]
+    nb = dim // math.prod(setup.central.dims)
+    out = np.empty((len(w), len(folded), setup.n_schedules))
     for wg, vg, curves in zip(w, v, out):
         rate = -2j * np.pi * wg
         vh = vg.conj().T
         phases = [_phase_table(rate, durations, progression)
-                  for _, _, durations, _, progression in plans]
+                  for _, _, durations, _, progression, _ in setup.plans]
         for (lifted, edges), curve in zip(folded, curves):
             rot = {s: vh @ u @ vg for s, u in lifted.items()}
-            for (steps, index, _, eta, _), (first, last), (select, read), \
-                    phase in zip(plans, spans, edges, phases):
+            for (steps, index, _, eta, _, (first, last)), (select, read), \
+                    phase in zip(setup.plans, edges, phases):
                 m = (vh @ select)[:, :, None]
                 if first < last:  # the first interval spreads m along tau
                     m = m * phase[:, None, steps[first]]
@@ -390,48 +413,42 @@ def _eigen_stacks(central, bath: Bath, index, b_field, include_nn=True):
             b_field, include_nn=include_nn))
 
 
-def _echo(central, bath: Bath, groups, schedules: list[Schedule], b_field, *,
-          include_nn: bool = True) -> np.ndarray:
-    """Bath signal S_T on every schedule: the product of S_G over groups,
-    each a sequence of bath indices.
+def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
+    """Bath signal S_T on every schedule of setup: the product of S_G over
+    groups, each a sequence of bath indices.
 
     With a thermal nitrogen the product is formed per projection and then
     averaged (one physical nitrogen is shared by every group), over the
     groups in their given order.  The groups of one size are assembled and
     diagonalized as stacks (_eigen_stacks), which the projections share.
     """
-    plans = _plans(schedules)
-    variants = _thermal_variants(central)
-    probes = _probes(central, b_field)
-    curves = np.empty((len(groups), len(probes), len(schedules)))
+    curves = np.empty((len(groups), len(setup.weights), setup.n_schedules))
     sizes = np.array([len(group) for group in groups])
     # largest first, so the largest term table is built before the rest
     for size in sorted(set(sizes.tolist()), reverse=True):
         same = np.flatnonzero(sizes == size)
         index = np.array([groups[k] for k in same], dtype=np.intp)
-        for rows, (w, v) in _eigen_stacks(central, bath, index, b_field,
-                                          include_nn=include_nn):
-            curves[same[rows]] = _group_curves(w, v, probes, plans,
-                                               len(schedules))
-    return sum(weight * product for (weight, _), product
-               in zip(variants, np.prod(curves, axis=0)))
+        for rows, (w, v) in _eigen_stacks(setup.central, bath, index,
+                                          setup.b_field,
+                                          include_nn=setup.include_nn):
+            curves[same[rows]] = _group_curves(w, v, setup)
+    return sum(weight * product for weight, product
+               in zip(setup.weights, np.prod(curves, axis=0)))
 
 
 def group_signal(central, group: Bath, schedule: Schedule, b_field, *,
                  include_nn: bool = True) -> float:
     """Echo signal of the central spin coupled to one carbon group."""
-    return float(_echo(central, group, [range(len(group))], [schedule],
-                       b_field, include_nn=include_nn)[0])
+    setup = _Setup(central, b_field, _levels(central, b_field)[0],
+                   _plans([schedule]), [len(group)], include_nn)
+    return float(_echo(setup, group, [range(len(group))])[0])
 
 
-def _bath_curve(central, bath: Bath, partition: Partition,
-                schedules: list[Schedule], b_field, *,
-                include_nn: bool = True) -> np.ndarray:
+def _bath_curve(setup: _Setup, bath: Bath, partition: Partition) -> np.ndarray:
     """S_T of one bath on every schedule."""
     if partition.n_spins != len(bath):
         raise ValueError("partition does not cover this bath")
-    return _echo(central, bath, partition.groups, schedules, b_field,
-                 include_nn=include_nn)
+    return _echo(setup, bath, partition.groups)
 
 
 def _make_bath(config: SimulationConfig, index: int):
@@ -442,15 +459,17 @@ def _make_bath(config: SimulationConfig, index: int):
     return bath, bathgen.cluster_bath(bath, config.g)
 
 
-def _ensemble_curve(config: SimulationConfig, bath_of) -> EchoCurve:
-    """config's ensemble; bath_of(index) builds or looks up a bath and its
-    partition, so a worker can build the bath whose row it computes."""
-    schedules = [pulses.compile_schedule(config.sequence, tau)
-                 for tau in config.tau_grid]
+def _ensemble_curve(config: SimulationConfig, plans, bath_of) -> EchoCurve:
+    """config's ensemble on plans, the _plans of its tau grid; bath_of(index)
+    builds or looks up a bath and its partition, so a worker can build the
+    bath whose row it computes."""
+    # a group holds at most g spins, and no more than the bath
+    setup = _Setup(config.central, config.b_field, config.probes, plans,
+                   range(1, min(config.g, config.n_spins) + 1),
+                   config.include_nn)
 
     def curve(index: int) -> np.ndarray:
-        return _bath_curve(config.central, *bath_of(index), schedules,
-                           config.b_field, include_nn=config.include_nn)
+        return _bath_curve(setup, *bath_of(index))
 
     if config.workers == 1:
         rows = list(map(curve, range(config.n_baths)))
@@ -471,7 +490,10 @@ def ensemble_signal(config: SimulationConfig) -> EchoCurve:
     Bath b uses child_seed(master_seed, b), so any bath is replayable in
     isolation.  Worker count changes scheduling only, never the result.
     """
-    return _ensemble_curve(config, lambda index: _make_bath(config, index))
+    plans = _plans([pulses.compile_schedule(config.sequence, tau)
+                    for tau in config.tau_grid])
+    return _ensemble_curve(config, plans,
+                           lambda index: _make_bath(config, index))
 
 
 def _field_configs(config: SimulationConfig, b_list) -> list:
@@ -495,4 +517,7 @@ def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
     # every field's config checks its probed pair before any bath is built
     configs = _field_configs(config, b_list)
     baths = [_make_bath(config, k) for k in range(config.n_baths)]
-    return [_ensemble_curve(c, baths.__getitem__) for c in configs]
+    # the fields share one sequence and tau grid, so one set of plans
+    plans = _plans([pulses.compile_schedule(config.sequence, tau)
+                    for tau in config.tau_grid])
+    return [_ensemble_curve(c, plans, baths.__getitem__) for c in configs]

@@ -157,6 +157,14 @@ def rotation_onto_axis(n) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
+@functools.lru_cache(maxsize=None)
+def _bond_frame(axis: tuple) -> np.ndarray:
+    """rotation_onto_axis(axis), read-only: computed once per bond axis."""
+    r = rotation_onto_axis(axis)
+    r.flags.writeable = False
+    return r
+
+
 def _field_vector(b) -> np.ndarray:
     """A field in G as a 3-vector; a scalar lies along z."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -219,7 +227,7 @@ def build_p1_hamiltonian(b, axis) -> np.ndarray:
     b_vec = _field_vector(b)
     s_ops, i_ops = _p1_operators()
 
-    r = rotation_onto_axis(axis)
+    r = _bond_frame(tuple(float(x) for x in axis))
     xp, yp, zp = r[:, 0], r[:, 1], r[:, 2]
 
     def along(ops, u):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,23 +148,16 @@ class Repeat:
             raise ValueError("repeat count must be a positive integer")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PulseProgram:
-    """Parsed sequence plus an optional preset name (bookkeeping)."""
+    """Parsed sequence plus an optional preset name (bookkeeping, outside
+    == and hash)."""
 
     items: tuple
-    name: str | None = None
+    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-
-    def __eq__(self, other):
-        if not isinstance(other, PulseProgram):
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from spinbath.constants import (
     GAMMA_E_HZ_PER_G,
     dipole_prefactor_hz,
 )
-from spinbath.dynamics import (EchoCurve, _group_curves, _plans,
-                               _probed_states, _probes)
+from spinbath.dynamics import (EchoCurve, _group_curves, _levels, _plans,
+                               _probed_states, _Setup)
 from spinbath.hamiltonians import (_dense_terms, _dipole_tensors,
                                    _field_vector, spin_operators)
 from spinbath.pulses import Interval, Pulse, Schedule, two_level_unitary
@@ -352,8 +352,9 @@ def kernel_signal(central, group, schedule, b, **options) -> float:
     group_hamiltonian(**options); for a central spin with one probed pair
     (not a thermal nitrogen)."""
     w, v = np.linalg.eigh(group_hamiltonian(central, group, b, **options))
-    return float(_group_curves(w[None], v[None], _probes(central, b),
-                               _plans([schedule]), 1)[0, 0, 0])
+    setup = _Setup(central, b, _levels(central, b)[0], _plans([schedule]),
+                   [len(group)])
+    return float(_group_curves(w[None], v[None], setup)[0, 0, 0])
 
 
 def larmor_by_spin(central, bath, b):
@@ -531,7 +532,7 @@ def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
         vh = vg.conj().T
         rotations = {step: vh @ u @ vg for step, u in lifted.items()}
         m0, row0 = vh @ select, read @ vg
-        for steps, index, durations, eta, _ in plans:
+        for steps, index, durations, eta, *_ in plans:
             phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
             free = [k for k, step in enumerate(steps)
                     if not isinstance(step, Pulse)]

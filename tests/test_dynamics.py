@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import spinbath.bathgen as bathgen
 import spinbath.dynamics as dynamics
+import spinbath.pulses as pulses
 from oracles import evolve, group_curves_unrolled, kernel_signal
 from spinbath.bathgen import (Bath, Partition, child_seed, cluster_bath,
                               generate_bath)
@@ -27,6 +28,9 @@ from spinbath.dynamics import (
     SimulationConfig,
     _bath_curve,
     _echo,
+    _levels,
+    _plans,
+    _Setup,
     ensemble_signal,
     field_scan,
     group_signal,
@@ -48,6 +52,12 @@ from spinbath.pulses import (compile_schedule, expand_preset, parse_sequence,
 
 def _spin(x, y, z):
     return (x, y, z)
+
+
+def _setup(central, schedules, sizes, b=72.0):
+    """The echo set-up of central at b on schedules, for groups of the
+    given sizes."""
+    return _Setup(central, b, _levels(central, b)[0], _plans(schedules), sizes)
 
 
 def _subset(bath, index):
@@ -182,7 +192,8 @@ def test_signal_stays_in_physical_range():
         tau = float(rng.uniform(0.0, 40e-6))
         sched = compile_schedule(expand_preset("hahn"), tau)
         for central in (P1Center(), NVCenter()):
-            s = _bath_curve(central, bath, part, [sched], 72.0)[0]
+            s = _bath_curve(_setup(central, [sched], range(1, 4)), bath,
+                            part)[0]
             assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
 
@@ -204,7 +215,8 @@ def test_thermal_nitrogen_products_before_averaging():
     bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,), (1,)), g=1, n_spins=2)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
-    got = _bath_curve(P1Center(m_i=None), bath, part, [sched], 72.0)[0]
+    got = _bath_curve(_setup(P1Center(m_i=None), [sched], [1]), bath,
+                      part)[0]
     per_m = []
     for m in (-1, 0, 1):
         center = P1Center(m_i=m)
@@ -225,7 +237,7 @@ def test_bath_signal_checks_partition_coverage():
     part = Partition(groups=((0,),), g=1, n_spins=1)
     sched = compile_schedule(expand_preset("hahn"), tau=1e-6)
     with pytest.raises(ValueError):
-        _bath_curve(P1Center(), bath, part, [sched], 72.0)
+        _bath_curve(_setup(P1Center(), [sched], [1]), bath, part)
 
 
 @pytest.mark.parametrize("prog", [
@@ -240,7 +252,7 @@ def test_batched_kernel_matches_single_schedules(prog):
     group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6),
                   _spin(0.2, -0.5, 0.3)])
     for central in (P1Center(m_i=None), NVCenter()):
-        batched = _echo(central, group, [range(3)], schedules, 72.0)
+        batched = _echo(_setup(central, schedules, [3]), group, [range(3)])
         for tau, sched, got in zip(taus, schedules, batched):
             want = group_signal(central, group, sched, 72.0)
             assert got == pytest.approx(want, abs=1e-10), tau
@@ -253,17 +265,18 @@ _KERNEL_PROGRAMS = [expand_preset("hahn"), expand_preset("cpmg", 4),
 
 
 def _kernel_inputs(central, taus):
-    """Schedules, plans and probed pairs, then per size g = 1-4 the
-    eigen-stack of the groups of one seeded bath, for the kernel tests."""
+    """Schedules, the probed pairs and the echo set-up on them, then per
+    size g = 1-4 the eigen-stack of the groups of one seeded bath, for the
+    kernel tests."""
     schedules = [compile_schedule(prog, tau) for prog, tau in taus]
-    plans = dynamics._plans(schedules)
-    probes = dynamics._probes(central, 72.0)
+    probes = _levels(central, 72.0)[0]
+    setup = _Setup(central, 72.0, probes, _plans(schedules), (1, 2, 3, 4))
     bath = generate_bath(seed=4, n_spins=12)
     index = [np.arange(12 - 12 % g).reshape(-1, g) for g in (1, 2, 3, 4)]
     stacks = [np.linalg.eigh(build_hamiltonian_stack(
                   central, bath.positions[idx], bath.gammas[idx], 72.0))
               for idx in index]
-    return schedules, plans, probes, stacks
+    return schedules, probes, setup, stacks
 
 
 @pytest.mark.parametrize("central", _KERNEL_CENTRALS,
@@ -282,14 +295,14 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
              (np.linspace(0.0, 30e-6, 150), True,
               1e-9 if isinstance(central, NVCenter) else 1e-10)]
     for taus, uniform, tol in grids:
-        schedules, plans, probes, stacks = _kernel_inputs(
+        schedules, probes, setup, stacks = _kernel_inputs(
             central, [(prog, tau) for tau in taus])
-        assert any(plan[4] is not None for plan in plans) == uniform
+        assert any(plan[4] is not None for plan in setup.plans) == uniform
         n = len(schedules)
         for g, (w, v) in enumerate(stacks, 1):
-            got = dynamics._group_curves(w, v, probes, plans, n)
-            for p, (a, b) in enumerate(probes):
-                want = group_curves_unrolled(w, v, a, b, plans, n)
+            got = dynamics._group_curves(w, v, setup)
+            for p, (_, (a, b)) in enumerate(probes):
+                want = group_curves_unrolled(w, v, a, b, setup.plans, n)
                 assert np.abs(got[:, p] - want).max() <= tol, (uniform, g, p)
 
 
@@ -300,15 +313,14 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
 ], ids=["geometric", "one-tau-off"])
 def test_non_uniform_grid_keeps_the_direct_exp(central, taus, monkeypatch):
     prog = expand_preset("xy8", 2)
-    schedules, plans, probes, stacks = _kernel_inputs(
+    _, _, setup, stacks = _kernel_inputs(
         central, [(prog, tau) for tau in taus])
-    assert all(plan[4] is None for plan in plans)
-    got = [dynamics._group_curves(w, v, probes, plans, len(schedules))
-           for w, v in stacks]
+    assert all(plan[4] is None for plan in setup.plans)
+    got = [dynamics._group_curves(w, v, setup) for w, v in stacks]
     monkeypatch.setattr(dynamics, "_phase_table", lambda rate, durations, _:
                         np.exp(rate[:, None, None] * durations))
     for (w, v), curves in zip(stacks, got):
-        want = dynamics._group_curves(w, v, probes, plans, len(schedules))
+        want = dynamics._group_curves(w, v, setup)
         assert curves.tobytes() == want.tobytes()
 
 
@@ -319,7 +331,7 @@ def test_program_without_delays_runs_on_a_uniform_grid():
                  for tau in np.linspace(0.0, 30e-6, 10)]
     group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)])
     for central in (P1Center(), NVCenter()):
-        signal = _echo(central, group, [range(2)], schedules, 72.0)
+        signal = _echo(_setup(central, schedules, [2]), group, [range(2)])
         assert (signal == group_signal(central, group, schedules[0],
                                        72.0)).all()
 
@@ -344,7 +356,8 @@ def test_echo_is_bounded_and_starts_at_one(positions, central, preset, b,
     group = Bath(positions)
     schedules = [compile_schedule(expand_preset(*preset), tau)
                  for tau in (0.0, *taus)]
-    signal = _echo(central, group, [range(len(group))], schedules, b)
+    signal = _echo(_setup(central, schedules, [len(group)], b), group,
+                   [range(len(group))])
     assert abs(signal[0] - 1.0) <= 1e-12
     assert np.abs(signal).max() <= 1.0 + 1e-12
 
@@ -367,7 +380,7 @@ def test_mixed_group_sizes_multiply_per_group_signals(central):
     variants = ([replace(central, m_i=m) for m in (-1, 0, 1)]
                 if isinstance(central, P1Center) and central.m_i is None
                 else [central])
-    got = _echo(central, bath, groups, schedules, 72.0)
+    got = _echo(_setup(central, schedules, [1, 2, 3]), bath, groups)
     for sched, value in zip(schedules, got):
         want = np.mean([np.prod([group_signal(variant, _subset(bath, group),
                                               sched, 72.0)
@@ -378,9 +391,10 @@ def test_mixed_group_sizes_multiply_per_group_signals(central):
 
 def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
     bath, groups, schedules = _mixed_groups()
-    whole = _echo(P1Center(m_i=None), bath, groups, schedules, 72.0)
+    setup = _setup(P1Center(m_i=None), schedules, [1, 2, 3])
+    whole = _echo(setup, bath, groups)
     monkeypatch.setattr(dynamics, "_STACK_BYTES", 1)  # one group a stack
-    split = _echo(P1Center(m_i=None), bath, groups, schedules, 72.0)
+    split = _echo(setup, bath, groups)
     assert whole.tobytes() == split.tobytes()
 
 
@@ -522,6 +536,63 @@ def test_each_bath_is_built_when_its_row_is_computed(monkeypatch):
     assert events == ["bath"] * 3 + ["row"] * 6
 
 
+def _count_set_up(monkeypatch) -> dict:
+    """Counts of the calls that set an echo up: eigh and eigvalsh of one
+    (2-D) matrix, the central spin's, compile_schedule and _plans."""
+    counts = dict.fromkeys(("eigh", "eigvalsh", "compile", "plans"), 0)
+
+    def counted(name, fn, central_only=False):
+        def wrapper(*args, **kwargs):
+            if not central_only or np.ndim(args[0]) == 2:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(
+            name, getattr(np.linalg, name), central_only=True))
+    monkeypatch.setattr(pulses, "compile_schedule",
+                        counted("compile", pulses.compile_schedule))
+    monkeypatch.setattr(dynamics, "_plans", counted("plans", dynamics._plans))
+    return counts
+
+
+_THERMAL_RUN = dict(central=P1Center(m_i=None), n_spins=20,
+                    tau_grid=tuple(np.linspace(0.0, 30e-6, 20)))
+
+
+def test_an_ensemble_is_set_up_once(monkeypatch):
+    # one central eigh serves the config's check and every bath's three
+    # projections; the schedules are planned once, not once a bath
+    counts = _count_set_up(monkeypatch)
+    ensemble_signal(SimulationConfig(n_baths=20, **_THERMAL_RUN))
+    assert (counts["eigh"], counts["eigvalsh"], counts["plans"]) == (1, 0, 1)
+
+
+def test_a_scan_is_set_up_once_per_field(monkeypatch):
+    # one central eigh per field; the tau grid is compiled and planned once
+    # for every field, and each field's config compiles its largest tau
+    counts = _count_set_up(monkeypatch)
+    fields = np.linspace(40.0, 110.0, 8)
+    config = SimulationConfig(n_baths=4, b_field=fields[0], **_THERMAL_RUN)
+    field_scan(config, fields)
+    assert (counts["eigh"], counts["eigvalsh"], counts["plans"]) == (8, 0, 1)
+    assert counts["compile"] <= 8 + 20
+
+
+def test_derived_probes_stay_out_of_the_config_identity():
+    config = SimulationConfig(**_THERMAL_RUN)
+    again = SimulationConfig(**_THERMAL_RUN)
+    assert len(config.probes) == 3 and config.probes is not again.probes
+    assert config == again and hash(config) == hash(again)
+    assert "probes" not in repr(config)
+    assert "probes" not in json.dumps(config.describe())
+    # a derived config derives its own
+    moved = replace(config, b_field=(0.0, 0.0, 40.0))
+    assert moved != config
+    assert not np.array_equal(moved.probes[0][1][0], config.probes[0][1][0])
+
+
 # The bits of each bond axis that every output has been computed with: the
 # off-axis vectors divided by their norm (which moves off-axis-1 and -2).
 _JT_AXIS_BITS = {
@@ -630,10 +701,11 @@ def test_disjoint_cluster_error_against_exact_evolution(central, sequence):
     errors = dict.fromkeys(_DISJOINT_ERROR[central, sequence], 0.0)
     for index in (0, 1):
         bath = generate_bath(child_seed(0, index), n_spins=6)
-        exact = _echo(spec, bath, [range(len(bath))], schedules, 72.0)
+        setup = _setup(spec, schedules, range(1, 7))
+        exact = _echo(setup, bath, [range(len(bath))])
         for g in errors:
             groups = cluster_bath(bath, g).groups
-            disjoint = _echo(spec, bath, groups, schedules, 72.0)
+            disjoint = _echo(setup, bath, groups)
             errors[g] = max(errors[g], np.abs(disjoint - exact).max())
     for g, measured in _DISJOINT_ERROR[central, sequence].items():
         assert errors[g] <= measured * (1.0 + _DISJOINT_MARGIN), (g, errors)

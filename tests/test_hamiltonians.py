@@ -6,6 +6,7 @@ import pytest
 from scipy import constants as si
 
 import spinbath.dynamics as dynamics
+import spinbath.hamiltonians as hamiltonians
 from oracles import (embed, gemm_terms, group_curves_unrolled,
                      group_hamiltonian, scalar_dipole_tensor)
 from spinbath.bathgen import Bath, generate_bath
@@ -15,6 +16,7 @@ from spinbath.constants import (
     GAMMA_N14_HZ_PER_G,
 )
 from spinbath.hamiltonians import (
+    _JT_AXES,
     BareElectron,
     JtOrientation,
     NVCenter,
@@ -55,6 +57,28 @@ def test_jt_orientation_axes():
     a1 = JtOrientation.off_axis(1).axis
     a2 = JtOrientation.off_axis(2).axis
     assert np.dot(a1[:2], a2[:2]) / (8.0 / 9.0) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("axis", [*_JT_AXES.values(), (0.3, -0.5, 0.8)],
+                         ids=[*_JT_AXES, "other"])
+def test_bond_frame_is_computed_once_per_axis(axis, monkeypatch):
+    b = (1.5, -2.0, 72.0)
+    h = build_p1_hamiltonian(b, axis)
+    # H keeps the bits of a frame computed afresh on every build, whatever
+    # sequence type holds the axis
+    with monkeypatch.context() as fresh:
+        fresh.setattr(hamiltonians, "_bond_frame", rotation_onto_axis)
+        assert build_p1_hamiltonian(b, axis).tobytes() == h.tobytes()
+    assert build_p1_hamiltonian(b, np.array(axis)).tobytes() == h.tobytes()
+    assert build_p1_hamiltonian(b, list(axis)).tobytes() == h.tobytes()
+    calls = []
+    monkeypatch.setattr(hamiltonians, "rotation_onto_axis", lambda n:
+                        calls.append(n) or rotation_onto_axis(n))
+    hamiltonians._bond_frame.cache_clear()
+    for field in (b, 40.0, 72.0):
+        build_p1_hamiltonian(field, axis)
+    assert len(calls) == 1
+    assert not hamiltonians._bond_frame(tuple(axis)).flags.writeable
 
 
 def test_jt_orientation_validation():
@@ -415,8 +439,9 @@ def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
     schedules = [compile_schedule(prog, tau)
                  for prog in (expand_preset("hahn"), expand_preset("xy8", 2))
                  for tau in (0.0, 3e-6, 12e-6)]
-    plans = dynamics._plans(schedules)
-    probes = dynamics._probes(central, b)
+    probes = dynamics._levels(central, b)[0]
+    setup = dynamics._Setup(central, b, probes, dynamics._plans(schedules),
+                            (1, 2, 3))
     for groups in _stacks():
         w, v = np.linalg.eigh(_stack(central, groups, b, **model))
         forms = [group_hamiltonian(central, group, b, **options)
@@ -432,9 +457,9 @@ def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
         # tests run it, through eigh and _group_curves, and gives the echo
         # of the unrolled reference kernel
         w, v = np.linalg.eigh(np.stack(forms))
-        got = dynamics._group_curves(w, v, probes, plans, len(schedules))
-        for p, (a, b_state) in enumerate(probes):
-            want = group_curves_unrolled(w, v, a, b_state, plans,
+        got = dynamics._group_curves(w, v, setup)
+        for p, (_, (a, b_state)) in enumerate(probes):
+            want = group_curves_unrolled(w, v, a, b_state, setup.plans,
                                          len(schedules))
             assert np.abs(got[:, p] - want).max() <= 1e-12
 
