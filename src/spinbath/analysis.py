@@ -26,7 +26,7 @@ from .constants import (
     KAPPA_ID_PPM_US,
     dipole_prefactor_hz,
 )
-from .dynamics import _eigen_stacks, _probed_states
+from .dynamics import _csv_text, _eigen_stacks, _probed_states
 from .hamiltonians import (
     _JT_AXES,
     JtOrientation,
@@ -214,13 +214,11 @@ class LarmorHistogram:
             raise ValueError("counts must be non-negative")
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("spin_index,branch,freq_hz,flagged\n")
-        for b, label in enumerate(self.branch_labels):
-            for i, f in enumerate(self.frequencies[b]):
-                flag = 1 if i in self.flagged else 0
-                out.write(f"{i},{label},{f:.17g},{flag}\n")
-        return out.getvalue()
+        return _csv_text(["spin_index", "branch", "freq_hz", "flagged"],
+                         ((i, label, f, int(i in self.flagged))
+                          for label, freqs in zip(self.branch_labels,
+                                                  self.frequencies)
+                          for i, f in enumerate(freqs)))
 
     def to_dict(self) -> dict:
         return {

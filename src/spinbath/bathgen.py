@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
+    C13_ABUNDANCE,
     DIAMOND_ATOM_DENSITY_NM3,
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
@@ -242,18 +243,36 @@ def _continuum_points(rng: np.random.Generator, r_max: float,
     return points[order]
 
 
+def _first_radius(n_spins: int, abundance: float, min_radius: float) -> float:
+    """The radius of generate_bath's first ball, expected to hold the bath
+    with headroom: the continuum draws in it, the lattice walk starts there."""
+    expected_volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
+    return max((expected_volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
+               min_radius + 2.0 * DIAMOND_BOND_NM)
+
+
 def check_bath_parameters(n_spins: int, abundance: float,
-                          min_radius: float = DIAMOND_BOND_NM) -> None:
-    """Raise ValueError unless generate_bath accepts these parameters."""
+                          min_radius: float = DIAMOND_BOND_NM, *,
+                          lattice: bool = True) -> None:
+    """Raise ValueError unless generate_bath accepts these parameters,
+    the site budget of its first ball included."""
     if n_spins < 0:
         raise ValueError("n_spins must be non-negative")
     if not 0.0 < abundance <= 1.0:
         raise ValueError("abundance must lie in (0, 1]")
     if not (math.isfinite(min_radius) and min_radius >= 0.0):
         raise ValueError("min_radius must be finite and non-negative")
+    if n_spins:
+        r_max = _first_radius(n_spins, abundance, min_radius)
+        if lattice:
+            _check_lattice_budget(r_max)
+        else:  # as _continuum_points counts its points
+            _check_site_budget(abundance * DIAMOND_ATOM_DENSITY_NM3
+                               * (4.0 / 3.0 * math.pi * r_max ** 3), r_max)
 
 
-def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
+def generate_bath(seed: int, n_spins: int = 125,
+                  abundance: float = C13_ABUNDANCE,
                   min_radius: float = DIAMOND_BOND_NM, *,
                   lattice: bool = True) -> Bath:
     """Generate the n_spins occupied sites nearest the origin.
@@ -266,16 +285,10 @@ def generate_bath(seed: int, n_spins: int = 125, abundance: float = 0.011,
     request that would need more than _MAX_SITES candidate sites raises
     ValueError before allocating them.  Deterministic for a fixed seed.
     """
-    check_bath_parameters(n_spins, abundance, min_radius)
+    check_bath_parameters(n_spins, abundance, min_radius, lattice=lattice)
     if n_spins == 0:
         return Bath(np.zeros((0, 3)))
-
-    # the radius of a ball expected to hold the bath, with headroom: the
-    # continuum draws in it, the lattice walk checks the site budget for it
-    expected_volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
-    r_max = max((expected_volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
-                min_radius + 2.0 * DIAMOND_BOND_NM)
-
+    r_max = _first_radius(n_spins, abundance, min_radius)
     # inclusive min_radius cut, robust to rounding of the shell distance
     r2_min = (min_radius * (1.0 - 1e-9)) ** 2
 

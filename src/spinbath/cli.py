@@ -23,7 +23,7 @@ import numpy as np
 
 # analysis is imported by the commands that use it, not at start-up
 from .bathgen import check_bath_parameters, generate_bath
-from .constants import constants_table, ppm_to_density_nm3
+from .constants import C13_ABUNDANCE, constants_table, ppm_to_density_nm3
 from .dynamics import (SimulationConfig, _field_configs, _probed_states,
                        ensemble_signal, field_scan, scan_csv)
 from .hamiltonians import BareElectron, JtOrientation, NVCenter, P1Center
@@ -95,22 +95,30 @@ def _make_jt(name: str) -> JtOrientation:
     return JtOrientation("off-axis-1" if key == "off-axis" else key)
 
 
-def _make_central(kind: str, jt: str, m_i: str):
-    key = kind.lower()
+def _make_central(resolved: dict):
+    """The central spin of the flags --central, --jt and --m-i."""
+    key, m_i = resolved["central"].lower(), str(resolved["m_i"])
     if key == "p1":
-        if m_i.lower() == "thermal":
-            mi = None
-        else:
-            try:
-                mi = int(m_i)
-            except ValueError:
-                raise _CliError(f"bad m_i '{m_i}'") from None
-        return P1Center(jt=_make_jt(jt), m_i=mi)
+        try:
+            mi = None if m_i.lower() == "thermal" else int(m_i)
+        except ValueError:
+            raise _CliError(f"bad m_i '{m_i}'") from None
+        return P1Center(jt=_make_jt(resolved["jt"]), m_i=mi)
     if key == "nv":
         return NVCenter()
     if key == "electron":
         return BareElectron()
-    raise _CliError(f"unknown central spin '{kind}'")
+    raise _CliError(f"unknown central spin '{resolved['central']}'")
+
+
+def _bath_args(resolved: dict) -> dict:
+    """generate_bath's keyword arguments of the bath flags; min_radius
+    keeps its default where --min-radius is unset."""
+    kwargs = dict(n_spins=resolved["n_spins"], abundance=resolved["abundance"],
+                  lattice=not resolved["continuum"])
+    if resolved["min_radius"] is not None:
+        kwargs["min_radius"] = resolved["min_radius"]
+    return kwargs
 
 
 def _make_sequence(spec: str, n):
@@ -167,7 +175,7 @@ def _read_config(args: argparse.Namespace,
 
     An on/off flag takes true or false, any other a string or a number (as
     its text, so through the flag's type), null where its default is null,
-    and a list only as echo's and scan's b.
+    and a list only as echo's b, the field vector.
     """
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -188,7 +196,7 @@ def _read_config(args: argparse.Namespace,
             values[key] = repr(value)
         elif not (type(value) is str or (value is None and default is None)
                   or (type(value) is list and key == "b"
-                      and args.command in ("echo", "scan"))):
+                      and args.command == "echo")):
             raise _CliError(
                 f"config key '{key}' takes a string, a number"
                 f"{' or null' if default is None else ''}, "
@@ -223,7 +231,7 @@ def _add_bath(p: argparse.ArgumentParser, central: str):
     p.add_argument("--m-i", default="-1",
                    help="nitrogen projection: -1, 0, 1, or thermal")
     p.add_argument("--n-spins", type=int, default=125)
-    p.add_argument("--abundance", type=float, default=0.011)
+    p.add_argument("--abundance", type=float, default=C13_ABUNDANCE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-radius", type=float,
                    help="exclusion radius in nm (default one bond length)")
@@ -249,25 +257,18 @@ def _add_simulation(p: argparse.ArgumentParser):
 def _sim_config(resolved: dict, b) -> SimulationConfig:
     tau_grid = _parse_tau_grid(resolved["tau"])
     sequence = _make_sequence(resolved["sequence"], resolved["n"])
-    central = _make_central(resolved["central"], resolved["jt"],
-                            str(resolved["m_i"]))
-    kwargs = dict(
-        central=central,
+    return SimulationConfig(
+        central=_make_central(resolved),
         b_field=b,
-        n_spins=resolved["n_spins"],
-        abundance=resolved["abundance"],
         g=resolved["g"],
         n_baths=resolved["n_baths"],
         tau_grid=tau_grid,
         sequence=sequence,
         master_seed=resolved["seed"],
-        lattice=not resolved["continuum"],
         include_nn=not resolved["no_nn"],
         workers=resolved["threads"],
+        **_bath_args(resolved),
     )
-    if resolved["min_radius"] is not None:
-        kwargs["min_radius"] = resolved["min_radius"]
-    return SimulationConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +337,12 @@ def _cmd_larmor_dist(resolved: dict) -> int:
 
     b = float(resolved["b"])
     _check_field(b)
-    central = _make_central(resolved["central"], resolved["jt"],
-                            str(resolved["m_i"]))
-    kwargs = {}
-    if resolved["min_radius"] is not None:
-        kwargs["min_radius"] = resolved["min_radius"]
-    check_bath_parameters(resolved["n_spins"], resolved["abundance"], **kwargs)
+    central = _make_central(resolved)
+    check_bath_parameters(**_bath_args(resolved))
     _probed_states(central, b)  # raises if the pair is unaddressable
     if resolved["dry_run"]:
         return _dry_run(resolved)
-    bath = generate_bath(resolved["seed"], resolved["n_spins"],
-                         resolved["abundance"],
-                         lattice=not resolved["continuum"], **kwargs)
+    bath = generate_bath(resolved["seed"], **_bath_args(resolved))
     bins = resolved["bins"]
     if isinstance(bins, str) and bins.isdigit():
         bins = int(bins)
@@ -361,8 +356,6 @@ def _cmd_stats(resolved: dict) -> int:
     from .analysis import (concentration_from_td, larmor_frequency,
                            mean_dipolar_coupling, mean_kth_distance)
 
-    if resolved["dry_run"]:
-        return _dry_run(resolved)
     results: dict = {}
     if resolved["ppm"] is not None:
         n = ppm_to_density_nm3(float(resolved["ppm"]))
@@ -391,6 +384,8 @@ def _cmd_stats(resolved: dict) -> int:
     if not results:
         raise _CliError(
             "nothing to compute: give --ppm, --r, --td, and/or --b")
+    if resolved["dry_run"]:
+        return _dry_run(resolved)
     for name, value in results.items():
         print(f"{name} {'' if value is None else format(value, '.17g')}".rstrip())
     if resolved["out"]:

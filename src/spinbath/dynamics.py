@@ -30,7 +30,6 @@ tau is the per-arm delay: a Hahn echo at tau evolves for 2*tau in total.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +40,7 @@ from .bathgen import Bath, Partition, child_seed
 from .constants import (
     A_PAR_MHZ,
     A_PERP_MHZ,
+    C13_ABUNDANCE,
     D_NV_MHZ,
     DIAMOND_BOND_NM,
     GAMMA_E_MHZ_PER_G,
@@ -87,7 +87,7 @@ class SimulationConfig:
     central: object = field(default_factory=P1Center)
     b_field: tuple[float, float, float] = (0.0, 0.0, 72.0)
     n_spins: int = 125
-    abundance: float = 0.011
+    abundance: float = C13_ABUNDANCE
     g: int = 3
     n_baths: int = 20
     tau_grid: tuple[float, ...] = ()
@@ -116,7 +116,7 @@ class SimulationConfig:
         if self.g < 1:
             raise ValueError("g must be at least 1")
         bathgen.check_bath_parameters(self.n_spins, self.abundance,
-                                      self.min_radius)
+                                      self.min_radius, lattice=self.lattice)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         # raises if unaddressable
@@ -194,16 +194,10 @@ class EchoCurve:
         return tuple(t * 1e6 for t in self.tau)
 
     def to_csv(self, include_baths: bool = False) -> str:
-        out = io.StringIO()
-        header = ["tau_us", "signal"]
         rows = self.per_bath if (include_baths and self.per_bath) else ()
-        header += [f"bath_{i:02d}" for i in range(len(rows))]
-        out.write(",".join(header) + "\n")
-        for k, (t, s) in enumerate(zip(self.tau_us, self.signal)):
-            cells = [f"{t:.17g}", f"{s:.17g}"]
-            cells += [f"{row[k]:.17g}" for row in rows]
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        return _csv_text(
+            ["tau_us", "signal", *(f"bath_{i:02d}" for i in range(len(rows)))],
+            zip(self.tau_us, self.signal, *rows))
 
     def to_dict(self) -> dict:
         payload = {
@@ -218,13 +212,18 @@ class EchoCurve:
 
 def scan_csv(curves: list[EchoCurve]) -> str:
     """Long-format CSV (b_gauss, tau_us, signal) for a field scan."""
-    out = io.StringIO()
-    out.write("b_gauss,tau_us,signal\n")
+    rows = []
     for curve in curves:
         b = float(np.linalg.norm(curve.metadata.get("b_field_gauss", (0, 0, 0))))
-        for t, s in zip(curve.tau_us, curve.signal):
-            out.write(f"{b:.17g},{t:.17g},{s:.17g}\n")
-    return out.getvalue()
+        rows += [(b, t, s) for t, s in zip(curve.tau_us, curve.signal)]
+    return _csv_text(["b_gauss", "tau_us", "signal"], rows)
+
+
+def _csv_text(header, rows) -> str:
+    """The numeric CSVs' text: the header's names, then one line per row,
+    a float cell at 17 significant digits and any other as its str."""
+    return "".join(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
+                            for c in row) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------

@@ -301,9 +301,6 @@ class P1Center:
     def hamiltonian(self, b) -> np.ndarray:
         return build_p1_hamiltonian(b, self.jt.axis)
 
-    def electron_ops(self):
-        return list(_p1_operators()[0])
-
     @property
     def probed(self) -> tuple[tuple, tuple]:
         """Labels (m_S, m_I) of the pair: (+1/2, m_i) and (-1/2, m_i)."""
@@ -332,9 +329,6 @@ class NVCenter:
     def hamiltonian(self, b) -> np.ndarray:
         return build_nv_hamiltonian(b)
 
-    def electron_ops(self):
-        return list(spin_operators(1.0))
-
     @property
     def probed(self) -> tuple[tuple, tuple]:
         """Labels (m_S,) of the pair; the first level is initialized."""
@@ -351,9 +345,6 @@ class BareElectron:
 
     def hamiltonian(self, b) -> np.ndarray:
         return _zeeman(GAMMA_E_HZ_PER_G, _field_vector(b), spin_operators(0.5))
-
-    def electron_ops(self):
-        return list(spin_operators(0.5))
 
     @property
     def probed(self) -> tuple[tuple, tuple]:
@@ -443,13 +434,16 @@ def _dense_terms(central, k: int):
     """The operator terms of a central spin plus k carbons, dense, in turn:
     per carbon its x, y, z (the Zeeman term) and its 9 products S_i I_j with
     the electron, then per carbon pair, in index order, the 9 I_i I'_j.
-    Each is the kron of a central factor (S_i or 1) and a carbon factor.
+    Each is the kron of a central factor (1, or S_i on the first central
+    slot: the electron, of dimension d) and a carbon factor.
     """
     carbons = [[_kron(_kron(np.eye(1 << m, dtype=complex), o),
                       np.eye(1 << (k - m - 1), dtype=complex))
                 for o in spin_operators(0.5)] for m in range(k)]
-    eye = np.eye(math.prod(central.dims), dtype=complex)
-    s_ops = central.electron_ops()
+    d, *rest = central.dims
+    eye = np.eye(d * math.prod(rest), dtype=complex)
+    s_ops = [np.kron(o, np.eye(math.prod(rest)))
+             for o in spin_operators((d - 1) / 2)]
     for ops_m in carbons:
         yield from (_kron(eye, c) for c in ops_m)
         yield from (_kron(s, c) for s in s_ops for c in ops_m)
@@ -463,10 +457,10 @@ _TERM_TABLES: dict = {}
 
 def _term_table(central, k: int) -> list:
     """Per term of _dense_terms: the flat indices of its nonzero elements
-    (ascending) and their values.  Cached per (central type, dims, k), as
-    that fixes the electron.
+    (ascending) and their values.  Cached per (dims, k), as that fixes the
+    electron.
     """
-    key = (type(central), tuple(central.dims), k)
+    key = (tuple(central.dims), k)
     table = _TERM_TABLES.get(key)
     if table is None:
         table = []

@@ -435,8 +435,7 @@ def gemm_terms(central, k: int):
     """The terms of hamiltonians._dense_terms, in its order, each built as
     a D x D matrix product of operators embedded in the whole space."""
     dims = tuple(central.dims) + (2,) * k
-    s_ops = [np.kron(o, np.eye(1 << k, dtype=complex))
-             for o in central.electron_ops()]
+    s_ops = [embed(o, 0, dims) for o in spin_operators((dims[0] - 1) / 2)]
     carbons = [[embed(o, len(central.dims) + m, dims)
                 for o in spin_operators(0.5)] for m in range(k)]
     for ops_m in carbons:

@@ -334,6 +334,29 @@ def test_larmor_dist_dry_run_validates_the_bath(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("placement", [[], ["--continuum"]],
+                         ids=["lattice", "continuum"])
+@pytest.mark.parametrize("command", ["echo", "scan", "larmor-dist"])
+def test_dry_run_checks_the_site_budget(tmp_path, capsys, monkeypatch,
+                                        command, placement):
+    argv = [command, "--n-spins", "100000000", *placement]
+    # the run fails on the budget of its first ball, before any site
+    code, out, run_err = _run([*argv, "--out", str(tmp_path / "run")], capsys)
+    assert code == 2
+    assert out == ""
+    assert "above the budget" in run_err
+
+    def no_sites(*args):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.bathgen._lattice_shells", no_sites)
+    monkeypatch.setattr("spinbath.bathgen._continuum_points", no_sites)
+    code, out, err = _run([*argv, "--dry-run"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == run_err
+
+
 def test_larmor_dist_csv_format(tmp_path, capsys):
     code, _, _ = _run(["larmor-dist", "--central", "p1", "--n-spins", "10",
                        "--format", "csv", "--out", str(tmp_path)], capsys)
@@ -375,6 +398,23 @@ def test_stats_without_inputs_fails(capsys):
     code, _, err = _run(["stats"], capsys)
     assert code == 2
     assert "nothing to compute" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--ppm", "-1"], "density must be positive and finite"),
+    (["--td", "0"], "t_d must be positive and finite"),
+    (["--r", "0"], "separation must be positive and finite"),
+    (["--b", "-1"], "field must be ≥ 0"),
+    ([], "nothing to compute")], ids=["ppm", "td", "r", "b", "no-input"])
+def test_stats_dry_run_checks_what_stats_checks(capsys, argv, message):
+    code, out, run_err = _run(["stats", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in run_err
+    code, out, err = _run(["stats", *argv, "--dry-run"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == run_err
 
 
 @pytest.mark.parametrize("argv", [
@@ -547,7 +587,8 @@ def test_config_number_for_a_text_flag_is_parsed_as_its_text(tmp_path,
     assert not (tmp_path / "never").exists()
 
 
-@pytest.mark.parametrize("command", ["spectrum", "larmor-dist", "stats"])
+@pytest.mark.parametrize("command",
+                         ["spectrum", "scan", "larmor-dist", "stats"])
 def test_config_field_vector_is_refused_where_the_field_is_a_number(
         tmp_path, capsys, command):
     cfg = _write_config(tmp_path, {"b": [0, 0, 72]})

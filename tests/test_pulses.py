@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import total_time
 from spinbath.pulses import (
+    AXIS_VECTORS,
     Delay,
     Interval,
     ParseError,
@@ -340,3 +341,31 @@ def test_preset_zero_field_composition():
 def test_rotation_angle_radians():
     rot = Pulse(axis="y", angle_deg=90.0)
     assert rot.angle_rad == pytest.approx(np.pi / 2.0)
+
+
+@pytest.mark.parametrize("axis,expect", [
+    ("x", (1.0, 0.0)), ("y", (0.0, 1.0)), ("-x", (-1.0, 0.0)), ("-y", (0.0, -1.0)),
+])
+def test_axis_labels(axis, expect):
+    assert AXIS_VECTORS[axis] == expect
+
+
+def test_two_level_unitary_pi_pulses():
+    ux = two_level_unitary("x", np.pi)
+    assert np.allclose(ux, [[0, -1j], [-1j, 0]], atol=1e-12)
+    uy = two_level_unitary("y", np.pi)
+    assert np.allclose(uy, [[0, -1], [1, 0]], atol=1e-12)
+    # -x rotation is the inverse of +x
+    assert np.allclose(two_level_unitary("-x", 0.7) @ two_level_unitary("x", 0.7),
+                       np.eye(2), atol=1e-12)
+
+
+def test_two_level_unitary_composition():
+    # two pi/2 pulses about the same axis make a pi pulse
+    u = two_level_unitary("y", np.pi / 2)
+    assert np.allclose(u @ u, two_level_unitary("y", np.pi), atol=1e-12)
+
+
+def test_two_level_unitary_rejects_bad_axis():
+    with pytest.raises(ValueError):
+        two_level_unitary("z", np.pi)
