@@ -12,8 +12,6 @@ constants come from constants.py (`spinbath dump-constants`).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -90,14 +88,10 @@ class TransitionTable:
         return len(self.rows)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["freq_mhz", "from", "to", "kind", "moment",
-                         "orientation"])
-        for r in self.rows:
-            writer.writerow([f"{r.freq_mhz:.17g}", r.from_label, r.to_label,
-                             r.kind, f"{r.moment:.17g}", r.orientation])
-        return out.getvalue()
+        return _csv_text(
+            ["freq_mhz", "from", "to", "kind", "moment", "orientation"],
+            [(r.freq_mhz, r.from_label, r.to_label, r.kind, r.moment,
+              r.orientation) for r in self.rows])
 
     def to_dict(self) -> dict:
         return {

@@ -44,10 +44,10 @@ __all__ = [
     "child_seed",
 ]
 
-# Most candidate sites (lattice: 8 per cell of the cube around a ball that
-# holds the bath; continuum: the expected points) a bath may need; this
-# budget puts the lattice ball near r = 18.5 nm.  A larger request fails
-# before it allocates.
+# Most candidate sites a bath may need: the lattice sites its walk visits
+# (and, before the walk, those in its first ball) or the expected points of
+# a continuum ball; the lattice reaches about r = 23.8 nm.  A larger request
+# fails before it draws them.
 _MAX_SITES = 10_000_000
 
 # About how many sites the inner shells of the lattice walk hold.
@@ -132,12 +132,6 @@ def _check_site_budget(n_candidates: float, r_max: float) -> None:
             f"min_radius or n_spins, or raise abundance")
 
 
-def _check_lattice_budget(r_max: float) -> None:
-    """The site budget of the lattice cube of cells around a ball of r_max."""
-    m = int(math.ceil(r_max / DIAMOND_LATTICE_NM)) + 1
-    _check_site_budget(8 * (2 * m + 1) ** 3, r_max)
-
-
 def _runs(label, start, stop, step):
     """label repeated for, and the values of, runs start..stop by step."""
     count = np.maximum((stop - start) // step + 1, 0)
@@ -195,35 +189,24 @@ def _lattice_shells():
         lo = hi
 
 
-def _occupied_lattice_sites(rng: np.random.Generator, r_max: float,
-                            n_spins: int, abundance: float,
-                            r2_min: float) -> np.ndarray:
+def _occupied_lattice_sites(rng: np.random.Generator, n_spins: int,
+                            abundance: float, r2_min: float) -> np.ndarray:
     """The first n_spins occupied lattice sites with r^2 >= r2_min.
 
     Each shell of _lattice_shells gets its own occupancy draw, and the walk
     stops at the shell that holds the n_spins-th site.  The draws equal
     one draw over the sites of a ball in the same order, so the bath is
-    that of the ball.  The site budget is checked for a ball of r_max and
-    for each 1.4x growth of it that the walk passes, so a bath fails on
-    the budget exactly where enumerating those balls would, before the
-    walk goes on.
+    that of the ball.  A shell that would take the sites walked past the
+    budget raises before it is drawn.
     """
-    _check_lattice_budget(r_max)
-
-    def cover(r2: float) -> None:
-        nonlocal r_max
-        while r2 > r_max * r_max:
-            r_max *= 1.4
-            _check_lattice_budget(r_max)
-
-    kept, found = [], 0
+    kept, found, walked = [], 0, 0
     for sites, r2 in _lattice_shells():
-        cover(r2[0])
+        walked += len(sites)
+        _check_site_budget(walked, math.sqrt(r2[-1]))
         keep = (rng.random(len(sites)) < abundance) & (r2 >= r2_min)
         kept.append(sites[keep])
         found += len(kept[-1])
         if found >= n_spins:
-            cover(r2[keep][n_spins - found - 1])
             return np.concatenate(kept)[:n_spins]
 
 
@@ -245,7 +228,8 @@ def _continuum_points(rng: np.random.Generator, r_max: float,
 
 def _first_radius(n_spins: int, abundance: float, min_radius: float) -> float:
     """The radius of generate_bath's first ball, expected to hold the bath
-    with headroom: the continuum draws in it, the lattice walk starts there."""
+    with headroom: the continuum draws in it, and its sites are the budget
+    that check_bath_parameters checks."""
     expected_volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
     return max((expected_volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
                min_radius + 2.0 * DIAMOND_BOND_NM)
@@ -263,12 +247,11 @@ def check_bath_parameters(n_spins: int, abundance: float,
     if not (math.isfinite(min_radius) and min_radius >= 0.0):
         raise ValueError("min_radius must be finite and non-negative")
     if n_spins:
-        r_max = _first_radius(n_spins, abundance, min_radius)
-        if lattice:
-            _check_lattice_budget(r_max)
-        else:  # as _continuum_points counts its points
-            _check_site_budget(abundance * DIAMOND_ATOM_DENSITY_NM3
-                               * (4.0 / 3.0 * math.pi * r_max ** 3), r_max)
+        # every lattice site in the ball, or the points a continuum draws in
+        # it; float products saturate at inf where r ** 3 would raise
+        r = _first_radius(n_spins, abundance, min_radius)
+        _check_site_budget((1.0 if lattice else abundance) * 4.0 / 3.0
+                           * math.pi * DIAMOND_ATOM_DENSITY_NM3 * r * r * r, r)
 
 
 def generate_bath(seed: int, n_spins: int = 125,
@@ -288,14 +271,14 @@ def generate_bath(seed: int, n_spins: int = 125,
     check_bath_parameters(n_spins, abundance, min_radius, lattice=lattice)
     if n_spins == 0:
         return Bath(np.zeros((0, 3)))
-    r_max = _first_radius(n_spins, abundance, min_radius)
     # inclusive min_radius cut, robust to rounding of the shell distance
     r2_min = (min_radius * (1.0 - 1e-9)) ** 2
 
     if lattice:
-        chosen = _occupied_lattice_sites(np.random.default_rng(seed), r_max,
-                                         n_spins, abundance, r2_min)
+        chosen = _occupied_lattice_sites(np.random.default_rng(seed), n_spins,
+                                         abundance, r2_min)
     else:
+        r_max = _first_radius(n_spins, abundance, min_radius)
         for _ in range(64):
             points = _continuum_points(np.random.default_rng(seed), r_max,
                                        abundance * DIAMOND_ATOM_DENSITY_NM3)

@@ -337,15 +337,19 @@ def _cmd_larmor_dist(resolved: dict) -> int:
 
     b = float(resolved["b"])
     _check_field(b)
+    bins = resolved["bins"]
+    if bins.isdigit():
+        bins = int(bins)
+        if bins > _MAX_POINTS:
+            raise _CliError(f"bin count must be at most {_MAX_POINTS}, "
+                            f"not {bins}")
+    np.histogram_bin_edges([0.0, 1.0], bins=bins)  # raises as the run would
     central = _make_central(resolved)
     check_bath_parameters(**_bath_args(resolved))
     _probed_states(central, b)  # raises if the pair is unaddressable
     if resolved["dry_run"]:
         return _dry_run(resolved)
     bath = generate_bath(resolved["seed"], **_bath_args(resolved))
-    bins = resolved["bins"]
-    if isinstance(bins, str) and bins.isdigit():
-        bins = int(bins)
     hist = larmor_distribution(central, bath, b, bins=bins)
     _emit(resolved, "larmor_dist", hist.to_csv(),
           {**hist.to_dict(), "metadata": resolved}, resolved)

@@ -30,6 +30,7 @@ tau is the per-arm delay: a Hahn echo at tau evolves for 2*tau in total.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -80,6 +81,14 @@ _STACK_BYTES = 1 << 22
 _MAX_PHASE_RAD = 2.0 ** 33
 
 
+@functools.lru_cache(maxsize=64)
+def _evolution_time(sequence: PulseProgram, tau: float) -> float:
+    """Total free evolution (s) of sequence's schedule at tau, compiled once
+    per (sequence, tau) for every config that checks its phase there."""
+    return sum(e.duration_s for e in pulses.compile_schedule(
+        sequence, tau).events if isinstance(e, Interval))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything an ensemble run needs; immutable and fully seeding."""
@@ -122,9 +131,7 @@ class SimulationConfig:
         # raises if unaddressable
         probes, width = _levels(self.central, self.b_field)
         object.__setattr__(self, "probes", probes)
-        total = sum(e.duration_s for e in pulses.compile_schedule(
-            self.sequence, max(grid, default=0.0)).events
-            if isinstance(e, Interval))
+        total = _evolution_time(self.sequence, max(grid, default=0.0))
         if 2.0 * math.pi * width * total > _MAX_PHASE_RAD:
             raise ValueError(
                 f"the schedule evolves for {total:.3g} s at the largest tau: at"
@@ -220,10 +227,17 @@ def scan_csv(curves: list[EchoCurve]) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    """The numeric CSVs' text: the header's names, then one line per row,
-    a float cell at 17 significant digits and any other as its str."""
-    return "".join(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
-                            for c in row) + "\n" for row in [header, *rows])
+    """The CSVs' text: the header's names, then one line per row, a float
+    cell at 17 significant digits and any other as its str, quoted as
+    csv.writer quotes it where it holds a comma, a quote or a newline."""
+    def cell(c) -> str:
+        if isinstance(c, float):
+            return f"{c:.17g}"
+        text = str(c)
+        if "," in text or '"' in text or "\n" in text:
+            text = '"' + text.replace('"', '""') + '"'
+        return text
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,27 @@ def test_transition_table_serialization_round_trip():
     assert len(payload["rows"]) == len(table)
 
 
+def _csv_writer_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def test_csv_text_quotes_as_csv_writer_does():
+    header = ["plain", "a,b", 'say "hi"', "two\nlines"]
+    rows = [[1.5, "x,y", '"', "\n"], [-0.0, 'a "b", c', "", 7]]
+    expect = _csv_writer_text(
+        [header, *([f"{c:.17g}" if isinstance(c, float) else c for c in row]
+                   for row in rows)])
+    assert dynamics._csv_text(header, rows) == expect
+    for b in (0.0, 32.0, 72.0, 1000.0):
+        table = transition_table(b)
+        assert table.to_csv() == _csv_writer_text(
+            [["freq_mhz", "from", "to", "kind", "moment", "orientation"],
+             *([f"{r.freq_mhz:.17g}", r.from_label, r.to_label, r.kind,
+                f"{r.moment:.17g}", r.orientation] for r in table.rows)])
+
+
 # --- conditional precession distribution -------------------------------------
 
 def test_distant_spin_precesses_at_the_bare_rate():

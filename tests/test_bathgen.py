@@ -133,16 +133,10 @@ def _shells_up_to(r_max):
             return np.concatenate(parts)
 
 
-def test_ball_enumeration_matches_the_cube_lexsort(monkeypatch):
-    # the starting radii of the default and 400-spin baths, as generated
-    radii = []
-    real = bathgen._occupied_lattice_sites
-    monkeypatch.setattr(bathgen, "_occupied_lattice_sites",
-                        lambda rng, r_max, *args:
-                        radii.append(r_max) or real(rng, r_max, *args))
-    for n_spins in (125, 400):
-        generate_bath(seed=0, n_spins=n_spins)
-    monkeypatch.undo()
+def test_ball_enumeration_matches_the_cube_lexsort():
+    # the first radii of the default and 400-spin baths
+    radii = [bathgen._first_radius(n_spins, C13_ABUNDANCE, DIAMOND_BOND_NM)
+             for n_spins in (125, 400)]
     assert [round(r, 2) for r in radii] == [3.24, 4.77]
     # one growth step, inside the first shell, and on and beside the
     # shells at q.q = 3 (one bond), 8, 11, 16 (one cell edge), 19, 24, 27
@@ -171,25 +165,50 @@ def test_shell_draws_give_the_bath_of_one_ball_draw(n_spins, seeds):
                 == ball.tobytes(), (seed, abundance, min_radius)
 
 
-def test_shell_walk_meets_the_budget_where_the_ball_does(monkeypatch):
-    # A budget for balls up to about 3.9 nm: baths that need a larger ball
-    # (a wider exclusion zone, more spins) must fail as the ball did.
-    monkeypatch.setattr(bathgen, "_MAX_SITES", 8 * 25 ** 3)
+def test_shell_walk_fails_on_the_sites_it_walks(monkeypatch):
+    # A budget of exactly the sites the walk visits, through the shell that
+    # holds the bath's last spin, gives the bath of one ball draw; one site
+    # less fails, wherever the first ball is within that budget.
     outcomes = set()
     for n_spins in (1, 40, 120, 200):
         for min_radius in (0.0, 0.5, 1.0, 1.5, 2.0, 2.75, 3.25):
-            try:
-                ball = lattice_bath_by_ball(3, n_spins, min_radius=min_radius)
-            except ValueError as err:
-                assert "above the budget" in str(err)
-                with pytest.raises(ValueError, match="above the budget"):
-                    generate_bath(3, n_spins, min_radius=min_radius)
-                outcomes.add("over")
-            else:
-                bath = generate_bath(3, n_spins, min_radius=min_radius)
-                assert bath.positions.tobytes() == ball.tobytes()
-                outcomes.add("within")
-    assert outcomes == {"over", "within"}
+            ball = lattice_bath_by_ball(3, n_spins, min_radius=min_radius)
+            walked = 0
+            for sites, _ in bathgen._lattice_shells():
+                walked += len(sites)
+                if (sites == ball[-1]).all(axis=1).any():
+                    break
+            for budget in (walked - 1, walked):
+                with monkeypatch.context() as patch:
+                    patch.setattr(bathgen, "_MAX_SITES", budget)
+                    try:
+                        bathgen.check_bath_parameters(n_spins, C13_ABUNDANCE,
+                                                      min_radius)
+                    except ValueError as err:
+                        assert "above the budget" in str(err)
+                        outcomes.add("first ball over")
+                    else:
+                        if budget < walked:
+                            with pytest.raises(ValueError,
+                                               match="above the budget"):
+                                generate_bath(3, n_spins,
+                                              min_radius=min_radius)
+                            outcomes.add("walk over")
+                        else:
+                            bath = generate_bath(3, n_spins,
+                                                 min_radius=min_radius)
+                            assert bath.positions.tobytes() == ball.tobytes()
+                            outcomes.add("within")
+    assert outcomes == {"first ball over", "walk over", "within"}
+
+
+def test_site_budget_counts_the_first_ball_at_natural_abundance():
+    # its lattice sites reach the budget between 50,068 and 50,069 spins
+    bathgen.check_bath_parameters(30_000, C13_ABUNDANCE)
+    bathgen.check_bath_parameters(50_068, C13_ABUNDANCE)
+    for n_spins in (50_069, 60_000):
+        with pytest.raises(ValueError, match="above the budget"):
+            bathgen.check_bath_parameters(n_spins, C13_ABUNDANCE)
 
 
 def test_generation_input_validation():
@@ -231,7 +250,7 @@ def test_shell_walk_stops_at_the_budget(enumeration_up_to_20_nm, monkeypatch):
     # no site is ever kept, so only the budget can end the walk
     monkeypatch.setattr(bathgen, "_MAX_SITES", 8 * 25 ** 3)
     with pytest.raises(ValueError, match="above the budget"):
-        bathgen._occupied_lattice_sites(np.random.default_rng(0), 1.0, 1,
+        bathgen._occupied_lattice_sites(np.random.default_rng(0), 1,
                                         C13_ABUNDANCE, math.inf)
 
 
@@ -252,7 +271,7 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 import numpy as np
 from spinbath import bathgen
 for call in (lambda: bathgen._occupied_lattice_sites(
-                 np.random.default_rng(0), 100.0, 125, 0.011, 0.0),
+                 np.random.default_rng(0), 125, 0.011, 100.0 ** 2),
              lambda: bathgen.generate_bath(0, 125, min_radius=100.0),
              lambda: bathgen.generate_bath(0, 125, min_radius=1000.0,
                                            lattice=False)):

@@ -357,6 +357,60 @@ def test_dry_run_checks_the_site_budget(tmp_path, capsys, monkeypatch,
     assert err == run_err
 
 
+def _no_sites(monkeypatch):
+    def no_sites(*args):
+        pytest.fail("a bath was generated")
+
+    monkeypatch.setattr("spinbath.bathgen._lattice_shells", no_sites)
+    monkeypatch.setattr("spinbath.bathgen._continuum_points", no_sites)
+
+
+@pytest.mark.parametrize("argv", [
+    ["echo", "--abundance", "1e-320"],
+    ["echo", "--min-radius", "1e103"],
+    ["echo", "--min-radius", "1e103", "--continuum"],
+    ["larmor-dist", "--abundance", "1e-320"]],
+    ids=["abundance", "radius", "radius-continuum", "larmor-abundance"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+def test_a_first_ball_past_any_float_is_over_the_budget(
+        tmp_path, capsys, monkeypatch, argv, dry_run):
+    # an infinite first radius, or one whose cube overflows, is refused
+    # with the budget's message before any site is drawn
+    _no_sites(monkeypatch)
+    code, out, err = _run([*argv, *dry_run, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "above the budget" in err
+
+
+@pytest.mark.parametrize("bins,message", [
+    ("0", "must be positive"), ("foo", "not a valid estimator"),
+    ("-3", "not a valid estimator"), ("2000000", "at most 1048576")])
+def test_larmor_dist_checks_its_bins_before_any_bath(tmp_path, capsys,
+                                                     monkeypatch, bins,
+                                                     message):
+    _no_sites(monkeypatch)
+    code, out, err = _run(["larmor-dist", "--n-spins", "20", "--bins", bins,
+                           "--dry-run"], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_larmor_dist_writes_a_bin_count_as_before(tmp_path, capsys):
+    code, _, _ = _run(["larmor-dist", "--n-spins", "20", "--bins", "7",
+                       "--out", str(tmp_path)], capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "larmor_dist.json").read_text())
+    assert payload["metadata"]["bins"] == "7"
+    pooled = [f for br in payload["branches"] for f in br["frequencies_hz"]]
+    edges = np.histogram_bin_edges(pooled, bins=7)
+    assert payload["bin_edges_hz"] == edges.tolist()
+    assert [br["counts"] for br in payload["branches"]] == [
+        np.histogram(br["frequencies_hz"], bins=edges)[0].tolist()
+        for br in payload["branches"]]
+
+
 def test_larmor_dist_csv_format(tmp_path, capsys):
     code, _, _ = _run(["larmor-dist", "--central", "p1", "--n-spins", "10",
                        "--format", "csv", "--out", str(tmp_path)], capsys)
