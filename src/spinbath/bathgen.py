@@ -45,9 +45,9 @@ __all__ = [
 ]
 
 # Most candidate sites a bath may need: the lattice sites its walk visits
-# (and, before the walk, those in its first ball) or the expected points of
-# a continuum ball; the lattice reaches about r = 23.8 nm.  A larger request
-# fails before it draws them.
+# (and, before the walk, those it is expected to visit) or the expected
+# points of a continuum ball; the lattice reaches about r = 23.8 nm.  A
+# larger request fails before it draws them.
 _MAX_SITES = 10_000_000
 
 # About how many sites the inner shells of the lattice walk hold.
@@ -227,9 +227,9 @@ def _continuum_points(rng: np.random.Generator, r_max: float,
 
 
 def _first_radius(n_spins: int, abundance: float, min_radius: float) -> float:
-    """The radius of generate_bath's first ball, expected to hold the bath
-    with headroom: the continuum draws in it, and its sites are the budget
-    that check_bath_parameters checks."""
+    """The radius of the continuum's first ball, expected to hold the bath
+    with headroom: its points are the budget that check_bath_parameters
+    checks."""
     expected_volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
     return max((expected_volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
                min_radius + 2.0 * DIAMOND_BOND_NM)
@@ -239,7 +239,7 @@ def check_bath_parameters(n_spins: int, abundance: float,
                           min_radius: float = DIAMOND_BOND_NM, *,
                           lattice: bool = True) -> None:
     """Raise ValueError unless generate_bath accepts these parameters,
-    the site budget of its first ball included."""
+    the site budget of the sites it is expected to need included."""
     if n_spins < 0:
         raise ValueError("n_spins must be non-negative")
     if not 0.0 < abundance <= 1.0:
@@ -247,11 +247,18 @@ def check_bath_parameters(n_spins: int, abundance: float,
     if not (math.isfinite(min_radius) and min_radius >= 0.0):
         raise ValueError("min_radius must be finite and non-negative")
     if n_spins:
-        # every lattice site in the ball, or the points a continuum draws in
-        # it; float products saturate at inf where r ** 3 would raise
-        r = _first_radius(n_spins, abundance, min_radius)
-        _check_site_budget((1.0 if lattice else abundance) * 4.0 / 3.0
-                           * math.pi * DIAMOND_ATOM_DENSITY_NM3 * r * r * r, r)
+        # float products saturate at inf where r ** 3 would raise
+        ball = 4.0 / 3.0 * math.pi * DIAMOND_ATOM_DENSITY_NM3
+        if lattice:
+            # the walk is expected to visit every site inside min_radius,
+            # then n_spins / abundance sites to find the bath beyond it
+            sites = (ball * min_radius * min_radius * min_radius
+                     + n_spins / abundance)
+            r = (sites / ball) ** (1.0 / 3.0)
+        else:  # the points a continuum is expected to draw in its first ball
+            r = _first_radius(n_spins, abundance, min_radius)
+            sites = abundance * ball * r * r * r
+        _check_site_budget(sites, r)
 
 
 def generate_bath(seed: int, n_spins: int = 125,

@@ -132,7 +132,7 @@ class SimulationConfig:
         probes, width = _levels(self.central, self.b_field)
         object.__setattr__(self, "probes", probes)
         total = _evolution_time(self.sequence, max(grid, default=0.0))
-        if 2.0 * math.pi * width * total > _MAX_PHASE_RAD:
+        if not 2.0 * math.pi * width * total <= _MAX_PHASE_RAD:  # NaN too
             raise ValueError(
                 f"the schedule evolves for {total:.3g} s at the largest tau: at"
                 f" a spectral width of {width:.3g} Hz its phase passes"
@@ -262,7 +262,7 @@ def _levels(central, b_field) -> tuple:
     probes = tuple((weight, tuple(vc[:, k] for k in
                                   hamiltonians.level_pair(variant, vc)))
                    for weight, variant in variants)
-    return probes, w[-1] - w[0]
+    return probes, float(w[-1]) - float(w[0])  # inf, not a warning
 
 
 def _pair_unitary(steps) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,8 +173,14 @@ def _field_vector(b) -> np.ndarray:
         b = np.array([0.0, 0.0, b[0]])
     if b.shape != (3,):
         raise ValueError("field must be a scalar (along z) or a 3-vector, in G")
-    if not np.isfinite(b).all():
-        raise ValueError("field must be finite")
+    # Python floats saturate at inf without a warning, and a non-finite
+    # field fails here too
+    gamma = abs(GAMMA_E_HZ_PER_G)
+    if not math.isfinite(gamma * sum(abs(float(x)) for x in b)):
+        raise ValueError(
+            "field must be finite, and |b_x| + |b_y| + |b_z| below about "
+            f"{sys.float_info.max / gamma:.3g} G, past which the electron "
+            "Zeeman term overflows")
     return b
 
 

@@ -203,10 +203,12 @@ def test_shell_walk_fails_on_the_sites_it_walks(monkeypatch):
 
 
 def test_site_budget_counts_the_first_ball_at_natural_abundance():
-    # its lattice sites reach the budget between 50,068 and 50,069 spins
-    bathgen.check_bath_parameters(30_000, C13_ABUNDANCE)
-    bathgen.check_bath_parameters(50_068, C13_ABUNDANCE)
-    for n_spins in (50_069, 60_000):
+    # the sites the walk is expected to visit, every one inside min_radius
+    # and n_spins / abundance beyond it, reach the budget between 109,999
+    # and 110,000 spins; the walk builds 100,000 in 9.2 million sites
+    for n_spins in (30_000, 50_069, 100_000, 109_999):
+        bathgen.check_bath_parameters(n_spins, C13_ABUNDANCE)
+    for n_spins in (110_000, 100_000_000):
         with pytest.raises(ValueError, match="above the budget"):
             bathgen.check_bath_parameters(n_spins, C13_ABUNDANCE)
 

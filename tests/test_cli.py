@@ -97,6 +97,24 @@ def test_simulation_commands_reject_non_finite_field(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["echo", "--central", "nv", "--dry-run"], ["echo", *_SMALL],
+    ["scan", *_SMALL], ["spectrum"], ["larmor-dist", "--n-spins", "12"],
+    ["stats"]], ids=["echo-nv-dry-run", "echo", "scan", "spectrum",
+                     "larmor-dist", "stats"])
+def test_field_whose_zeeman_term_overflows_is_refused(tmp_path, capsys, argv):
+    # gamma_e x 1e308 G is inf: refused with the field's own message, before
+    # any warning (an error under this suite) or any work
+    code, out, err = _run([*argv, "--b", "1e308", "--out", str(tmp_path)],
+                          capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("field must be finite, and |b_x| + |b_y| + |b_z| "
+                          "below about 6.41e+301 G")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["echo", "scan"])
 def test_simulation_commands_reject_non_finite_min_radius(capsys, command):
     # checked with the configuration, so even a dry run refuses it
@@ -340,7 +358,7 @@ def test_larmor_dist_dry_run_validates_the_bath(capsys, argv, message):
 def test_dry_run_checks_the_site_budget(tmp_path, capsys, monkeypatch,
                                         command, placement):
     argv = [command, "--n-spins", "100000000", *placement]
-    # the run fails on the budget of its first ball, before any site
+    # the run fails on the site budget, checked before any site
     code, out, run_err = _run([*argv, "--out", str(tmp_path / "run")], capsys)
     assert code == 2
     assert out == ""
@@ -949,3 +967,42 @@ for argv in commands:
 def test_commands_run_without_scipy(tmp_path):
     proc = _run_python(_WITHOUT_SCIPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+# Runs main(argv) twice, counting the calls of gc.freeze.  The probe is
+# registered first, so it runs last at exit (atexit calls its handlers last
+# in, first out): after main's gc.freeze.
+_FREEZE_SCRIPT = """
+import atexit, gc, sys
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print("at exit", len(calls), gc.get_freeze_count()))
+from spinbath.cli import main
+codes = [main(sys.argv[1:]) for _ in range(2)]
+print("before exit", gc.get_freeze_count())
+sys.exit(max(codes))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["echo", "--dry-run"],
+    ["echo", "--n-spins", "12", "--n-baths", "1", "--tau", "0:8us:5"]],
+    ids=["dry-run", "one-bath"])
+def test_exit_freezes_the_heap_once_and_keeps_the_outputs(tmp_path, capsys,
+                                                         argv):
+    # the interpreter's final collections skip a frozen heap; a second call
+    # of main registers no second freeze, and the outputs are those of a run
+    # in this process, which does not exit
+    child, here = str(tmp_path / "child"), str(tmp_path / "here")
+    proc = _run_python(_FREEZE_SCRIPT, *argv, "--out", child)
+    assert proc.returncode == 0, proc.stderr
+    *out, before, after = proc.stdout.splitlines()
+    assert before == "before exit 0"
+    name, freezes, frozen = after.rsplit(" ", 2)
+    assert (name, freezes) == ("at exit", "1") and int(frozen) > 0
+    code, text, _ = _run([*argv, "--out", here], capsys)
+    assert code == 0
+    assert "\n".join(out) + "\n" == 2 * text.replace(here, child)
+    if "--dry-run" not in argv:
+        assert (tmp_path / "child" / "echo.csv").read_bytes() \
+            == (tmp_path / "here" / "echo.csv").read_bytes()

@@ -494,7 +494,9 @@ def test_simulation_config_rejects_non_finite_taus():
 
 
 def test_simulation_config_rejects_non_finite_fields():
-    for b in (float("nan"), float("inf"), (0.0, float("nan"), 72.0)):
+    # 1e308 G is finite, but gamma_e times it is not
+    for b in (float("nan"), float("inf"), (0.0, float("nan"), 72.0), 1e308,
+              (-4e301, 0.0, 4e301)):
         with pytest.raises(ValueError, match="finite"):
             SimulationConfig(b_field=b)
 
@@ -518,6 +520,12 @@ def test_simulation_config_refuses_phases_fp64_cannot_resolve():
     SimulationConfig(central=NVCenter(), tau_grid=(0.0, 0.2))
     with pytest.raises(ValueError, match="no longer resolves"):
         SimulationConfig(central=NVCenter(), tau_grid=(0.0, 0.3))
+    # at 1e150 G the Zeeman term is finite and the phase is not resolved;
+    # near the field's bound the NV's width is inf, and at tau = 0 its
+    # phase inf x 0 is NaN: refused too
+    for b, grid in ((1e150, (0.0, 1e-6)), (6.4e301, (0.0,))):
+        with pytest.raises(ValueError, match="no longer resolves"):
+            SimulationConfig(central=NVCenter(), b_field=b, tau_grid=grid)
 
 
 def test_each_bath_is_built_when_its_row_is_computed(monkeypatch):
