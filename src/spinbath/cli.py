@@ -477,16 +477,20 @@ def _build_parser():
     return parser, sub
 
 
+_freeze_registered = False
+
+
 def main(argv=None) -> int:
     # At exit, move every live object to the permanent generation: the
     # interpreter's final collections then skip the 22,000 objects of numpy
     # and spinbath (about 16 ms, a tenth of a dry run on 2 cores), and the
     # OS reclaims them.  Other atexit handlers and the stdio flush still
     # run, and every output file is closed before main returns.
-    # Unregistered first, so that repeated calls in one process leave one
-    # registration.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    # Registered once per process, however often main is called.
+    global _freeze_registered
+    if not _freeze_registered:
+        atexit.register(gc.freeze)
+        _freeze_registered = True
     parser, sub = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -30,7 +30,6 @@ tau is the per-arm delay: a Hahn echo at tau evolves for 2*tau in total.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -80,13 +79,23 @@ _STACK_BYTES = 1 << 22
 # echo.  The NV reaches 1.2e6 rad on the default grid, 7.4e7 under CPMG-64.
 _MAX_PHASE_RAD = 2.0 ** 33
 
+# Most bytes of one group's D x D Hamiltonian or (D, 2^g, T) slab: the P1
+# takes 944 MB at g = 8 and 150 taus, and 9 GiB at g = 12 for H alone.
+_MAX_GROUP_BYTES = 1 << 31
 
-@functools.lru_cache(maxsize=64)
-def _evolution_time(sequence: PulseProgram, tau: float) -> float:
-    """Total free evolution (s) of sequence's schedule at tau, compiled once
-    per (sequence, tau) for every config that checks its phase there."""
-    return sum(e.duration_s for e in pulses.compile_schedule(
-        sequence, tau).events if isinstance(e, Interval))
+
+def _sci(n: int) -> str:
+    """An integer to 3 significant digits, or its power of 2 where no
+    float holds it."""
+    return f"{n:.3g}" if n.bit_length() < 1000 else f"2^{n.bit_length() - 1}"
+
+
+def _evolution_time(items, tau: float) -> float:
+    """Total free evolution (s) of program items at tau: each delay, and
+    each repeat count times its block."""
+    return sum(item.duration_s(tau) if isinstance(item, pulses.Delay)
+               else item.count * _evolution_time(item.block, tau)
+               if isinstance(item, pulses.Repeat) else 0.0 for item in items)
 
 
 @dataclass(frozen=True)
@@ -128,10 +137,20 @@ class SimulationConfig:
                                       self.min_radius, lattice=self.lattice)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        # a group holds at most g spins, and no more than the bath
+        g = min(self.g, self.n_spins)
+        dim = math.prod(self.central.dims) << g
+        size = 16 * dim * max(dim, (1 << g) * len(grid))
+        if size > _MAX_GROUP_BYTES:
+            raise ValueError(
+                f"a group of g = {g} spins has dimension D = {_sci(dim)}: with"
+                f" T = {len(grid)} taus its Hamiltonian or slab takes"
+                f" {_sci(size)} bytes, past the {_MAX_GROUP_BYTES} a group may"
+                " take; lower g or the tau count")
         # raises if unaddressable
         probes, width = _levels(self.central, self.b_field)
         object.__setattr__(self, "probes", probes)
-        total = _evolution_time(self.sequence, max(grid, default=0.0))
+        total = _evolution_time(self.sequence.items, max(grid, default=0.0))
         if not 2.0 * math.pi * width * total <= _MAX_PHASE_RAD:  # NaN too
             raise ValueError(
                 f"the schedule evolves for {total:.3g} s at the largest tau: at"

@@ -52,7 +52,6 @@ __all__ = [
     "build_nv_hamiltonian",
     "build_system_hamiltonian",
     "build_hamiltonian_stack",
-    "rotation_onto_axis",
     "label_levels",
     "level_pair",
     "spin_operators",
@@ -139,33 +138,6 @@ def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
     return a
 
 
-def rotation_onto_axis(n) -> np.ndarray:
-    """Proper rotation R with R @ zhat = n (Rodrigues form).
-
-    Any transverse completion is equally valid for an axially symmetric
-    tensor; this one rotates about zhat x n.
-    """
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(z, n)
-    c = float(np.dot(z, n))
-    if np.linalg.norm(v) < 1e-12:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0.0, -v[2], v[1]],
-                   [v[2], 0.0, -v[0]],
-                   [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
-
-
-@functools.lru_cache(maxsize=None)
-def _bond_frame(axis: tuple) -> np.ndarray:
-    """rotation_onto_axis(axis), read-only: computed once per bond axis."""
-    r = rotation_onto_axis(axis)
-    r.flags.writeable = False
-    return r
-
-
 def _field_vector(b) -> np.ndarray:
     """A field in G as a 3-vector; a scalar lies along z."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -184,10 +156,14 @@ def _field_vector(b) -> np.ndarray:
     return b
 
 
+def _along(u, ops) -> np.ndarray:
+    """u . ops: the component of a spin operator vector along u."""
+    return u[0] * ops[0] + u[1] * ops[1] + u[2] * ops[2]
+
+
 def _zeeman(gamma_hz_per_g: float, b_vec: np.ndarray, ops) -> np.ndarray:
     # physical sign: H = -gamma B . S
-    return -gamma_hz_per_g * (b_vec[0] * ops[0] + b_vec[1] * ops[1]
-                              + b_vec[2] * ops[2])
+    return -gamma_hz_per_g * _along(b_vec, ops)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,28 +202,28 @@ def _p1_operators():
 def build_p1_hamiltonian(b, axis) -> np.ndarray:
     """Six-level Hamiltonian of the nitrogen center in Hz.
 
-    Zeeman terms for the electron and the 14N, the axial/transverse
-    hyperfine coupling along the bond axis (a 3-vector, e.g. a
-    JtOrientation's axis), and the nuclear quadrupole term, with the
-    constants of constants.py.
+    Zeeman terms for the electron and the 14N, then the hyperfine and
+    quadrupole terms, both axial about the bond axis n = axis / |axis|
+    (a 3-vector, e.g. a JtOrientation's axis): the hyperfine tensor
+    A_perp 1 + (A_par - A_perp) n n^T gives
+
+        A_perp (S . I) + (A_par - A_perp) (n . S)(n . I) + Q (n . I)^2,
+
+    with the constants of constants.py.
     """
     b_vec = _field_vector(b)
     s_ops, i_ops = _p1_operators()
-
-    r = _bond_frame(tuple(float(x) for x in axis))
-    xp, yp, zp = r[:, 0], r[:, 1], r[:, 2]
-
-    def along(ops, u):
-        return u[0] * ops[0] + u[1] * ops[1] + u[2] * ops[2]
-
-    s_zp = along(s_ops, zp)
-    i_zp = along(i_ops, zp)
+    n = np.asarray(axis, dtype=float)
+    n = n / np.linalg.norm(n)
+    i_n = _along(n, i_ops)
+    a_par, a_perp = A_PAR_MHZ * 1e6, A_PERP_MHZ * 1e6
     h = _zeeman(GAMMA_E_HZ_PER_G, b_vec, s_ops)
     h = h + _zeeman(GAMMA_N14_HZ_PER_G, b_vec, i_ops)
-    h = h + A_PAR_MHZ * 1e6 * (s_zp @ i_zp)
-    h = h + A_PERP_MHZ * 1e6 * (along(s_ops, xp) @ along(i_ops, xp)
-                                + along(s_ops, yp) @ along(i_ops, yp))
-    h = h + Q_N14_MHZ * 1e6 * (i_zp @ i_zp)
+    # summed before it is added, so that on the z axis each element gets
+    # the bits of A_par (S_z I_z) + A_perp (S_x I_x + S_y I_y)
+    s_dot_i = s_ops[0] @ i_ops[0] + s_ops[1] @ i_ops[1] + s_ops[2] @ i_ops[2]
+    h = h + (a_perp * s_dot_i + (a_par - a_perp) * (_along(n, s_ops) @ i_n))
+    h = h + Q_N14_MHZ * 1e6 * (i_n @ i_n)
     return h
 
 

@@ -17,7 +17,9 @@ precession frequencies of a bath one spin at a time.  Also a bath's JSON
 form and its inverse, a bath's nearest-spin distance, a schedule's total
 evolution time, a number density converted back to ppm, the revival
 finder and the coherence-time (T2) fit that the acceptance gate runs on
-echo curves, and such a fit as a dict.
+echo curves, and such a fit as a dict.  The nitrogen center's Hamiltonian
+in an explicit bond frame, the form the library's axial closed form must
+reproduce.
 """
 
 import functools
@@ -33,18 +35,23 @@ from scipy.optimize import curve_fit
 from spinbath.bathgen import (Bath, Partition, _check_site_budget,
                               _pair_couplings)
 from spinbath.constants import (
+    A_PAR_MHZ,
+    A_PERP_MHZ,
     C13_ABUNDANCE,
     DIAMOND_ATOM_DENSITY_NM3,
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
+    GAMMA_N14_HZ_PER_G,
+    Q_N14_MHZ,
     dipole_prefactor_hz,
 )
 from spinbath.dynamics import (EchoCurve, _group_curves, _levels, _plans,
                                _probed_states, _Setup)
 from spinbath.hamiltonians import (_dense_terms, _dipole_tensors,
-                                   _field_vector, spin_operators)
+                                   _field_vector, _p1_operators,
+                                   spin_operators)
 from spinbath.pulses import Interval, Pulse, Schedule, two_level_unitary
 
 
@@ -309,6 +316,45 @@ def scalar_dipole_tensor(r_nm, gamma1: float, gamma2: float) -> np.ndarray:
     rhat = r / dist
     c = dipole_prefactor_hz(gamma1, gamma2, dist)
     return c * (np.eye(3) - 3.0 * np.outer(rhat, rhat))
+
+
+def rotation_onto_axis(n) -> np.ndarray:
+    """Proper rotation R with R @ zhat = n (Rodrigues form).
+
+    Any transverse completion is equally valid for an axially symmetric
+    tensor; this one rotates about zhat x n.
+    """
+    n = np.asarray(n, dtype=float)
+    n = n / np.linalg.norm(n)
+    z = np.array([0.0, 0.0, 1.0])
+    v = np.cross(z, n)
+    c = float(np.dot(z, n))
+    if np.linalg.norm(v) < 1e-12:
+        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0.0, -v[2], v[1]],
+                   [v[2], 0.0, -v[0]],
+                   [-v[1], v[0], 0.0]])
+    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+
+
+def p1_hamiltonian_in_frame(b, axis) -> np.ndarray:
+    """The nitrogen center's Hamiltonian (Hz) in the bond frame (x', y', z')
+    of rotation_onto_axis(axis): A_par S_z' I_z' + A_perp (S_x' I_x' +
+    S_y' I_y') + Q I_z'^2 besides the two Zeeman terms."""
+    b_vec = _field_vector(b)
+    s_ops, i_ops = _p1_operators()
+    r = rotation_onto_axis(axis)
+
+    def along(ops, u):
+        return u[0] * ops[0] + u[1] * ops[1] + u[2] * ops[2]
+
+    xp, yp, zp = r[:, 0], r[:, 1], r[:, 2]
+    h = -GAMMA_E_HZ_PER_G * along(s_ops, b_vec)
+    h = h - GAMMA_N14_HZ_PER_G * along(i_ops, b_vec)
+    h = h + A_PAR_MHZ * 1e6 * (along(s_ops, zp) @ along(i_ops, zp))
+    h = h + A_PERP_MHZ * 1e6 * (along(s_ops, xp) @ along(i_ops, xp)
+                                + along(s_ops, yp) @ along(i_ops, yp))
+    return h + Q_N14_MHZ * 1e6 * (along(i_ops, zp) @ along(i_ops, zp))
 
 
 def group_hamiltonian(central, group, b, *, include_nn=True,

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in-process through main(argv)."""
 
+import atexit
 import csv
 import io
 import json
@@ -220,6 +221,29 @@ def test_echo_refuses_phases_fp64_cannot_resolve(tmp_path, capsys):
         assert code == 2 and out == ""
         assert "fp64 no longer resolves it to 1e-6 rad" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["echo", "--g", "40"], ["echo", "--g", "12"],
+    ["echo", "--tau", "0:30us:1000000"], ["scan", "--g", "12"]],
+    ids=["g-40", "g-12", "tau-1e6", "scan-g-12"])
+def test_runs_whose_largest_group_cannot_fit_are_refused(argv, capsys):
+    # at g = 12 one P1 group's Hamiltonian alone is 9 GiB, and at 10^6 taus
+    # one 3-carbon slab 6.1 GB: refused before any bath, dry runs included
+    code, out, err = _run([*argv, "--dry-run"], capsys)
+    assert code == 2 and out == ""
+    assert "a group may take" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--g", "5", "--n-baths", "1", "--tau", "0:30us:5"],
+    ["--g", "6", "--n-baths", "1", "--tau", "0:30us:5"], ["--g", "8"]],
+    ids=["g-5", "g-6", "g-8"])
+def test_runs_whose_largest_group_fits_pass_the_byte_budget(argv, capsys):
+    # README's g = 5 and g = 6 runs, and the P1 at g = 8 over 150 taus
+    # (944 MB)
+    code, _, err = _run(["echo", *argv, "--dry-run"], capsys)
+    assert code == 0, err
 
 
 def test_echo_rejects_repeat_count_on_fixed_presets(tmp_path, capsys):
@@ -1006,3 +1030,9 @@ def test_exit_freezes_the_heap_once_and_keeps_the_outputs(tmp_path, capsys,
     if "--dry-run" not in argv:
         assert (tmp_path / "child" / "echo.csv").read_bytes() \
             == (tmp_path / "here" / "echo.csv").read_bytes()
+    # in process, many calls leave at most the one registration
+    slots = atexit._ncallbacks()
+    for _ in range(200):
+        assert main(["parse", "tau"]) == 0
+    assert atexit._ncallbacks() <= slots + 1
+    capsys.readouterr()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import spinbath.bathgen as bathgen
 import spinbath.dynamics as dynamics
 import spinbath.pulses as pulses
-from oracles import evolve, group_curves_unrolled, kernel_signal
+from oracles import evolve, group_curves_unrolled, kernel_signal, total_time
 from spinbath.bathgen import (Bath, Partition, child_seed, cluster_bath,
                               generate_bath)
 from spinbath.constants import (
@@ -28,6 +28,7 @@ from spinbath.dynamics import (
     SimulationConfig,
     _bath_curve,
     _echo,
+    _evolution_time,
     _levels,
     _plans,
     _Setup,
@@ -507,6 +508,42 @@ def test_simulation_config_rejects_bad_min_radius():
             SimulationConfig(min_radius=r)
 
 
+@pytest.mark.parametrize("program", [
+    expand_preset("hahn"), expand_preset("cpmg", 64), expand_preset("xy8", 3),
+    expand_preset("xy8", 64),
+    parse_sequence("pi/2(x) - 2us - tau - pi(y) - tau/3 - 1e3ns - pi/2(x)")],
+    ids=["hahn", "cpmg-64", "xy8-3", "xy8-64", "text"])
+def test_evolution_time_is_the_compiled_schedules_sum(program):
+    # the phase check sums the program's delays without compiling it
+    for tau in (0.0, 1e-6, 30e-6):
+        want = total_time(compile_schedule(program, tau))
+        assert abs(_evolution_time(program.items, tau) - want) <= 1e-13 * want
+
+
+def test_simulation_config_refuses_groups_past_the_byte_budget(monkeypatch):
+    # 16 B x D x max(D, 2^g T): the default P1 run (D = 48, 2^3 x 150 taus)
+    # takes 921,600 bytes, and the bound is inclusive
+    grid = tuple(np.linspace(0.0, 30e-6, 150))
+    monkeypatch.setattr(dynamics, "_MAX_GROUP_BYTES", 921_600)
+    SimulationConfig(tau_grid=grid)
+    # at one tau the D x D Hamiltonian outweighs the slab (g = 6: 2.4 MB
+    # against 0.39 MB), and a group holds no more than the bath's spins
+    with pytest.raises(ValueError, match="g = 6 spins"):
+        SimulationConfig(g=6, n_spins=6, tau_grid=(0.0,))
+    SimulationConfig(g=6, n_spins=4, tau_grid=(0.0,))  # D = 96: 147,456 B
+    monkeypatch.setattr(dynamics, "_MAX_GROUP_BYTES", 921_599)
+    with pytest.raises(ValueError, match=r"g = 3 spins has dimension D = 48:"
+                       r" with T = 150 taus .* 9.22e\+05 bytes"):
+        SimulationConfig(tau_grid=grid)
+    monkeypatch.undo()
+    # at g = 12 one P1 Hamiltonian alone is 9 GiB; a group of 40 spins or
+    # 2^1000 levels is refused too, without a float to hold it
+    for g in (12, 40, 1000):
+        with pytest.raises(ValueError, match=f"g = {g} spins"):
+            SimulationConfig(g=g, n_spins=1000)
+    SimulationConfig(g=8, tau_grid=grid)  # 944 MB
+
+
 def test_simulation_config_refuses_phases_fp64_cannot_resolve():
     # a literal 1e300 us leaves the phase argument no digits, even at tau = 0
     prog = parse_sequence("pi/2(x) - 1e300us - pi/2(x)")
@@ -579,13 +616,13 @@ def test_an_ensemble_is_set_up_once(monkeypatch):
 
 def test_a_scan_is_set_up_once_per_field(monkeypatch):
     # one central eigh per field; the tau grid is compiled and planned once
-    # for every field, and the largest tau once for every field's config
+    # for every field, and no field's config compiles its phase check
     counts = _count_set_up(monkeypatch)
     fields = np.linspace(40.0, 110.0, 8)
     config = SimulationConfig(n_baths=4, b_field=fields[0], **_THERMAL_RUN)
     field_scan(config, fields)
     assert (counts["eigh"], counts["eigvalsh"], counts["plans"]) == (8, 0, 1)
-    assert counts["compile"] <= 1 + 20
+    assert counts["compile"] == 20
 
 
 def test_derived_probes_stay_out_of_the_config_identity():

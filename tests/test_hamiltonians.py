@@ -6,10 +6,10 @@ import pytest
 from scipy import constants as si
 
 import spinbath.dynamics as dynamics
-import spinbath.hamiltonians as hamiltonians
 from oracles import (DensityMatrix, embed, evolve, gemm_terms,
-                     group_curves_unrolled, group_hamiltonian, projector,
-                     rotation, scalar_dipole_tensor)
+                     group_curves_unrolled, group_hamiltonian,
+                     p1_hamiltonian_in_frame, projector, rotation,
+                     rotation_onto_axis, scalar_dipole_tensor)
 from spinbath.bathgen import Bath, generate_bath
 from spinbath.constants import (
     GAMMA_C13_HZ_PER_G,
@@ -31,7 +31,6 @@ from spinbath.hamiltonians import (
     build_system_hamiltonian,
     label_levels,
     level_pair,
-    rotation_onto_axis,
     spin_operators,
 )
 from spinbath.pulses import compile_schedule, expand_preset, two_level_unitary
@@ -62,24 +61,16 @@ def test_jt_orientation_axes():
 
 @pytest.mark.parametrize("axis", [*_JT_AXES.values(), (0.3, -0.5, 0.8)],
                          ids=[*_JT_AXES, "other"])
-def test_bond_frame_is_computed_once_per_axis(axis, monkeypatch):
-    b = (1.5, -2.0, 72.0)
-    h = build_p1_hamiltonian(b, axis)
-    # H keeps the bits of a frame computed afresh on every build, whatever
-    # sequence type holds the axis
-    with monkeypatch.context() as fresh:
-        fresh.setattr(hamiltonians, "_bond_frame", rotation_onto_axis)
-        assert build_p1_hamiltonian(b, axis).tobytes() == h.tobytes()
-    assert build_p1_hamiltonian(b, np.array(axis)).tobytes() == h.tobytes()
-    assert build_p1_hamiltonian(b, list(axis)).tobytes() == h.tobytes()
-    calls = []
-    monkeypatch.setattr(hamiltonians, "rotation_onto_axis", lambda n:
-                        calls.append(n) or rotation_onto_axis(n))
-    hamiltonians._bond_frame.cache_clear()
-    for field in (b, 40.0, 72.0):
-        build_p1_hamiltonian(field, axis)
-    assert len(calls) == 1
-    assert not hamiltonians._bond_frame(tuple(axis)).flags.writeable
+def test_p1_hamiltonian_is_the_bond_frame_form(axis):
+    # the axial closed form about n = axis / |axis| equals the hyperfine and
+    # quadrupole terms written in an explicit bond frame, whose transverse
+    # axes are arbitrary, to rounding of entries up to 1.5 GHz
+    for b in (72.0, 0.5, 1000.0, (1.5, -2.0, 72.0)):
+        h = build_p1_hamiltonian(b, axis)
+        assert np.abs(h - p1_hamiltonian_in_frame(b, axis)).max() <= 1e-6
+        # whatever sequence type holds the axis
+        for same in (np.array(axis), list(axis), tuple(axis)):
+            assert build_p1_hamiltonian(b, same).tobytes() == h.tobytes()
 
 
 def test_jt_orientation_validation():
