@@ -1,16 +1,16 @@
 """Disjoint-cluster echo dynamics: group signals, bath products, ensembles.
 
 One kernel computes every echo.  It evolves the central spin together
-with one carbon group at a time; the groups of one size are assembled
-and diagonalized as one (G, D, D) stack.  The initial state
+with each carbon group; the groups of one size are assembled and
+diagonalized as one (G, D, D) stack.  The initial state
 |a><a| (x) 1/2^g (probed central eigenstate, fully mixed carbons) is
 carried as nb = 2^g pure-state columns.  Schedules of one event structure
 share a plan (tau = 0 drops the symbolic intervals); the pulses before
 its first interval and after its last fold into those columns and the
-read-out row, and each group propagates one (D, nb, T) slab over the tau
-grid in its eigenbasis: one GEMM per pulse in between and one in-place
-phase multiply along tau per interval.  group_signal is the case of one
-group and one schedule.  The group signal is
+read-out row, and a stack's chunks of G groups each propagate a
+(G, D, nb, T) slab over the tau grid in the eigenbasis: one stacked GEMM
+per pulse in between and one in-place phase multiply along tau per
+interval.  group_signal is the one group, one schedule case.  It gives
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -73,6 +73,12 @@ _SCHEMA_VERSION = 1
 # peaks of 53/56/79/79 MB; g = 6 5.7/5.4/5.1/4.7 s at 100/100/114/185 MB.
 _STACK_BYTES = 1 << 22
 
+# Bytes of a chunk's (G, D, max(D, nb T)) arrays in _group_curves: 21 NV
+# groups (D = 24) at 4 taus, 3.1 ms against 9.1 one at a time; one P1 group
+# (D = 48) at 150.  At 2 MiB glibc unmaps each chunk: `echo --n-baths 2`
+# took 39,558 minor faults, not 7,304; at 1 MiB the NV's RSS rose 1.3 MB.
+_SLAB_BYTES = 1 << 18
+
 # Largest phase a run may reach: 2 pi x the central spin's spectral width x
 # the schedule's total evolution time.  fp64 rounds a phase x to within
 # x 2^-53: 1e-6 rad at 2^33 rad, the kernel's bound against the closed-form
@@ -83,11 +89,20 @@ _MAX_PHASE_RAD = 2.0 ** 33
 # takes 944 MB at g = 8 and 150 taus, and 9 GiB at g = 12 for H alone.
 _MAX_GROUP_BYTES = 1 << 31
 
+# Most pulses and delays a program may unroll to: compile_schedule walks each.
+_MAX_ITEMS = 1 << 20
+
 
 def _sci(n: int) -> str:
     """An integer to 3 significant digits, or its power of 2 where no
     float holds it."""
     return f"{n:.3g}" if n.bit_length() < 1000 else f"2^{n.bit_length() - 1}"
+
+
+def _unrolled_length(items) -> int:
+    """Pulses and delays of program items, each repeat count x its block."""
+    return sum(item.count * _unrolled_length(item.block)
+               if isinstance(item, pulses.Repeat) else 1 for item in items)
 
 
 def _evolution_time(items, tau: float) -> float:
@@ -150,6 +165,10 @@ class SimulationConfig:
         # raises if unaddressable
         probes, width = _levels(self.central, self.b_field)
         object.__setattr__(self, "probes", probes)
+        length = _unrolled_length(self.sequence.items)
+        if length > _MAX_ITEMS:
+            raise ValueError(f"the program unrolls to {_sci(length)} pulses"
+                             f" and delays, past the {_MAX_ITEMS} allowed")
         total = _evolution_time(self.sequence.items, max(grid, default=0.0))
         if not 2.0 * math.pi * width * total <= _MAX_PHASE_RAD:  # NaN too
             raise ValueError(
@@ -324,7 +343,7 @@ def _plans(schedules: list[Schedule]) -> list:
         eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
         free = [k for k, step in enumerate(steps) if step is None]
         span = (free[0], free[-1] + 1) if free else (len(steps),) * 2
-        plans.append((steps_rows, index, durations, eta,
+        plans.append((steps_rows, np.array(index), durations, eta,
                       _progression(durations), span))
     return plans
 
@@ -348,17 +367,17 @@ def _progression(durations: np.ndarray):
 
 
 def _phase_table(rate, durations, progression) -> np.ndarray:
-    """exp(rate (x) durations), (D, rows, T).  On a progression, the outer
-    product of the coarse and fine exponentials: about 2 sqrt(T) exp calls
-    a row instead of T, with arguments off by the rounding of s step and
-    the grid's deviation from the progression, the order of the direct
-    exp's own rounding of rate d (a cumprod of one step drifts with T).
+    """exp(rate (x) durations), (..., D, rows, T) for rate (..., D).  On a
+    progression, the outer product of coarse and fine exponentials: about
+    2 sqrt(T) exp calls a row, not T, with arguments off by the rounding of
+    s step and the grid's deviation from the progression, the order of the
+    direct exp's own rounding of rate d (a cumprod of one step drifts).
     """
     if progression is None:
-        return np.exp(rate[:, None, None] * durations)
-    coarse, fine = (np.exp(rate[:, None, None, None] * x) for x in progression)
-    table = (coarse * fine).reshape(len(rate), len(durations), -1)
-    return table[:, :, :durations.shape[1]]
+        return np.exp(rate[..., None, None] * durations)
+    coarse, fine = (np.exp(rate[..., None, None, None] * x) for x in progression)
+    table = (coarse * fine).reshape(*rate.shape, len(durations), -1)
+    return table[..., :durations.shape[1]]
 
 
 class _Setup:
@@ -401,35 +420,39 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
     before the first interval and after the last are folded into the
     initial columns kron(U a, 1) and the read-out row kron(a^H U, 1), and
     those in between lifted to kron(U_c, 1), in the lab basis (setup).  Per
-    group, each plan's phase table serves every pair; the (D, nb, T) slab
-    takes one GEMM per pulse in between, moved to the eigenbasis, and one
-    in-place phase multiply along tau per interval.
+    chunk of G groups within _SLAB_BYTES, each plan's phase table serves
+    every pair; the (G, D, nb, T) slab takes one stacked GEMM per pulse in
+    between, moved to the eigenbasis, and one phase multiply per interval.
     """
     dim = w.shape[1]
     folded = setup.folded[dim]
     nb = dim // math.prod(setup.central.dims)
     out = np.empty((len(w), len(folded), setup.n_schedules))
-    for wg, vg, curves in zip(w, v, out):
-        rate = -2j * np.pi * wg
-        vh = vg.conj().T
+    chunk = max(1, _SLAB_BYTES // (16 * dim * max(dim, nb * setup.n_schedules)))
+    for start in range(0, len(w), chunk):
+        wg, vg, curves = (x[start:start + chunk] for x in (w, v, out))
+        n = len(wg)
+        rate, vh = -2j * np.pi * wg, vg.conj().transpose(0, 2, 1)
         phases = [_phase_table(rate, durations, progression)
                   for _, _, durations, _, progression, _ in setup.plans]
-        for (lifted, edges), curve in zip(folded, curves):
+        for p, (lifted, edges) in enumerate(folded):
             rot = {s: vh @ u @ vg for s, u in lifted.items()}
-            for (steps, index, _, eta, _, (first, last)), (select, read), \
+            for (steps, index, *_, (first, last)), (select, read), \
                     phase in zip(setup.plans, edges, phases):
-                m = (vh @ select)[:, :, None]
+                m = (vh @ select)[..., None]
                 if first < last:  # the first interval spreads m along tau
-                    m = m * phase[:, None, steps[first]]
+                    m = m * phase[:, :, None, steps[first]]
                 for step in steps[first + 1:last]:
                     if isinstance(step, Pulse):
-                        m = (rot[step] @ m.reshape(dim, -1)).reshape(m.shape)
+                        m = (rot[step] @ m.reshape(n, dim, -1)).reshape(m.shape)
                     else:
-                        m *= phase[:, None, step]
-                amp = ((read @ vg) @ m.reshape(dim, -1)).view(float)
-                amp = amp.reshape(nb * nb, -1)  # re, im alternate along tau
-                sums = np.einsum("ks,ks->s", amp, amp)
-                curve[index] = eta * (2.0 / nb * (sums[::2] + sums[1::2]) - 1.0)
+                        m *= phase[:, :, None, step]
+                amp = ((read @ vg) @ m.reshape(n, dim, -1)).view(float)
+                amp = amp.reshape(n, nb * nb, -1)  # re, im alternate along tau
+                sums = np.einsum("gks,gks->gs", amp, amp)
+                curves[:, p, index] = sums[:, ::2] + sums[:, 1::2]
+    for _, index, _, eta, *_ in setup.plans:  # sign and offset, all chunks
+        out[..., index] = eta * (2.0 / nb * out[..., index] - 1.0)
     return out
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import spinbath
 import spinbath.cli as cli
+import spinbath.pulses as pulses
 
 from spinbath.cli import main
 from spinbath.constants import GAMMA_C13_HZ_PER_G, constants_table
@@ -221,6 +222,25 @@ def test_echo_refuses_phases_fp64_cannot_resolve(tmp_path, capsys):
         assert code == 2 and out == ""
         assert "fp64 no longer resolves it to 1e-6 rad" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sequence, count", [
+    ("pi/2(x) - [pi(x)]^1000000000000 - tau - pi/2(x)", "1e+12"),
+    ("pi/2(x) - [pi(x)]^10000000 - tau - pi/2(x)", "1e+07"),
+    ("pi/2(x) - [tau - pi(x) - tau]^1" + "0" * 400 + " - pi/2(x)", "2^1330"),
+], ids=["1e12-pulses", "1e7-pulses", "400-zeros"])
+def test_programs_past_the_item_budget_are_refused_before_any_work(
+        sequence, count, capsys, monkeypatch):
+    # counted, not unrolled: a delay in a block repeated 10^400 times
+    # neither overflows the phase check nor reaches a schedule
+    def refuse(*args, **kwargs):
+        raise AssertionError("a schedule was compiled")
+
+    monkeypatch.setattr(pulses, "compile_schedule", refuse)
+    code, out, err = _run(["echo", "--sequence", sequence, "--n-baths", "1",
+                           "--tau", "0:30us:3", "--dry-run"], capsys)
+    assert code == 2 and out == ""
+    assert f"the program unrolls to {count} pulses and delays" in err
 
 
 @pytest.mark.parametrize("argv", [

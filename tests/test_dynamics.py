@@ -32,6 +32,7 @@ from spinbath.dynamics import (
     _levels,
     _plans,
     _Setup,
+    _unrolled_length,
     ensemble_signal,
     field_scan,
     group_signal,
@@ -47,7 +48,8 @@ from spinbath.hamiltonians import (
     build_system_hamiltonian,
     level_pair,
 )
-from spinbath.pulses import (compile_schedule, expand_preset, parse_sequence,
+from spinbath.pulses import (Delay, Pulse, PulseProgram, Repeat,
+                             compile_schedule, expand_preset, parse_sequence,
                              two_level_unitary)
 
 
@@ -319,7 +321,7 @@ def test_non_uniform_grid_keeps_the_direct_exp(central, taus, monkeypatch):
     assert all(plan[4] is None for plan in setup.plans)
     got = [dynamics._group_curves(w, v, setup) for w, v in stacks]
     monkeypatch.setattr(dynamics, "_phase_table", lambda rate, durations, _:
-                        np.exp(rate[:, None, None] * durations))
+                        np.exp(rate[..., None, None] * durations))
     for (w, v), curves in zip(stacks, got):
         want = dynamics._group_curves(w, v, setup)
         assert curves.tobytes() == want.tobytes()
@@ -397,6 +399,38 @@ def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
     monkeypatch.setattr(dynamics, "_STACK_BYTES", 1)  # one group a stack
     split = _echo(setup, bath, groups)
     assert whole.tobytes() == split.tobytes()
+
+
+@pytest.mark.parametrize("central, prog", [
+    (P1Center(m_i=None), expand_preset("hahn")),
+    (NVCenter(), expand_preset("hahn")),
+    (P1Center(), expand_preset("xy8", 2))], ids=["p1-thermal", "nv", "xy8-2"])
+def test_slab_size_leaves_the_echo_unchanged(central, prog, monkeypatch):
+    # groups of mixed sizes, on a grid that holds tau = 0
+    bath, groups, _ = _mixed_groups()
+    schedules = [compile_schedule(prog, tau)
+                 for tau in (0.0, 2e-6, 7.5e-6, 13e-6)]
+    setup = _setup(central, schedules, [1, 2, 3])
+    whole = _echo(setup, bath, groups)
+    # one group a chunk, then every stack in one chunk
+    for slab_bytes in (1, 1 << 40):
+        monkeypatch.setattr(dynamics, "_SLAB_BYTES", slab_bytes)
+        assert _echo(setup, bath, groups).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("central", _KERNEL_CENTRALS,
+                         ids=["p1", "p1-thermal", "nv", "electron"])
+def test_group_curves_on_a_stack_equal_per_group_calls(central, monkeypatch):
+    taus = (0.0, 1e-6, 3e-6, 3e-6, 0.0, 12e-6)
+    _, _, setup, stacks = _kernel_inputs(
+        central, [(expand_preset("xy8", 2), tau) for tau in taus])
+    monkeypatch.setattr(dynamics, "_SLAB_BYTES", 1 << 40)  # one chunk
+    for w, v in stacks:
+        got = dynamics._group_curves(w, v, setup)
+        want = np.concatenate([dynamics._group_curves(w[k:k + 1], v[k:k + 1],
+                                                      setup)
+                               for k in range(len(w))])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ensemble_is_deterministic_and_worker_invariant():
@@ -518,6 +552,20 @@ def test_evolution_time_is_the_compiled_schedules_sum(program):
     for tau in (0.0, 1e-6, 30e-6):
         want = total_time(compile_schedule(program, tau))
         assert abs(_evolution_time(program.items, tau) - want) <= 1e-13 * want
+
+
+def test_simulation_config_bounds_the_unrolled_program():
+    # each pulse and delay once per repetition, a repeat its count times
+    # its block; 2^20 items pass and one more does not
+    pulse = Pulse("x", 180.0)
+    at_budget = PulseProgram((Repeat((pulse, Delay(1.0, "ns")), 1 << 19),))
+    assert _unrolled_length(at_budget.items) == 1 << 20
+    SimulationConfig(sequence=at_budget)
+    with pytest.raises(ValueError, match=r"unrolls to 1.05e\+06 pulses and"):
+        SimulationConfig(sequence=PulseProgram((*at_budget.items, pulse)))
+    xy8 = expand_preset("xy8", 64)
+    assert _unrolled_length(xy8.items) == 2 + 64 * len(xy8.items[1].block)
+    SimulationConfig(sequence=xy8)
 
 
 def test_simulation_config_refuses_groups_past_the_byte_budget(monkeypatch):
