@@ -24,7 +24,7 @@ from .constants import (
     KAPPA_ID_PPM_US,
     dipole_prefactor_hz,
 )
-from .dynamics import _csv_text, _eigen_stacks, _probed_states
+from .dynamics import _csv_text, _eigen_stacks, _levels
 from .hamiltonians import (
     _JT_AXES,
     JtOrientation,
@@ -244,7 +244,8 @@ def larmor_distribution(central, bath, b_field,
     """
     if len(bath) == 0:
         raise ValueError("bath must be non-empty")
-    branch_states = _probed_states(central, b_field)
+    labels = _branch_labels(central)  # refuses a thermal nitrogen
+    (_, branch_states), = _levels(central, b_field)[0]
     freqs = np.empty((2, len(bath)))
     ambiguous = np.zeros(len(bath), dtype=bool)
     for rows, (w, v) in _eigen_stacks(central, bath,
@@ -263,7 +264,7 @@ def larmor_distribution(central, bath, b_field,
 
     edges = np.histogram_bin_edges(freqs, bins=bins)
     return LarmorHistogram(
-        branch_labels=_branch_labels(central),
+        branch_labels=labels,
         frequencies=tuple(tuple(f.tolist()) for f in freqs),
         bin_edges=tuple(edges.tolist()),
         counts=tuple(tuple(np.histogram(f, bins=edges)[0].tolist())

@@ -26,7 +26,7 @@ import numpy as np
 # analysis is imported by the commands that use it, not at start-up
 from .bathgen import check_bath_parameters, generate_bath
 from .constants import C13_ABUNDANCE, constants_table, ppm_to_density_nm3
-from .dynamics import (SimulationConfig, _field_configs, _probed_states,
+from .dynamics import (SimulationConfig, _field_configs, _levels,
                        ensemble_signal, field_scan, scan_csv)
 from .hamiltonians import (BareElectron, JtOrientation, NVCenter, P1Center,
                            _field_vector)
@@ -36,8 +36,8 @@ from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
 _FORMATS = ("csv", "json")
 
 # Most points of a tau grid or field range, checked before either is made:
-# every tau keeps a compiled schedule (0.4 kB for Hahn, 1.2 kB for XY8-1)
-# and output rows, so 2^20 take a gigabyte; every field runs an ensemble.
+# every tau keeps a value per bath (an electron echo of 20 baths on 2^18
+# taus peaks at 358 MB), so 2^20 take gigabytes; every field runs an ensemble.
 _MAX_POINTS = 1 << 20
 
 _TIME_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -74,7 +74,8 @@ def _parse_tau_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_field_list(text: str) -> list[float]:
-    """'start:stop:count', 'b1,b2,...', or a single value (gauss)."""
+    """'start:stop:count', 'b1,b2,...', or a single value (gauss); the
+    count is checked before any field is made."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -83,13 +84,15 @@ def _parse_field_list(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise _CliError(f"bad field range '{text}'") from None
-        if count > _MAX_POINTS:
-            raise _CliError(f"field count must be at most {_MAX_POINTS}, "
-                            f"not {count}")
-        return [float(b) for b in np.linspace(start, stop, count)]
-    if "," in text:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    return [float(text)]
+    else:
+        tokens = [t for t in text.split(",") if t.strip()] if "," in text else [text]
+        count = len(tokens)
+    if count > _MAX_POINTS:
+        raise _CliError(f"field count must be at most {_MAX_POINTS}, "
+                        f"not {count}")
+    if ":" in text:
+        tokens = np.linspace(start, stop, count)
+    return [float(b) for b in tokens]
 
 
 def _make_jt(name: str) -> JtOrientation:
@@ -333,7 +336,7 @@ def _cmd_scan(resolved: dict) -> int:
 
 
 def _cmd_larmor_dist(resolved: dict) -> int:
-    from .analysis import larmor_distribution
+    from .analysis import _branch_labels, larmor_distribution
 
     b = float(resolved["b"])
     _check_field(b)
@@ -346,7 +349,8 @@ def _cmd_larmor_dist(resolved: dict) -> int:
     np.histogram_bin_edges([0.0, 1.0], bins=bins)  # raises as the run would
     central = _make_central(resolved)
     check_bath_parameters(**_bath_args(resolved))
-    _probed_states(central, b)  # raises if the pair is unaddressable
+    _branch_labels(central)  # refuses a thermal nitrogen, as the run does
+    _levels(central, b)  # raises if the pair is unaddressable
     if resolved["dry_run"]:
         return _dry_run(resolved)
     bath = generate_bath(resolved["seed"], **_bath_args(resolved))

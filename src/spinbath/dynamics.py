@@ -4,13 +4,14 @@ One kernel computes every echo.  It evolves the central spin together
 with each carbon group; the groups of one size are assembled and
 diagonalized as one (G, D, D) stack.  The initial state
 |a><a| (x) 1/2^g (probed central eigenstate, fully mixed carbons) is
-carried as nb = 2^g pure-state columns.  Schedules of one event structure
-share a plan (tau = 0 drops the symbolic intervals); the pulses before
-its first interval and after its last fold into those columns and the
-read-out row, and a stack's chunks of G groups each propagate a
-(G, D, nb, T) slab over the tau grid in the eigenbasis: one stacked GEMM
-per pulse in between and one in-place phase multiply along tau per
-interval.  group_signal is the one group, one schedule case.  It gives
+carried as nb = 2^g pure-state columns.  The taus on which the same runs
+of adjacent delays of the program vanish share a plan (_plans, one walk;
+tau = 0 drops the symbolic runs); the pulses before its first run and
+after its last fold into those columns and the read-out row, and a
+stack's chunks of G groups each propagate a (G, D, nb, T) slab over the
+tau grid in the eigenbasis: one stacked GEMM per pulse in between and one
+in-place phase multiply along tau per run.  group_signal is the one
+group, one schedule case.  It gives
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -48,7 +49,7 @@ from .constants import (
 )
 from .hamiltonians import NVCenter, P1Center
 from .pulses import (
-    Interval,
+    Delay,
     Pulse,
     PulseProgram,
     Schedule,
@@ -89,7 +90,7 @@ _MAX_PHASE_RAD = 2.0 ** 33
 # takes 944 MB at g = 8 and 150 taus, and 9 GiB at g = 12 for H alone.
 _MAX_GROUP_BYTES = 1 << 31
 
-# Most pulses and delays a program may unroll to: compile_schedule walks each.
+# Most pulses and delays a program may unroll to: _plans walks each once.
 _MAX_ITEMS = 1 << 20
 
 
@@ -281,14 +282,6 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 # echo kernel
 
-def _probed_states(central, b_field) -> tuple:
-    """The (a, b) central eigenvectors of central.probed; level_pair raises
-    where state mixing leaves the pair unaddressable (a thermal nitrogen
-    has no pair)."""
-    vc = np.linalg.eigh(central.hamiltonian(b_field))[1]
-    return tuple(vc[:, k] for k in hamiltonians.level_pair(central, vc))
-
-
 def _levels(central, b_field) -> tuple:
     """(probes, width) of central at b_field, from one eigh: per projection
     (a thermal nitrogen averages its three) its weight and the (a, b)
@@ -312,38 +305,42 @@ def _pair_unitary(steps) -> np.ndarray:
     return u
 
 
-def _plans(schedules: list[Schedule]) -> list:
-    """Schedules grouped by event structure, one propagation plan each.
-
-    A plan is (steps, indices, durations, eta, progression, span).  steps
-    are the events with each interval replaced by the row of durations, a
-    (distinct intervals, schedules) array, that holds its length on every
-    schedule; intervals of equal length on every schedule share a row.
-    eta is the sign normalization from the zero-delay composition on the
-    pair, progression is _progression(durations), and span the (first,
-    last) steps that run on the slab, from the first interval to the last.
-    Taus of one program share a structure except tau = 0, whose symbolic
-    intervals are dropped.
+def _plans(program: PulseProgram, grid) -> list:
+    """program's propagation plans on the tau grid, from one walk: one
+    (steps, indices, durations, eta, progression, span) per set of taus
+    on which the same runs of delays (pulses._runs) vanish, as the
+    symbolic ones do at tau = 0.  steps are the pulses and other runs in
+    order, a run as its row of durations (rows, taus): its length on each
+    tau, summed as compile_schedule sums it; runs of equal length share a
+    row.  eta is the sign normalization from the zero-delay composition on
+    the pair, progression is _progression(durations), and span the (first,
+    last) steps that run on the slab, from the first run to the last.
     """
-    indices: dict = {}
-    for k, schedule in enumerate(schedules):
-        steps = tuple(e if isinstance(e, Pulse) else None
-                      for e in schedule.events)
-        indices.setdefault(steps, []).append(k)
+    tau = np.asarray(grid, dtype=float)
+    slots: dict = {}  # each distinct run, by its Delays, to its slot
+    events = [e if isinstance(e, Pulse) else slots.setdefault(e, len(slots))
+              for e in pulses._runs(program.items)]
+    lengths = np.empty((len(slots), len(tau)))
+    for row, run in zip(lengths, slots):
+        row[:] = pulses._run_length(run, tau)
+    taus: dict = {}  # which runs last (do not vanish), to the taus of it
+    for k, live in enumerate(map(bytes, lengths.T > 0.0)):
+        taus.setdefault(live, []).append(k)
+    zero_delay = _pair_unitary(events)[0, 0]
+    eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
     plans = []
-    for steps, index in indices.items():
-        lengths = zip(*([e.duration_s for e in schedules[k].events
-                         if isinstance(e, Interval)] for k in index))
-        rows: dict = {}
-        slots = iter([rows.setdefault(row, len(rows)) for row in lengths])
-        steps_rows = tuple(next(slots) if step is None else step
-                           for step in steps)
-        durations = np.array(list(rows)).reshape(len(rows), len(index))
-        zero_delay = _pair_unitary(steps)[0, 0]
-        eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
-        free = [k for k, step in enumerate(steps) if step is None]
+    for index in taus.values():
+        part = lengths[:, index]
+        rows: dict = {}  # the bytes of each distinct row to its number
+        row_of = {r: rows.setdefault(part[r].tobytes(), len(rows))
+                  for r in range(len(part)) if part[r, 0] > 0.0}
+        steps = tuple(e if isinstance(e, Pulse) else row_of[e]
+                      for e in events if isinstance(e, Pulse) or e in row_of)
+        # one run of each row, in row order
+        durations = part[list({n: r for r, n in row_of.items()}.values())]
+        free = [k for k, s in enumerate(steps) if not isinstance(s, Pulse)]
         span = (free[0], free[-1] + 1) if free else (len(steps),) * 2
-        plans.append((steps_rows, np.array(index), durations, eta,
+        plans.append((steps, np.array(index), durations, eta,
                       _progression(durations), span))
     return plans
 
@@ -383,9 +380,9 @@ def _phase_table(rate, durations, progression) -> np.ndarray:
 class _Setup:
     """An echo set up once per run and field, shared read-only by every
     bath, stack and worker thread: central at b_field, the weights of its
-    probes (_levels), the plans of the run's schedules and, per Hilbert
-    dimension D of the given group sizes, each probed pair's folded pulses
-    (_group_curves).
+    probes (_levels), the plans of the run's program on its tau grid and,
+    per Hilbert dimension D of the given group sizes, each probed pair's
+    folded pulses (_group_curves).
     """
 
     def __init__(self, central, b_field, probes, plans, sizes,
@@ -393,7 +390,7 @@ class _Setup:
         self.central, self.b_field = central, b_field
         self.include_nn = include_nn
         self.weights = [weight for weight, _ in probes]
-        self.plans, self.n_schedules = plans, sum(len(p[1]) for p in plans)
+        self.plans, self.n_taus = plans, sum(len(p[1]) for p in plans)
         dc = math.prod(central.dims)
         inner = {s for steps, *_, (first, last) in plans
                  for s in steps[first:last] if isinstance(s, Pulse)}
@@ -414,7 +411,7 @@ class _Setup:
 
 
 def _group_curves(w, v, setup: _Setup) -> np.ndarray:
-    """S_G of each group of one size, per probed pair, on every schedule.
+    """S_G of each group of one size, per probed pair, on every tau.
 
     (w, v) is the groups' eigen-stack.  Per pair and plan, the rotations
     before the first interval and after the last are folded into the
@@ -427,8 +424,8 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
     dim = w.shape[1]
     folded = setup.folded[dim]
     nb = dim // math.prod(setup.central.dims)
-    out = np.empty((len(w), len(folded), setup.n_schedules))
-    chunk = max(1, _SLAB_BYTES // (16 * dim * max(dim, nb * setup.n_schedules)))
+    out = np.empty((len(w), len(folded), setup.n_taus))
+    chunk = max(1, _SLAB_BYTES // (16 * dim * max(dim, nb * setup.n_taus)))
     for start in range(0, len(w), chunk):
         wg, vg, curves = (x[start:start + chunk] for x in (w, v, out))
         n = len(wg)
@@ -469,7 +466,7 @@ def _eigen_stacks(central, bath: Bath, index, b_field, include_nn=True):
 
 
 def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
-    """Bath signal S_T on every schedule of setup: the product of S_G over
+    """Bath signal S_T on every tau of setup: the product of S_G over
     groups, each a sequence of bath indices.
 
     With a thermal nitrogen the product is formed per projection and then
@@ -477,7 +474,7 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
     groups in their given order.  The groups of one size are assembled and
     diagonalized as stacks (_eigen_stacks), which the projections share.
     """
-    curves = np.empty((len(groups), len(setup.weights), setup.n_schedules))
+    curves = np.empty((len(groups), len(setup.weights), setup.n_taus))
     sizes = np.array([len(group) for group in groups])
     # largest first, so the largest term table is built before the rest
     for size in sorted(set(sizes.tolist()), reverse=True):
@@ -494,13 +491,15 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
 def group_signal(central, group: Bath, schedule: Schedule, b_field, *,
                  include_nn: bool = True) -> float:
     """Echo signal of the central spin coupled to one carbon group."""
+    program = PulseProgram([e if isinstance(e, Pulse) else Delay(e.duration_s)
+                            for e in schedule.events])
     setup = _Setup(central, b_field, _levels(central, b_field)[0],
-                   _plans([schedule]), [len(group)], include_nn)
+                   _plans(program, [0.0]), [len(group)], include_nn)
     return float(_echo(setup, group, [range(len(group))])[0])
 
 
 def _bath_curve(setup: _Setup, bath: Bath, partition: Partition) -> np.ndarray:
-    """S_T of one bath on every schedule."""
+    """S_T of one bath on every tau."""
     if partition.n_spins != len(bath):
         raise ValueError("partition does not cover this bath")
     return _echo(setup, bath, partition.groups)
@@ -545,9 +544,7 @@ def ensemble_signal(config: SimulationConfig) -> EchoCurve:
     Bath b uses child_seed(master_seed, b), so any bath is replayable in
     isolation.  Worker count changes scheduling only, never the result.
     """
-    plans = _plans([pulses.compile_schedule(config.sequence, tau)
-                    for tau in config.tau_grid])
-    return _ensemble_curve(config, plans,
+    return _ensemble_curve(config, _plans(config.sequence, config.tau_grid),
                            lambda index: _make_bath(config, index))
 
 
@@ -573,6 +570,5 @@ def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
     configs = _field_configs(config, b_list)
     baths = [_make_bath(config, k) for k in range(config.n_baths)]
     # the fields share one sequence and tau grid, so one set of plans
-    plans = _plans([pulses.compile_schedule(config.sequence, tau)
-                    for tau in config.tau_grid])
+    plans = _plans(config.sequence, config.tau_grid)
     return [_ensemble_curve(c, plans, baths.__getitem__) for c in configs]

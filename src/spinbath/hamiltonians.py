@@ -400,7 +400,7 @@ def build_hamiltonian_stack(central, pos, gamma, b, *,
     # A term adds c * values at its nonzeros, so every nonzero gets the bits
     # of the dense sum.
     flat = h.reshape(n, -1)
-    for c, (index, values) in zip(coeffs.T, _term_table(central, k)):
+    for c, (index, values) in zip(coeffs.T, _term_table(central.dims, k)):
         rows = np.flatnonzero(c != 0.0)
         flat[rows[:, None], index] += c[rows, None] * values
     return h
@@ -413,17 +413,18 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * n, m * n)
 
 
-def _dense_terms(central, k: int):
-    """The operator terms of a central spin plus k carbons, dense, in turn:
-    per carbon its x, y, z (the Zeeman term) and its 9 products S_i I_j with
-    the electron, then per carbon pair, in index order, the 9 I_i I'_j.
-    Each is the kron of a central factor (1, or S_i on the first central
-    slot: the electron, of dimension d) and a carbon factor.
+def _dense_terms(dims: tuple, k: int):
+    """The operator terms of a central spin of slot dimensions dims plus k
+    carbons, dense, in turn: per carbon its x, y, z (the Zeeman term) and
+    its 9 products S_i I_j with the electron, then per carbon pair, in
+    index order, the 9 I_i I'_j.  Each is the kron of a central factor (1,
+    or S_i on the first central slot: the electron, of dimension d) and a
+    carbon factor.
     """
     carbons = [[_kron(_kron(np.eye(1 << m, dtype=complex), o),
                       np.eye(1 << (k - m - 1), dtype=complex))
                 for o in spin_operators(0.5)] for m in range(k)]
-    d, *rest = central.dims
+    d, *rest = dims
     eye = np.eye(d * math.prod(rest), dtype=complex)
     s_ops = [np.kron(o, np.eye(math.prod(rest)))
              for o in spin_operators((d - 1) / 2)]
@@ -435,21 +436,9 @@ def _dense_terms(central, k: int):
                     for c1 in carbons[m1] for c2 in carbons[m2])
 
 
-_TERM_TABLES: dict = {}
-
-
-def _term_table(central, k: int) -> list:
-    """Per term of _dense_terms: the flat indices of its nonzero elements
-    (ascending) and their values.  Cached per (dims, k), as that fixes the
-    electron.
-    """
-    key = (tuple(central.dims), k)
-    table = _TERM_TABLES.get(key)
-    if table is None:
-        table = []
-        for term in _dense_terms(central, k):
-            flat = term.ravel()
-            index = np.flatnonzero(flat)
-            table.append((index, flat[index]))
-        _TERM_TABLES[key] = table
-    return table
+@functools.lru_cache(maxsize=None)
+def _term_table(dims: tuple, k: int) -> list:
+    """Per term of _dense_terms(dims, k): the flat indices of its nonzero
+    elements (ascending) and their values."""
+    return [(np.flatnonzero(term), term[term != 0.0])
+            for term in _dense_terms(dims, k)]

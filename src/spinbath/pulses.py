@@ -418,39 +418,48 @@ class Schedule:
         return [e for e in self.events if isinstance(e, Pulse)]
 
 
-def compile_schedule(prog: PulseProgram, tau: float | None = None) -> Schedule:
-    """Flatten a program at a concrete tau (seconds) into a Schedule.
-
-    Repeats are unrolled, symbolic delays substituted, adjacent intervals
-    merged and zero-length intervals dropped.  Programs with symbolic
-    delays require tau; tau must be non-negative.
-    """
-    if tau is not None and tau < 0.0:
-        raise ValueError("tau must be non-negative")
+def _runs(items) -> list:
+    """items unrolled once, in order: each pulse, and each run of adjacent
+    delays as the tuple of its Delays."""
     events: list = []
-
-    def emit_delay(duration: float):
-        if duration <= 0.0:
-            return
-        if events and isinstance(events[-1], Interval):
-            events[-1] = Interval(events[-1].duration_s + duration)
-        else:
-            events.append(Interval(duration))
 
     def walk(items):
         for item in items:
             if isinstance(item, Pulse):
                 events.append(item)
             elif isinstance(item, Delay):
-                emit_delay(item.duration_s(tau))
+                if not events or isinstance(events[-1], Pulse):
+                    events.append([])
+                events[-1].append(item)
             elif isinstance(item, Repeat):
                 for _ in range(item.count):
                     walk(item.block)
             else:
                 raise TypeError(f"unknown program item {item!r}")
 
-    walk(prog.items)
-    return Schedule(events=tuple(events))
+    walk(items)
+    return [e if isinstance(e, Pulse) else tuple(e) for e in events]
+
+
+def _run_length(run, tau):
+    """The delays of a run summed in order at tau, a float or an array."""
+    length = 0.0
+    for delay in run:
+        length += delay.duration_s(tau)
+    return length
+
+
+def compile_schedule(prog: PulseProgram, tau: float | None = None) -> Schedule:
+    """Flatten a program at a concrete tau (seconds) into a Schedule: its
+    pulses, and each run of adjacent delays (_runs) summed into one
+    interval, zero-length ones dropped.  Programs with symbolic delays
+    require tau; tau must be non-negative."""
+    if tau is not None and tau < 0.0:
+        raise ValueError("tau must be non-negative")
+    events = [e if isinstance(e, Pulse) else Interval(_run_length(e, tau))
+              for e in _runs(prog.items)]
+    return Schedule(events=tuple(e for e in events
+                                 if isinstance(e, Pulse) or e.duration_s > 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,13 @@ from spinbath.constants import (
     Q_N14_MHZ,
     dipole_prefactor_hz,
 )
-from spinbath.dynamics import (EchoCurve, _group_curves, _levels, _plans,
-                               _probed_states, _Setup)
+from spinbath.dynamics import (EchoCurve, _group_curves, _levels,
+                               _pair_unitary, _plans, _progression, _Setup)
 from spinbath.hamiltonians import (_dense_terms, _dipole_tensors,
                                    _field_vector, _p1_operators,
                                    spin_operators)
-from spinbath.pulses import Interval, Pulse, Schedule, two_level_unitary
+from spinbath.pulses import (Delay, Interval, Pulse, PulseProgram, Schedule,
+                             two_level_unitary)
 
 
 def bath_to_json(bath: Bath) -> str:
@@ -392,13 +393,51 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
     return h
 
 
+def plans_from_schedules(schedules: list[Schedule]) -> list:
+    """Schedules grouped by event structure, one propagation plan each.
+
+    A plan is (steps, indices, durations, eta, progression, span).  steps
+    are the events with each interval replaced by the row of durations, a
+    (distinct intervals, schedules) array, that holds its length on every
+    schedule; intervals of equal length on every schedule share a row.
+    eta is the sign normalization from the zero-delay composition on the
+    pair, progression is _progression(durations), and span the (first,
+    last) steps that run on the slab, from the first interval to the last.
+    Taus of one program share a structure except tau = 0, whose symbolic
+    intervals are dropped.
+    """
+    indices: dict = {}
+    for k, schedule in enumerate(schedules):
+        steps = tuple(e if isinstance(e, Pulse) else None
+                      for e in schedule.events)
+        indices.setdefault(steps, []).append(k)
+    plans = []
+    for steps, index in indices.items():
+        lengths = zip(*([e.duration_s for e in schedules[k].events
+                         if isinstance(e, Interval)] for k in index))
+        rows: dict = {}
+        slots = iter([rows.setdefault(row, len(rows)) for row in lengths])
+        steps_rows = tuple(next(slots) if step is None else step
+                           for step in steps)
+        durations = np.array(list(rows)).reshape(len(rows), len(index))
+        zero_delay = _pair_unitary(steps)[0, 0]
+        eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
+        free = [k for k, step in enumerate(steps) if step is None]
+        span = (free[0], free[-1] + 1) if free else (len(steps),) * 2
+        plans.append((steps_rows, np.array(index), durations, eta,
+                      _progression(durations), span))
+    return plans
+
+
 def kernel_signal(central, group, schedule, b, **options) -> float:
     """S_G of one group on one schedule through the library kernel, as
     dynamics.group_signal gives it for the model, but on
     group_hamiltonian(**options); for a central spin with one probed pair
     (not a thermal nitrogen)."""
     w, v = np.linalg.eigh(group_hamiltonian(central, group, b, **options))
-    setup = _Setup(central, b, _levels(central, b)[0], _plans([schedule]),
+    program = PulseProgram([e if isinstance(e, Pulse) else Delay(e.duration_s)
+                            for e in schedule.events])
+    setup = _Setup(central, b, _levels(central, b)[0], _plans(program, [0.0]),
                    [len(group)])
     return float(_group_curves(w[None], v[None], setup)[0, 0, 0])
 
@@ -409,7 +448,7 @@ def larmor_by_spin(central, bath, b):
     level, the gap of the two eigenstates of the central+one-carbon
     Hamiltonian with most weight on it, flagged where either weight is
     below 3/4."""
-    branch_states = _probed_states(central, b)
+    (_, branch_states), = _levels(central, b)[0]
     dc = len(branch_states[0])
     freqs = ([], [])
     flagged = []
@@ -498,7 +537,7 @@ def _term_stack(central, k: int) -> np.ndarray:
     """The dense terms of _dense_terms as one (terms, D, D) stack, per kind."""
     key = (type(central), tuple(central.dims), k)
     if key not in _TERM_STACKS:
-        _TERM_STACKS[key] = np.stack(list(_dense_terms(central, k)))
+        _TERM_STACKS[key] = np.stack(list(_dense_terms(central.dims, k)))
     return _TERM_STACKS[key]
 
 

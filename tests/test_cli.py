@@ -188,7 +188,9 @@ def test_echo_rejects_malformed_tau(tmp_path, capsys):
      "tau count must be 1 to 1048576, not 1000000000000"),
     (["scan", "--b", "40:110:100000000"],
      "field count must be at most 1048576, not 100000000"),
-], ids=["tau", "field"])
+    (["scan", "--b", ",".join(["72"] * ((1 << 20) + 1))],
+     "field count must be at most 1048576, not 1048577"),
+], ids=["tau", "field", "field-list"])
 def test_grid_counts_over_budget_are_refused_before_allocation(
         argv, message, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -232,11 +234,11 @@ def test_echo_refuses_phases_fp64_cannot_resolve(tmp_path, capsys):
 def test_programs_past_the_item_budget_are_refused_before_any_work(
         sequence, count, capsys, monkeypatch):
     # counted, not unrolled: a delay in a block repeated 10^400 times
-    # neither overflows the phase check nor reaches a schedule
+    # neither overflows the phase check nor reaches a plan or a schedule
     def refuse(*args, **kwargs):
-        raise AssertionError("a schedule was compiled")
+        raise AssertionError("the program was unrolled")
 
-    monkeypatch.setattr(pulses, "compile_schedule", refuse)
+    monkeypatch.setattr(pulses, "_runs", refuse)
     code, out, err = _run(["echo", "--sequence", sequence, "--n-baths", "1",
                            "--tau", "0:30us:3", "--dry-run"], capsys)
     assert code == 2 and out == ""

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 import spinbath.bathgen as bathgen
 import spinbath.dynamics as dynamics
 import spinbath.pulses as pulses
-from oracles import evolve, group_curves_unrolled, kernel_signal, total_time
+from oracles import (evolve, group_curves_unrolled, kernel_signal,
+                     plans_from_schedules, total_time)
 from spinbath.bathgen import (Bath, Partition, child_seed, cluster_bath,
                               generate_bath)
 from spinbath.constants import (
@@ -57,10 +60,11 @@ def _spin(x, y, z):
     return (x, y, z)
 
 
-def _setup(central, schedules, sizes, b=72.0):
-    """The echo set-up of central at b on schedules, for groups of the
-    given sizes."""
-    return _Setup(central, b, _levels(central, b)[0], _plans(schedules), sizes)
+def _setup(central, program, taus, sizes, b=72.0):
+    """The echo set-up of central at b on program at taus, for groups of
+    the given sizes."""
+    return _Setup(central, b, _levels(central, b)[0], _plans(program, taus),
+                  sizes)
 
 
 def _subset(bath, index):
@@ -193,10 +197,9 @@ def test_signal_stays_in_physical_range():
     part = cluster_bath(bath, g=3)
     for _ in range(5):
         tau = float(rng.uniform(0.0, 40e-6))
-        sched = compile_schedule(expand_preset("hahn"), tau)
         for central in (P1Center(), NVCenter()):
-            s = _bath_curve(_setup(central, [sched], range(1, 4)), bath,
-                            part)[0]
+            s = _bath_curve(_setup(central, expand_preset("hahn"), [tau],
+                                   range(1, 4)), bath, part)[0]
             assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
 
@@ -218,8 +221,8 @@ def test_thermal_nitrogen_products_before_averaging():
     bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,), (1,)), g=1, n_spins=2)
     sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
-    got = _bath_curve(_setup(P1Center(m_i=None), [sched], [1]), bath,
-                      part)[0]
+    got = _bath_curve(_setup(P1Center(m_i=None), expand_preset("hahn"),
+                             [9e-6], [1]), bath, part)[0]
     per_m = []
     for m in (-1, 0, 1):
         center = P1Center(m_i=m)
@@ -238,9 +241,9 @@ def test_thermal_nitrogen_products_before_averaging():
 def test_bath_signal_checks_partition_coverage():
     bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,),), g=1, n_spins=1)
-    sched = compile_schedule(expand_preset("hahn"), tau=1e-6)
     with pytest.raises(ValueError):
-        _bath_curve(_setup(P1Center(), [sched], [1]), bath, part)
+        _bath_curve(_setup(P1Center(), expand_preset("hahn"), [1e-6], [1]),
+                    bath, part)
 
 
 @pytest.mark.parametrize("prog", [
@@ -255,7 +258,7 @@ def test_batched_kernel_matches_single_schedules(prog):
     group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6),
                   _spin(0.2, -0.5, 0.3)])
     for central in (P1Center(m_i=None), NVCenter()):
-        batched = _echo(_setup(central, schedules, [3]), group, [range(3)])
+        batched = _echo(_setup(central, prog, taus, [3]), group, [range(3)])
         for tau, sched, got in zip(taus, schedules, batched):
             want = group_signal(central, group, sched, 72.0)
             assert got == pytest.approx(want, abs=1e-10), tau
@@ -267,19 +270,18 @@ _KERNEL_PROGRAMS = [expand_preset("hahn"), expand_preset("cpmg", 4),
                     parse_sequence("pi/2(x) - 2us - tau - pi(y) - tau - pi/2(x)")]
 
 
-def _kernel_inputs(central, taus):
-    """Schedules, the probed pairs and the echo set-up on them, then per
-    size g = 1-4 the eigen-stack of the groups of one seeded bath, for the
+def _kernel_inputs(central, prog, taus):
+    """The probed pairs and the echo set-up of prog at taus, then per size
+    g = 1-4 the eigen-stack of the groups of one seeded bath, for the
     kernel tests."""
-    schedules = [compile_schedule(prog, tau) for prog, tau in taus]
     probes = _levels(central, 72.0)[0]
-    setup = _Setup(central, 72.0, probes, _plans(schedules), (1, 2, 3, 4))
+    setup = _Setup(central, 72.0, probes, _plans(prog, taus), (1, 2, 3, 4))
     bath = generate_bath(seed=4, n_spins=12)
     index = [np.arange(12 - 12 % g).reshape(-1, g) for g in (1, 2, 3, 4)]
     stacks = [np.linalg.eigh(build_hamiltonian_stack(
                   central, bath.positions[idx], bath.gammas[idx], 72.0))
               for idx in index]
-    return schedules, probes, setup, stacks
+    return probes, setup, stacks
 
 
 @pytest.mark.parametrize("central", _KERNEL_CENTRALS,
@@ -288,7 +290,7 @@ def _kernel_inputs(central, taus):
                          ids=["hahn", "cpmg-4", "xy8-2", "fixed-delay"])
 def test_kernel_matches_the_unrolled_oracle(central, prog):
     # mixed: tau = 0 twice and a repeated tau, so the zero-delay plan holds
-    # two schedules and the timed plan two equal columns; every table is
+    # two taus and the timed plan two equal columns; every table is
     # the direct exp.  uniform, the default grid: the timed plan's table
     # is factorized and rounds its phase arguments differently.  At the
     # NV's 2.9 GHz over 60 us (1.1e6 rad) one rounding of an argument is
@@ -298,10 +300,9 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
              (np.linspace(0.0, 30e-6, 150), True,
               1e-9 if isinstance(central, NVCenter) else 1e-10)]
     for taus, uniform, tol in grids:
-        schedules, probes, setup, stacks = _kernel_inputs(
-            central, [(prog, tau) for tau in taus])
+        probes, setup, stacks = _kernel_inputs(central, prog, taus)
         assert any(plan[4] is not None for plan in setup.plans) == uniform
-        n = len(schedules)
+        n = len(taus)
         for g, (w, v) in enumerate(stacks, 1):
             got = dynamics._group_curves(w, v, setup)
             for p, (_, (a, b)) in enumerate(probes):
@@ -316,8 +317,7 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
 ], ids=["geometric", "one-tau-off"])
 def test_non_uniform_grid_keeps_the_direct_exp(central, taus, monkeypatch):
     prog = expand_preset("xy8", 2)
-    _, _, setup, stacks = _kernel_inputs(
-        central, [(prog, tau) for tau in taus])
+    _, setup, stacks = _kernel_inputs(central, prog, taus)
     assert all(plan[4] is None for plan in setup.plans)
     got = [dynamics._group_curves(w, v, setup) for w, v in stacks]
     monkeypatch.setattr(dynamics, "_phase_table", lambda rate, durations, _:
@@ -330,13 +330,77 @@ def test_non_uniform_grid_keeps_the_direct_exp(central, taus, monkeypatch):
 def test_program_without_delays_runs_on_a_uniform_grid():
     # one plan for every tau, with no row of durations to tabulate
     prog = parse_sequence("pi/2(x) - pi/2(y)")
-    schedules = [compile_schedule(prog, tau)
-                 for tau in np.linspace(0.0, 30e-6, 10)]
+    taus = np.linspace(0.0, 30e-6, 10)
     group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)])
     for central in (P1Center(), NVCenter()):
-        signal = _echo(_setup(central, schedules, [2]), group, [range(2)])
-        assert (signal == group_signal(central, group, schedules[0],
+        signal = _echo(_setup(central, prog, taus, [2]), group, [range(2)])
+        assert (signal == group_signal(central, group,
+                                       compile_schedule(prog, 0.0),
                                        72.0)).all()
+
+
+def _assert_plans_match_the_schedules(program, grid):
+    """_plans of program on grid is, plan for plan and byte for byte, the
+    grouping of the schedules compiled at each tau."""
+    want = plans_from_schedules([compile_schedule(program, t) for t in grid])
+    got = _plans(program, grid)
+    assert [pickle.dumps(p) for p in got] == [pickle.dumps(p) for p in want]
+
+
+_PLAN_GRIDS = [tuple(np.linspace(0.0, 30e-6, 150)),
+               (0.0, 1e-6, 3e-6, 3e-6, 0.0, 12e-6),
+               (0.0, 5e-324, 1e-6, 5e-324)]  # tau/2 of 5e-324 is 0
+
+
+@pytest.mark.parametrize("program", [
+    expand_preset("hahn"), expand_preset("xy8", 4), expand_preset("cpmg", 8),
+    expand_preset("xy8", 64),
+    parse_sequence("pi/2(x) - 2us - tau - pi(y) - tau - 0us - pi/2(x)"),
+    parse_sequence("pi/2(x) - pi/2(y)")],
+    ids=["hahn", "xy8-4", "cpmg-8", "xy8-64", "fixed-delay", "no-delay"])
+@pytest.mark.parametrize("grid", _PLAN_GRIDS,
+                         ids=["uniform", "zeros", "subnormal"])
+def test_plans_equal_those_of_the_compiled_schedules(program, grid):
+    _assert_plans_match_the_schedules(program, grid)
+
+
+_pulse = st.builds(Pulse, st.sampled_from(["x", "y", "-x", "-y"]),
+                   st.sampled_from([90.0, 180.0, 45.0]))
+_delay = st.one_of(st.builds(Delay, divisor=st.integers(1, 3)),
+                   st.builds(Delay, st.sampled_from([0.0, 0.5, 2.0]),
+                             st.just("us")))
+_items = st.recursive(st.one_of(_pulse, _delay), lambda inner: st.builds(
+    Repeat, st.lists(inner, min_size=1, max_size=4), st.integers(1, 3)),
+    max_leaves=12)
+_tau = st.one_of(st.sampled_from([0.0, 5e-324, 1e-6, 3e-6]),
+                 st.floats(0.0, 40e-6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(_items, min_size=1, max_size=6),
+       grid=st.one_of(
+           st.tuples(st.integers(0, 2), st.lists(_tau, max_size=8)).map(
+               lambda z: (0.0,) * z[0] + tuple(z[1])),
+           st.builds(lambda n, top: tuple(np.linspace(0.0, top, n)),
+                     st.integers(1, 40), st.floats(1e-7, 40e-6))))
+def test_plans_of_drawn_programs_equal_those_of_the_schedules(items, grid):
+    # nested repeats of pulses and of literal (0us too) and symbolic delays,
+    # on grids with leading and repeated zeros, and uniform ones
+    _assert_plans_match_the_schedules(PulseProgram(tuple(items)), grid)
+
+
+def test_plans_take_no_schedule_per_tau():
+    # XY8-64 on 2^16 taus: rows for its 3 distinct runs of delays, where
+    # one schedule per tau took 62 kB, 4.1 GB in all
+    grid = tuple(np.linspace(0.0, 30e-6, 1 << 16))
+    tracemalloc.start()
+    try:
+        plans = _plans(expand_preset("xy8", 64), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(plan[1]) for plan in plans] == [1, (1 << 16) - 1]
+    assert peak < 32e6
 
 
 _coordinate = st.floats(-1.2, 1.2)
@@ -357,10 +421,8 @@ _position = st.tuples(_coordinate, _coordinate, _coordinate).filter(
 def test_echo_is_bounded_and_starts_at_one(positions, central, preset, b,
                                            taus):
     group = Bath(positions)
-    schedules = [compile_schedule(expand_preset(*preset), tau)
-                 for tau in (0.0, *taus)]
-    signal = _echo(_setup(central, schedules, [len(group)], b), group,
-                   [range(len(group))])
+    signal = _echo(_setup(central, expand_preset(*preset), (0.0, *taus),
+                          [len(group)], b), group, [range(len(group))])
     assert abs(signal[0] - 1.0) <= 1e-12
     assert np.abs(signal).max() <= 1.0 + 1e-12
 
@@ -369,22 +431,22 @@ def _mixed_groups():
     # sizes interleaved, so the stacks by size run out of the given order
     bath = generate_bath(seed=4, n_spins=12)
     groups = [range(0, 2), [2], range(3, 6), [6], range(7, 9), range(9, 12)]
-    taus = (0.0, 2e-6, 7.5e-6, 13e-6)
-    return bath, groups, [compile_schedule(expand_preset("hahn"), tau)
-                          for tau in taus]
+    return bath, groups, (0.0, 2e-6, 7.5e-6, 13e-6)
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(),
                                      P1Center(m_i=None)],
                          ids=["p1", "nv", "p1-thermal"])
 def test_mixed_group_sizes_multiply_per_group_signals(central):
-    bath, groups, schedules = _mixed_groups()
+    bath, groups, taus = _mixed_groups()
     # a thermal nitrogen averages the products of its three projections
     variants = ([replace(central, m_i=m) for m in (-1, 0, 1)]
                 if isinstance(central, P1Center) and central.m_i is None
                 else [central])
-    got = _echo(_setup(central, schedules, [1, 2, 3]), bath, groups)
-    for sched, value in zip(schedules, got):
+    hahn = expand_preset("hahn")
+    got = _echo(_setup(central, hahn, taus, [1, 2, 3]), bath, groups)
+    for tau, value in zip(taus, got):
+        sched = compile_schedule(hahn, tau)
         want = np.mean([np.prod([group_signal(variant, _subset(bath, group),
                                               sched, 72.0)
                                  for group in groups])
@@ -393,8 +455,8 @@ def test_mixed_group_sizes_multiply_per_group_signals(central):
 
 
 def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
-    bath, groups, schedules = _mixed_groups()
-    setup = _setup(P1Center(m_i=None), schedules, [1, 2, 3])
+    bath, groups, taus = _mixed_groups()
+    setup = _setup(P1Center(m_i=None), expand_preset("hahn"), taus, [1, 2, 3])
     whole = _echo(setup, bath, groups)
     monkeypatch.setattr(dynamics, "_STACK_BYTES", 1)  # one group a stack
     split = _echo(setup, bath, groups)
@@ -407,10 +469,8 @@ def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
     (P1Center(), expand_preset("xy8", 2))], ids=["p1-thermal", "nv", "xy8-2"])
 def test_slab_size_leaves_the_echo_unchanged(central, prog, monkeypatch):
     # groups of mixed sizes, on a grid that holds tau = 0
-    bath, groups, _ = _mixed_groups()
-    schedules = [compile_schedule(prog, tau)
-                 for tau in (0.0, 2e-6, 7.5e-6, 13e-6)]
-    setup = _setup(central, schedules, [1, 2, 3])
+    bath, groups, taus = _mixed_groups()
+    setup = _setup(central, prog, taus, [1, 2, 3])
     whole = _echo(setup, bath, groups)
     # one group a chunk, then every stack in one chunk
     for slab_bytes in (1, 1 << 40):
@@ -422,8 +482,7 @@ def test_slab_size_leaves_the_echo_unchanged(central, prog, monkeypatch):
                          ids=["p1", "p1-thermal", "nv", "electron"])
 def test_group_curves_on_a_stack_equal_per_group_calls(central, monkeypatch):
     taus = (0.0, 1e-6, 3e-6, 3e-6, 0.0, 12e-6)
-    _, _, setup, stacks = _kernel_inputs(
-        central, [(expand_preset("xy8", 2), tau) for tau in taus])
+    _, setup, stacks = _kernel_inputs(central, expand_preset("xy8", 2), taus)
     monkeypatch.setattr(dynamics, "_SLAB_BYTES", 1 << 40)  # one chunk
     for w, v in stacks:
         got = dynamics._group_curves(w, v, setup)
@@ -656,21 +715,21 @@ _THERMAL_RUN = dict(central=P1Center(m_i=None), n_spins=20,
 
 def test_an_ensemble_is_set_up_once(monkeypatch):
     # one central eigh serves the config's check and every bath's three
-    # projections; the schedules are planned once, not once a bath
+    # projections; the program is planned once, not once a bath
     counts = _count_set_up(monkeypatch)
     ensemble_signal(SimulationConfig(n_baths=20, **_THERMAL_RUN))
     assert (counts["eigh"], counts["eigvalsh"], counts["plans"]) == (1, 0, 1)
 
 
 def test_a_scan_is_set_up_once_per_field(monkeypatch):
-    # one central eigh per field; the tau grid is compiled and planned once
-    # for every field, and no field's config compiles its phase check
+    # one central eigh per field; the program is planned on the tau grid
+    # once for every field, and nothing compiles a schedule
     counts = _count_set_up(monkeypatch)
     fields = np.linspace(40.0, 110.0, 8)
     config = SimulationConfig(n_baths=4, b_field=fields[0], **_THERMAL_RUN)
     field_scan(config, fields)
     assert (counts["eigh"], counts["eigvalsh"], counts["plans"]) == (8, 0, 1)
-    assert counts["compile"] == 20
+    assert counts["compile"] == 0
 
 
 def test_derived_probes_stay_out_of_the_config_identity():
@@ -789,12 +848,11 @@ def test_disjoint_cluster_error_against_exact_evolution(central, sequence):
     spec = P1Center() if central == "p1" else NVCenter()
     program = (expand_preset("hahn") if sequence == "hahn"
                else expand_preset("xy8", 2))
-    schedules = [compile_schedule(program, tau)
-                 for tau in np.linspace(0.0, 30e-6, 21)]
+    taus = np.linspace(0.0, 30e-6, 21)
     errors = dict.fromkeys(_DISJOINT_ERROR[central, sequence], 0.0)
     for index in (0, 1):
         bath = generate_bath(child_seed(0, index), n_spins=6)
-        setup = _setup(spec, schedules, range(1, 7))
+        setup = _setup(spec, program, taus, range(1, 7))
         exact = _echo(setup, bath, [range(len(bath))])
         for g in errors:
             groups = cluster_bath(bath, g).groups

@@ -33,7 +33,7 @@ from spinbath.hamiltonians import (
     level_pair,
     spin_operators,
 )
-from spinbath.pulses import compile_schedule, expand_preset, two_level_unitary
+from spinbath.pulses import expand_preset, two_level_unitary
 
 # independent spin matrices for oracle assemblies (descending m order)
 _SX2 = np.array([[0, 1], [1, 0]], dtype=complex) / 2
@@ -428,12 +428,11 @@ def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
 def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
                                                                 options, b):
     model = _model_options(options)
-    schedules = [compile_schedule(prog, tau)
-                 for prog in (expand_preset("hahn"), expand_preset("xy8", 2))
-                 for tau in (0.0, 3e-6, 12e-6)]
+    taus = (0.0, 3e-6, 12e-6)
     probes = dynamics._levels(central, b)[0]
-    setup = dynamics._Setup(central, b, probes, dynamics._plans(schedules),
-                            (1, 2, 3))
+    setups = [dynamics._Setup(central, b, probes, dynamics._plans(prog, taus),
+                              (1, 2, 3))
+              for prog in (expand_preset("hahn"), expand_preset("xy8", 2))]
     for groups in _stacks():
         w, v = np.linalg.eigh(_stack(central, groups, b, **model))
         forms = [group_hamiltonian(central, group, b, **options)
@@ -449,18 +448,19 @@ def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
         # tests run it, through eigh and _group_curves, and gives the echo
         # of the unrolled reference kernel
         w, v = np.linalg.eigh(np.stack(forms))
-        got = dynamics._group_curves(w, v, setup)
-        for p, (_, (a, b_state)) in enumerate(probes):
-            want = group_curves_unrolled(w, v, a, b_state, setup.plans,
-                                         len(schedules))
-            assert np.abs(got[:, p] - want).max() <= 1e-12
+        for setup in setups:
+            got = dynamics._group_curves(w, v, setup)
+            for p, (_, (a, b_state)) in enumerate(probes):
+                want = group_curves_unrolled(w, v, a, b_state, setup.plans,
+                                             len(taus))
+                assert np.abs(got[:, p] - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("central", [P1Center(), NVCenter(), BareElectron()],
                          ids=["p1", "nv", "electron"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kron_terms_equal_the_matrix_products(central, k):
-    terms = list(_dense_terms(central, k))
+    terms = list(_dense_terms(central.dims, k))
     products = list(gemm_terms(central, k))
     assert len(terms) == len(products) == 12 * k + 9 * k * (k - 1) // 2
     for term, product in zip(terms, products):
