@@ -38,9 +38,7 @@ from .hamiltonians import (
 from .pulses import (
     ParseError,
     PulseProgram,
-    Schedule,
     canonical_text,
-    compile_schedule,
     expand_preset,
     parse_sequence,
 )
@@ -71,9 +69,7 @@ __all__ = [
     "build_system_hamiltonian",
     "ParseError",
     "PulseProgram",
-    "Schedule",
     "canonical_text",
-    "compile_schedule",
     "expand_preset",
     "parse_sequence",
     "__version__",

@@ -294,7 +294,12 @@ def mean_kth_distance(n: float, k: int) -> float:
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
     prefactor = (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0)
-    return prefactor * math.gamma(k + 1.0 / 3.0) / math.gamma(k)
+    # Gamma(k) overflows past k = 171, the product sooner
+    r_k = (prefactor * math.gamma(k + 1.0 / 3.0) / math.gamma(k) if k <= 171
+           else math.inf)
+    if not math.isfinite(r_k):
+        raise ValueError("k is too large: the mean distance overflows a float")
+    return r_k
 
 
 def mean_dipolar_coupling(r: float, theta: float | None = None, *,

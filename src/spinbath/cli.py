@@ -133,10 +133,18 @@ def _make_sequence(spec: str, n):
         return expand_preset(name, n)
     if n is not None:
         raise _CliError("--n applies to the cpmg and xy8 presets only")
-    if spec.endswith(".seq") and os.path.exists(spec):
+    return parse_sequence(_sequence_text(spec))
+
+
+def _sequence_text(spec: str) -> str:
+    """spec itself, or the text of the file it names where it ends in .seq."""
+    if not spec.endswith(".seq"):
+        return spec
+    try:
         with open(spec, encoding="utf-8") as fh:
-            return parse_sequence(fh.read())
-    return parse_sequence(spec)
+            return fh.read()
+    except (OSError, UnicodeError) as err:
+        raise _CliError(f"cannot read sequence file: {err}") from None
 
 
 def _emit(resolved: dict, stem: str, csv_text: str | None, payload: dict,
@@ -349,6 +357,8 @@ def _cmd_larmor_dist(resolved: dict) -> int:
     np.histogram_bin_edges([0.0, 1.0], bins=bins)  # raises as the run would
     central = _make_central(resolved)
     check_bath_parameters(**_bath_args(resolved))
+    if not resolved["n_spins"]:
+        raise _CliError("bath must be non-empty")  # as the run refuses it
     _branch_labels(central)  # refuses a thermal nitrogen, as the run does
     _levels(central, b)  # raises if the pair is unaddressable
     if resolved["dry_run"]:
@@ -404,10 +414,7 @@ def _cmd_stats(resolved: dict) -> int:
 
 
 def _cmd_parse(resolved: dict) -> int:
-    spec = resolved["sequence_text"]
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            spec = fh.read()
+    spec = _sequence_text(resolved["sequence_text"])
     print(canonical_text(parse_sequence(spec)))
     return 0
 

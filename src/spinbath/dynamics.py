@@ -11,7 +11,7 @@ after its last fold into those columns and the read-out row, and a
 stack's chunks of G groups each propagate a (G, D, nb, T) slab over the
 tau grid in the eigenbasis: one stacked GEMM per pulse in between and one
 in-place phase multiply along tau per run.  group_signal is the one
-group, one schedule case.  It gives
+group, one tau case.  It gives
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -49,10 +49,8 @@ from .constants import (
 )
 from .hamiltonians import NVCenter, P1Center
 from .pulses import (
-    Delay,
     Pulse,
     PulseProgram,
-    Schedule,
     canonical_text,
     expand_preset,
     two_level_unitary,
@@ -305,15 +303,15 @@ def _pair_unitary(steps) -> np.ndarray:
     return u
 
 
-def _plans(program: PulseProgram, grid) -> list:
-    """program's propagation plans on the tau grid, from one walk: one
-    (steps, indices, durations, eta, progression, span) per set of taus
-    on which the same runs of delays (pulses._runs) vanish, as the
+def _plans(program: PulseProgram, grid) -> tuple:
+    """(eta, plans) of program on the tau grid, from one walk.  eta is the
+    sign normalization from the zero-delay composition on the pair.  plans
+    holds one (steps, indices, durations, progression, span) per set of
+    taus on which the same runs of delays (pulses._runs) vanish, as the
     symbolic ones do at tau = 0.  steps are the pulses and other runs in
     order, a run as its row of durations (rows, taus): its length on each
     tau, summed as compile_schedule sums it; runs of equal length share a
-    row.  eta is the sign normalization from the zero-delay composition on
-    the pair, progression is _progression(durations), and span the (first,
+    row.  progression is _progression(durations), and span the (first,
     last) steps that run on the slab, from the first run to the last.
     """
     tau = np.asarray(grid, dtype=float)
@@ -340,9 +338,9 @@ def _plans(program: PulseProgram, grid) -> list:
         durations = part[list({n: r for r, n in row_of.items()}.values())]
         free = [k for k, s in enumerate(steps) if not isinstance(s, Pulse)]
         span = (free[0], free[-1] + 1) if free else (len(steps),) * 2
-        plans.append((steps, np.array(index), durations, eta,
+        plans.append((steps, np.array(index), durations,
                       _progression(durations), span))
-    return plans
+    return eta, plans
 
 
 def _progression(durations: np.ndarray):
@@ -380,19 +378,20 @@ def _phase_table(rate, durations, progression) -> np.ndarray:
 class _Setup:
     """An echo set up once per run and field, shared read-only by every
     bath, stack and worker thread: central at b_field, the weights of its
-    probes (_levels), the plans of the run's program on its tau grid and,
-    per Hilbert dimension D of the given group sizes, each probed pair's
-    folded pulses (_group_curves).
+    probes (_levels), the sign and plans of the run's program on its tau
+    grid (planned, from _plans) and, per Hilbert dimension D of the given
+    group sizes, each probed pair's folded pulses (_group_curves).
     """
 
-    def __init__(self, central, b_field, probes, plans, sizes,
+    def __init__(self, central, b_field, probes, planned, sizes,
                  include_nn=True):
         self.central, self.b_field = central, b_field
         self.include_nn = include_nn
         self.weights = [weight for weight, _ in probes]
-        self.plans, self.n_taus = plans, sum(len(p[1]) for p in plans)
+        self.eta, self.plans = planned
+        self.n_taus = sum(len(p[1]) for p in self.plans)
         dc = math.prod(central.dims)
-        inner = {s for steps, *_, (first, last) in plans
+        inner = {s for steps, *_, (first, last) in self.plans
                  for s in steps[first:last] if isinstance(s, Pulse)}
         self.folded = {dc << size: [] for size in sizes}
         for dim, folded in self.folded.items():
@@ -406,7 +405,7 @@ class _Setup:
                                   eye_b),
                           np.kron(_pair_unitary(steps[last:])[:1]
                                   @ pair.conj().T, eye_b))
-                         for steps, *_, (first, last) in plans]
+                         for steps, *_, (first, last) in self.plans]
                 folded.append((lifted, edges))
 
 
@@ -431,7 +430,7 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
         n = len(wg)
         rate, vh = -2j * np.pi * wg, vg.conj().transpose(0, 2, 1)
         phases = [_phase_table(rate, durations, progression)
-                  for _, _, durations, _, progression, _ in setup.plans]
+                  for _, _, durations, progression, _ in setup.plans]
         for p, (lifted, edges) in enumerate(folded):
             rot = {s: vh @ u @ vg for s, u in lifted.items()}
             for (steps, index, *_, (first, last)), (select, read), \
@@ -448,9 +447,7 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
                 amp = amp.reshape(n, nb * nb, -1)  # re, im alternate along tau
                 sums = np.einsum("gks,gks->gs", amp, amp)
                 curves[:, p, index] = sums[:, ::2] + sums[:, 1::2]
-    for _, index, _, eta, *_ in setup.plans:  # sign and offset, all chunks
-        out[..., index] = eta * (2.0 / nb * out[..., index] - 1.0)
-    return out
+    return setup.eta * (2.0 / nb * out - 1.0)  # sign and offset, all chunks
 
 
 def _eigen_stacks(central, bath: Bath, index, b_field, include_nn=True):
@@ -488,13 +485,14 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
                in zip(setup.weights, np.prod(curves, axis=0)))
 
 
-def group_signal(central, group: Bath, schedule: Schedule, b_field, *,
-                 include_nn: bool = True) -> float:
-    """Echo signal of the central spin coupled to one carbon group."""
-    program = PulseProgram([e if isinstance(e, Pulse) else Delay(e.duration_s)
-                            for e in schedule.events])
+def group_signal(central, group: Bath, program: PulseProgram, tau: float,
+                 b_field, *, include_nn: bool = True) -> float:
+    """Echo signal of the central spin coupled to one carbon group under
+    program at one tau (s)."""
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be non-negative and finite")
     setup = _Setup(central, b_field, _levels(central, b_field)[0],
-                   _plans(program, [0.0]), [len(group)], include_nn)
+                   _plans(program, [tau]), [len(group)], include_nn)
     return float(_echo(setup, group, [range(len(group))])[0])
 
 
@@ -513,12 +511,12 @@ def _make_bath(config: SimulationConfig, index: int):
     return bath, bathgen.cluster_bath(bath, config.g)
 
 
-def _ensemble_curve(config: SimulationConfig, plans, bath_of) -> EchoCurve:
-    """config's ensemble on plans, the _plans of its tau grid; bath_of(index)
+def _ensemble_curve(config: SimulationConfig, planned, bath_of) -> EchoCurve:
+    """config's ensemble on planned, the _plans of its tau grid; bath_of(index)
     builds or looks up a bath and its partition, so a worker can build the
     bath whose row it computes."""
     # a group holds at most g spins, and no more than the bath
-    setup = _Setup(config.central, config.b_field, config.probes, plans,
+    setup = _Setup(config.central, config.b_field, config.probes, planned,
                    range(1, min(config.g, config.n_spins) + 1),
                    config.include_nn)
 
@@ -570,5 +568,5 @@ def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
     configs = _field_configs(config, b_list)
     baths = [_make_bath(config, k) for k in range(config.n_baths)]
     # the fields share one sequence and tau grid, so one set of plans
-    plans = _plans(config.sequence, config.tau_grid)
-    return [_ensemble_curve(c, plans, baths.__getitem__) for c in configs]
+    planned = _plans(config.sequence, config.tau_grid)
+    return [_ensemble_curve(c, planned, baths.__getitem__) for c in configs]

@@ -1,4 +1,4 @@
-"""Textual pulse-sequence language, named presets, and schedule compilation.
+"""Textual pulse-sequence language, named presets, and unrolling.
 
 The grammar is deliberately small:
 
@@ -16,8 +16,9 @@ pair of the central spin, the only spin the echo model drives.
 
 Angles are stored in degrees exactly as written, so the canonical
 printer round-trips bit-for-bit; radians are derived on demand.
-Program equality compares the item tree only; preset names and sensing
-metadata are bookkeeping.
+Program equality compares the item tree only, not the preset name.  A
+program is the one form of a sequence: _runs unrolls it for
+dynamics._plans, compile_schedule flattens it at one tau.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "Delay",
     "Repeat",
     "PulseProgram",
-    "Interval",
-    "Schedule",
     "ParseError",
     "parse_sequence",
     "expand_preset",
@@ -120,10 +119,6 @@ class Delay:
             if self.value == 0.0:
                 # -0.0 would print as "-0.0us", which the parser refuses
                 object.__setattr__(self, "value", 0.0)
-
-    @property
-    def symbolic(self) -> bool:
-        return self.value is None
 
     def duration_s(self, tau_s: float | None = None) -> float:
         if self.value is None:
@@ -237,9 +232,7 @@ class _Parser:
         return tuple(items)
 
     def item(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input at 1:1")
+        tok = self.peek() or self.next()  # next raises at the end of input
         if tok.kind == "SYM" and tok.text == "[":
             return self.repeat()
         if tok.kind == "IDENT":
@@ -399,24 +392,7 @@ def expand_preset(name: str, n: int | None = None) -> PulseProgram:
 
 
 # ---------------------------------------------------------------------------
-# schedule
-
-@dataclass(frozen=True)
-class Interval:
-    """Free-evolution event of fixed duration (seconds)."""
-
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """The program's pulses and evolution intervals, adjacent delays merged."""
-
-    events: tuple
-
-    def rotations(self) -> list[Pulse]:
-        return [e for e in self.events if isinstance(e, Pulse)]
-
+# unrolling
 
 def _runs(items) -> list:
     """items unrolled once, in order: each pulse, and each run of adjacent
@@ -449,25 +425,20 @@ def _run_length(run, tau):
     return length
 
 
-def compile_schedule(prog: PulseProgram, tau: float | None = None) -> Schedule:
-    """Flatten a program at a concrete tau (seconds) into a Schedule: its
-    pulses, and each run of adjacent delays (_runs) summed into one
-    interval, zero-length ones dropped.  Programs with symbolic delays
-    require tau; tau must be non-negative."""
+def compile_schedule(prog: PulseProgram, tau: float | None = None) -> tuple:
+    """Flatten a program at a concrete tau (seconds) into its events: its
+    pulses, and each run of adjacent delays (_runs) summed into one float
+    interval in seconds, zero-length ones dropped.  Programs with symbolic
+    delays require tau; tau must be non-negative."""
     if tau is not None and tau < 0.0:
         raise ValueError("tau must be non-negative")
-    events = [e if isinstance(e, Pulse) else Interval(_run_length(e, tau))
+    events = [e if isinstance(e, Pulse) else _run_length(e, tau)
               for e in _runs(prog.items)]
-    return Schedule(events=tuple(e for e in events
-                                 if isinstance(e, Pulse) or e.duration_s > 0.0))
+    return tuple(e for e in events if isinstance(e, Pulse) or e > 0.0)
 
 
 # ---------------------------------------------------------------------------
 # canonical printer
-
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
 
 def _format_pulse(p: Pulse) -> str:
     if p.angle_deg == 180.0:
@@ -475,14 +446,14 @@ def _format_pulse(p: Pulse) -> str:
     elif p.angle_deg == 90.0:
         head = "pi/2"
     else:
-        head = f"{_format_float(p.angle_deg)}deg"
+        head = f"{float(p.angle_deg)!r}deg"
     return f"{head}({p.axis})"
 
 
 def _format_delay(d: Delay) -> str:
-    if d.symbolic:
+    if d.value is None:
         return "tau" if d.divisor == 1 else f"tau/{d.divisor}"
-    return f"{_format_float(d.value)}{d.unit}"
+    return f"{float(d.value)!r}{d.unit}"
 
 
 def _format_item(item) -> str:

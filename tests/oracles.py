@@ -52,8 +52,7 @@ from spinbath.dynamics import (EchoCurve, _group_curves, _levels,
 from spinbath.hamiltonians import (_dense_terms, _dipole_tensors,
                                    _field_vector, _p1_operators,
                                    spin_operators)
-from spinbath.pulses import (Delay, Interval, Pulse, PulseProgram, Schedule,
-                             two_level_unitary)
+from spinbath.pulses import Pulse, compile_schedule, two_level_unitary
 
 
 def bath_to_json(bath: Bath) -> str:
@@ -80,9 +79,9 @@ def nearest_distance(bath: Bath) -> float:
     return float(radii(bath).min())
 
 
-def total_time(schedule: Schedule) -> float:
+def total_time(schedule: tuple) -> float:
     """Total free-evolution time of a compiled schedule (seconds)."""
-    return sum(e.duration_s for e in schedule.events if isinstance(e, Interval))
+    return sum(e for e in schedule if not isinstance(e, Pulse))
 
 
 def density_nm3_to_ppm(n_nm3: float) -> float:
@@ -393,51 +392,50 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
     return h
 
 
-def plans_from_schedules(schedules: list[Schedule]) -> list:
-    """Schedules grouped by event structure, one propagation plan each.
+def plans_from_schedules(program, grid) -> tuple:
+    """(eta, plans) of program on grid, from the schedules compiled at each
+    tau, grouped by event structure, one propagation plan each.
 
-    A plan is (steps, indices, durations, eta, progression, span).  steps
+    eta is the sign normalization from the zero-delay composition on the
+    pair.  A plan is (steps, indices, durations, progression, span).  steps
     are the events with each interval replaced by the row of durations, a
     (distinct intervals, schedules) array, that holds its length on every
     schedule; intervals of equal length on every schedule share a row.
-    eta is the sign normalization from the zero-delay composition on the
-    pair, progression is _progression(durations), and span the (first,
-    last) steps that run on the slab, from the first interval to the last.
-    Taus of one program share a structure except tau = 0, whose symbolic
+    progression is _progression(durations), and span the (first, last)
+    steps that run on the slab, from the first interval to the last.  Taus
+    of one program share a structure except tau = 0, whose symbolic
     intervals are dropped.
     """
+    schedules = [compile_schedule(program, tau) for tau in grid]
     indices: dict = {}
     for k, schedule in enumerate(schedules):
-        steps = tuple(e if isinstance(e, Pulse) else None
-                      for e in schedule.events)
+        steps = tuple(e if isinstance(e, Pulse) else None for e in schedule)
         indices.setdefault(steps, []).append(k)
     plans = []
     for steps, index in indices.items():
-        lengths = zip(*([e.duration_s for e in schedules[k].events
-                         if isinstance(e, Interval)] for k in index))
+        lengths = zip(*([e for e in schedules[k] if not isinstance(e, Pulse)]
+                        for k in index))
         rows: dict = {}
         slots = iter([rows.setdefault(row, len(rows)) for row in lengths])
         steps_rows = tuple(next(slots) if step is None else step
                            for step in steps)
         durations = np.array(list(rows)).reshape(len(rows), len(index))
-        zero_delay = _pair_unitary(steps)[0, 0]
-        eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
         free = [k for k, step in enumerate(steps) if step is None]
         span = (free[0], free[-1] + 1) if free else (len(steps),) * 2
-        plans.append((steps_rows, np.array(index), durations, eta,
+        plans.append((steps_rows, np.array(index), durations,
                       _progression(durations), span))
-    return plans
+    zero_delay = _pair_unitary(compile_schedule(program, 0.0))[0, 0]
+    eta = -1.0 if 2.0 * abs(zero_delay) ** 2 - 1.0 < -0.99 else 1.0
+    return eta, plans
 
 
-def kernel_signal(central, group, schedule, b, **options) -> float:
-    """S_G of one group on one schedule through the library kernel, as
-    dynamics.group_signal gives it for the model, but on
+def kernel_signal(central, group, program, tau, b, **options) -> float:
+    """S_G of one group under program at one tau through the library
+    kernel, as dynamics.group_signal gives it for the model, but on
     group_hamiltonian(**options); for a central spin with one probed pair
     (not a thermal nitrogen)."""
     w, v = np.linalg.eigh(group_hamiltonian(central, group, b, **options))
-    program = PulseProgram([e if isinstance(e, Pulse) else Delay(e.duration_s)
-                            for e in schedule.events])
-    setup = _Setup(central, b, _levels(central, b)[0], _plans(program, [0.0]),
+    setup = _Setup(central, b, _levels(central, b)[0], _plans(program, [tau]),
                    [len(group)])
     return float(_group_curves(w[None], v[None], setup)[0, 0, 0])
 
@@ -587,8 +585,10 @@ def cluster_every_pair(bath: Bath, g: int) -> Partition:
     return Partition(groups=tuple(groups), g=g, n_spins=n)
 
 
-def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
-    """S_G of each group of one size on every schedule, for one pair (a, b).
+def group_curves_unrolled(w, v, a, b, eta, plans,
+                          n_schedules: int) -> np.ndarray:
+    """S_G of each group of one size on every schedule, for one pair (a, b),
+    on the sign eta and plans of dynamics._plans.
 
     The unrolled reference for dynamics._group_curves: per group, every
     distinct rotation is moved to the eigenbasis; rotations before the
@@ -616,7 +616,7 @@ def group_curves_unrolled(w, v, a, b, plans, n_schedules: int) -> np.ndarray:
         vh = vg.conj().T
         rotations = {step: vh @ u @ vg for step, u in lifted.items()}
         m0, row0 = vh @ select, read @ vg
-        for steps, index, durations, eta, *_ in plans:
+        for steps, index, durations, *_ in plans:
             phases = np.exp(rate[:, None, None] * durations)  # (D, rows, T)
             free = [k for k, step in enumerate(steps)
                     if not isinstance(step, Pulse)]

@@ -395,6 +395,16 @@ def test_mean_kth_distance_scalings():
             mean_kth_distance(bad, 1)
 
 
+def test_mean_kth_distance_refuses_a_distance_past_the_floats():
+    n = ppm_to_density_nm3(0.2)
+    assert math.isfinite(mean_kth_distance(n, 170))
+    # Gamma(172) overflows; Gamma(171 + 1/3) times the prefactor at 0.2 ppm
+    # does, and at a tiny density so does the product at k = 150
+    for density, k in ((n, 171), (n, 172), (n, 10 ** 400), (1e-300, 150)):
+        with pytest.raises(ValueError, match="too large"):
+            mean_kth_distance(density, k)
+
+
 def test_mean_dipolar_coupling_values():
     assert mean_dipolar_coupling(16.9, angular_factor=0.5) == pytest.approx(
         5.4, abs=0.3)

@@ -389,7 +389,8 @@ def test_larmor_dist_keeps_fd_bins_selectable(tmp_path, capsys):
     (["--min-radius", "-1"], "min_radius must be finite"),
     (["--n-spins", "-1"], "n_spins must be non-negative"),
     (["--abundance", "0"], "abundance must lie in"),
-    (["--abundance", "nan"], "abundance must lie in")])
+    (["--abundance", "nan"], "abundance must lie in"),
+    (["--n-spins", "0"], "bath must be non-empty")])
 def test_larmor_dist_dry_run_validates_the_bath(capsys, argv, message):
     # the same rules as generate_bath, before the dry run returns
     code, out, err = _run(["larmor-dist", *argv, "--dry-run"], capsys)
@@ -523,12 +524,17 @@ def test_stats_without_inputs_fails(capsys):
     (["--td", "0"], "t_d must be positive and finite"),
     (["--r", "0"], "separation must be positive and finite"),
     (["--b", "-1"], "field must be ≥ 0"),
-    ([], "nothing to compute")], ids=["ppm", "td", "r", "b", "no-input"])
+    ([], "nothing to compute"),
+    (["--ppm", "0.2", "--k", "172"], "k is too large"),
+    (["--r", "1e200", "--theta-deg", "0"], "with a float cube"),
+    (["--r", "1e-200", "--theta-deg", "0"], "with a float cube")],
+    ids=["ppm", "td", "r", "b", "no-input", "k-overflow", "r-overflow",
+         "r-underflow"])
 def test_stats_dry_run_checks_what_stats_checks(capsys, argv, message):
     code, out, run_err = _run(["stats", *argv], capsys)
     assert code == 2
     assert out == ""
-    assert message in run_err
+    assert message in run_err and run_err.count("\n") == 1
     code, out, err = _run(["stats", *argv, "--dry-run"], capsys)
     assert code == 2
     assert out == ""
@@ -577,6 +583,38 @@ def test_parse_reads_sequence_files(tmp_path, capsys):
     code, out, _ = _run(["parse", str(path)], capsys)
     assert code == 0
     assert out.strip() == "pi/2(x) - tau/2 - [pi(y) - tau]^2 - 1.5us"
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+@pytest.mark.parametrize("command", [
+    ["parse"], ["echo", "--dry-run", "--sequence"],
+    ["scan", "--dry-run", "--sequence"]], ids=["parse", "echo", "scan"])
+def test_a_seq_spec_names_a_file_that_must_be_read(tmp_path, capsys, command,
+                                                    kind):
+    # one rule for every command: a spec ending in .seq is a file
+    path = tmp_path / "x.seq"
+    if kind == "directory":
+        path.mkdir()
+    code, out, err = _run([*command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot read sequence file: ")
+    assert err.count("\n") == 1
+
+
+def test_only_a_seq_spec_is_read_as_a_file(tmp_path, capsys):
+    path = tmp_path / "prog.seq"
+    path.write_text("pi/2(x) - tau - pi(y) - tau - pi/2(x)\n")
+    code, out, _ = _run(["echo", "--dry-run", "--sequence", str(path)], capsys)
+    assert code == 0
+    assert _dry_run_config(out)["resolved_simulation"]["sequence"] == \
+        "pi/2(x) - tau - pi(y) - tau - pi/2(x)"
+    # any other path is sequence text
+    other = tmp_path / "prog.txt"
+    other.write_text("pi(x)\n")
+    code, out, err = _run(["parse", str(other)], capsys)
+    assert code == 2
+    assert out == "" and "unexpected" in err
 
 
 def test_parse_error_exit_code(capsys):

@@ -67,6 +67,13 @@ def test_dipole_prefactor_rejects_nonpositive_separation():
         c.dipole_prefactor_hz(1e3, 1e3, -1.0)
 
 
+@pytest.mark.parametrize("r_nm", [1e200, 1e-200, math.nan])
+def test_dipole_prefactor_refuses_a_separation_no_float_cube_holds(r_nm):
+    # r^3 in m^3 overflows at 1e200 nm and is 0 at 1e-200 nm
+    with pytest.raises(ValueError, match="with a float cube"):
+        c.dipole_prefactor_hz(c.GAMMA_E_HZ_PER_G, c.GAMMA_E_HZ_PER_G, r_nm)
+
+
 def test_ppm_density_round_trip():
     assert c.ppm_to_density_nm3(1.0) == pytest.approx(1.76e-4)
     for ppm in (0.013, 0.2, 70.0):

@@ -89,16 +89,23 @@ def _eseem_closed_form(position, b, tau):
 @pytest.mark.parametrize("name,n", [("hahn", None), ("cpmg", 2), ("xy8", 1)])
 def test_zero_delay_signal_is_unity(name, n):
     group = Bath([_spin(0.5, 0.2, 0.4), _spin(-0.4, 0.6, 0.1)])
-    sched = compile_schedule(expand_preset(name, n), tau=0.0)
+    prog = expand_preset(name, n)
     for central in (P1Center(), NVCenter(), BareElectron()):
-        assert group_signal(central, group, sched, 72.0) == pytest.approx(
+        assert group_signal(central, group, prog, 0.0, 72.0) == pytest.approx(
             1.0, abs=1e-12)
 
 
 def test_empty_group_keeps_full_coherence():
-    sched = compile_schedule(expand_preset("hahn"), tau=7e-6)
-    assert group_signal(NVCenter(), Bath([]), sched, 72.0) == pytest.approx(
-        1.0, abs=1e-12)
+    assert group_signal(NVCenter(), Bath([]), expand_preset("hahn"), 7e-6,
+                        72.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", [-1e-6, -0.0 - 5e-324, math.inf, -math.inf,
+                                 math.nan])
+def test_group_signal_refuses_a_negative_or_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        group_signal(P1Center(), Bath([_spin(0.5, 0.3, 0.2)]),
+                     expand_preset("hahn"), tau, 72.0)
 
 
 def test_single_carbon_echo_matches_closed_form():
@@ -112,8 +119,7 @@ def test_single_carbon_echo_matches_closed_form():
         b = float(rng.uniform(30.0, 110.0))
         spin = Bath([pos])
         for tau in taus:
-            got = kernel_signal(BareElectron(), spin,
-                                compile_schedule(prog, tau), b,
+            got = kernel_signal(BareElectron(), spin, prog, tau, b,
                                 secular_hyperfine=True)
             want = _eseem_closed_form(pos, b, tau)
             assert abs(got - want) < 1e-6, (pos, b, tau)
@@ -138,35 +144,34 @@ def test_engine_agrees_with_direct_density_matrix_evolution():
 
     for name, n in [("hahn", None), ("cpmg", 2)]:
         prog = expand_preset(name, n)
-        sched = compile_schedule(prog, tau=4.7e-6)
         u = np.eye(6 * nb, dtype=complex)
         u_pair0 = np.eye(2, dtype=complex)
-        for event in sched.events:
+        for event in compile_schedule(prog, tau=4.7e-6):
             if hasattr(event, "axis"):
                 u2 = two_level_unitary(event.axis, event.angle_rad)
                 uc = np.eye(6, dtype=complex) + pair @ (u2 - np.eye(2)) @ pair.conj().T
                 u = np.kron(uc, np.eye(nb)) @ u
                 u_pair0 = u2 @ u_pair0
             else:
-                u = evolve(h, event.duration_s) @ u
+                u = evolve(h, event) @ u
         rho = u @ rho0 @ u.conj().T
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         raw = 2.0 * np.trace(proj @ rho).real - 1.0
         eta = -1.0 if (2.0 * abs(u_pair0[0, 0]) ** 2 - 1.0) < -0.99 else 1.0
         want = eta * raw
-        got = group_signal(central, group, sched, b)
+        got = group_signal(central, group, prog, 4.7e-6, b)
         assert got == pytest.approx(want, abs=1e-10), name
 
 
 def test_detached_groups_factorize():
     # two carbons far apart: the joint signal approximately factorizes
     s1, s2 = _spin(0.6, 0.0, 0.4), _spin(-8.0, 7.0, -9.0)
-    sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
-    joint = group_signal(NVCenter(), Bath([s1, s2]), sched, 72.0,
+    hahn = expand_preset("hahn")
+    joint = group_signal(NVCenter(), Bath([s1, s2]), hahn, 9e-6, 72.0,
                          include_nn=False)
-    split = (group_signal(NVCenter(), Bath([s1]), sched, 72.0)
-             * group_signal(NVCenter(), Bath([s2]), sched, 72.0))
+    split = (group_signal(NVCenter(), Bath([s1]), hahn, 9e-6, 72.0)
+             * group_signal(NVCenter(), Bath([s2]), hahn, 9e-6, 72.0))
     assert joint == pytest.approx(split, abs=1e-6)
 
 
@@ -174,20 +179,21 @@ def test_secular_factorization_is_exact():
     # with only S_z I terms every group commutes, so even two nearby
     # carbons factorize to rounding (carbon-carbon coupling off)
     s1, s2 = _spin(0.6, 0.0, 0.4), _spin(0.1, 0.8, -0.3)
-    sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
+    hahn = expand_preset("hahn")
     kw = dict(include_nn=False, secular_hyperfine=True)
-    joint = kernel_signal(BareElectron(), Bath([s1, s2]), sched, 72.0, **kw)
-    split = (kernel_signal(BareElectron(), Bath([s1]), sched, 72.0, **kw)
-             * kernel_signal(BareElectron(), Bath([s2]), sched, 72.0, **kw))
+    joint = kernel_signal(BareElectron(), Bath([s1, s2]), hahn, 9e-6, 72.0,
+                          **kw)
+    split = (kernel_signal(BareElectron(), Bath([s1]), hahn, 9e-6, 72.0, **kw)
+             * kernel_signal(BareElectron(), Bath([s2]), hahn, 9e-6, 72.0,
+                             **kw))
     assert joint == pytest.approx(split, abs=1e-12)
 
 
 def test_decoupled_bath_shows_no_decay():
     group = Bath([_spin(0.4, 0.2, 0.3), _spin(-0.2, 0.5, 0.1)])
     for tau in (3e-6, 11e-6, 27e-6):
-        sched = compile_schedule(expand_preset("hahn"), tau)
-        got = kernel_signal(P1Center(), group, sched, 72.0,
-                            hyperfine_scale=0.0)
+        got = kernel_signal(P1Center(), group, expand_preset("hahn"), tau,
+                            72.0, hyperfine_scale=0.0)
         assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -205,10 +211,10 @@ def test_signal_stays_in_physical_range():
 
 def test_thermal_nitrogen_averages_the_projections():
     group = Bath([_spin(0.5, 0.3, 0.2)])
-    sched = compile_schedule(expand_preset("hahn"), tau=6e-6)
-    fixed = [group_signal(P1Center(m_i=m), group, sched, 72.0)
+    hahn = expand_preset("hahn")
+    fixed = [group_signal(P1Center(m_i=m), group, hahn, 6e-6, 72.0)
              for m in (-1, 0, 1)]
-    thermal = group_signal(P1Center(m_i=None), group, sched, 72.0)
+    thermal = group_signal(P1Center(m_i=None), group, hahn, 6e-6, 72.0)
     assert thermal == pytest.approx(np.mean(fixed), abs=1e-12)
     # the projections genuinely differ, so the average is a real constraint
     assert np.ptp(fixed) > 1e-6
@@ -220,19 +226,19 @@ def test_thermal_nitrogen_products_before_averaging():
     # (wrong) number
     bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,), (1,)), g=1, n_spins=2)
-    sched = compile_schedule(expand_preset("hahn"), tau=9e-6)
-    got = _bath_curve(_setup(P1Center(m_i=None), expand_preset("hahn"),
-                             [9e-6], [1]), bath, part)[0]
+    hahn = expand_preset("hahn")
+    got = _bath_curve(_setup(P1Center(m_i=None), hahn, [9e-6], [1]), bath,
+                      part)[0]
     per_m = []
     for m in (-1, 0, 1):
         center = P1Center(m_i=m)
         per_m.append(np.prod([
-            group_signal(center, _subset(bath, [k]), sched, 72.0)
+            group_signal(center, _subset(bath, [k]), hahn, 9e-6, 72.0)
             for k in range(2)]))
     assert got == pytest.approx(np.mean(per_m), abs=1e-12)
     wrong = np.prod([
-        np.mean([group_signal(P1Center(m_i=m), _subset(bath, [k]), sched,
-                              72.0)
+        np.mean([group_signal(P1Center(m_i=m), _subset(bath, [k]), hahn,
+                              9e-6, 72.0)
                  for m in (-1, 0, 1)])
         for k in range(2)])
     assert abs(got - wrong) > 1e-4
@@ -254,13 +260,12 @@ def test_batched_kernel_matches_single_schedules(prog):
     # tau = 0 drops the symbolic intervals (the fixed delay stays), so one
     # call runs two plans
     taus = (0.0, 1.5e-6, 4e-6, 0.0, 9.25e-6)
-    schedules = [compile_schedule(prog, tau) for tau in taus]
     group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6),
                   _spin(0.2, -0.5, 0.3)])
     for central in (P1Center(m_i=None), NVCenter()):
         batched = _echo(_setup(central, prog, taus, [3]), group, [range(3)])
-        for tau, sched, got in zip(taus, schedules, batched):
-            want = group_signal(central, group, sched, 72.0)
+        for tau, got in zip(taus, batched):
+            want = group_signal(central, group, prog, tau, 72.0)
             assert got == pytest.approx(want, abs=1e-10), tau
 
 
@@ -301,12 +306,13 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
               1e-9 if isinstance(central, NVCenter) else 1e-10)]
     for taus, uniform, tol in grids:
         probes, setup, stacks = _kernel_inputs(central, prog, taus)
-        assert any(plan[4] is not None for plan in setup.plans) == uniform
+        assert any(plan[3] is not None for plan in setup.plans) == uniform
         n = len(taus)
         for g, (w, v) in enumerate(stacks, 1):
             got = dynamics._group_curves(w, v, setup)
             for p, (_, (a, b)) in enumerate(probes):
-                want = group_curves_unrolled(w, v, a, b, setup.plans, n)
+                want = group_curves_unrolled(w, v, a, b, setup.eta,
+                                             setup.plans, n)
                 assert np.abs(got[:, p] - want).max() <= tol, (uniform, g, p)
 
 
@@ -318,7 +324,7 @@ def test_kernel_matches_the_unrolled_oracle(central, prog):
 def test_non_uniform_grid_keeps_the_direct_exp(central, taus, monkeypatch):
     prog = expand_preset("xy8", 2)
     _, setup, stacks = _kernel_inputs(central, prog, taus)
-    assert all(plan[4] is None for plan in setup.plans)
+    assert all(plan[3] is None for plan in setup.plans)
     got = [dynamics._group_curves(w, v, setup) for w, v in stacks]
     monkeypatch.setattr(dynamics, "_phase_table", lambda rate, durations, _:
                         np.exp(rate[..., None, None] * durations))
@@ -334,16 +340,16 @@ def test_program_without_delays_runs_on_a_uniform_grid():
     group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.3, 0.4, 0.6)])
     for central in (P1Center(), NVCenter()):
         signal = _echo(_setup(central, prog, taus, [2]), group, [range(2)])
-        assert (signal == group_signal(central, group,
-                                       compile_schedule(prog, 0.0),
+        assert (signal == group_signal(central, group, prog, 0.0,
                                        72.0)).all()
 
 
 def _assert_plans_match_the_schedules(program, grid):
     """_plans of program on grid is, plan for plan and byte for byte, the
     grouping of the schedules compiled at each tau."""
-    want = plans_from_schedules([compile_schedule(program, t) for t in grid])
-    got = _plans(program, grid)
+    want_eta, want = plans_from_schedules(program, grid)
+    got_eta, got = _plans(program, grid)
+    assert got_eta == want_eta
     assert [pickle.dumps(p) for p in got] == [pickle.dumps(p) for p in want]
 
 
@@ -395,7 +401,7 @@ def test_plans_take_no_schedule_per_tau():
     grid = tuple(np.linspace(0.0, 30e-6, 1 << 16))
     tracemalloc.start()
     try:
-        plans = _plans(expand_preset("xy8", 64), grid)
+        _, plans = _plans(expand_preset("xy8", 64), grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,9 +452,8 @@ def test_mixed_group_sizes_multiply_per_group_signals(central):
     hahn = expand_preset("hahn")
     got = _echo(_setup(central, hahn, taus, [1, 2, 3]), bath, groups)
     for tau, value in zip(taus, got):
-        sched = compile_schedule(hahn, tau)
         want = np.mean([np.prod([group_signal(variant, _subset(bath, group),
-                                              sched, 72.0)
+                                              hahn, tau, 72.0)
                                  for group in groups])
                         for variant in variants])
         assert value == pytest.approx(want, abs=1e-12)
@@ -822,9 +827,8 @@ def test_parsed_and_preset_sequences_give_identical_dynamics():
     group = Bath([_spin(0.5, 0.3, 0.2)])
     text = parse_sequence("pi/2(x) - tau - pi(x) - tau - pi/2(x)")
     for tau in (3e-6, 9e-6):
-        a = group_signal(P1Center(), group, compile_schedule(text, tau), 72.0)
-        b = group_signal(P1Center(), group,
-                         compile_schedule(expand_preset("hahn"), tau), 72.0)
+        a = group_signal(P1Center(), group, text, tau, 72.0)
+        b = group_signal(P1Center(), group, expand_preset("hahn"), tau, 72.0)
         assert a == b
 
 

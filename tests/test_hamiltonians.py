@@ -451,8 +451,8 @@ def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
         for setup in setups:
             got = dynamics._group_curves(w, v, setup)
             for p, (_, (a, b_state)) in enumerate(probes):
-                want = group_curves_unrolled(w, v, a, b_state, setup.plans,
-                                             len(taus))
+                want = group_curves_unrolled(w, v, a, b_state, setup.eta,
+                                             setup.plans, len(taus))
                 assert np.abs(got[:, p] - want).max() <= 1e-12
 
 

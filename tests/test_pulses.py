@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbath
+import spinbath.pulses as pulses
 from oracles import total_time
 from spinbath.pulses import (
     AXIS_VECTORS,
     Delay,
-    Interval,
     ParseError,
     Pulse,
     PulseProgram,
@@ -56,6 +57,14 @@ def test_parse_repeat_and_target():
     # every pulse drives the probed pair; there is no target suffix
     with pytest.raises(ParseError, match=r"unexpected character '@' at 1:6"):
         parse_sequence("pi(x)@target")
+
+
+def test_end_of_input_is_placed_after_the_last_token():
+    for text, where in (("pi(x) -", "1:8"), ("[pi(x) - ", "1:9"),
+                        ("pi(x) - tau -\n  tau -", "2:8")):
+        with pytest.raises(ParseError, match=f"unexpected end of input at"
+                                              f" {where}$"):
+            parse_sequence(text)
 
 
 def test_parse_error_positions():
@@ -214,9 +223,7 @@ def _unrolled_delays(items, tau):
        tau=st.floats(0.0, 1e-3))
 def test_compiled_intervals_sum_to_the_unrolled_delays(items, tau):
     schedule = compile_schedule(PulseProgram(items=tuple(items)), tau)
-    intervals = [e.duration_s for e in schedule.events
-                 if isinstance(e, Interval)]
-    assert all(d > 0.0 for d in intervals)
+    assert all(type(d) is float and d > 0.0 for d in _intervals(schedule))
     # merging adds the delays of a run in another order than one sum does
     assert total_time(schedule) == pytest.approx(
         math.fsum(_unrolled_delays(items, tau)), rel=1e-9, abs=0.0)
@@ -235,8 +242,8 @@ def test_canonical_text_spellings():
 def test_preset_pi_pulse_counts(name, n, pi_count):
     prog = expand_preset(name, n)
     sched = compile_schedule(prog, tau=1e-6)
-    pis = [r for r in sched.rotations() if r.angle_deg == 180.0]
-    halves = [r for r in sched.rotations() if r.angle_deg == 90.0]
+    pis = [r for r in _pulses(sched) if r.angle_deg == 180.0]
+    halves = [r for r in _pulses(sched) if r.angle_deg == 90.0]
     assert len(pis) == pi_count
     assert len(halves) == 2
 
@@ -254,29 +261,36 @@ def test_preset_validation():
 
 def test_xy8_axis_order():
     sched = compile_schedule(expand_preset("xy8"), tau=1e-6)
-    axes = [r.axis for r in sched.rotations() if r.angle_deg == 180.0]
+    axes = [r.axis for r in _pulses(sched) if r.angle_deg == 180.0]
     assert axes == ["x", "y", "x", "y", "y", "x", "y", "x"]
 
 
 # --- schedule compilation ----------------------------------------------------
 
+def _pulses(schedule) -> list:
+    return [e for e in schedule if isinstance(e, Pulse)]
+
+
+def _intervals(schedule) -> list:
+    return [e for e in schedule if not isinstance(e, Pulse)]
+
+
 def test_hahn_schedule_total_time():
     sched = compile_schedule(expand_preset("hahn"), tau=3e-6)
     assert total_time(sched) == pytest.approx(6e-6)
-    assert len(sched.rotations()) == 3
+    assert len(_pulses(sched)) == 3
 
 
 def test_cpmg_spacing_merges_across_block_edges():
     # [tau - pi - tau]^n gives the tau, 2tau, ..., 2tau, tau spacing
     sched = compile_schedule(expand_preset("cpmg", 3), tau=1e-6)
-    intervals = [e.duration_s for e in sched.events if isinstance(e, Interval)]
-    assert intervals == pytest.approx([1e-6, 2e-6, 2e-6, 1e-6])
+    assert _intervals(sched) == pytest.approx([1e-6, 2e-6, 2e-6, 1e-6])
     assert total_time(sched) == pytest.approx(6e-6)
 
 
 def test_xy8_schedule_spacing():
     sched = compile_schedule(expand_preset("xy8", 2), tau=2e-6)
-    intervals = [e.duration_s for e in sched.events if isinstance(e, Interval)]
+    intervals = _intervals(sched)
     # half-delays at the outer edges, merged full delay at the block seam
     assert intervals[0] == pytest.approx(1e-6)
     assert intervals[-1] == pytest.approx(1e-6)
@@ -294,16 +308,24 @@ def test_total_time_is_linear_in_tau():
 
 def test_zero_tau_drops_intervals():
     sched = compile_schedule(expand_preset("hahn"), tau=0.0)
-    assert sched.events == tuple(sched.rotations())
+    assert sched == tuple(_pulses(sched))
     assert total_time(sched) == 0.0
 
 
 def test_literal_delays_merge_with_symbolic():
     prog = parse_sequence("tau - 1us - pi(x)")
     sched = compile_schedule(prog, tau=2e-6)
-    intervals = [e for e in sched.events if isinstance(e, Interval)]
-    assert len(intervals) == 1
-    assert intervals[0].duration_s == pytest.approx(3e-6)
+    assert sched == (pytest.approx(3e-6), Pulse("x", 180.0))
+
+
+def test_the_program_is_the_one_sequence_type():
+    # compile_schedule flattens a program at one tau into plain events; the
+    # package exports programs only
+    assert not any(hasattr(pulses, name) for name in ("Schedule", "Interval"))
+    assert not {"Schedule", "Interval", "compile_schedule"} & set(
+        spinbath.__all__)
+    assert compile_schedule(expand_preset("hahn"), 1e-6) == (
+        Pulse("x", 90.0), 1e-6, Pulse("x", 180.0), 1e-6, Pulse("x", 90.0))
 
 
 def test_symbolic_delay_requires_tau():
@@ -320,7 +342,7 @@ def _net_unitary(schedule) -> np.ndarray:
     # spectator-free composition: delays are identity for a bare two-level
     # system at zero field, so only rotations matter
     u = np.eye(2, dtype=complex)
-    for event in schedule.events:
+    for event in schedule:
         if isinstance(event, Pulse):
             u = two_level_unitary(event.axis, event.angle_rad) @ u
     return u
