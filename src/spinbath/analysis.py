@@ -49,6 +49,7 @@ __all__ = [
 
 _LABEL_THRESHOLD = 0.5     # dominant amplitude^2 above this gets a name
 _MANIFOLD_THRESHOLD = 0.75  # electron character below this flags the spin
+_MAX_BINS = 1 << 20  # most histogram bins: numpy allocates every edge
 
 
 def _format_label(ms: float, mi: float) -> str:
@@ -236,16 +237,14 @@ def larmor_distribution(central, bath, b_field,
     diagonalized (the spins as stacks of one-spin groups, _eigen_stacks);
     within each probed electron manifold (selected by dominant
     central-eigenstate character) the two levels' gap is that spin's
-    conditional precession frequency.  `bins` is anything
-    numpy.histogram_bin_edges accepts; binning is shared by both branches.
-    The default "auto" takes at most twice the square-root rule's count;
-    "fd" alone can make hundreds of thousands of bins when one branch is
-    tightly bunched (the NV mS=0).
+    conditional precession frequency.  `bins`, shared by both branches, is a
+    count up to _MAX_BINS or anything else numpy.histogram_bin_edges takes;
+    the default "auto" makes at most twice the square-root rule's count, "fd"
+    alone hundreds of thousands when a branch is tightly bunched (the NV
+    mS=0).  Before any eigen-stack, _admit refuses (ValueError) an empty
+    bath, other bins, a thermal nitrogen and an unaddressable pair.
     """
-    if len(bath) == 0:
-        raise ValueError("bath must be non-empty")
-    labels = _branch_labels(central)  # refuses a thermal nitrogen
-    (_, branch_states), = _levels(central, b_field)[0]
+    labels, branch_states = _admit(central, len(bath), b_field, bins)
     freqs = np.empty((2, len(bath)))
     ambiguous = np.zeros(len(bath), dtype=bool)
     for rows, (w, v) in _eigen_stacks(central, bath,
@@ -274,6 +273,17 @@ def larmor_distribution(central, bath, b_field,
     )
 
 
+def _admit(central, n_spins: int, b_field, bins) -> tuple:
+    """larmor_distribution's checks, by spin count: (labels, pair states)."""
+    if n_spins < 1:
+        raise ValueError("bath must be non-empty")
+    if isinstance(bins, (int, np.integer)) and bins > _MAX_BINS:
+        raise ValueError(f"bin count must be at most {_MAX_BINS}, not {bins}")
+    np.histogram_bin_edges([0.0, 1.0], bins=bins)  # raises as on the spins'
+    # a thermal nitrogen has no branch labels, an unaddressable pair no levels
+    return _branch_labels(central), _levels(central, b_field)[0][0][1]
+
+
 def _branch_labels(central) -> tuple[str, str]:
     """'mS=...' of the electron projection of each level of central.probed."""
     return tuple("mS=0" if m == 0 else f"mS={m:+g}" if m == int(m)
@@ -289,8 +299,10 @@ def mean_kth_distance(n: float, k: int) -> float:
     n is the number density in nm^-3; the result is in nm:
     (4 pi n / 3)^(-1/3) * Gamma(k + 1/3) / Gamma(k).
     """
-    if not (math.isfinite(n) and n > 0):
-        raise ValueError("density must be positive and finite")
+    n = float(n)  # a numpy scalar would overflow below with a warning
+    if not (n > 0 and math.isfinite(4.0 * math.pi * n / 3.0)):  # NaN too
+        raise ValueError("density must be positive and finite, with a finite"
+                         " 4 pi n / 3")
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
     prefactor = (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0)

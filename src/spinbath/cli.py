@@ -26,8 +26,8 @@ import numpy as np
 # analysis is imported by the commands that use it, not at start-up
 from .bathgen import check_bath_parameters, generate_bath
 from .constants import C13_ABUNDANCE, constants_table, ppm_to_density_nm3
-from .dynamics import (SimulationConfig, _field_configs, _levels,
-                       ensemble_signal, field_scan, scan_csv)
+from .dynamics import (SimulationConfig, _field_configs, ensemble_signal,
+                       field_scan, scan_csv)
 from .hamiltonians import (BareElectron, JtOrientation, NVCenter, P1Center,
                            _field_vector)
 from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
@@ -344,23 +344,15 @@ def _cmd_scan(resolved: dict) -> int:
 
 
 def _cmd_larmor_dist(resolved: dict) -> int:
-    from .analysis import _branch_labels, larmor_distribution
+    from .analysis import _admit, larmor_distribution
 
     b = float(resolved["b"])
     _check_field(b)
     bins = resolved["bins"]
-    if bins.isdigit():
-        bins = int(bins)
-        if bins > _MAX_POINTS:
-            raise _CliError(f"bin count must be at most {_MAX_POINTS}, "
-                            f"not {bins}")
-    np.histogram_bin_edges([0.0, 1.0], bins=bins)  # raises as the run would
+    bins = int(bins) if bins.isdigit() else bins
     central = _make_central(resolved)
     check_bath_parameters(**_bath_args(resolved))
-    if not resolved["n_spins"]:
-        raise _CliError("bath must be non-empty")  # as the run refuses it
-    _branch_labels(central)  # refuses a thermal nitrogen, as the run does
-    _levels(central, b)  # raises if the pair is unaddressable
+    _admit(central, resolved["n_spins"], b, bins)
     if resolved["dry_run"]:
         return _dry_run(resolved)
     bath = generate_bath(resolved["seed"], **_bath_args(resolved))

@@ -70,16 +70,16 @@ def dipole_prefactor_hz(gamma1_hz_per_g: float, gamma2_hz_per_g: float,
     scalar multiplying the dimensionless (1 - 3 rhat rhat) tensor when the
     Hamiltonian is expressed in ordinary-frequency units.
     """
-    g1 = gamma1_hz_per_g * 1e4  # Hz/T
-    g2 = gamma2_hz_per_g * 1e4
-    r = r_nm * 1e-9
+    g1 = float(gamma1_hz_per_g) * 1e4  # Hz/T; as floats, which raise or
+    g2 = float(gamma2_hz_per_g) * 1e4  # saturate where numpy scalars warn
+    r = float(r_nm) * 1e-9
     try:  # r^3 in m^3 overflows, or underflows to 0
         prefactor = MU0_SI * PLANCK_SI * g1 * g2 / (4.0 * math.pi * r ** 3)
     except (OverflowError, ZeroDivisionError):
         prefactor = math.nan
     if not (r_nm > 0.0 and math.isfinite(prefactor)):
-        raise ValueError(
-            f"separation must be positive, with a float cube: {r_nm!r} nm")
+        raise ValueError("separation must be positive, with a float cube:"
+                         f" {float(r_nm)!r} nm")
     return prefactor
 
 

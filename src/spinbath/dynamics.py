@@ -112,6 +112,16 @@ def _evolution_time(items, tau: float) -> float:
                if isinstance(item, pulses.Repeat) else 0.0 for item in items)
 
 
+def _check_phase(width: float, total: float) -> None:
+    """Refuse a phase 2 pi width (Hz) total (s) past _MAX_PHASE_RAD."""
+    if not 2.0 * math.pi * width * total <= _MAX_PHASE_RAD:  # NaN too
+        raise ValueError(
+            f"the schedule evolves for {total:.3g} s at the largest tau: at"
+            f" a spectral width of {width:.3g} Hz its phase passes"
+            f" {_MAX_PHASE_RAD:.3g} rad, where fp64 no longer resolves it"
+            " to 1e-6 rad")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything an ensemble run needs; immutable and fully seeding."""
@@ -136,21 +146,16 @@ class SimulationConfig:
         object.__setattr__(self, "b_field", tuple(
             float(x) for x in hamiltonians._field_vector(self.b_field)))
         grid = tuple(float(t) for t in self.tau_grid)
-        if not all(math.isfinite(t) for t in grid):
-            raise ValueError("tau_grid entries must be finite")
-        if any(t < 0.0 for t in grid):
-            raise ValueError("tau_grid entries must be non-negative")
+        if not all(0.0 <= t < math.inf for t in grid):  # NaN too
+            raise ValueError("tau_grid entries must be non-negative and finite")
         if any(t2 < t1 for t1, t2 in zip(grid, grid[1:])):
             raise ValueError("tau_grid must be sorted ascending")
         object.__setattr__(self, "tau_grid", grid)
-        if self.n_baths < 1:
-            raise ValueError("n_baths must be at least 1")
-        if self.g < 1:
-            raise ValueError("g must be at least 1")
+        for name in ("n_baths", "g", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         bathgen.check_bath_parameters(self.n_spins, self.abundance,
                                       self.min_radius, lattice=self.lattice)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         # a group holds at most g spins, and no more than the bath
         g = min(self.g, self.n_spins)
         dim = math.prod(self.central.dims) << g
@@ -168,13 +173,8 @@ class SimulationConfig:
         if length > _MAX_ITEMS:
             raise ValueError(f"the program unrolls to {_sci(length)} pulses"
                              f" and delays, past the {_MAX_ITEMS} allowed")
-        total = _evolution_time(self.sequence.items, max(grid, default=0.0))
-        if not 2.0 * math.pi * width * total <= _MAX_PHASE_RAD:  # NaN too
-            raise ValueError(
-                f"the schedule evolves for {total:.3g} s at the largest tau: at"
-                f" a spectral width of {width:.3g} Hz its phase passes"
-                f" {_MAX_PHASE_RAD:.3g} rad, where fp64 no longer resolves it"
-                " to 1e-6 rad")
+        _check_phase(width, _evolution_time(self.sequence.items,
+                                            max(grid, default=0.0)))
 
     def describe(self) -> dict:
         """JSON-ready echo of the configuration, the central spin's
@@ -390,6 +390,10 @@ class _Setup:
         self.weights = [weight for weight, _ in probes]
         self.eta, self.plans = planned
         self.n_taus = sum(len(p[1]) for p in self.plans)
+        # the longest total evolution of a tau: each run at its longest
+        self.longest = max((sum(float(d[s].max()) for s in steps
+                                if not isinstance(s, Pulse))
+                            for steps, _, d, *_ in self.plans), default=0.0)
         dc = math.prod(central.dims)
         inner = {s for steps, *_, (first, last) in self.plans
                  for s in steps[first:last] if isinstance(s, Pulse)}
@@ -480,6 +484,9 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
         for rows, (w, v) in _eigen_stacks(setup.central, bath, index,
                                           setup.b_field,
                                           include_nn=setup.include_nn):
+            # the carbons widen the central's width; a span from 0 bounds 2 pi w
+            _check_phase(float(w.max(initial=0.0))
+                         - float(w.min(initial=0.0)), setup.longest)
             curves[same[rows]] = _group_curves(w, v, setup)
     return sum(weight * product for weight, product
                in zip(setup.weights, np.prod(curves, axis=0)))
@@ -488,11 +495,14 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
 def group_signal(central, group: Bath, program: PulseProgram, tau: float,
                  b_field, *, include_nn: bool = True) -> float:
     """Echo signal of the central spin coupled to one carbon group under
-    program at one tau (s)."""
-    if not 0.0 <= tau < math.inf:
-        raise ValueError("tau must be non-negative and finite")
-    setup = _Setup(central, b_field, _levels(central, b_field)[0],
-                   _plans(program, [tau]), [len(group)], include_nn)
+    program at one tau (s), admitted as a SimulationConfig of one tau and the
+    group's size: it refuses (ValueError) what that run refuses, the tau, the
+    field, the pair, the program's length, the group's bytes and the phase."""
+    config = SimulationConfig(central=central, b_field=b_field, tau_grid=(tau,),
+                              n_spins=len(group), g=max(1, len(group)),
+                              sequence=program, include_nn=include_nn)
+    setup = _Setup(central, config.b_field, config.probes,
+                   _plans(program, config.tau_grid), [len(group)], include_nn)
     return float(_echo(setup, group, [range(len(group))])[0])
 
 

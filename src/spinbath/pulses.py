@@ -110,10 +110,8 @@ class Delay:
         else:
             if self.unit not in _UNIT_SECONDS:
                 raise ValueError(f"unknown time unit {self.unit!r}")
-            if not math.isfinite(self.value):
-                raise ValueError("delays must be finite")
-            if self.value < 0.0:
-                raise ValueError("delays must be non-negative")
+            if not 0.0 <= self.value < math.inf:  # NaN too
+                raise ValueError("delays must be finite and non-negative")
             if self.divisor != 1:
                 raise ValueError("literal delays take no divisor")
             if self.value == 0.0:
@@ -284,17 +282,11 @@ class _Parser:
 
     def axis(self) -> str:
         tok = self.next()
-        negative = False
-        if tok.kind == "SYM" and tok.text == "-":
-            negative = True
-            name = self.next()
-        else:
-            name = tok
-        text = ("-" if negative else "") + name.text
-        axis = text.lower()
-        if name.kind != "IDENT" or axis not in AXIS_VECTORS:
+        name = self.next() if tok.kind == "SYM" and tok.text == "-" else tok
+        text = (tok.text if name is not tok else "") + name.text
+        if name.kind != "IDENT" or text.lower() not in AXIS_VECTORS:
             raise ParseError(f"unknown axis {text!r} at {tok.where}")
-        return axis
+        return text.lower()
 
     def symbolic_delay(self) -> Delay:
         self.next()  # 'tau'
@@ -372,15 +364,11 @@ def expand_preset(name: str, n: int | None = None) -> PulseProgram:
     key = name.lower()
     if key not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}")
-    if key == "hahn":
-        if n is not None:
-            raise ValueError(f"preset {key!r} takes no repetition count")
-    else:
-        if n is None:
-            n = 1
-        if type(n) is not int or n < 1:
-            raise ValueError("repetition count must be a positive integer")
-
+    if key == "hahn" and n is not None:
+        raise ValueError(f"preset {key!r} takes no repetition count")
+    n = 1 if n is None else n
+    if type(n) is not int or n < 1:
+        raise ValueError("repetition count must be a positive integer")
     if key == "hahn":
         items = (_pi2("x"), _TAU, _pi("x"), _TAU, _pi2("x"))
     elif key == "cpmg":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import spinbath.analysis as analysis
 import spinbath.dynamics as dynamics
 from oracles import (FitResult, detect_revivals, fit_t2, fit_to_dict,
                      larmor_by_spin)
@@ -240,6 +241,28 @@ def test_histogram_binning():
         larmor_distribution(NVCenter(), Bath([]), 72.0)
 
 
+@pytest.mark.parametrize("bins, message", [
+    (2_000_000, "bin count must be at most 1048576, not 2000000"),
+    (np.int64(2_000_000), "bin count must be at most 1048576, not 2000000"),
+    ("foo", "'foo' is not a valid estimator for `bins`")],
+    ids=["count", "numpy-count", "name"])
+def test_larmor_distribution_admits_its_bins_before_any_eigen_stack(
+        bins, message, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigen-stack was built")
+
+    monkeypatch.setattr(analysis, "_eigen_stacks", refuse)
+    bath = generate_bath(seed=9, n_spins=10)
+    with pytest.raises(ValueError, match=message):
+        larmor_distribution(NVCenter(), bath, 72.0, bins=bins)
+
+
+def test_larmor_distribution_takes_a_bin_count_up_to_the_cap():
+    bath = generate_bath(seed=9, n_spins=10)
+    hist = larmor_distribution(NVCenter(), bath, 72.0, bins=1 << 20)
+    assert len(hist.bin_edges) == (1 << 20) + 1
+
+
 def test_histogram_serialization():
     bath = generate_bath(seed=9, n_spins=10)
     hist = larmor_distribution(NVCenter(), bath, 72.0)
@@ -393,6 +416,16 @@ def test_mean_kth_distance_scalings():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             mean_kth_distance(bad, 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1e308, np.float64(1e308), 6e307],
+                         ids=["float", "numpy", "6e307"])
+def test_mean_kth_distance_refuses_a_density_whose_ball_overflows(n):
+    # 4 pi n / 3 is inf, and inf^(-1/3) would be a distance of 0
+    with pytest.raises(ValueError, match="with a finite 4 pi n / 3"):
+        mean_kth_distance(n, 1)
+    assert mean_kth_distance(1e307, 1) > 0.0
 
 
 def test_mean_kth_distance_refuses_a_distance_past_the_floats():

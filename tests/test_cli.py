@@ -900,6 +900,98 @@ def test_larmor_dist_rejects_an_unaddressable_pair_before_any_work(
     assert not target.exists()
 
 
+_OVERFLOW = "field must be finite, and |b_x| + |b_y| + |b_z| below about 6.41e+301 G"
+_SITES = "candidate sites, above the budget of 1e+07"
+
+# Refusals, each with a fragment of its one line on stderr.  A dict in argv
+# is written to a config file and replaced by its path; "dir.seq" names a
+# directory.
+_REFUSALS = [
+    pytest.param(argv, message, id=name) for name, argv, message in [
+        ("echo-unaddressable", ["echo", "--b", "0", "--m-i", "0"],
+         "state mixing leaves the probed pair unaddressable"),
+        ("echo-deer", ["echo", "--sequence", "deer"],
+         "unexpected token 'deer' at 1:1"),
+        ("parse-target", ["parse", "pi(x)@target"],
+         "unexpected character '@' at 1:6"),
+        ("parse-inf-delay", ["parse", "pi/2(x) - 1e400us - pi/2(x)"],
+         "delay must be finite at 1:11"),
+        ("echo-tau-count", ["echo", "--tau", "0:30us:1000000000000"],
+         "tau count must be 1 to 1048576, not 1000000000000"),
+        ("scan-field-count", ["scan", "--b", "40:110:100000000"],
+         "field count must be at most 1048576, not 100000000"),
+        ("echo-phase", ["echo", "--sequence", "pi/2(x) - 1e300us - pi/2(x)"],
+         "fp64 no longer resolves it to 1e-6 rad"),
+        ("echo-1e12-pulses", ["echo", "--sequence",
+                              "pi/2(x) - [pi(x)]^1000000000000 - tau - pi/2(x)"],
+         "the program unrolls to 1e+12 pulses and delays"),
+        ("echo-400-zeros", ["echo", "--sequence", "pi/2(x) - [tau - pi(x) - "
+                            "tau]^1" + "0" * 400 + " - pi/2(x)"],
+         "the program unrolls to 2^1330 pulses and delays"),
+        ("echo-g-40", ["echo", "--g", "40"], "a group may take"),
+        ("echo-tau-1e6", ["echo", "--tau", "0:30us:1000000"],
+         "a group may take"),
+        ("spectrum-jt", ["spectrum", "--jt", "sideways"],
+         "unknown orientation label 'sideways'"),
+        ("larmor-thermal", ["larmor-dist", "--central", "p1", "--m-i",
+                            "thermal"],
+         "thermal nitrogen has no single level pair; fix m_i first"),
+        ("config-flag-text", ["echo", "--config", {"continuum": "false"}],
+         "config key 'continuum' takes true or false, not \"false\""),
+        ("config-scan-vector", ["scan", "--config", {"b": [0, 0, 72]}],
+         "config key 'b' takes a string, a number, not [0, 0, 72]"),
+        ("config-field-list", ["scan", "--config",
+                               {"b": ",".join(["72"] * ((1 << 20) + 1))}],
+         "field count must be at most 1048576, not 1048577"),
+        ("echo-sites", ["echo", "--n-spins", "100000000"], _SITES),
+        ("stats-ppm", ["stats", "--ppm", "-1"],
+         "density must be positive and finite"),
+        ("echo-abundance", ["echo", "--abundance", "1e-320"], _SITES),
+        ("echo-radius", ["echo", "--min-radius", "1e103"], _SITES),
+        ("echo-radius-continuum", ["echo", "--min-radius", "1e103",
+                                   "--continuum"], _SITES),
+        ("echo-zeeman", ["echo", "--b", "1e308"], _OVERFLOW),
+        ("scan-zeeman", ["scan", "--b", "1e308"], _OVERFLOW),
+        ("spectrum-zeeman", ["spectrum", "--b", "1e308"], _OVERFLOW),
+        ("larmor-zeeman", ["larmor-dist", "--b", "1e308"], _OVERFLOW),
+        ("stats-zeeman", ["stats", "--b", "1e308"], _OVERFLOW),
+        ("larmor-bins", ["larmor-dist", "--bins", "0"],
+         "`bins` must be positive, when an integer"),
+        ("parse-seq-dir", ["parse", "dir.seq"], "cannot read sequence file: "),
+        ("echo-seq-dir", ["echo", "--sequence", "dir.seq"],
+         "cannot read sequence file: "),
+        ("stats-k", ["stats", "--ppm", "0.2", "--k", "172"],
+         "k is too large: the mean distance overflows a float"),
+        ("larmor-empty", ["larmor-dist", "--n-spins", "0"],
+         "bath must be non-empty"),
+    ]]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS)
+def test_refusals_exit_2_with_one_line_as_their_dry_runs_do(tmp_path, capsys,
+                                                             argv, message):
+    (tmp_path / "dir.seq").mkdir()
+    config = tmp_path / "config.json"
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            argv = [*argv[:k], str(config), *argv[k + 1:]]
+        elif arg == "dir.seq":
+            argv = [*argv[:k], str(tmp_path / arg), *argv[k + 1:]]
+    target = tmp_path / "never_created"
+    # parse has no --dry-run and no --out
+    runs = ([argv] if argv[0] == "parse" else
+            [[*argv, "--out", str(target)], [*argv, "--dry-run"]])
+    errs = set()
+    for run in runs:
+        code, out, err = _run(run, capsys)
+        assert code == 2 and out == ""
+        assert message in err and err.count("\n") == 1
+        errs.add(err)
+    assert len(errs) == 1  # the dry run refuses with its run's line
+    assert not target.exists()
+
+
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"no_nn": True, "continuum": True,
                                    "include_baths": True, "seed": 5})

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import constants as si
 
@@ -72,6 +73,25 @@ def test_dipole_prefactor_refuses_a_separation_no_float_cube_holds(r_nm):
     # r^3 in m^3 overflows at 1e200 nm and is 0 at 1e-200 nm
     with pytest.raises(ValueError, match="with a float cube"):
         c.dipole_prefactor_hz(c.GAMMA_E_HZ_PER_G, c.GAMMA_E_HZ_PER_G, r_nm)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [(1.0, 1.0, 1e200), (1e200, 1e200, 1.0)],
+                         ids=["separation", "gammas"])
+def test_dipole_prefactor_refuses_numpy_scalars_as_it_refuses_floats(args):
+    # a numpy cube overflows with a warning; as floats the power raises
+    with pytest.raises(ValueError, match="with a float cube") as as_floats:
+        c.dipole_prefactor_hz(*args)
+    with pytest.raises(ValueError) as as_numpy:
+        c.dipole_prefactor_hz(*map(np.float64, args))
+    assert str(as_numpy.value) == str(as_floats.value)
+
+
+def test_dipole_prefactor_of_numpy_scalars_is_that_of_floats():
+    args = (c.GAMMA_E_HZ_PER_G, c.GAMMA_C13_HZ_PER_G, 0.4417)
+    want = c.dipole_prefactor_hz(*args)
+    got = c.dipole_prefactor_hz(*map(np.float64, args))
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def test_ppm_density_round_trip():

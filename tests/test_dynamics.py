@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,81 @@ def test_group_signal_refuses_a_negative_or_non_finite_tau(tau):
     with pytest.raises(ValueError, match="non-negative and finite"):
         group_signal(P1Center(), Bath([_spin(0.5, 0.3, 0.2)]),
                      expand_preset("hahn"), tau, 72.0)
+
+
+def _carbons(k):
+    """k carbons within 0.8 nm, none on the defect."""
+    return Bath(np.random.default_rng(k).uniform(0.2, 0.45, (k, 3))
+                * np.resize([1, -1], 3))
+
+
+@pytest.mark.parametrize("central, group, sequence, tau, message", [
+    (NVCenter(), Bath([_spin(0.5, 0.3, 0.2)]), "hahn", 1e3,
+     "fp64 no longer resolves it to 1e-6 rad"),
+    (P1Center(), _carbons(1), "pi/2(x) - [pi(x)]^10000000 - tau - pi/2(x)",
+     1e-6, "unrolls to 1e.07 pulses and delays, past the 1048576 allowed"),
+    (P1Center(), _carbons(11), "hahn", 1e-6, "a group may take"),
+], ids=["phase", "items", "group-bytes"])
+def test_group_signal_refuses_what_its_one_tau_config_refuses(
+        central, group, sequence, tau, message, monkeypatch):
+    # refused from counts, before the program is walked or the group (11
+    # P1 carbons: D = 12,288, 2.4 GB a matrix) is set up
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program was walked or the group set up")
+
+    monkeypatch.setattr(pulses, "_runs", refuse)
+    monkeypatch.setattr(dynamics, "_Setup", refuse)
+    program = (expand_preset(sequence) if sequence == "hahn"
+               else parse_sequence(sequence))
+    with pytest.raises(ValueError, match=message) as want:
+        SimulationConfig(central=central, n_spins=len(group), g=len(group),
+                         tau_grid=(tau,), sequence=program)
+    with pytest.raises(ValueError) as got:
+        group_signal(central, group, program, tau, 72.0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1e300, 1e307])
+def test_a_phase_the_carbons_widen_past_the_bound_is_refused(tau):
+    # a bare electron at zero field has no spectral width of its own, so its
+    # config passes; the carbons' levels span 127 kHz
+    group = Bath([_spin(0.5, 0.3, 0.2)])
+    with pytest.raises(ValueError, match="spectral width of 1.27e.05 Hz"):
+        group_signal(BareElectron(), group, expand_preset("hahn"), tau, 0.0)
+    config = SimulationConfig(central=BareElectron(), b_field=0.0, n_spins=4,
+                              n_baths=1, tau_grid=(0.0, tau))
+    with pytest.raises(ValueError, match="no longer resolves it to 1e-6 rad"):
+        ensemble_signal(config)
+
+
+# Any float64, as a float or a numpy scalar: NaN, +-inf, +-0, subnormals
+# and +-1e308 among them.
+_ANY_FLOAT = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+     -math.inf])
+_ANY_FLOAT = _ANY_FLOAT | _ANY_FLOAT.map(np.float64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(central=st.sampled_from([P1Center(), P1Center(m_i=None), NVCenter(),
+                                BareElectron()]),
+       sequence=st.sampled_from([("hahn",), ("cpmg", 2), ("xy8", 1)]),
+       tau=_ANY_FLOAT,
+       b=_ANY_FLOAT | st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT))
+def test_group_signal_of_any_float_tau_and_field_is_a_signal_or_refused(
+        central, sequence, tau, b):
+    # no warning (an error here), no NaN and no traceback but ValueError's
+    group = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.6, 0.1)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            signal = group_signal(central, group, expand_preset(*sequence),
+                                  tau, b)
+    except ValueError as err:
+        assert str(err) and "\n" not in str(err)
+    else:
+        assert math.isfinite(signal) and abs(signal) <= 1.0 + 1e-9
 
 
 def test_single_carbon_echo_matches_closed_form():
