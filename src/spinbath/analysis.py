@@ -22,11 +22,14 @@ from .constants import (
     GAMMA_E_HZ_PER_G,
     GAMMA_N14_HZ_PER_G,
     KAPPA_ID_PPM_US,
+    as_count,
+    as_quantity,
     dipole_prefactor_hz,
 )
 from .dynamics import _csv_text, _eigen_stacks, _levels
 from .hamiltonians import (
     _JT_AXES,
+    _LABEL_THRESHOLD,
     JtOrientation,
     _field_vector,
     _p1_operators,
@@ -47,7 +50,6 @@ __all__ = [
     "larmor_frequency",
 ]
 
-_LABEL_THRESHOLD = 0.5     # dominant amplitude^2 above this gets a name
 _MANIFOLD_THRESHOLD = 0.75  # electron character below this flags the spin
 _MAX_BINS = 1 << 20  # most histogram bins: numpy allocates every edge
 
@@ -277,7 +279,8 @@ def _admit(central, n_spins: int, b_field, bins) -> tuple:
     """larmor_distribution's checks, by spin count: (labels, pair states)."""
     if n_spins < 1:
         raise ValueError("bath must be non-empty")
-    if isinstance(bins, (int, np.integer)) and bins > _MAX_BINS:
+    if not isinstance(bins, str) and np.ndim(bins) == 0 \
+            and as_count(bins, "bin count", -math.inf) > _MAX_BINS:
         raise ValueError(f"bin count must be at most {_MAX_BINS}, not {bins}")
     np.histogram_bin_edges([0.0, 1.0], bins=bins)  # raises as on the spins'
     # a thermal nitrogen has no branch labels, an unaddressable pair no levels
@@ -299,19 +302,14 @@ def mean_kth_distance(n: float, k: int) -> float:
     n is the number density in nm^-3; the result is in nm:
     (4 pi n / 3)^(-1/3) * Gamma(k + 1/3) / Gamma(k).
     """
-    n = float(n)  # a numpy scalar would overflow below with a warning
-    if not (n > 0 and math.isfinite(4.0 * math.pi * n / 3.0)):  # NaN too
-        raise ValueError("density must be positive and finite, with a finite"
-                         " 4 pi n / 3")
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
-    prefactor = (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0)
+    rule = "density must be positive and finite, with a finite 4 pi n / 3"
+    ball = as_quantity(4.0 * math.pi * as_quantity(n, rule, 0.0) / 3.0, rule)
+    prefactor = as_quantity(lambda: ball ** (-1.0 / 3.0), rule)  # 0 at n = 0
+    k = as_count(k, "k")
     # Gamma(k) overflows past k = 171, the product sooner
-    r_k = (prefactor * math.gamma(k + 1.0 / 3.0) / math.gamma(k) if k <= 171
-           else math.inf)
-    if not math.isfinite(r_k):
-        raise ValueError("k is too large: the mean distance overflows a float")
-    return r_k
+    return as_quantity(
+        lambda: prefactor * math.gamma(k + 1.0 / 3.0) / math.gamma(k),
+        "k is too large: the mean distance overflows a float")
 
 
 def mean_dipolar_coupling(r: float, theta: float | None = None, *,
@@ -322,16 +320,16 @@ def mean_dipolar_coupling(r: float, theta: float | None = None, *,
     (radians) or angular_factor (the value of 1 - 3 cos^2 theta, for
     averaged conventions) must be given.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("separation must be positive and finite")
+    # r > 0: at least the least positive float
+    r = as_quantity(r, "separation must be positive and finite", math.ulp(0.0))
     if (theta is None) == (angular_factor is None):
         raise ValueError("give exactly one of theta or angular_factor")
-    if not math.isfinite(angular_factor if theta is None else theta):
-        raise ValueError("theta and angular_factor must be finite")
+    angle = "theta and angular_factor must be finite, with a finite coupling"
     if angular_factor is None:
-        angular_factor = 1.0 - 3.0 * math.cos(theta) ** 2
+        angular_factor = 1.0 - 3.0 * math.cos(as_quantity(theta, angle)) ** 2
+    factor = as_quantity(angular_factor, angle)
     prefactor_hz = dipole_prefactor_hz(GAMMA_E_HZ_PER_G, GAMMA_E_HZ_PER_G, r)
-    return prefactor_hz * angular_factor / 1e3
+    return as_quantity(prefactor_hz * factor / 1e3, angle)
 
 
 def concentration_from_td(t_d: float) -> float:
@@ -340,15 +338,15 @@ def concentration_from_td(t_d: float) -> float:
     Single-constant linear law [N0] = kappa / T_D with kappa = 14 ppm us,
     calibrated so 70 us maps to 0.2 ppm.
     """
-    if not (math.isfinite(t_d) and t_d > 0):
-        raise ValueError("t_d must be positive and finite")
-    return KAPPA_ID_PPM_US / (t_d * 1e6)
+    rule = "t_d must be positive and finite, with a finite kappa / t_d"
+    return as_quantity(
+        lambda: KAPPA_ID_PPM_US / (as_quantity(t_d, rule, 0.0) * 1e6), rule)
 
 
 def larmor_frequency(b: float) -> dict:
     """Bare carbon-13 precession: {"freq_hz", "period_s"} at field b (G)."""
-    if b < 0:
-        raise ValueError("field must be >= 0")
-    freq = GAMMA_C13_HZ_PER_G * b
-    period = 1.0 / freq if freq > 0 else None
+    result = "the carbon-13 frequency and period must be finite floats"
+    b = as_quantity(b, "field must be finite and ≥ 0", 0.0)
+    freq = as_quantity(GAMMA_C13_HZ_PER_G * b, result)
+    period = as_quantity(1.0 / freq, result) if freq > 0 else None
     return {"freq_hz": freq, "period_s": period}

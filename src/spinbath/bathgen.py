@@ -31,6 +31,8 @@ from .constants import (
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
+    as_count,
+    as_quantity,
     dipole_prefactor_hz,
 )
 from .hamiltonians import _dipole_tensors
@@ -240,12 +242,11 @@ def check_bath_parameters(n_spins: int, abundance: float,
                           lattice: bool = True) -> None:
     """Raise ValueError unless generate_bath accepts these parameters,
     the site budget of the sites it is expected to need included."""
-    if n_spins < 0:
-        raise ValueError("n_spins must be non-negative")
+    # a count past 1e308 as that float, whose arithmetic saturates at inf
+    n_spins = min(as_count(n_spins, "n_spins", 0), 1e308)
     if not 0.0 < abundance <= 1.0:
         raise ValueError("abundance must lie in (0, 1]")
-    if not (math.isfinite(min_radius) and min_radius >= 0.0):
-        raise ValueError("min_radius must be finite and non-negative")
+    as_quantity(min_radius, "min_radius must be finite and non-negative", 0.0)
     if n_spins:
         # float products saturate at inf where r ** 3 would raise
         ball = 4.0 / 3.0 * math.pi * DIAMOND_ATOM_DENSITY_NM3
@@ -275,6 +276,7 @@ def generate_bath(seed: int, n_spins: int = 125,
     request that would need more than _MAX_SITES candidate sites raises
     ValueError before allocating them.  Deterministic for a fixed seed.
     """
+    seed = as_count(seed, "seed", 0)
     check_bath_parameters(n_spins, abundance, min_radius, lattice=lattice)
     if n_spins == 0:
         return Bath(np.zeros((0, 3)))
@@ -419,12 +421,11 @@ def cluster_bath(bath: Bath, g: int = 3) -> Partition:
     smallest groups together exceed g, as no pair skipped either way could
     merge: the partition is that of the full visit.
     """
-    if g < 1:
-        raise ValueError("g must be at least 1")
+    g = as_count(g, "g")
     n = len(bath)
     label = list(range(n))  # each spin's group, by the index of its list
     members = [[i] for i in range(n)]
-    count = [0, n] + [0] * (g - 1)  # count[s]: groups of size s
+    count = [0, n] + [0] * (min(g, n) - 1)  # count[s]: groups of size s
     if g > 1 and n > 1:
         open_ = np.ones(n, dtype=bool)  # spins whose group can still grow
         for i, j in _descending_pairs(bath.positions, bath.gammas, open_):
@@ -441,7 +442,7 @@ def cluster_bath(bath: Bath, g: int = 3) -> Partition:
             if len(keep) == g:
                 open_[keep] = False
             # the two smallest group sizes left, with multiplicity
-            smallest = [s for s in range(1, g + 1)
+            smallest = [s for s in range(1, len(count))
                         for _ in range(min(count[s], 2))][:2]
             if len(smallest) < 2 or sum(smallest) > g:
                 break

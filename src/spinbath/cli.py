@@ -25,7 +25,8 @@ import numpy as np
 
 # analysis is imported by the commands that use it, not at start-up
 from .bathgen import check_bath_parameters, generate_bath
-from .constants import C13_ABUNDANCE, constants_table, ppm_to_density_nm3
+from .constants import (C13_ABUNDANCE, as_quantity, constants_table,
+                        ppm_to_density_nm3)
 from .dynamics import (SimulationConfig, _field_configs, ensemble_signal,
                        field_scan, scan_csv)
 from .hamiltonians import (BareElectron, JtOrientation, NVCenter, P1Center,
@@ -53,7 +54,8 @@ def _parse_time_us(token: str) -> float:
     m = _TIME_RE.match(token.strip().lower())
     if not m:  # the number the pattern matches is a valid float
         raise _CliError(f"bad time value '{token}'")
-    return float(m.group(1)) * _UNIT_SECONDS[m.group(2) or "us"]
+    return as_quantity(float(m.group(1)) * _UNIT_SECONDS[m.group(2) or "us"],
+                       f"time value '{token}' must be finite")
 
 
 def _parse_tau_grid(text: str) -> tuple[float, ...]:
@@ -68,9 +70,9 @@ def _parse_tau_grid(text: str) -> tuple[float, ...]:
         raise _CliError(f"bad tau count '{parts[2]}'") from None
     if not 1 <= count <= _MAX_POINTS:
         raise _CliError(f"tau count must be 1 to {_MAX_POINTS}, not {count}")
-    if stop < start:
-        raise _CliError("tau stop must not precede start")
-    return tuple(float(t) for t in np.linspace(start, stop, count))
+    # a non-finite tau is SimulationConfig's to refuse, not numpy's to warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(t) for t in np.linspace(start, stop, count))
 
 
 def _parse_field_list(text: str) -> list[float]:
@@ -91,7 +93,9 @@ def _parse_field_list(text: str) -> list[float]:
         raise _CliError(f"field count must be at most {_MAX_POINTS}, "
                         f"not {count}")
     if ":" in text:
-        tokens = np.linspace(start, stop, count)
+        # a non-finite field is _check_field's to refuse, not numpy's to warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            tokens = np.linspace(start, stop, count)
     return [float(b) for b in tokens]
 
 
@@ -289,23 +293,22 @@ def _sim_config(resolved: dict, b) -> SimulationConfig:
 # commands: each takes the resolved flags, "command" first
 
 def _check_field(b):
-    """A scalar field (gauss) must be non-negative; it, or a 3-vector from
-    a config file, must pass the library's rule."""
+    """A field (gauss), or a 3-vector from a config file, must pass the
+    library's rule, and a scalar one be ≥ 0 as larmor_frequency's is."""
     _field_vector(b)
-    if np.ndim(b) == 0 and b < 0:
-        raise _CliError("field must be ≥ 0")
+    if np.ndim(b) == 0:
+        as_quantity(b, "field must be finite and ≥ 0", 0.0)
 
 
 def _cmd_spectrum(resolved: dict) -> int:
     from .analysis import transition_table
 
-    b = float(resolved["b"])
-    _check_field(b)
+    _check_field(resolved["b"])  # a float, as its flag's type parsed it
     jt = resolved["jt"].lower()
     orientations = None if jt == "all" else [_make_jt(jt)]
     if resolved["dry_run"]:
         return _dry_run(resolved)
-    table = transition_table(b, orientations)
+    table = transition_table(resolved["b"], orientations)
     _emit(resolved, "spectrum", table.to_csv(),
           {**table.to_dict(), "metadata": resolved}, resolved)
     return 0
@@ -368,27 +371,24 @@ def _cmd_stats(resolved: dict) -> int:
 
     results: dict = {}
     if resolved["ppm"] is not None:
-        n = ppm_to_density_nm3(float(resolved["ppm"]))
-        r_k = mean_kth_distance(n, int(resolved["k"]))
-        results[f"mean_r{int(resolved['k'])}_nm"] = r_k
+        n = ppm_to_density_nm3(resolved["ppm"])
+        r_k = mean_kth_distance(n, resolved["k"])
+        results[f"mean_r{resolved['k']}_nm"] = r_k
         results["density_nm3"] = n
     if resolved["r"] is not None:
-        theta_deg = resolved["theta_deg"]
-        factor = resolved["angular_factor"]
-        if theta_deg is None and factor is None:
+        theta, factor = resolved["theta_deg"], resolved["angular_factor"]
+        if theta is not None:
+            theta = math.radians(theta)
+        elif factor is None:
             factor = 0.5
-        coupling = mean_dipolar_coupling(
-            float(resolved["r"]),
-            math.radians(float(theta_deg)) if theta_deg is not None else None,
-            angular_factor=float(factor) if factor is not None else None)
-        results["dipolar_coupling_khz"] = coupling
+        results["dipolar_coupling_khz"] = mean_dipolar_coupling(
+            resolved["r"], theta, angular_factor=factor)
     if resolved["td"] is not None:
         results["concentration_ppm"] = concentration_from_td(
-            float(resolved["td"]) * 1e-6)
+            resolved["td"] * 1e-6)
     if resolved["b"] is not None:
-        b = float(resolved["b"])
-        _check_field(b)
-        info = larmor_frequency(b)
+        _field_vector(resolved["b"])  # the Zeeman rule of every command
+        info = larmor_frequency(resolved["b"])
         results["larmor_freq_hz"] = info["freq_hz"]
         results["larmor_period_s"] = info["period_s"]
     if not results:

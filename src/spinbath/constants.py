@@ -1,4 +1,4 @@
-"""Physical constants and unit conventions shared by every module.
+"""Physical constants, unit conventions and the input rules of every module.
 
 Units
 -----
@@ -31,6 +31,7 @@ exact in the 2019 SI.
 from __future__ import annotations
 
 import math
+import numbers
 
 # gyromagnetic ratios
 GAMMA_E_MHZ_PER_G = -2.8025  # electron, g ~ 2.0024
@@ -62,6 +63,30 @@ MU0_SI = 1.25663706127e-06  # T^2 m^3 / J, CODATA 2022
 PLANCK_SI = 6.62607015e-34  # J s, exact in the 2019 SI
 
 
+def as_count(value, name: str, least: float = 1) -> int:
+    """The count rule: value, a Python or numpy integer (no bool, no float)
+    of at least `least` (-inf: any), as an int; else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        bound = "" if least == -math.inf else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, not {value}")
+    return int(value)
+
+
+def as_quantity(value, message: str, least: float = -math.inf) -> float:
+    """The quantity rule: value, or value() of a closed form in Python floats
+    (which saturate or raise where numpy scalars warn), as a finite float of
+    at least `least`; else, or where value() raises OverflowError or
+    ZeroDivisionError, ValueError(message)."""
+    try:
+        x = float(value() if callable(value) else value)
+    except (OverflowError, ZeroDivisionError):
+        x = math.nan
+    if not (x >= least and math.isfinite(x)):  # NaN too
+        raise ValueError(message)
+    return x
+
+
 def dipole_prefactor_hz(gamma1_hz_per_g: float, gamma2_hz_per_g: float,
                         r_nm: float) -> float:
     """Point-dipole coupling scale (mu0 h / 4 pi) g1 g2 / r^3 in Hz.
@@ -70,17 +95,13 @@ def dipole_prefactor_hz(gamma1_hz_per_g: float, gamma2_hz_per_g: float,
     scalar multiplying the dimensionless (1 - 3 rhat rhat) tensor when the
     Hamiltonian is expressed in ordinary-frequency units.
     """
+    msg = f"separation must be positive, with a float cube: {float(r_nm)!r} nm"
     g1 = float(gamma1_hz_per_g) * 1e4  # Hz/T; as floats, which raise or
     g2 = float(gamma2_hz_per_g) * 1e4  # saturate where numpy scalars warn
-    r = float(r_nm) * 1e-9
-    try:  # r^3 in m^3 overflows, or underflows to 0
-        prefactor = MU0_SI * PLANCK_SI * g1 * g2 / (4.0 * math.pi * r ** 3)
-    except (OverflowError, ZeroDivisionError):
-        prefactor = math.nan
-    if not (r_nm > 0.0 and math.isfinite(prefactor)):
-        raise ValueError("separation must be positive, with a float cube:"
-                         f" {float(r_nm)!r} nm")
-    return prefactor
+    r = as_quantity(r_nm, msg, 0.0) * 1e-9
+    # r^3 in m^3 overflows, or underflows to 0
+    return as_quantity(
+        lambda: MU0_SI * PLANCK_SI * g1 * g2 / (4.0 * math.pi * r ** 3), msg)
 
 
 def ppm_to_density_nm3(ppm: float) -> float:

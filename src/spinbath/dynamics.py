@@ -46,6 +46,7 @@ from .constants import (
     DIAMOND_BOND_NM,
     GAMMA_E_MHZ_PER_G,
     Q_N14_MHZ,
+    as_count,
 )
 from .hamiltonians import NVCenter, P1Center
 from .pulses import (
@@ -151,9 +152,10 @@ class SimulationConfig:
         if any(t2 < t1 for t1, t2 in zip(grid, grid[1:])):
             raise ValueError("tau_grid must be sorted ascending")
         object.__setattr__(self, "tau_grid", grid)
-        for name in ("n_baths", "g", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, least in (("n_baths", 1), ("g", 1), ("workers", 1),
+                            ("master_seed", -math.inf), ("n_spins", 0)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name,
+                                                    least))
         bathgen.check_bath_parameters(self.n_spins, self.abundance,
                                       self.min_radius, lattice=self.lattice)
         # a group holds at most g spins, and no more than the bath

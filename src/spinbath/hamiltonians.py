@@ -233,6 +233,9 @@ def build_nv_hamiltonian(b) -> np.ndarray:
     return h + _zeeman(GAMMA_E_HZ_PER_G, b_vec, ops)
 
 
+_LABEL_THRESHOLD = 0.5  # dominant amplitude^2 above this gets a name
+
+
 def label_levels(evecs: np.ndarray, dims: tuple[int, ...]):
     """Label eigenvectors by their dominant product-basis component.
 
@@ -335,9 +338,9 @@ class BareElectron:
 def level_pair(central, evecs) -> tuple[int, int]:
     """Indices of the central eigenvectors labeled central.probed: those
     whose dominant product-basis component carries the label with a weight
-    above 1/2 (label_levels)."""
-    found = {proj: k for k, (proj, weight)
-             in enumerate(label_levels(evecs, central.dims)) if weight > 0.5}
+    above _LABEL_THRESHOLD (label_levels)."""
+    found = {proj: k for k, (proj, weight) in enumerate(label_levels(
+        evecs, central.dims)) if weight > _LABEL_THRESHOLD}
     try:
         return tuple(found[label] for label in central.probed)
     except KeyError as err:

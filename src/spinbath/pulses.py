@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import as_count, as_quantity
+
 __all__ = [
     "Pulse",
     "Delay",
@@ -105,18 +107,16 @@ class Delay:
 
     def __post_init__(self):
         if self.value is None:
-            if not (isinstance(self.divisor, int) and self.divisor >= 1):
-                raise ValueError("tau divisor must be a positive integer")
+            object.__setattr__(self, "divisor",
+                               as_count(self.divisor, "tau divisor"))
         else:
             if self.unit not in _UNIT_SECONDS:
                 raise ValueError(f"unknown time unit {self.unit!r}")
-            if not 0.0 <= self.value < math.inf:  # NaN too
-                raise ValueError("delays must be finite and non-negative")
+            # a float, and -0.0 as 0.0: "-0.0us" would not parse
+            object.__setattr__(self, "value", 0.0 + as_quantity(
+                self.value, "delays must be finite and non-negative", 0.0))
             if self.divisor != 1:
                 raise ValueError("literal delays take no divisor")
-            if self.value == 0.0:
-                # -0.0 would print as "-0.0us", which the parser refuses
-                object.__setattr__(self, "value", 0.0)
 
     def duration_s(self, tau_s: float | None = None) -> float:
         if self.value is None:
@@ -137,8 +137,7 @@ class Repeat:
         object.__setattr__(self, "block", tuple(self.block))
         if not self.block:
             raise ValueError("repeat block must be non-empty")
-        if type(self.count) is not int or self.count < 1:
-            raise ValueError("repeat count must be a positive integer")
+        object.__setattr__(self, "count", as_count(self.count, "repeat count"))
 
 
 @dataclass(frozen=True)
@@ -293,8 +292,8 @@ class _Parser:
         if self.at_sym("/"):
             self.next()
             den = self.next()
-            if den.kind != "NUMBER" or not den.text.isdigit() or int(den.text) < 1:
-                raise ParseError(f"expected a positive integer divisor at {den.where}")
+            if den.kind != "NUMBER" or not den.text.isdigit():
+                raise ParseError(f"expected an integer divisor at {den.where}")
             return Delay(divisor=int(den.text))
         return Delay()
 
@@ -306,8 +305,6 @@ class _Parser:
         count = self.next()
         if count.kind != "NUMBER" or not count.text.isdigit():
             raise ParseError(f"expected an integer repeat count at {count.where}")
-        if int(count.text) < 1:
-            raise ParseError(f"repeat count must be at least 1 at {count.where}")
         return Repeat(block=block, count=int(count.text))
 
 
@@ -315,14 +312,19 @@ def parse_sequence(text: str) -> PulseProgram:
     """Parse sequence text into a PulseProgram.
 
     Raises ParseError with a 1-based line:column position on any syntax
-    problem, unknown axis, bad unit, non-finite delay, or zero repeat
-    count.
+    problem, unknown axis, bad unit, non-finite delay, or a repeat count or
+    tau divisor below 1.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty sequence at 1:1")
     parser = _Parser(tokens)
-    items = parser.sequence()
+    try:
+        items = parser.sequence()
+    except ParseError:
+        raise
+    except ValueError as err:  # an item's own check, at the token it ended on
+        raise ParseError(f"{err} at {tokens[parser.pos - 1].where}") from None
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected token {trailing.text!r} at {trailing.where}")
@@ -366,9 +368,7 @@ def expand_preset(name: str, n: int | None = None) -> PulseProgram:
         raise ValueError(f"unknown preset {name!r}")
     if key == "hahn" and n is not None:
         raise ValueError(f"preset {key!r} takes no repetition count")
-    n = 1 if n is None else n
-    if type(n) is not int or n < 1:
-        raise ValueError("repetition count must be a positive integer")
+    n = as_count(1 if n is None else n, "repetition count")
     if key == "hahn":
         items = (_pi2("x"), _TAU, _pi("x"), _TAU, _pi2("x"))
     elif key == "cpmg":

@@ -461,6 +461,11 @@ def test_mean_dipolar_coupling_validation():
         mean_dipolar_coupling(1.0)
     with pytest.raises(ValueError):
         mean_dipolar_coupling(1.0, theta=0.0, angular_factor=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's product would warn
+        with pytest.raises(ValueError, match="with a finite coupling"):
+            mean_dipolar_coupling(np.float64(1e-5),
+                                  angular_factor=np.float64(1e300))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             mean_dipolar_coupling(bad, theta=0.0)
@@ -475,9 +480,11 @@ def test_concentration_calibration_identity():
     assert concentration_from_td(35e-6) == pytest.approx(0.4, rel=1e-12)
     with pytest.raises(ValueError):
         concentration_from_td(0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            concentration_from_td(bad)
+    for bad in (math.nan, math.inf, 5e-324, np.float64(5e-324)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # kappa / t_d overflows past 1e308
+            with pytest.raises(ValueError, match="finite"):
+                concentration_from_td(bad)
 
 
 def test_larmor_frequency_values():
@@ -487,5 +494,10 @@ def test_larmor_frequency_values():
     zero = larmor_frequency(0.0)
     assert zero["freq_hz"] == 0.0
     assert zero["period_s"] is None
-    with pytest.raises(ValueError, match="field must be >= 0"):
+    with pytest.raises(ValueError, match="field must be finite and ≥ 0"):
         larmor_frequency(-1.0)
+    for bad in (math.nan, math.inf, 1e306, np.float64(1e306), 1e-320):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # gamma b or 1 / (gamma b) is inf
+            with pytest.raises(ValueError, match="finite"):
+                larmor_frequency(bad)

@@ -180,7 +180,7 @@ def test_echo_rejects_malformed_tau(tmp_path, capsys):
     assert code == 2 and "start:stop:count" in err
     code, _, err = _run(["echo", "--tau", "5us:1us:10",
                          "--out", str(tmp_path)], capsys)
-    assert code == 2 and "must not precede" in err
+    assert code == 2 and err == "tau_grid must be sorted ascending\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -387,7 +387,7 @@ def test_larmor_dist_keeps_fd_bins_selectable(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--min-radius", "nan"], "min_radius must be finite"),
     (["--min-radius", "-1"], "min_radius must be finite"),
-    (["--n-spins", "-1"], "n_spins must be non-negative"),
+    (["--n-spins", "-1"], "n_spins must be an integer of at least 0, not -1"),
     (["--abundance", "0"], "abundance must lie in"),
     (["--abundance", "nan"], "abundance must lie in"),
     (["--n-spins", "0"], "bath must be non-empty")])
@@ -523,7 +523,7 @@ def test_stats_without_inputs_fails(capsys):
     (["--ppm", "-1"], "density must be positive and finite"),
     (["--td", "0"], "t_d must be positive and finite"),
     (["--r", "0"], "separation must be positive and finite"),
-    (["--b", "-1"], "field must be ≥ 0"),
+    (["--b", "-1"], "field must be finite and ≥ 0"),
     ([], "nothing to compute"),
     (["--ppm", "0.2", "--k", "172"], "k is too large"),
     (["--r", "1e200", "--theta-deg", "0"], "with a float cube"),
@@ -545,7 +545,8 @@ def test_stats_dry_run_checks_what_stats_checks(capsys, argv, message):
     ["--ppm", "nan"], ["--ppm", "inf"], ["--r", "nan", "--theta-deg", "30"],
     ["--r", "inf"], ["--r", "16.9", "--theta-deg", "nan"],
     ["--r", "16.9", "--angular-factor", "inf"], ["--td", "nan"],
-    ["--td", "inf"]])
+    ["--td", "inf"], ["--td", "5e-318"], ["--r", "1e-5", "--angular-factor",
+                                          "1e300"]])
 def test_stats_rejects_non_finite_input(capsys, argv):
     code, out, err = _run(["stats", *argv], capsys)
     assert code == 2
@@ -916,6 +917,12 @@ _REFUSALS = [
          "unexpected character '@' at 1:6"),
         ("parse-inf-delay", ["parse", "pi/2(x) - 1e400us - pi/2(x)"],
          "delay must be finite at 1:11"),
+        ("echo-tau-inf", ["echo", "--tau", "0:1e400us:3"],
+         "time value '1e400us' must be finite"),
+        ("echo-tau-span", ["echo", "--tau=-1e308s:1e308s:3"],
+         "tau_grid entries must be non-negative and finite"),
+        ("scan-field-inf", ["scan", "--b", "0:inf:3"], "field must be finite"),
+        ("scan-field-span", ["scan", "--b=-1e308:1e308:3"], _OVERFLOW),
         ("echo-tau-count", ["echo", "--tau", "0:30us:1000000000000"],
          "tau count must be 1 to 1048576, not 1000000000000"),
         ("scan-field-count", ["scan", "--b", "40:110:100000000"],
@@ -946,6 +953,11 @@ _REFUSALS = [
         ("echo-sites", ["echo", "--n-spins", "100000000"], _SITES),
         ("stats-ppm", ["stats", "--ppm", "-1"],
          "density must be positive and finite"),
+        ("stats-td-tiny", ["stats", "--td", "5e-318"],
+         "t_d must be positive and finite, with a finite kappa / t_d"),
+        ("stats-coupling", ["stats", "--r", "1e-5", "--angular-factor",
+                            "1e300"],
+         "theta and angular_factor must be finite, with a finite coupling"),
         ("echo-abundance", ["echo", "--abundance", "1e-320"], _SITES),
         ("echo-radius", ["echo", "--min-radius", "1e103"], _SITES),
         ("echo-radius-continuum", ["echo", "--min-radius", "1e103",

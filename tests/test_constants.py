@@ -1,11 +1,22 @@
+import dataclasses
+import functools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import constants as si
 
 from oracles import density_nm3_to_ppm
 from spinbath import constants as c
+from spinbath.analysis import mean_kth_distance
+from spinbath.bathgen import check_bath_parameters, cluster_bath, generate_bath
+from spinbath.dynamics import SimulationConfig
+from spinbath.pulses import (Delay, PulseProgram, Repeat, canonical_text,
+                             expand_preset)
 
 
 def test_bond_length_is_quarter_body_diagonal():
@@ -109,3 +120,71 @@ def test_constants_table_entries_are_complete():
     for name, entry in table.items():
         assert set(entry) == {"value", "units", "description"}, name
         assert isinstance(entry["value"], float)
+
+
+def _config_echo(name, n):
+    """The echo of a small config whose count `name` is n."""
+    return SimulationConfig(
+        **{"n_spins": 4, "tau_grid": (0.0,), name: n}).describe()
+
+
+# Each count argument of the library, as a call of the count alone whose
+# result is JSON: the config's echo, a bath's positions, a partition, a
+# program's text, a distance.
+_BATH = generate_bath(3, 12)
+_COUNT_ENTRIES = {
+    **{f"SimulationConfig.{name}": functools.partial(_config_echo, name)
+       for name in ("n_baths", "g", "workers", "master_seed", "n_spins")},
+    "check_bath_parameters.n_spins": lambda n: check_bath_parameters(n, 0.011),
+    "generate_bath.n_spins": lambda n: generate_bath(0, n).positions.tolist(),
+    "generate_bath.seed": lambda n: generate_bath(n, 2).positions.tolist(),
+    "cluster_bath.g": lambda n: dataclasses.asdict(cluster_bath(_BATH, n)),
+    "Repeat.count": lambda n: canonical_text(
+        PulseProgram((Repeat((Delay(),), n),))),
+    "Delay.divisor": lambda n: canonical_text(
+        PulseProgram((Delay(divisor=n),))),
+    "expand_preset.n": lambda n: canonical_text(expand_preset("xy8", n)),
+    "mean_kth_distance.k": lambda n: mean_kth_distance(1.0, n),
+}
+
+_FLOATS = st.floats() | st.sampled_from([0.0, 1.0, 2.0, 1.5, math.nan,
+                                         math.inf, -math.inf])
+_COUNTS = (st.integers(-2, 4) | st.sampled_from([171, 172, 2 ** 63, 10 ** 400])
+           | st.builds(lambda t, n: t(n), st.sampled_from(
+               [np.int8, np.int64, np.uint8, np.uint64]), st.integers(0, 4))
+           | st.booleans() | st.booleans().map(np.bool_)
+           | _FLOATS | _FLOATS.map(np.float64))
+
+
+def _outcome(entry, n):
+    """The JSON text of the entry's result at n, or its one-line ValueError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return json.dumps(_COUNT_ENTRIES[entry](n))
+    except ValueError as err:
+        assert str(err) and "\n" not in str(err)
+        return err
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(entry=st.sampled_from(sorted(_COUNT_ENTRIES)), n=_COUNTS)
+@example(entry="generate_bath.n_spins", n=2.5)
+@example(entry="cluster_bath.g", n=2.5)
+@example(entry="SimulationConfig.g", n=2.5)
+@example(entry="mean_kth_distance.k", n=math.inf)
+@example(entry="SimulationConfig.workers", n=1.5)
+@example(entry="SimulationConfig.master_seed", n=0.5)
+@example(entry="SimulationConfig.n_baths", n=True)
+@example(entry="expand_preset.n", n=np.int64(2))
+@example(entry="Repeat.count", n=np.int64(2))
+@example(entry="SimulationConfig.n_baths", n=np.int64(2))
+def test_a_count_is_an_integer_taken_as_an_int_or_refused(entry, n):
+    # never a TypeError or an OverflowError: a (numpy) integer gives what
+    # the equal int gives, anything else a ValueError
+    got = _outcome(entry, n)
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool):
+        want = _outcome(entry, int(n))
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, ValueError)

@@ -74,7 +74,8 @@ def test_parse_error_positions():
         parse_sequence("")
     with pytest.raises(ParseError, match=r"2:1"):
         parse_sequence("pi(x) -\nbogus(y)")
-    with pytest.raises(ParseError, match=r"repeat count must be at least 1"):
+    with pytest.raises(ParseError, match=r"repeat count must be an integer of"
+                                         r" at least 1, not 0 at 1:7$"):
         parse_sequence("[tau]^0")
     with pytest.raises(ParseError, match=r"unexpected end of input"):
         parse_sequence("pi(x) - tau -")
