@@ -239,9 +239,10 @@ def _first_radius(n_spins: int, abundance: float, min_radius: float) -> float:
 
 def check_bath_parameters(n_spins: int, abundance: float,
                           min_radius: float = DIAMOND_BOND_NM, *,
-                          lattice: bool = True) -> None:
+                          lattice: bool = True, seed: int = 0) -> None:
     """Raise ValueError unless generate_bath accepts these parameters,
-    the site budget of the sites it is expected to need included."""
+    the seed and the site budget of the sites it is expected to need
+    included."""
     # a count past 1e308 as that float, whose arithmetic saturates at inf
     n_spins = min(as_count(n_spins, "n_spins", 0), 1e308)
     if not 0.0 < abundance <= 1.0:
@@ -260,6 +261,7 @@ def check_bath_parameters(n_spins: int, abundance: float,
             r = _first_radius(n_spins, abundance, min_radius)
             sites = abundance * ball * r * r * r
         _check_site_budget(sites, r)
+    as_count(seed, "seed", 0)
 
 
 def generate_bath(seed: int, n_spins: int = 125,
@@ -276,8 +278,8 @@ def generate_bath(seed: int, n_spins: int = 125,
     request that would need more than _MAX_SITES candidate sites raises
     ValueError before allocating them.  Deterministic for a fixed seed.
     """
-    seed = as_count(seed, "seed", 0)
-    check_bath_parameters(n_spins, abundance, min_radius, lattice=lattice)
+    check_bath_parameters(n_spins, abundance, min_radius, lattice=lattice,
+                          seed=seed)
     if n_spins == 0:
         return Bath(np.zeros((0, 3)))
     # inclusive min_radius cut, robust to rounding of the shell distance

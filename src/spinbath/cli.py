@@ -27,7 +27,7 @@ import numpy as np
 from .bathgen import check_bath_parameters, generate_bath
 from .constants import (C13_ABUNDANCE, as_quantity, constants_table,
                         ppm_to_density_nm3)
-from .dynamics import (SimulationConfig, _field_configs, ensemble_signal,
+from .dynamics import (SimulationConfig, _at_field, ensemble_signal,
                        field_scan, scan_csv)
 from .hamiltonians import (BareElectron, JtOrientation, NVCenter, P1Center,
                            _field_vector)
@@ -337,7 +337,8 @@ def _cmd_scan(resolved: dict) -> int:
     config = _sim_config(resolved, fields[0])
     meta = {**resolved, "fields_gauss": fields}
     if resolved["dry_run"]:
-        _field_configs(config, fields)  # checks the probed pair at each b
+        for b in fields:  # the probed pair and the phase at each b
+            _at_field(config, b)
         return _dry_run(meta)
     curves = field_scan(config, fields)
     _emit(resolved, "scan", scan_csv(curves),
@@ -354,7 +355,7 @@ def _cmd_larmor_dist(resolved: dict) -> int:
     bins = resolved["bins"]
     bins = int(bins) if bins.isdigit() else bins
     central = _make_central(resolved)
-    check_bath_parameters(**_bath_args(resolved))
+    check_bath_parameters(**_bath_args(resolved), seed=resolved["seed"])
     _admit(central, resolved["n_spins"], b, bins)
     if resolved["dry_run"]:
         return _dry_run(resolved)

@@ -140,8 +140,8 @@ class SimulationConfig:
     lattice: bool = True
     include_nn: bool = True
     workers: int = 1
-    # derived at b_field: each projection's weight and probed pair (_levels)
-    probes: tuple = field(init=False, repr=False, compare=False)
+    # derived at b_field: each projection's weight and probed pair (_at_field)
+    probes: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b_field", tuple(
@@ -168,15 +168,11 @@ class SimulationConfig:
                 f" T = {len(grid)} taus its Hamiltonian or slab takes"
                 f" {_sci(size)} bytes, past the {_MAX_GROUP_BYTES} a group may"
                 " take; lower g or the tau count")
-        # raises if unaddressable
-        probes, width = _levels(self.central, self.b_field)
-        object.__setattr__(self, "probes", probes)
         length = _unrolled_length(self.sequence.items)
         if length > _MAX_ITEMS:
             raise ValueError(f"the program unrolls to {_sci(length)} pulses"
                              f" and delays, past the {_MAX_ITEMS} allowed")
-        _check_phase(width, _evolution_time(self.sequence.items,
-                                            max(grid, default=0.0)))
+        object.__setattr__(self, "probes", _at_field(self, self.b_field)[1])
 
     def describe(self) -> dict:
         """JSON-ready echo of the configuration, the central spin's
@@ -294,6 +290,20 @@ def _levels(central, b_field) -> tuple:
                                   hamiltonians.level_pair(variant, vc)))
                    for weight, variant in variants)
     return probes, float(w[-1]) - float(w[0])  # inf, not a warning
+
+
+def _at_field(config, b_field) -> tuple:
+    """(b_field, probes) of config's run at b_field, by the field's checks:
+    its vector, the probed pair (_levels, which refuses an unaddressable one)
+    and the phase at the largest tau, the sorted grid's last.  config's own
+    field (repr tells -0.0 from 0.0) keeps config's probes."""
+    b_field = tuple(float(x) for x in hamiltonians._field_vector(b_field))
+    if config.probes is not None and repr(b_field) == repr(config.b_field):
+        return b_field, config.probes
+    probes, width = _levels(config.central, b_field)
+    _check_phase(width, _evolution_time(config.sequence.items,
+                                        (config.tau_grid or (0.0,))[-1]))
+    return b_field, probes
 
 
 def _pair_unitary(steps) -> np.ndarray:
@@ -523,12 +533,13 @@ def _make_bath(config: SimulationConfig, index: int):
     return bath, bathgen.cluster_bath(bath, config.g)
 
 
-def _ensemble_curve(config: SimulationConfig, planned, bath_of) -> EchoCurve:
-    """config's ensemble on planned, the _plans of its tau grid; bath_of(index)
-    builds or looks up a bath and its partition, so a worker can build the
-    bath whose row it computes."""
+def _ensemble_curve(config: SimulationConfig, admitted, planned,
+                    bath_of) -> EchoCurve:
+    """config's ensemble at admitted, one (b_field, probes) of _at_field, on
+    planned, its grid's _plans; bath_of(index) builds or looks up a bath and
+    its partition, so a worker can build the bath whose row it computes."""
     # a group holds at most g spins, and no more than the bath
-    setup = _Setup(config.central, config.b_field, config.probes, planned,
+    setup = _Setup(config.central, *admitted, planned,
                    range(1, min(config.g, config.n_spins) + 1),
                    config.include_nn)
 
@@ -544,8 +555,9 @@ def _ensemble_curve(config: SimulationConfig, planned, bath_of) -> EchoCurve:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(curve, range(config.n_baths)))
     per_bath = np.vstack(rows)
+    meta = {**config.describe(), "b_field_gauss": list(admitted[0])}
     return EchoCurve(tau=config.tau_grid, signal=per_bath.mean(axis=0),
-                     per_bath=per_bath, metadata=config.describe())
+                     per_bath=per_bath, metadata=meta)
 
 
 def ensemble_signal(config: SimulationConfig) -> EchoCurve:
@@ -554,19 +566,9 @@ def ensemble_signal(config: SimulationConfig) -> EchoCurve:
     Bath b uses child_seed(master_seed, b), so any bath is replayable in
     isolation.  Worker count changes scheduling only, never the result.
     """
-    return _ensemble_curve(config, _plans(config.sequence, config.tau_grid),
+    return _ensemble_curve(config, (config.b_field, config.probes),
+                           _plans(config.sequence, config.tau_grid),
                            lambda index: _make_bath(config, index))
-
-
-def _field_configs(config: SimulationConfig, b_list) -> list:
-    """config at each field magnitude (G, along z); config itself where
-    that is its own field (repr tells -0.0 from 0.0).  Building each
-    checks its probed pair and phase there."""
-    b_values = [float(b) for b in b_list]
-    if not b_values:
-        raise ValueError("b_list must be non-empty")
-    return [config if repr(config.b_field) == repr((0.0, 0.0, b))
-            else replace(config, b_field=(0.0, 0.0, b)) for b in b_values]
 
 
 def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
@@ -576,9 +578,13 @@ def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
     through the field, and each row is bit-identical to a single-field
     run at the same configuration.
     """
-    # every field's config checks its probed pair before any bath is built
-    configs = _field_configs(config, b_list)
+    b_values = [float(b) for b in b_list]
+    if not b_values:
+        raise ValueError("b_list must be non-empty")
+    # every field's probed pair and phase are checked before any bath is built
+    fields = [_at_field(config, b) for b in b_values]
     baths = [_make_bath(config, k) for k in range(config.n_baths)]
     # the fields share one sequence and tau grid, so one set of plans
     planned = _plans(config.sequence, config.tau_grid)
-    return [_ensemble_curve(c, planned, baths.__getitem__) for c in configs]
+    return [_ensemble_curve(config, at, planned, baths.__getitem__)
+            for at in fields]

@@ -41,6 +41,7 @@ from .constants import (
     MU0_SI,
     PLANCK_SI,
     Q_N14_MHZ,
+    as_count,
 )
 
 __all__ = [
@@ -275,8 +276,11 @@ class P1Center:
     m_i: int | None = -1
 
     def __post_init__(self):
-        if self.m_i is not None and self.m_i not in (-1, 0, 1):
-            raise ValueError("m_i must be -1, 0, +1 or None")
+        if self.m_i is not None:
+            object.__setattr__(self, "m_i",
+                               as_count(self.m_i, "m_i", -math.inf))
+            if self.m_i not in (-1, 0, 1):
+                raise ValueError("m_i must be -1, 0, +1 or None")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -301,7 +305,8 @@ class NVCenter:
     levels: tuple[int, int] = (0, -1)
 
     def __post_init__(self):
-        lv = tuple(int(v) for v in self.levels)
+        lv = tuple(as_count(v, "each NV level", -math.inf)
+                   for v in self.levels)
         if sorted(lv) not in ([-1, 0], [-1, 1], [0, 1]):
             raise ValueError("levels must be two distinct projections of m_S")
         object.__setattr__(self, "levels", lv)

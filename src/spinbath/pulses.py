@@ -109,6 +109,9 @@ class Delay:
         if self.value is None:
             object.__setattr__(self, "divisor",
                                as_count(self.divisor, "tau divisor"))
+            # duration_s divides tau by it, so it must convert to a float
+            as_quantity(self.divisor, "tau divisor must be at most 1.8e308,"
+                        " the largest float")
         else:
             if self.unit not in _UNIT_SECONDS:
                 raise ValueError(f"unknown time unit {self.unit!r}")

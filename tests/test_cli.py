@@ -319,9 +319,9 @@ def test_scan_lists_every_field_in_metadata(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dry_run", [False, True])
-def test_scan_builds_one_config_per_field(tmp_path, capsys, monkeypatch,
-                                          dry_run):
-    # the shared flags are parsed once; each field's config is built once
+def test_a_scan_builds_one_config(tmp_path, capsys, monkeypatch, dry_run):
+    # the shared flags are parsed once, into the first field's config, and
+    # every field runs on it: the others are admitted without a config
     built = []
     post_init = cli.SimulationConfig.__post_init__
 
@@ -333,7 +333,10 @@ def test_scan_builds_one_config_per_field(tmp_path, capsys, monkeypatch,
     argv = ["scan", *_SMALL, "--b", "40:110:10", "--out", str(tmp_path)]
     code, _, _ = _run(argv + ["--dry-run"] * dry_run, capsys)
     assert code == 0
-    assert built == list(np.linspace(40.0, 110.0, 10))
+    assert built == [40.0]
+    if not dry_run:
+        rows = _rows(str(tmp_path / "scan.csv"))
+        assert len({r["b_gauss"] for r in rows}) == 10
 
 
 def test_scan_rejects_empty_field_list(tmp_path, capsys):
@@ -929,6 +932,9 @@ _REFUSALS = [
          "field count must be at most 1048576, not 100000000"),
         ("echo-phase", ["echo", "--sequence", "pi/2(x) - 1e300us - pi/2(x)"],
          "fp64 no longer resolves it to 1e-6 rad"),
+        ("echo-tau-divisor", ["echo", "--sequence", "pi/2(x) - tau/1"
+                              + "0" * 400 + " - pi/2(x)"],
+         "tau divisor must be at most 1.8e308, the largest float at 1:15"),
         ("echo-1e12-pulses", ["echo", "--sequence",
                               "pi/2(x) - [pi(x)]^1000000000000 - tau - pi/2(x)"],
          "the program unrolls to 1e+12 pulses and delays"),
@@ -976,6 +982,8 @@ _REFUSALS = [
          "k is too large: the mean distance overflows a float"),
         ("larmor-empty", ["larmor-dist", "--n-spins", "0"],
          "bath must be non-empty"),
+        ("larmor-seed", ["larmor-dist", "--seed", "-1"],
+         "seed must be an integer of at least 0, not -1"),
     ]]
 
 

@@ -15,6 +15,7 @@ from spinbath import constants as c
 from spinbath.analysis import mean_kth_distance
 from spinbath.bathgen import check_bath_parameters, cluster_bath, generate_bath
 from spinbath.dynamics import SimulationConfig
+from spinbath.hamiltonians import NVCenter, P1Center
 from spinbath.pulses import (Delay, PulseProgram, Repeat, canonical_text,
                              expand_preset)
 
@@ -145,6 +146,9 @@ _COUNT_ENTRIES = {
         PulseProgram((Delay(divisor=n),))),
     "expand_preset.n": lambda n: canonical_text(expand_preset("xy8", n)),
     "mean_kth_distance.k": lambda n: mean_kth_distance(1.0, n),
+    "P1Center.m_i": lambda n: _config_echo("central", P1Center(m_i=n)),
+    "NVCenter.levels": lambda n: _config_echo("central",
+                                              NVCenter(levels=(n, -1))),
 }
 
 _FLOATS = st.floats() | st.sampled_from([0.0, 1.0, 2.0, 1.5, math.nan,
@@ -179,6 +183,9 @@ def _outcome(entry, n):
 @example(entry="expand_preset.n", n=np.int64(2))
 @example(entry="Repeat.count", n=np.int64(2))
 @example(entry="SimulationConfig.n_baths", n=np.int64(2))
+@example(entry="P1Center.m_i", n=True)
+@example(entry="P1Center.m_i", n=np.int64(1))
+@example(entry="NVCenter.levels", n=0.5)
 def test_a_count_is_an_integer_taken_as_an_int_or_refused(entry, n):
     # never a TypeError or an OverflowError: a (numpy) integer gives what
     # the equal int gives, anything else a ValueError

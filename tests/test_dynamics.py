@@ -615,19 +615,21 @@ def test_small_p1_ensemble_revives_at_the_larmor_period():
 
 
 def test_field_scan_rows_match_single_runs():
-    grid = (0.0, 5e-6, 10e-6)
-    config = SimulationConfig(n_spins=8, n_baths=2, tau_grid=grid,
-                              master_seed=11)
-    curves = field_scan(config, [47.0, 72.0])
-    assert len(curves) == 2
-    for b, curve in zip((47.0, 72.0), curves):
-        single = ensemble_signal(
-            SimulationConfig(n_spins=8, n_baths=2, tau_grid=grid,
-                             master_seed=11, b_field=(0.0, 0.0, b)))
-        assert curve.signal == single.signal
-        assert curve.metadata["b_field_gauss"] == [0.0, 0.0, b]
-    with pytest.raises(ValueError):
-        field_scan(config, [])
+    # each whole row, metadata included, as JSON text (-0.0 is not 0.0),
+    # with a thermal nitrogen too
+    for central, fields in ((P1Center(), [47.0, 72.0, -0.0, 0.0]),
+                            (P1Center(m_i=None), [47.0, 72.0])):
+        run = dict(central=central, n_spins=8, n_baths=2,
+                   tau_grid=(0.0, 5e-6, 10e-6), master_seed=11)
+        curves = field_scan(SimulationConfig(**run), fields)
+        assert len(curves) == len(fields)
+        for b, curve in zip(fields, curves):
+            single = ensemble_signal(SimulationConfig(**run,
+                                                      b_field=(0.0, 0.0, b)))
+            assert json.dumps(curve.to_dict()) == json.dumps(single.to_dict())
+            assert repr(curve.metadata["b_field_gauss"]) == repr([0.0, 0.0, b])
+        with pytest.raises(ValueError):
+            field_scan(SimulationConfig(**run), [])
 
 
 def test_scan_csv_long_format():

@@ -77,6 +77,9 @@ def test_parse_error_positions():
     with pytest.raises(ParseError, match=r"repeat count must be an integer of"
                                          r" at least 1, not 0 at 1:7$"):
         parse_sequence("[tau]^0")
+    with pytest.raises(ParseError, match=r"tau divisor must be at most"
+                                         r" 1.8e308, the largest float at 2:6$"):
+        parse_sequence("pi(x) -\n tau/1" + "0" * 400)
     with pytest.raises(ParseError, match=r"unexpected end of input"):
         parse_sequence("pi(x) - tau -")
     with pytest.raises(ParseError, match=r"unexpected token"):
