@@ -10,8 +10,10 @@ tau = 0 drops the symbolic runs); the pulses before its first run and
 after its last fold into those columns and the read-out row, and a
 stack's chunks of G groups each propagate a (G, D, nb, T) slab over the
 tau grid in the eigenbasis: one stacked GEMM per pulse in between and one
-in-place phase multiply along tau per run.  group_signal is the one
-group, one tau case.  It gives
+in-place phase multiply along tau per run, where past T = D the first run
+and the pulse after it are one GEMM.  A plan with no run needs no
+eigenbasis: V V^H = 1, so every group reads read @ select.  group_signal
+is the one group, one tau case.  It gives
 
     S_G = 2 Tr[P_a rho_final] - 1,
 
@@ -435,6 +437,12 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
     chunk of G groups within _SLAB_BYTES, each plan's phase table serves
     every pair; the (G, D, nb, T) slab takes one stacked GEMM per pulse in
     between, moved to the eigenbasis, and one phase multiply per interval.
+    Where the plan's T taus outnumber D and a pulse follows the first
+    interval, W[i, b, j] = rot[i, j] m[j, b] (D nb x D, smaller than the
+    slab) times the first interval's (D, T) phases is the slab after that
+    pulse, so the first interval's slab is never written.  A plan with no
+    interval (tau = 0 of a symbolic program) takes read @ select in the lab
+    basis, the same for every group since V V^H = 1.
     """
     dim = w.shape[1]
     folded = setup.folded[dim]
@@ -451,9 +459,19 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
             rot = {s: vh @ u @ vg for s, u in lifted.items()}
             for (steps, index, *_, (first, last)), (select, read), \
                     phase in zip(setup.plans, edges, phases):
-                m = (vh @ select)[..., None]
-                if first < last:  # the first interval spreads m along tau
-                    m = m * phase[:, :, None, steps[first]]
+                if first == last:  # no run: V V^H = 1 leaves read @ select
+                    amp = (read @ select).view(float).ravel()
+                    curves[:, p, index] = amp @ amp
+                    continue
+                m, spread = vh @ select, phase[:, :, steps[first]]
+                if first + 1 < last and len(index) > dim:  # W @ phases
+                    m = rot[steps[first + 1]][:, :, None] * m.transpose(
+                        0, 2, 1)[:, None]
+                    m = (m.reshape(n, -1, dim) @ spread).reshape(
+                        n, dim, nb, -1)
+                    first += 1
+                else:  # the first interval spreads m along tau
+                    m = m[..., None] * spread[:, :, None]
                 for step in steps[first + 1:last]:
                     if isinstance(step, Pulse):
                         m = (rot[step] @ m.reshape(n, dim, -1)).reshape(m.shape)

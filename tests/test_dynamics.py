@@ -420,6 +420,53 @@ def test_program_without_delays_runs_on_a_uniform_grid():
                                        72.0)).all()
 
 
+_SHAPE_CENTRALS = [P1Center(), NVCenter(), P1Center(m_i=None)]
+
+
+def _geometric_grid(n):
+    """tau = 0, then n taus of no progression, so that the kernel's phase
+    tables are the direct exp of the unrolled oracle."""
+    return (0.0, *np.geomspace(1e-7, 30e-6, n))
+
+
+def _assert_kernel_matches_the_oracle(central, prog, taus):
+    probes, setup, stacks = _kernel_inputs(central, prog, taus)
+    for g, (w, v) in enumerate(stacks, 1):
+        got = dynamics._group_curves(w, v, setup)
+        for p, (_, (a, b)) in enumerate(probes):
+            want = group_curves_unrolled(w, v, a, b, setup.eta, setup.plans,
+                                         len(taus))
+            assert np.abs(got[:, p] - want).max() <= 1e-12, (g, p)
+
+
+@pytest.mark.parametrize("central", _SHAPE_CENTRALS,
+                         ids=["p1", "nv", "p1-thermal"])
+@pytest.mark.parametrize("text", [
+    "pi/2(x) - tau - pi/2(x)", "pi/2(x) - pi(y) - pi/2(x)",
+    "pi/2(x) - 2us - pi(x) - tau - pi/2(x)"],
+    ids=["one-run", "pulse-only", "literal-delay"])
+def test_every_plan_shape_matches_the_unrolled_oracle(central, text):
+    # 100 timed taus, more than any D here (96 at most): one run with no
+    # pulse to fold it into, no run at any tau, and a literal delay whose
+    # run is alone at tau = 0 and folded into the pi(x) after it elsewhere
+    _assert_kernel_matches_the_oracle(central, parse_sequence(text),
+                                      _geometric_grid(100))
+
+
+@pytest.mark.parametrize("central", _SHAPE_CENTRALS,
+                         ids=["p1", "nv", "p1-thermal"])
+@pytest.mark.parametrize("prog", [expand_preset("hahn"),
+                                  expand_preset("xy8", 2)],
+                         ids=["hahn", "xy8-2"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["d-1", "d", "d+1"])
+def test_the_fold_rule_matches_the_unrolled_oracle(central, prog, offset):
+    # T = D - 1, D and D + 1 timed taus for the groups of two carbons: the
+    # first interval is folded into the first pulse's GEMM only past D
+    dim = math.prod(central.dims) << 2
+    _assert_kernel_matches_the_oracle(central, prog,
+                                      _geometric_grid(dim + offset))
+
+
 def _assert_plans_match_the_schedules(program, grid):
     """_plans of program on grid is, plan for plan and byte for byte, the
     grouping of the schedules compiled at each tau."""
@@ -549,14 +596,17 @@ def test_stack_size_leaves_the_echo_unchanged(monkeypatch):
     (NVCenter(), expand_preset("hahn")),
     (P1Center(), expand_preset("xy8", 2))], ids=["p1-thermal", "nv", "xy8-2"])
 def test_slab_size_leaves_the_echo_unchanged(central, prog, monkeypatch):
-    # groups of mixed sizes, on a grid that holds tau = 0
+    # groups of mixed sizes, on grids that hold tau = 0: 4 taus, and 60,
+    # past every D here (48 at most), so the first interval is folded
     bath, groups, taus = _mixed_groups()
-    setup = _setup(central, prog, taus, [1, 2, 3])
-    whole = _echo(setup, bath, groups)
+    setups = [_setup(central, prog, grid, [1, 2, 3])
+              for grid in (taus, (0.0, *np.linspace(1e-6, 30e-6, 59)))]
+    wholes = [_echo(setup, bath, groups) for setup in setups]
     # one group a chunk, then every stack in one chunk
     for slab_bytes in (1, 1 << 40):
         monkeypatch.setattr(dynamics, "_SLAB_BYTES", slab_bytes)
-        assert _echo(setup, bath, groups).tobytes() == whole.tobytes()
+        for setup, whole in zip(setups, wholes):
+            assert _echo(setup, bath, groups).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("central", _KERNEL_CENTRALS,
