@@ -33,7 +33,6 @@ from .hamiltonians import (
     P1Center,
     build_nv_hamiltonian,
     build_p1_hamiltonian,
-    build_system_hamiltonian,
 )
 from .pulses import (
     ParseError,
@@ -66,7 +65,6 @@ __all__ = [
     "P1Center",
     "build_nv_hamiltonian",
     "build_p1_hamiltonian",
-    "build_system_hamiltonian",
     "ParseError",
     "PulseProgram",
     "canonical_text",

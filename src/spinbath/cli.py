@@ -45,15 +45,11 @@ _TIME_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                       f"({'|'.join(_UNIT_SECONDS)})?$")
 
 
-class _CliError(ValueError):
-    """Validation failure: message goes to stderr, exit code 2."""
-
-
 def _parse_time_us(token: str) -> float:
     """One time token, default unit microseconds; returns seconds."""
     m = _TIME_RE.match(token.strip().lower())
     if not m:  # the number the pattern matches is a valid float
-        raise _CliError(f"bad time value '{token}'")
+        raise ValueError(f"bad time value '{token}'")
     return as_quantity(float(m.group(1)) * _UNIT_SECONDS[m.group(2) or "us"],
                        f"time value '{token}' must be finite")
 
@@ -62,14 +58,14 @@ def _parse_tau_grid(text: str) -> tuple[float, ...]:
     """'start:stop:count' (times default to microseconds)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise _CliError("tau must be start:stop:count, e.g. 0:40us:200")
+        raise ValueError("tau must be start:stop:count, e.g. 0:40us:200")
     start, stop = _parse_time_us(parts[0]), _parse_time_us(parts[1])
     try:
         count = int(parts[2])
     except ValueError:
-        raise _CliError(f"bad tau count '{parts[2]}'") from None
+        raise ValueError(f"bad tau count '{parts[2]}'") from None
     if not 1 <= count <= _MAX_POINTS:
-        raise _CliError(f"tau count must be 1 to {_MAX_POINTS}, not {count}")
+        raise ValueError(f"tau count must be 1 to {_MAX_POINTS}, not {count}")
     # a non-finite tau is SimulationConfig's to refuse, not numpy's to warn
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple(float(t) for t in np.linspace(start, stop, count))
@@ -81,17 +77,17 @@ def _parse_field_list(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _CliError("field range must be start:stop:count")
+            raise ValueError("field range must be start:stop:count")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise _CliError(f"bad field range '{text}'") from None
+            raise ValueError(f"bad field range '{text}'") from None
     else:
         tokens = [t for t in text.split(",") if t.strip()] if "," in text else [text]
         count = len(tokens)
     if count > _MAX_POINTS:
-        raise _CliError(f"field count must be at most {_MAX_POINTS}, "
-                        f"not {count}")
+        raise ValueError(f"field count must be at most {_MAX_POINTS}, "
+                         f"not {count}")
     if ":" in text:
         # a non-finite field is _check_field's to refuse, not numpy's to warn
         with np.errstate(over="ignore", invalid="ignore"):
@@ -112,13 +108,13 @@ def _make_central(resolved: dict):
         try:
             mi = None if m_i.lower() == "thermal" else int(m_i)
         except ValueError:
-            raise _CliError(f"bad m_i '{m_i}'") from None
+            raise ValueError(f"bad m_i '{m_i}'") from None
         return P1Center(jt=_make_jt(resolved["jt"]), m_i=mi)
     if key == "nv":
         return NVCenter()
     if key == "electron":
         return BareElectron()
-    raise _CliError(f"unknown central spin '{resolved['central']}'")
+    raise ValueError(f"unknown central spin '{resolved['central']}'")
 
 
 def _bath_args(resolved: dict) -> dict:
@@ -136,7 +132,7 @@ def _make_sequence(spec: str, n):
     if name in PRESET_NAMES:
         return expand_preset(name, n)
     if n is not None:
-        raise _CliError("--n applies to the cpmg and xy8 presets only")
+        raise ValueError("--n applies to the cpmg and xy8 presets only")
     return parse_sequence(_sequence_text(spec))
 
 
@@ -148,7 +144,7 @@ def _sequence_text(spec: str) -> str:
         with open(spec, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeError) as err:
-        raise _CliError(f"cannot read sequence file: {err}") from None
+        raise ValueError(f"cannot read sequence file: {err}") from None
 
 
 def _emit(resolved: dict, stem: str, csv_text: str | None, payload: dict,
@@ -199,23 +195,23 @@ def _read_config(args: argparse.Namespace,
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise _CliError(f"cannot read config file: {err}") from None
+        raise ValueError(f"cannot read config file: {err}") from None
     if not isinstance(values, dict):
-        raise _CliError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     for key, value in values.items():
         if key in ("command", "config", "func") or key not in vars(args):
-            raise _CliError(f"unknown config key '{key}'")
+            raise ValueError(f"unknown config key '{key}'")
         default = p.get_default(key)
         if type(default) is bool:
             if type(value) is not bool:
-                raise _CliError(f"config key '{key}' takes true or false, "
-                                f"not {json.dumps(value)}")
+                raise ValueError(f"config key '{key}' takes true or false, "
+                                 f"not {json.dumps(value)}")
         elif type(value) in (int, float):
             values[key] = repr(value)
         elif not (type(value) is str or (value is None and default is None)
                   or (type(value) is list and key == "b"
                       and args.command == "echo")):
-            raise _CliError(
+            raise ValueError(
                 f"config key '{key}' takes a string, a number"
                 f"{' or null' if default is None else ''}, "
                 f"not {json.dumps(value)}")
@@ -330,7 +326,7 @@ def _cmd_echo(resolved: dict) -> int:
 def _cmd_scan(resolved: dict) -> int:
     fields = _parse_field_list(str(resolved["b"]))
     if not fields:
-        raise _CliError("field list must be non-empty")
+        raise ValueError("field list must be non-empty")
     for b in fields:
         _check_field(b)
     # the shared flags are parsed once, into the first field's config
@@ -393,7 +389,7 @@ def _cmd_stats(resolved: dict) -> int:
         results["larmor_freq_hz"] = info["freq_hz"]
         results["larmor_period_s"] = info["period_s"]
     if not results:
-        raise _CliError(
+        raise ValueError(
             "nothing to compute: give --ppm, --r, --td, and/or --b")
     if resolved["dry_run"]:
         return _dry_run(resolved)
@@ -481,23 +477,22 @@ def _build_parser():
     return parser, sub
 
 
-_freeze_registered = False
+# At exit, move every live object to the permanent generation: the
+# interpreter's final collections then skip the 22,000 objects of numpy and
+# spinbath (about 16 ms, a tenth of a dry run on 2 cores), and the OS
+# reclaims them.  Other atexit handlers and the stdio flush still run, and
+# every output file is closed before main returns.  Registered once, on
+# import, however often main is called.
+atexit.register(gc.freeze)
 
 
 def main(argv=None) -> int:
-    # At exit, move every live object to the permanent generation: the
-    # interpreter's final collections then skip the 22,000 objects of numpy
-    # and spinbath (about 16 ms, a tenth of a dry run on 2 cores), and the
-    # OS reclaims them.  Other atexit handlers and the stdio flush still
-    # run, and every output file is closed before main returns.
-    # Registered once per process, however often main is called.
-    global _freeze_registered
-    if not _freeze_registered:
-        atexit.register(gc.freeze)
-        _freeze_registered = True
     parser, sub = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, value in vars(args).items():
+            if value == []:  # argparse before 3.13 reads --flag=-- so
+                raise ValueError(f"bad {key} '--'")
         if getattr(args, "config", None):
             # file values become the command's defaults, so each goes
             # through its flag's type and a flag given still wins
@@ -506,12 +501,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             # argparse checks choices on flags only, not on defaults
             if getattr(args, "format", "csv") not in _FORMATS:
-                raise _CliError(f"unknown format '{args.format}'")
+                raise ValueError(f"unknown format '{args.format}'")
         resolved = vars(args)
         func = resolved.pop("func")
         resolved.pop("config", None)
         return func(resolved)
-    except ValueError as err:  # _CliError and ParseError among them
+    except ValueError as err:  # ParseError and every refusal among them
         print(str(err), file=sys.stderr)
         return 2
 

@@ -51,7 +51,6 @@ __all__ = [
     "BareElectron",
     "build_p1_hamiltonian",
     "build_nv_hamiltonian",
-    "build_system_hamiltonian",
     "build_hamiltonian_stack",
     "label_levels",
     "level_pair",
@@ -355,7 +354,9 @@ def level_pair(central, evecs) -> tuple[int, int]:
 
 
 def build_system_hamiltonian(central, group, b, **options) -> np.ndarray:
-    """Hamiltonian of a central spin plus one group (a Bath): one stack."""
+    """Hamiltonian of a central spin plus one group (a Bath): one stack.
+    The tests' reference, kept only while perfbench/trace_child.py wraps it
+    by name."""
     return build_hamiltonian_stack(central, group.positions[None],
                                    group.gammas[None], b, **options)[0]
 

@@ -39,7 +39,6 @@ __all__ = [
     "ParseError",
     "parse_sequence",
     "expand_preset",
-    "compile_schedule",
     "canonical_text",
     "PRESET_NAMES",
     "AXIS_VECTORS",
@@ -420,7 +419,8 @@ def compile_schedule(prog: PulseProgram, tau: float | None = None) -> tuple:
     """Flatten a program at a concrete tau (seconds) into its events: its
     pulses, and each run of adjacent delays (_runs) summed into one float
     interval in seconds, zero-length ones dropped.  Programs with symbolic
-    delays require tau; tau must be non-negative."""
+    delays require tau; tau must be non-negative.  The tests' reference of
+    _plans, kept only while perfbench/trace_child.py wraps it by name."""
     if tau is not None and tau < 0.0:
         raise ValueError("tau must be non-negative")
     events = [e if isinstance(e, Pulse) else _run_length(e, tau)

@@ -1,15 +1,19 @@
 """End-to-end command-line checks, run in-process through main(argv)."""
 
 import atexit
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import spinbath
 import spinbath.cli as cli
@@ -984,6 +988,9 @@ _REFUSALS = [
          "bath must be non-empty"),
         ("larmor-seed", ["larmor-dist", "--seed", "-1"],
          "seed must be an integer of at least 0, not -1"),
+        # argparse before 3.13 reads a value of '--' as [], past the flag's
+        # type; from 3.13 as the text '--', which m_i refuses the same way
+        ("echo-double-dash", ["echo", "--m-i=--"], "bad m_i '--'"),
     ]]
 
 
@@ -1010,6 +1017,147 @@ def test_refusals_exit_2_with_one_line_as_their_dry_runs_do(tmp_path, capsys,
         errs.add(err)
     assert len(errs) == 1  # the dry run refuses with its run's line
     assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# drawn argv: every flag of a command, from its parser
+
+_FLOAT_TOKENS = st.one_of(
+    st.floats().map(repr),  # the whole line: NaN, ±inf, ±0, subnormals
+    st.sampled_from(["-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e309",
+                     "72", "0.011", "1"]))
+_INT_TOKENS = st.sampled_from([-2 ** 63, -1, 0, 1, 2, 3, 4, 8, 12, 2 ** 20,
+                               2 ** 20 + 1, 2 ** 31, 2 ** 63, 2 ** 64,
+                               10 ** 400]).map(str)
+_MALFORMED = st.sampled_from(["", " ", "abc", "1e", "--", ":", ",", "nan:",
+                              "1" + "0" * 400, "µs", "x.seq"])
+_COUNT_TOKENS = st.one_of(st.integers(0, 5).map(str), _INT_TOKENS, _MALFORMED)
+_TIME_TOKENS = st.one_of(
+    st.tuples(_FLOAT_TOKENS, st.sampled_from(["", "us", "ns", "s"])).map(
+        "".join),
+    _MALFORMED)
+_SEQUENCES = st.sampled_from([
+    "hahn", "cpmg", "XY8", "pi/2(x) - tau - pi/2(x)",
+    "pi/2(x) - tau/3 - pi(y) - 1us - pi/2(-x)", "[tau - pi(x) - tau]^3",
+    "pi/2(x) - [tau - pi(x) - tau]^1000000 - pi/2(x)", "pi(z)", "[tau]^0",
+    "tau/0", "pi/2(x) - 1e308s - pi/2(x)", "pi(x) - 1e-320ns - pi(x)",
+    "bogus", "missing.seq"])
+# the flags that take text, by dest: valid, number-like and malformed tokens
+_TEXT_TOKENS = {
+    "tau": st.one_of(
+        st.tuples(_TIME_TOKENS, _TIME_TOKENS, _COUNT_TOKENS).map(":".join),
+        st.sampled_from(["0:8us:5", "0:30us:4", "0:0:1", "1e-3us:2us:3"]),
+        _MALFORMED),
+    "sequence": _SEQUENCES,
+    "sequence_text": _SEQUENCES,
+    "m_i": st.one_of(st.sampled_from(["-1", "0", "1", "thermal", "THERMAL",
+                                      "2", "1.0", "-0"]), _MALFORMED),
+    "jt": st.one_of(st.sampled_from(["on-axis", "off-axis", "off-axis-3",
+                                     "all", "off-axis-4", "ON-AXIS"]),
+                    _MALFORMED),
+    "bins": st.one_of(_COUNT_TOKENS, st.sampled_from(["auto", "fd", "-1"])),
+    # scan's field list
+    "b": st.one_of(
+        st.lists(_FLOAT_TOKENS, min_size=1, max_size=3).map(",".join),
+        st.tuples(_FLOAT_TOKENS, _FLOAT_TOKENS,
+                  st.sampled_from(["0", "1", "3", "-1", "1048577", "1.5"])
+                  ).map(":".join),
+        _MALFORMED),
+}
+# the flags that make a run small enough to make too: one bath of at most 8
+# spins on at most 5 taus, and one field (a float, or scan's list of one)
+_SMALL_TOKENS = {
+    "n_baths": st.just("1"), "n_spins": st.integers(0, 8).map(str),
+    "tau": st.builds("0:{}us:{}".format, st.sampled_from(["0", "8", "30"]),
+                     st.integers(1, 5)),
+    "b": st.sampled_from(["72", "32", "100"])}
+
+
+@st.composite
+def _argv(draw, command):
+    """A command's argv: up to three of its flags absent or drawn from every
+    kind of value, the others small (_SMALL_TOKENS), absent or, for an on/off
+    flag or one with choices, any valid value.  A value goes as
+    --flag=value, so that one starting with '-' stays a value."""
+    parser, sub = cli._build_parser()
+    actions = [a for a in sub.choices[command]._actions
+               if a.dest not in ("help", "out", "config", "dry_run")]
+    wild = draw(st.sets(st.sampled_from([a.dest for a in actions]),
+                        max_size=3))
+    argv = [command]
+    for action in actions:
+        if not action.option_strings:  # parse's sequence text
+            argv.append(draw(_TEXT_TOKENS[action.dest].filter(
+                lambda t: not t.startswith("-"))))
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # on/off
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        if action.choices is not None:
+            values = st.none() | st.sampled_from(list(action.choices))
+        elif action.dest not in wild:
+            values = _SMALL_TOKENS.get(action.dest, st.none())
+        elif action.type is float:
+            values = st.none() | _FLOAT_TOKENS
+        elif action.type is int:
+            values = st.none() | _INT_TOKENS
+        else:
+            values = st.none() | _TEXT_TOKENS.get(action.dest, _MALFORMED)
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _small(resolved: dict) -> bool:
+    """Whether a dry run's resolved flags make a run of a second or less:
+    one bath of at most 8 spins in groups of at most 4, on at most 5 taus
+    and 3 fields, out of few candidate sites."""
+    if resolved["command"] not in ("echo", "scan", "larmor-dist"):
+        return True
+    return (resolved.get("n_baths", 1) == 1 and resolved["n_spins"] <= 8
+            and resolved.get("g", 1) <= 4
+            and int(resolved.get("tau", "::1").split(":")[2]) <= 5
+            and len(resolved.get("fields_gauss", ())) <= 3
+            and resolved["abundance"] >= 1e-3
+            and (resolved["min_radius"] or 0.0) <= 2.0)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "echo", "scan",
+                                     "larmor-dist", "stats", "parse",
+                                     "dump-constants"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_drawn_argv_exits_0_or_2_with_one_line(command, data):
+    argv = data.draw(_argv(command))
+    dry = command not in ("parse", "dump-constants")
+    code, out, err = _main([*argv, "--dry-run"] if dry else argv)
+    event(f"exit {code}")
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.strip(), err
+    else:
+        assert err == ""
+    if not dry:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "out")
+        if code == 2:  # the run refuses with its dry run's line
+            assert _main([*argv, "--out", target]) == (2, "", err)
+            assert not os.path.exists(target)
+        elif _small(_dry_run_config(out)):
+            event("small run")
+            run_code, _, run_err = _main([*argv, "--out", target])
+            assert (run_code, run_err) == (0, "")
 
 
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath
+import spinbath.hamiltonians as hamiltonians
 import spinbath.pulses as pulses
 from oracles import total_time
 from spinbath.pulses import (
@@ -328,6 +329,14 @@ def test_the_program_is_the_one_sequence_type():
     assert not any(hasattr(pulses, name) for name in ("Schedule", "Interval"))
     assert not {"Schedule", "Interval", "compile_schedule"} & set(
         spinbath.__all__)
+    # the tests' references leave the public API but stay defined in their
+    # modules, where perfbench/trace_child.py wraps them by name
+    assert "build_system_hamiltonian" not in spinbath.__all__
+    assert not hasattr(spinbath, "build_system_hamiltonian")
+    assert "build_system_hamiltonian" not in hamiltonians.__all__
+    assert "compile_schedule" not in pulses.__all__
+    assert callable(hamiltonians.build_system_hamiltonian)
+    assert callable(pulses.compile_schedule)
     assert compile_schedule(expand_preset("hahn"), 1e-6) == (
         Pulse("x", 90.0), 1e-6, Pulse("x", 180.0), 1e-6, Pulse("x", 90.0))
 
