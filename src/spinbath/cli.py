@@ -27,8 +27,8 @@ import numpy as np
 from .bathgen import check_bath_parameters, generate_bath
 from .constants import (C13_ABUNDANCE, as_quantity, constants_table,
                         ppm_to_density_nm3)
-from .dynamics import (SimulationConfig, _at_field, ensemble_signal,
-                       field_scan, scan_csv)
+from .dynamics import (SimulationConfig, _at_field, _magnitudes,
+                       ensemble_signal, field_scan, scan_csv)
 from .hamiltonians import (BareElectron, JtOrientation, NVCenter, P1Center,
                            _field_vector)
 from .pulses import (PRESET_NAMES, _UNIT_SECONDS, canonical_text,
@@ -89,7 +89,7 @@ def _parse_field_list(text: str) -> list[float]:
         raise ValueError(f"field count must be at most {_MAX_POINTS}, "
                          f"not {count}")
     if ":" in text:
-        # a non-finite field is _check_field's to refuse, not numpy's to warn
+        # a non-finite field is _magnitudes' to refuse, not numpy's to warn
         with np.errstate(over="ignore", invalid="ignore"):
             tokens = np.linspace(start, stop, count)
     return [float(b) for b in tokens]
@@ -290,10 +290,11 @@ def _sim_config(resolved: dict, b) -> SimulationConfig:
 
 def _check_field(b):
     """A field (gauss), or a 3-vector from a config file, must pass the
-    library's rule, and a scalar one be ≥ 0 as larmor_frequency's is."""
-    _field_vector(b)
-    if np.ndim(b) == 0:
-        as_quantity(b, "field must be finite and ≥ 0", 0.0)
+    library's rule, and a scalar one be ≥ 0 as a scan's fields are."""
+    if np.ndim(b):
+        _field_vector(b)
+    else:
+        _magnitudes([b])
 
 
 def _cmd_spectrum(resolved: dict) -> int:
@@ -324,11 +325,7 @@ def _cmd_echo(resolved: dict) -> int:
 
 
 def _cmd_scan(resolved: dict) -> int:
-    fields = _parse_field_list(str(resolved["b"]))
-    if not fields:
-        raise ValueError("field list must be non-empty")
-    for b in fields:
-        _check_field(b)
+    fields = _magnitudes(_parse_field_list(str(resolved["b"])))
     # the shared flags are parsed once, into the first field's config
     config = _sim_config(resolved, fields[0])
     meta = {**resolved, "fields_gauss": fields}

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bathgen, hamiltonians, pulses
-from .bathgen import Bath, Partition, child_seed
+from .bathgen import Bath, child_seed
 from .constants import (
     A_PAR_MHZ,
     A_PERP_MHZ,
@@ -49,6 +49,7 @@ from .constants import (
     GAMMA_E_MHZ_PER_G,
     Q_N14_MHZ,
     as_count,
+    as_quantity,
 )
 from .hamiltonians import NVCenter, P1Center
 from .pulses import (
@@ -536,13 +537,6 @@ def group_signal(central, group: Bath, program: PulseProgram, tau: float,
     return float(_echo(setup, group, [range(len(group))])[0])
 
 
-def _bath_curve(setup: _Setup, bath: Bath, partition: Partition) -> np.ndarray:
-    """S_T of one bath on every tau."""
-    if partition.n_spins != len(bath):
-        raise ValueError("partition does not cover this bath")
-    return _echo(setup, bath, partition.groups)
-
-
 def _make_bath(config: SimulationConfig, index: int):
     """Bath index of config's ensemble and its partition."""
     bath = bathgen.generate_bath(child_seed(config.master_seed, index),
@@ -551,31 +545,35 @@ def _make_bath(config: SimulationConfig, index: int):
     return bath, bathgen.cluster_bath(bath, config.g)
 
 
-def _ensemble_curve(config: SimulationConfig, admitted, planned,
-                    bath_of) -> EchoCurve:
-    """config's ensemble at admitted, one (b_field, probes) of _at_field, on
-    planned, its grid's _plans; bath_of(index) builds or looks up a bath and
-    its partition, so a worker can build the bath whose row it computes."""
+def _ensemble_curves(config: SimulationConfig, fields) -> list[EchoCurve]:
+    """config's ensemble at each of fields, a (b_field, probes) of
+    _at_field, planned once and set up once per field.  Each bath index,
+    serially or on one pool of config.workers threads, builds its bath and
+    computes its row at every field, so a worker holds one bath."""
+    planned = _plans(config.sequence, config.tau_grid)
     # a group holds at most g spins, and no more than the bath
-    setup = _Setup(config.central, *admitted, planned,
-                   range(1, min(config.g, config.n_spins) + 1),
-                   config.include_nn)
+    sizes = range(1, min(config.g, config.n_spins) + 1)
+    setups = [_Setup(config.central, *at, planned, sizes, config.include_nn)
+              for at in fields]
 
-    def curve(index: int) -> np.ndarray:
-        return _bath_curve(setup, *bath_of(index))
+    def rows(index: int) -> list:
+        bath, partition = _make_bath(config, index)
+        return [_echo(setup, bath, partition.groups) for setup in setups]
 
     if config.workers == 1:
-        rows = list(map(curve, range(config.n_baths)))
+        per_bath = list(map(rows, range(config.n_baths)))
     else:
         # only here, so that no other run pays for importing it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(curve, range(config.n_baths)))
-    per_bath = np.vstack(rows)
-    meta = {**config.describe(), "b_field_gauss": list(admitted[0])}
-    return EchoCurve(tau=config.tau_grid, signal=per_bath.mean(axis=0),
-                     per_bath=per_bath, metadata=meta)
+            per_bath = list(pool.map(rows, range(config.n_baths)))
+    # each field's rows as one contiguous (n_baths, T) block, so that its
+    # mean sums as a single-field run's does
+    return [EchoCurve(tau=config.tau_grid, signal=block.mean(axis=0),
+                      per_bath=block, metadata={**config.describe(),
+                                                "b_field_gauss": list(b)})
+            for (b, _), block in zip(fields, map(np.vstack, zip(*per_bath)))]
 
 
 def ensemble_signal(config: SimulationConfig) -> EchoCurve:
@@ -584,25 +582,26 @@ def ensemble_signal(config: SimulationConfig) -> EchoCurve:
     Bath b uses child_seed(master_seed, b), so any bath is replayable in
     isolation.  Worker count changes scheduling only, never the result.
     """
-    return _ensemble_curve(config, (config.b_field, config.probes),
-                           _plans(config.sequence, config.tau_grid),
-                           lambda index: _make_bath(config, index))
+    return _ensemble_curves(config, [(config.b_field, config.probes)])[0]
+
+
+def _magnitudes(b_list) -> list[float]:
+    """A scan's fields (G, along z), each by the field rule and ≥ 0, as
+    scan_csv writes a field's norm; -0.0 passes."""
+    b_values = [float(b) for b in b_list]
+    if not b_values:
+        raise ValueError("field list must be non-empty")
+    for b in b_values:
+        hamiltonians._field_vector(b)
+        as_quantity(b, "field must be finite and ≥ 0", 0.0)
+    return b_values
 
 
 def field_scan(config: SimulationConfig, b_list) -> list[EchoCurve]:
-    """One EchoCurve per field magnitude (G, along z), on shared baths.
-
-    The same seeded baths are reused across fields so rows differ only
-    through the field, and each row is bit-identical to a single-field
-    run at the same configuration.
-    """
-    b_values = [float(b) for b in b_list]
-    if not b_values:
-        raise ValueError("b_list must be non-empty")
+    """One EchoCurve per field of b_list (_magnitudes), each bit-identical
+    to a single-field run at the same configuration.  Each worker builds
+    one bath and computes its row at every field, so a scan holds one bath
+    per worker, not n_baths."""
     # every field's probed pair and phase are checked before any bath is built
-    fields = [_at_field(config, b) for b in b_values]
-    baths = [_make_bath(config, k) for k in range(config.n_baths)]
-    # the fields share one sequence and tau grid, so one set of plans
-    planned = _plans(config.sequence, config.tau_grid)
-    return [_ensemble_curve(config, at, planned, baths.__getitem__)
-            for at in fields]
+    return _ensemble_curves(config, [_at_field(config, b)
+                                     for b in _magnitudes(b_list)])

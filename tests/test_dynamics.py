@@ -30,7 +30,6 @@ from spinbath.constants import (
 from spinbath.dynamics import (
     EchoCurve,
     SimulationConfig,
-    _bath_curve,
     _echo,
     _evolution_time,
     _levels,
@@ -280,8 +279,8 @@ def test_signal_stays_in_physical_range():
     for _ in range(5):
         tau = float(rng.uniform(0.0, 40e-6))
         for central in (P1Center(), NVCenter()):
-            s = _bath_curve(_setup(central, expand_preset("hahn"), [tau],
-                                   range(1, 4)), bath, part)[0]
+            s = _echo(_setup(central, expand_preset("hahn"), [tau],
+                             range(1, 4)), bath, part.groups)[0]
             assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
 
@@ -303,8 +302,8 @@ def test_thermal_nitrogen_products_before_averaging():
     bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
     part = Partition(groups=((0,), (1,)), g=1, n_spins=2)
     hahn = expand_preset("hahn")
-    got = _bath_curve(_setup(P1Center(m_i=None), hahn, [9e-6], [1]), bath,
-                      part)[0]
+    got = _echo(_setup(P1Center(m_i=None), hahn, [9e-6], [1]), bath,
+                part.groups)[0]
     per_m = []
     for m in (-1, 0, 1):
         center = P1Center(m_i=m)
@@ -318,14 +317,6 @@ def test_thermal_nitrogen_products_before_averaging():
                  for m in (-1, 0, 1)])
         for k in range(2)])
     assert abs(got - wrong) > 1e-4
-
-
-def test_bath_signal_checks_partition_coverage():
-    bath = Bath([_spin(0.5, 0.3, 0.2), _spin(-0.4, 0.1, 0.5)])
-    part = Partition(groups=((0,),), g=1, n_spins=1)
-    with pytest.raises(ValueError):
-        _bath_curve(_setup(P1Center(), expand_preset("hahn"), [1e-6], [1]),
-                    bath, part)
 
 
 @pytest.mark.parametrize("prog", [
@@ -666,11 +657,14 @@ def test_small_p1_ensemble_revives_at_the_larmor_period():
 
 def test_field_scan_rows_match_single_runs():
     # each whole row, metadata included, as JSON text (-0.0 is not 0.0),
-    # with a thermal nitrogen too
-    for central, fields in ((P1Center(), [47.0, 72.0, -0.0, 0.0]),
-                            (P1Center(m_i=None), [47.0, 72.0])):
+    # with a thermal nitrogen too, and on threads
+    for central, fields, workers in (
+            (P1Center(), [47.0, 72.0, -0.0, 0.0], 1),
+            (P1Center(m_i=None), [47.0, 72.0], 1),
+            (P1Center(), [47.0, 72.0, -0.0], 2)):
         run = dict(central=central, n_spins=8, n_baths=2,
-                   tau_grid=(0.0, 5e-6, 10e-6), master_seed=11)
+                   tau_grid=(0.0, 5e-6, 10e-6), master_seed=11,
+                   workers=workers)
         curves = field_scan(SimulationConfig(**run), fields)
         assert len(curves) == len(fields)
         for b, curve in zip(fields, curves):
@@ -680,6 +674,14 @@ def test_field_scan_rows_match_single_runs():
             assert repr(curve.metadata["b_field_gauss"]) == repr([0.0, 0.0, b])
         with pytest.raises(ValueError):
             field_scan(SimulationConfig(**run), [])
+
+
+def test_field_scan_refuses_a_negative_field():
+    # scan_csv writes a field's norm, so -40 G would read as 40 G
+    config = SimulationConfig(n_spins=4, g=1, n_baths=1, tau_grid=(5e-6,))
+    for fields in ([-40.0, 40.0], [40.0, -5e-324]):
+        with pytest.raises(ValueError, match="^field must be finite and ≥ 0$"):
+            field_scan(config, fields)
 
 
 def test_scan_csv_long_format():
@@ -807,18 +809,19 @@ def test_simulation_config_refuses_phases_fp64_cannot_resolve():
 
 def test_each_bath_is_built_when_its_row_is_computed(monkeypatch):
     events = []
-    generate, curve = bathgen.generate_bath, dynamics._bath_curve
+    generate, echo = bathgen.generate_bath, dynamics._echo
     monkeypatch.setattr(bathgen, "generate_bath", lambda *args, **kwargs:
                         events.append("bath") or generate(*args, **kwargs))
-    monkeypatch.setattr(dynamics, "_bath_curve", lambda *args, **kwargs:
-                        events.append("row") or curve(*args, **kwargs))
+    monkeypatch.setattr(dynamics, "_echo", lambda *args, **kwargs:
+                        events.append("row") or echo(*args, **kwargs))
     config = SimulationConfig(n_spins=6, n_baths=3, tau_grid=(0.0, 5e-6))
     ensemble_signal(config)
     assert events == ["bath", "row"] * 3
-    # a scan shares its baths across the fields
+    # a scan builds each bath once and computes its row at every field
+    # before the next bath is built
     events.clear()
     field_scan(config, [60.0, 72.0])
-    assert events == ["bath"] * 3 + ["row"] * 6
+    assert events == ["bath", "row", "row"] * 3
 
 
 def _count_set_up(monkeypatch) -> dict:
