@@ -1,13 +1,12 @@
 """Seeded generation of carbon-13 baths and their disjoint-cluster partitions.
 
-Positions are in nm with the defect at the origin.  Lattice mode walks the
+Positions are in nm with the defect at the origin.  A bath walks the
 diamond-cubic lattice (a = 0.3567 nm, 8-atom conventional cell) outward from
-the origin and occupies each site with the isotopic abundance; continuum mode
-scatters points uniformly at the matching number density.  All randomness
-comes from numpy's default generator seeded per bath, so a (seed, parameters)
-pair is fully replayable.
+the origin and occupies each site with the isotopic abundance.  All
+randomness comes from numpy's default generator seeded per bath, so a
+(seed, parameters) pair is fully replayable.
 
-Lattice mode walks the lattice in shells of integer q.q, q the integer
+The walk visits the lattice in shells of integer q.q, q the integer
 quarter-cell coordinates (site = q a / 4): a site has three coordinates of
 one parity and a sum of 0 or 3 mod 4, so each (qx, qy) row of a shell
 holds runs of qz with step 4.  Sites are ordered by (r^2, x, y, z), which
@@ -46,10 +45,9 @@ __all__ = [
     "child_seed",
 ]
 
-# Most candidate sites a bath may need: the lattice sites its walk visits
-# (and, before the walk, those it is expected to visit) or the expected
-# points of a continuum ball; the lattice reaches about r = 23.8 nm.  A
-# larger request fails before it draws them.
+# Most lattice sites a bath's walk may visit (and, before the walk, may be
+# expected to visit); the walk then reaches about r = 23.8 nm.  A larger
+# request fails before it draws them.
 _MAX_SITES = 10_000_000
 
 # About how many sites the inner shells of the lattice walk hold.
@@ -212,95 +210,51 @@ def _occupied_lattice_sites(rng: np.random.Generator, n_spins: int,
             return np.concatenate(kept)[:n_spins]
 
 
-def _continuum_points(rng: np.random.Generator, r_max: float,
-                      density: float) -> np.ndarray:
-    """Uniform points in the ball of radius r_max at the given density (nm^-3)."""
-    volume = 4.0 / 3.0 * math.pi * r_max ** 3
-    _check_site_budget(density * volume, r_max)
-    count = int(rng.poisson(density * volume))
-    radii = r_max * rng.random(count) ** (1.0 / 3.0)
-    direction = rng.normal(size=(count, 3))
-    norms = np.linalg.norm(direction, axis=1)
-    norms[norms == 0.0] = 1.0
-    points = direction / norms[:, None] * radii[:, None]
-    r2 = np.einsum("ij,ij->i", points, points)
-    order = np.argsort(r2, kind="stable")
-    return points[order]
-
-
-def _first_radius(n_spins: int, abundance: float, min_radius: float) -> float:
-    """The radius of the continuum's first ball, expected to hold the bath
-    with headroom: its points are the budget that check_bath_parameters
-    checks."""
-    expected_volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
-    return max((expected_volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
-               min_radius + 2.0 * DIAMOND_BOND_NM)
-
-
 def check_bath_parameters(n_spins: int, abundance: float,
                           min_radius: float = DIAMOND_BOND_NM, *,
-                          lattice: bool = True, seed: int = 0) -> None:
-    """Raise ValueError unless generate_bath accepts these parameters,
-    the seed and the site budget of the sites it is expected to need
-    included."""
-    # a count past 1e308 as that float, whose arithmetic saturates at inf
-    n_spins = min(as_count(n_spins, "n_spins", 0), 1e308)
+                          seed: int = 0) -> tuple[int, float, float]:
+    """(n_spins, abundance, min_radius) as generate_bath admits them, an int
+    and two floats; ValueError unless it accepts them, the seed and the
+    site budget of the sites it is expected to need included."""
+    n_spins = as_count(n_spins, "n_spins", 0)
+    abundance = as_quantity(abundance, "abundance must lie in (0, 1]")
     if not 0.0 < abundance <= 1.0:
         raise ValueError("abundance must lie in (0, 1]")
-    as_quantity(min_radius, "min_radius must be finite and non-negative", 0.0)
+    min_radius = as_quantity(min_radius,
+                             "min_radius must be finite and non-negative", 0.0)
     if n_spins:
-        # float products saturate at inf where r ** 3 would raise
+        # the walk is expected to visit every site inside min_radius, then
+        # n_spins / abundance sites to find the bath beyond it (a count past
+        # 1e308 as that float: float products saturate at inf where r ** 3
+        # would raise)
         ball = 4.0 / 3.0 * math.pi * DIAMOND_ATOM_DENSITY_NM3
-        if lattice:
-            # the walk is expected to visit every site inside min_radius,
-            # then n_spins / abundance sites to find the bath beyond it
-            sites = (ball * min_radius * min_radius * min_radius
-                     + n_spins / abundance)
-            r = (sites / ball) ** (1.0 / 3.0)
-        else:  # the points a continuum is expected to draw in its first ball
-            r = _first_radius(n_spins, abundance, min_radius)
-            sites = abundance * ball * r * r * r
-        _check_site_budget(sites, r)
+        sites = (ball * min_radius * min_radius * min_radius
+                 + min(n_spins, 1e308) / abundance)
+        _check_site_budget(sites, (sites / ball) ** (1.0 / 3.0))
     as_count(seed, "seed", 0)
+    return n_spins, abundance, min_radius
 
 
 def generate_bath(seed: int, n_spins: int = 125,
                   abundance: float = C13_ABUNDANCE,
-                  min_radius: float = DIAMOND_BOND_NM, *,
-                  lattice: bool = True) -> Bath:
-    """Generate the n_spins occupied sites nearest the origin.
+                  min_radius: float = DIAMOND_BOND_NM) -> Bath:
+    """Generate the n_spins occupied lattice sites nearest the origin.
 
-    Lattice sites are occupied independently with probability `abundance`;
-    sites closer than min_radius (default: one bond length, so the first
-    neighbor shell is retained) are discarded.  The lattice is walked shell
-    by shell until enough occupied sites exist; continuum points are drawn
-    in a ball whose radius grows geometrically until they suffice.  A
-    request that would need more than _MAX_SITES candidate sites raises
-    ValueError before allocating them.  Deterministic for a fixed seed.
+    Sites are occupied independently with probability `abundance`; sites
+    closer than min_radius (default: one bond length, so the first neighbor
+    shell is retained) are discarded.  The lattice is walked shell by shell
+    until enough occupied sites exist.  A request that would need more than
+    _MAX_SITES candidate sites raises ValueError before allocating them.
+    Deterministic for a fixed seed.
     """
-    check_bath_parameters(n_spins, abundance, min_radius, lattice=lattice,
-                          seed=seed)
+    n_spins, abundance, min_radius = check_bath_parameters(
+        n_spins, abundance, min_radius, seed=seed)
     if n_spins == 0:
         return Bath(np.zeros((0, 3)))
     # inclusive min_radius cut, robust to rounding of the shell distance
     r2_min = (min_radius * (1.0 - 1e-9)) ** 2
-
-    if lattice:
-        chosen = _occupied_lattice_sites(np.random.default_rng(seed), n_spins,
-                                         abundance, r2_min)
-    else:
-        r_max = _first_radius(n_spins, abundance, min_radius)
-        for _ in range(64):
-            points = _continuum_points(np.random.default_rng(seed), r_max,
-                                       abundance * DIAMOND_ATOM_DENSITY_NM3)
-            points = points[np.einsum("ij,ij->i", points, points) >= r2_min]
-            if len(points) >= n_spins:
-                break
-            r_max *= 1.4
-        else:  # pragma: no cover
-            raise RuntimeError("bath generation failed to converge")
-        chosen = points[:n_spins]
-    return Bath(chosen)
+    return Bath(_occupied_lattice_sites(np.random.default_rng(seed), n_spins,
+                                        abundance, r2_min))
 
 
 def _pair_couplings(pos, gamma, first, second) -> np.ndarray:

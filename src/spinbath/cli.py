@@ -120,8 +120,7 @@ def _make_central(resolved: dict):
 def _bath_args(resolved: dict) -> dict:
     """generate_bath's keyword arguments of the bath flags; min_radius
     keeps its default where --min-radius is unset."""
-    kwargs = dict(n_spins=resolved["n_spins"], abundance=resolved["abundance"],
-                  lattice=not resolved["continuum"])
+    kwargs = dict(n_spins=resolved["n_spins"], abundance=resolved["abundance"])
     if resolved["min_radius"] is not None:
         kwargs["min_radius"] = resolved["min_radius"]
     return kwargs
@@ -249,8 +248,6 @@ def _add_bath(p: argparse.ArgumentParser, central: str):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-radius", type=float,
                    help="exclusion radius in nm (default one bond length)")
-    p.add_argument("--continuum", action="store_true",
-                   help="continuum bath placement instead of the lattice")
 
 
 def _add_simulation(p: argparse.ArgumentParser):

@@ -76,11 +76,12 @@ def as_count(value, name: str, least: float = 1) -> int:
 def as_quantity(value, message: str, least: float = -math.inf) -> float:
     """The quantity rule: value, or value() of a closed form in Python floats
     (which saturate or raise where numpy scalars warn), as a finite float of
-    at least `least`; else, or where value() raises OverflowError or
-    ZeroDivisionError, ValueError(message)."""
+    at least `least`; else, or where float() refuses it (None, a string that
+    is no number) or value() raises OverflowError or ZeroDivisionError,
+    ValueError(message)."""
     try:
         x = float(value() if callable(value) else value)
-    except (OverflowError, ZeroDivisionError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         x = math.nan
     if not (x >= least and math.isfinite(x)):  # NaN too
         raise ValueError(message)

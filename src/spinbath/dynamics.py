@@ -69,7 +69,7 @@ __all__ = [
     "scan_csv",
 ]
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 # Bytes of one Hamiltonian stack.  `echo --g G --n-baths 1 --tau 0:30us:5`
 # (2 cores, one BLAS thread) at caps of 1/4/16/64 MiB: g = 5 0.82-0.87 s at
@@ -140,7 +140,6 @@ class SimulationConfig:
     sequence: PulseProgram = field(default_factory=lambda: expand_preset("hahn"))
     master_seed: int = 0
     min_radius: float = DIAMOND_BOND_NM
-    lattice: bool = True
     include_nn: bool = True
     workers: int = 1
     # derived at b_field: each projection's weight and probed pair (_at_field)
@@ -159,8 +158,10 @@ class SimulationConfig:
                             ("master_seed", -math.inf), ("n_spins", 0)):
             object.__setattr__(self, name, as_count(getattr(self, name), name,
                                                     least))
-        bathgen.check_bath_parameters(self.n_spins, self.abundance,
-                                      self.min_radius, lattice=self.lattice)
+        _, abundance, min_radius = bathgen.check_bath_parameters(
+            self.n_spins, self.abundance, self.min_radius)
+        object.__setattr__(self, "abundance", abundance)
+        object.__setattr__(self, "min_radius", min_radius)
         # a group holds at most g spins, and no more than the bath
         g = min(self.g, self.n_spins)
         dim = math.prod(self.central.dims) << g
@@ -203,7 +204,6 @@ class SimulationConfig:
             "n_baths": self.n_baths,
             "master_seed": self.master_seed,
             "min_radius_nm": self.min_radius,
-            "lattice": self.lattice,
             "include_nn": self.include_nn,
             "sequence": canonical_text(self.sequence),
             "sequence_name": self.sequence.name,
@@ -541,7 +541,7 @@ def _make_bath(config: SimulationConfig, index: int):
     """Bath index of config's ensemble and its partition."""
     bath = bathgen.generate_bath(child_seed(config.master_seed, index),
                                  config.n_spins, config.abundance,
-                                 config.min_radius, lattice=config.lattice)
+                                 config.min_radius)
     return bath, bathgen.cluster_bath(bath, config.g)
 
 

@@ -7,10 +7,11 @@ counterparts of its vectorised set-up: a group Hamiltonian assembled from
 scalar dipole tensors and dense terms, the operator terms as matrix
 products of embedded operators, the coupling of one pair of bath spins,
 the greedy clustering visiting every pair, and the lattice enumeration
-over a whole cube of cells sorted by a four-key lexsort.  The validation
-forms of a group Hamiltonian that the library does not build (secular
-hyperfine, a scaled or decoupled bath) and the echo the library kernel
-gives on them.
+over a whole cube of cells sorted by a four-key lexsort.  An off-lattice
+bath of uniform points, for the clustering, which assumes no lattice.  The
+validation forms of a group Hamiltonian that the library does not build
+(secular hyperfine, a scaled or decoupled bath) and the echo the library
+kernel gives on them.
 An unrolled echo kernel that propagates one (D, T*nb) slab per group and
 probed pair, with every pulse moved to the eigenbasis.  The conditional
 precession frequencies of a bath one spin at a time.  Also a bath's JSON
@@ -493,15 +494,22 @@ def lattice_sites_by_lexsort(r_max: float) -> np.ndarray:
     return sites[order]
 
 
+def first_ball_radius(n_spins: int, abundance: float,
+                      min_radius: float) -> float:
+    """The radius of a ball expected to hold n_spins occupied sites with
+    headroom, and two bond lengths beyond min_radius."""
+    volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
+    return max((volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
+               min_radius + 2.0 * DIAMOND_BOND_NM)
+
+
 def lattice_bath_by_ball(seed: int, n_spins: int,
                          abundance: float = C13_ABUNDANCE,
                          min_radius: float = DIAMOND_BOND_NM) -> np.ndarray:
     """The sites of a lattice bath drawn over whole balls: one occupancy
-    draw over the sorted sites of a ball with headroom, grown 1.4x until
-    the occupied sites beyond min_radius suffice."""
-    volume = n_spins / (abundance * DIAMOND_ATOM_DENSITY_NM3)
-    r_max = max((volume * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0) * 1.3,
-                min_radius + 2.0 * DIAMOND_BOND_NM)
+    draw over the sorted sites of a ball with headroom (first_ball_radius),
+    grown 1.4x until the occupied sites beyond min_radius suffice."""
+    r_max = first_ball_radius(n_spins, abundance, min_radius)
     r2_min = (min_radius * (1.0 - 1e-9)) ** 2
     while True:
         sites = lattice_sites_by_lexsort(r_max)
@@ -512,6 +520,23 @@ def lattice_bath_by_ball(seed: int, n_spins: int,
         if len(occupied) >= n_spins:
             return occupied[:n_spins]
         r_max *= 1.4
+
+
+def ball_bath(seed: int, n_spins: int,
+              min_radius: float = DIAMOND_BOND_NM) -> Bath:
+    """An off-lattice bath: 2 n_spins points from default_rng(seed), uniform
+    in the shell beyond min_radius that holds them at the density of
+    natural-abundance carbon-13, and of those the n_spins nearest the
+    origin, nearest first."""
+    rng = np.random.default_rng(seed)
+    inner = min_radius ** 3
+    outer = inner + 2 * n_spins * 3.0 / (
+        4.0 * math.pi * C13_ABUNDANCE * DIAMOND_ATOM_DENSITY_NM3)
+    radius = (inner + (outer - inner) * rng.random(2 * n_spins)) ** (1.0 / 3.0)
+    direction = rng.normal(size=(2 * n_spins, 3))
+    points = direction / np.linalg.norm(direction, axis=1)[:, None] \
+        * radius[:, None]
+    return Bath(points[np.argsort(radius)[:n_spins]])
 
 
 def gemm_terms(central, k: int):

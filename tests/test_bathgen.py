@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath.bathgen as bathgen
-from oracles import (bath_from_json, bath_to_json, cluster_every_pair,
-                     every_pair_coupling, lattice_bath_by_ball,
+from oracles import (ball_bath, bath_from_json, bath_to_json,
+                     cluster_every_pair, every_pair_coupling,
+                     first_ball_radius, lattice_bath_by_ball,
                      lattice_sites_by_lexsort, nearest_distance,
                      pair_coupling, radii)
 from spinbath.bathgen import (
@@ -31,6 +32,7 @@ from spinbath.constants import (
     GAMMA_N14_HZ_PER_G,
     dipole_prefactor_hz,
 )
+from spinbath.dynamics import SimulationConfig
 from spinbath.hamiltonians import _dipole_tensors
 
 _CELL_FRACTIONS = {
@@ -105,22 +107,9 @@ def test_nearest_spin_statistic_matches_closed_form():
     # (4 pi n / 3)^(-1/3) Gamma(4/3)
     n = C13_ABUNDANCE * DIAMOND_ATOM_DENSITY_NM3
     expect = (4.0 * math.pi * n / 3.0) ** (-1.0 / 3.0) * math.gamma(4.0 / 3.0)
-    for lattice in (True, False):
-        mean = np.mean([
-            nearest_distance(generate_bath(seed=k, n_spins=1, lattice=lattice))
-            for k in range(200)])
-        assert mean == pytest.approx(expect, rel=0.05), lattice
-
-
-def test_continuum_mode():
-    bath = generate_bath(seed=21, n_spins=50, lattice=False)
-    assert len(bath) == 50
-    assert nearest_distance(bath) >= DIAMOND_BOND_NM * (1.0 - 1e-9)
-    again = generate_bath(seed=21, n_spins=50, lattice=False)
-    assert bath.positions.tolist() == again.positions.tolist()
-    # continuum points are generic, never lattice sites
-    frac = np.mod(bath.positions[0] / DIAMOND_LATTICE_NM, 1.0)
-    assert tuple(np.round(frac, 6)) not in _CELL_FRACTIONS
+    mean = np.mean([nearest_distance(generate_bath(seed=k, n_spins=1))
+                    for k in range(200)])
+    assert mean == pytest.approx(expect, rel=0.05)
 
 
 def _shells_up_to(r_max):
@@ -135,7 +124,7 @@ def _shells_up_to(r_max):
 
 def test_ball_enumeration_matches_the_cube_lexsort():
     # the first radii of the default and 400-spin baths
-    radii = [bathgen._first_radius(n_spins, C13_ABUNDANCE, DIAMOND_BOND_NM)
+    radii = [first_ball_radius(n_spins, C13_ABUNDANCE, DIAMOND_BOND_NM)
              for n_spins in (125, 400)]
     assert [round(r, 2) for r in radii] == [3.24, 4.77]
     # one growth step, inside the first shell, and on and beside the
@@ -224,28 +213,31 @@ def test_generation_input_validation():
         generate_bath(seed=0, n_spins=5, min_radius=-0.1)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda: generate_bath(0, 5, lattice=False),
+    lambda: bathgen.check_bath_parameters(5, C13_ABUNDANCE, lattice=True),
+    lambda: SimulationConfig(n_spins=5, lattice=True),
+], ids=["generate_bath", "check_bath_parameters", "SimulationConfig"])
+def test_the_lattice_is_the_one_bath_and_takes_no_lattice_keyword(entry):
+    # the continuum bath is gone, and with it the switch between the two
+    with pytest.raises(TypeError, match="lattice"):
+        entry()
+
+
 @pytest.fixture
 def enumeration_up_to_20_nm(monkeypatch):
     # Beyond 20 nm the real enumerations allocate gigabytes or walk millions
     # of sites; stop there so that a missing check fails fast.
     real_shells = bathgen._lattice_shells
-    real_points = bathgen._continuum_points
-
-    def check(r_max):
-        if r_max > 20.0:
-            pytest.fail(f"bath enumeration reached r = {r_max:.3g} nm")
 
     def shells():
         for sites, r2 in real_shells():
-            check(math.sqrt(r2[-1]))
+            if r2[-1] > 20.0 ** 2:
+                pytest.fail(f"bath enumeration reached r = "
+                            f"{math.sqrt(r2[-1]):.3g} nm")
             yield sites, r2
 
-    def points(rng, r_max, density):
-        check(r_max)
-        return real_points(rng, r_max, density)
-
     monkeypatch.setattr(bathgen, "_lattice_shells", shells)
-    monkeypatch.setattr(bathgen, "_continuum_points", points)
 
 
 def test_shell_walk_stops_at_the_budget(enumeration_up_to_20_nm, monkeypatch):
@@ -257,12 +249,10 @@ def test_shell_walk_stops_at_the_budget(enumeration_up_to_20_nm, monkeypatch):
 
 
 @pytest.mark.parametrize("min_radius", [math.nan, math.inf])
-@pytest.mark.parametrize("lattice", [True, False])
 def test_generate_bath_rejects_non_finite_min_radius(enumeration_up_to_20_nm,
-                                                     min_radius, lattice):
+                                                     min_radius):
     with pytest.raises(ValueError, match="min_radius must be finite"):
-        generate_bath(seed=0, n_spins=5, min_radius=min_radius,
-                      lattice=lattice)
+        generate_bath(seed=0, n_spins=5, min_radius=min_radius)
 
 
 _BUDGET_SCRIPT = """
@@ -274,9 +264,7 @@ import numpy as np
 from spinbath import bathgen
 for call in (lambda: bathgen._occupied_lattice_sites(
                  np.random.default_rng(0), 125, 0.011, 100.0 ** 2),
-             lambda: bathgen.generate_bath(0, 125, min_radius=100.0),
-             lambda: bathgen.generate_bath(0, 125, min_radius=1000.0,
-                                           lattice=False)):
+             lambda: bathgen.generate_bath(0, 125, min_radius=100.0)):
     try:
         call()
     except ValueError as err:
@@ -430,10 +418,10 @@ def test_cluster_invariants_across_seeds():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 63 - 1), n_spins=st.integers(0, 300),
-       lattice=st.booleans(), g=st.integers(1, 5))
-def test_a_seed_replays_the_bath_and_its_partition(seed, n_spins, lattice, g):
-    bath = generate_bath(seed, n_spins, lattice=lattice)
-    again = generate_bath(seed, n_spins, lattice=lattice)
+       g=st.integers(1, 5))
+def test_a_seed_replays_the_bath_and_its_partition(seed, n_spins, g):
+    bath = generate_bath(seed, n_spins)
+    again = generate_bath(seed, n_spins)
     assert again.positions.tobytes() == bath.positions.tobytes()
     assert again.gammas.tobytes() == bath.gammas.tobytes()
     assert cluster_bath(again, g) == cluster_bath(bath, g)
@@ -467,7 +455,9 @@ _drawn_spin = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(bath=st.one_of(
            st.builds(generate_bath, st.integers(0, 2 ** 32 - 1),
-                     st.integers(1, 60), lattice=st.booleans()),
+                     st.integers(1, 60)),
+           st.builds(ball_bath, st.integers(0, 2 ** 32 - 1),
+                     st.integers(1, 60)),
            st.lists(_drawn_spin, min_size=1, max_size=30,
                     unique_by=lambda spin: spin[0]).map(
                lambda spins: Bath(*zip(*spins)))),
@@ -490,7 +480,7 @@ def _mixed_gamma_bath(seed):
 
 
 @pytest.mark.parametrize("make_bath", [
-    lambda seed: generate_bath(seed=seed, n_spins=150, lattice=False),
+    lambda seed: ball_bath(seed, 150),
     _mixed_gamma_bath,
 ], ids=["continuum-zz", "mixed-gamma-zz"])
 def test_early_stop_keeps_the_partition_on_other_baths(make_bath):
@@ -544,12 +534,14 @@ def test_vectorised_clustering_matches_scalar_pair_loop(n_spins, seeds):
         _check_against_scalar(generate_bath(seed=seed, n_spins=n_spins))
 
 
-@pytest.mark.parametrize("n_spins,lattice", [(400, True), (125, False)],
-                         ids=["bath-large-nv", "continuum"])
-def test_zz_couplings_equal_the_tensor_element(n_spins, lattice):
+@pytest.mark.parametrize("make_bath", [
+    lambda seed: generate_bath(seed, n_spins=400),
+    lambda seed: ball_bath(seed, 125),
+], ids=["bath-large-nv", "continuum"])
+def test_zz_couplings_equal_the_tensor_element(make_bath):
     # clustering must keep every bit of the tensor's zz element, signed
-    # zeros included
-    bath = generate_bath(child_seed(0, 0), n_spins=n_spins, lattice=lattice)
+    # zeros included, on lattice and on off-lattice (continuum) positions
+    bath = make_bath(child_seed(0, 0))
     pos, gamma = bath.positions, bath.gammas
     first, second = np.triu_indices(len(bath), 1)
     args = pos[second] - pos[first], gamma[first], gamma[second]

@@ -164,7 +164,7 @@ def test_echo_json_payload(tmp_path, capsys):
     assert code == 0
     assert out.strip().splitlines() == [str(tmp_path / "echo.json")]
     payload = json.loads((tmp_path / "echo.json").read_text())
-    assert payload["metadata"]["schema_version"] == 1
+    assert payload["metadata"]["schema_version"] == 2
     assert payload["metadata"]["n_spins"] == 12
     assert len(payload["tau_us"]) == 5
     assert payload["signal"][0] == pytest.approx(1.0, abs=1e-9)
@@ -406,12 +406,10 @@ def test_larmor_dist_dry_run_validates_the_bath(capsys, argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("placement", [[], ["--continuum"]],
-                         ids=["lattice", "continuum"])
 @pytest.mark.parametrize("command", ["echo", "scan", "larmor-dist"])
 def test_dry_run_checks_the_site_budget(tmp_path, capsys, monkeypatch,
-                                        command, placement):
-    argv = [command, "--n-spins", "100000000", *placement]
+                                        command):
+    argv = [command, "--n-spins", "100000000"]
     # the run fails on the site budget, checked before any site
     code, out, run_err = _run([*argv, "--out", str(tmp_path / "run")], capsys)
     assert code == 2
@@ -422,7 +420,6 @@ def test_dry_run_checks_the_site_budget(tmp_path, capsys, monkeypatch,
         pytest.fail("a bath was generated")
 
     monkeypatch.setattr("spinbath.bathgen._lattice_shells", no_sites)
-    monkeypatch.setattr("spinbath.bathgen._continuum_points", no_sites)
     code, out, err = _run([*argv, "--dry-run"], capsys)
     assert code == 2
     assert out == ""
@@ -434,15 +431,13 @@ def _no_sites(monkeypatch):
         pytest.fail("a bath was generated")
 
     monkeypatch.setattr("spinbath.bathgen._lattice_shells", no_sites)
-    monkeypatch.setattr("spinbath.bathgen._continuum_points", no_sites)
 
 
 @pytest.mark.parametrize("argv", [
     ["echo", "--abundance", "1e-320"],
     ["echo", "--min-radius", "1e103"],
-    ["echo", "--min-radius", "1e103", "--continuum"],
     ["larmor-dist", "--abundance", "1e-320"]],
-    ids=["abundance", "radius", "radius-continuum", "larmor-abundance"])
+    ids=["abundance", "radius", "larmor-abundance"])
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
 def test_a_first_ball_past_any_float_is_over_the_budget(
         tmp_path, capsys, monkeypatch, argv, dry_run):
@@ -642,9 +637,13 @@ def test_parse_rejects_a_pulse_target(capsys):
 @pytest.mark.parametrize("argv", [
     ["parse", "--check", "pi(x) - tau"],
     ["stats", "--b", "72", "--format", "json"],
+    ["echo", "--continuum"],
+    ["scan", "--continuum"],
+    ["larmor-dist", "--continuum"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
-    # parse --check and stats --format did nothing and are gone
+    # parse --check and stats --format did nothing and are gone; the bath
+    # is the lattice alone, so --continuum is gone too
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -787,7 +786,8 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
 
 
 @pytest.mark.parametrize("values,message", [
-    ({"continuum": "false"}, "config key 'continuum' takes true or false"),
+    ({"central": True}, "config key 'central' takes a string, a number, "
+                        "not true"),
     ({"no_nn": 0}, "config key 'no_nn' takes true or false"),
     ({"g": None}, "config key 'g' takes a string, a number, not null"),
     ({"threads": None}, "config key 'threads' takes a string, a number, "
@@ -796,7 +796,9 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
                     "not true"),
     ({"n": True, "sequence": "cpmg"}, "config key 'n' takes a string, a "
                                       "number or null, not true"),
-    ({"seed": True}, "config key 'seed' takes a string, a number, not true")])
+    ({"seed": True}, "config key 'seed' takes a string, a number, not true"),
+    ({"include_baths": "false"}, "config key 'include_baths' takes true or "
+                                 "false, not \"false\"")])
 def test_config_value_of_the_wrong_kind_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, values, message):
     def no_bath(*args, **kwargs):
@@ -953,8 +955,16 @@ _REFUSALS = [
         ("larmor-thermal", ["larmor-dist", "--central", "p1", "--m-i",
                             "thermal"],
          "thermal nitrogen has no single level pair; fix m_i first"),
-        ("config-flag-text", ["echo", "--config", {"continuum": "false"}],
-         "config key 'continuum' takes true or false, not \"false\""),
+        ("config-flag-text", ["echo", "--config", {"no_nn": "false"}],
+         "config key 'no_nn' takes true or false, not \"false\""),
+        # the bath is the lattice alone: an old config's continuum is refused
+        ("config-continuum-echo", ["echo", "--config", {"continuum": False}],
+         "unknown config key 'continuum'"),
+        ("config-continuum-scan", ["scan", "--config", {"continuum": False}],
+         "unknown config key 'continuum'"),
+        ("config-continuum-larmor", ["larmor-dist", "--config",
+                                     {"continuum": False}],
+         "unknown config key 'continuum'"),
         ("config-scan-vector", ["scan", "--config", {"b": [0, 0, 72]}],
          "config key 'b' takes a string, a number, not [0, 0, 72]"),
         ("config-field-list", ["scan", "--config",
@@ -970,8 +980,6 @@ _REFUSALS = [
          "theta and angular_factor must be finite, with a finite coupling"),
         ("echo-abundance", ["echo", "--abundance", "1e-320"], _SITES),
         ("echo-radius", ["echo", "--min-radius", "1e103"], _SITES),
-        ("echo-radius-continuum", ["echo", "--min-radius", "1e103",
-                                   "--continuum"], _SITES),
         ("echo-zeeman", ["echo", "--b", "1e308"], _OVERFLOW),
         ("scan-zeeman", ["scan", "--b", "1e308"], _OVERFLOW),
         ("spectrum-zeeman", ["spectrum", "--b", "1e308"], _OVERFLOW),
@@ -1161,21 +1169,18 @@ def test_drawn_argv_exits_0_or_2_with_one_line(command, data):
 
 
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"no_nn": True, "continuum": True,
-                                   "include_baths": True, "seed": 5})
+    cfg = _write_config(tmp_path, {"no_nn": True, "include_baths": True,
+                                   "seed": 5})
     code, out, _ = _run(["echo", "--config", cfg, "--seed", "7", "--dry-run"],
                         capsys)
     assert code == 0
     resolved = _dry_run_config(out)
-    assert resolved["no_nn"] and resolved["continuum"]
-    assert resolved["include_baths"]
+    assert resolved["no_nn"] and resolved["include_baths"]
     assert resolved["seed"] == 7
     assert resolved["resolved_simulation"]["include_nn"] is False
-    assert resolved["resolved_simulation"]["lattice"] is False
     code, out, _ = _run(["echo", "--dry-run"], capsys)
     resolved = _dry_run_config(out)
-    assert not (resolved["no_nn"] or resolved["continuum"]
-                or resolved["include_baths"])
+    assert not (resolved["no_nn"] or resolved["include_baths"])
 
 
 def test_larmor_dist_keeps_its_central_default_under_a_config(tmp_path,

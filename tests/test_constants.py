@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy import constants as si
 from oracles import density_nm3_to_ppm
 from spinbath import constants as c
 from spinbath.analysis import mean_kth_distance
+from spinbath import bathgen
 from spinbath.bathgen import check_bath_parameters, cluster_bath, generate_bath
 from spinbath.dynamics import SimulationConfig
 from spinbath.hamiltonians import NVCenter, P1Center
@@ -195,3 +197,55 @@ def test_a_count_is_an_integer_taken_as_an_int_or_refused(entry, n):
         assert type(got) is type(want) and str(got) == str(want)
     else:
         assert isinstance(got, ValueError)
+
+
+# Each entry that admits a bath's (n_spins, abundance, min_radius), as a
+# call whose result is JSON: the admitted values, the positions, the echo
+# of a config.
+_BATH_ENTRIES = (
+    check_bath_parameters,
+    lambda *bath: generate_bath(0, *bath).positions.tolist(),
+    lambda n, a, r: SimulationConfig(n_spins=n, abundance=a, min_radius=r,
+                                     tau_grid=(0.0,)).describe(),
+)
+
+# floats of the whole line, float32 and float64 scalars, integers about the
+# bounds 0 and 1, and what float() takes or refuses besides
+_QUANTITIES = (_FLOATS | st.floats(width=32).map(np.float32)
+               | _FLOATS.map(np.float64) | st.integers(-1, 2)
+               | st.sampled_from([None, "0.5", "nan", "one", 1j]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n_spins=st.integers(-1, 4) | st.integers(0, 4).map(np.int64),
+       abundance=_QUANTITIES, min_radius=_QUANTITIES)
+@example(n_spins=5, abundance=np.float32(0.011), min_radius=c.DIAMOND_BOND_NM)
+@example(n_spins=5, abundance=c.C13_ABUNDANCE, min_radius=np.float32(0.2))
+@example(n_spins=5, abundance=c.C13_ABUNDANCE, min_radius="0.2")
+@example(n_spins=5, abundance="0.5", min_radius=c.DIAMOND_BOND_NM)
+@example(n_spins=5, abundance=None, min_radius=c.DIAMOND_BOND_NM)
+@example(n_spins=5, abundance=c.C13_ABUNDANCE, min_radius=None)
+def test_bath_quantities_are_taken_as_floats_or_refused(n_spins, abundance,
+                                                        min_radius):
+    # never a TypeError: each entry takes the three as an int and two finite
+    # floats, its result JSON, or refuses them all with one ValueError line.
+    # A budget of 20,000 sites keeps each walk short; its refusal is one of
+    # the outcomes.
+    outcomes = []
+    with mock.patch.object(bathgen, "_MAX_SITES", 20_000):
+        for entry in _BATH_ENTRIES:
+            try:
+                outcomes.append(json.dumps(entry(n_spins, abundance,
+                                                 min_radius)))
+            except ValueError as err:
+                assert str(err) and "\n" not in str(err)
+                outcomes.append(str(err))
+    if outcomes[0].startswith("["):
+        n, a, r = json.loads(outcomes[0])
+        assert (n, a, r) == (int(n_spins), float(abundance), float(min_radius))
+        positions = np.array(json.loads(outcomes[1]))
+        assert len(positions) == n and np.isfinite(positions).all()
+        echo = json.loads(outcomes[2])
+        assert (echo["abundance"], echo["min_radius_nm"]) == (a, r)
+    else:
+        assert outcomes == outcomes[:1] * 3

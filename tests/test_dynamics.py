@@ -898,7 +898,7 @@ def test_config_describe_round_trips_to_json():
     config = SimulationConfig(central=P1Center(m_i=None),
                               sequence=expand_preset("cpmg", 2))
     info = json.loads(json.dumps(config.describe()))
-    assert info["schema_version"] == 1
+    assert info["schema_version"] == 2
     assert info["central"]["type"] == "P1Center"
     assert info["central"]["m_i"] is None
     assert info["central"]["jt_label"] == "off-axis-1"

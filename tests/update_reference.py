@@ -14,8 +14,10 @@ Run from the repository root to rewrite ``tests/reference/``:
 
 It prints, for each file, the largest absolute shift of its float cells
 against the file it replaces: "=" after a file that is byte-identical,
-"new" for a file that was not there, "inf" where a cell that is not a
-float changed, and "gone" for a file the command no longer writes.
+"new" for a file that was not there, "inf" and the path of the first
+difference where a cell that is not a float changed (".stdout",
+".resolved_simulation.lattice removed", "[3][2]" for a CSV's row 3,
+column 2), and "gone" for a file the command no longer writes.
 """
 
 import contextlib
@@ -87,27 +89,43 @@ def read_case(name: str) -> dict[str, str]:
             for path in sorted((REFERENCE / name).iterdir())}
 
 
-def _cell_shift(old, new) -> float:
-    """|old - new| of two numbers, one of them a float; inf where two other
-    cells are not equal."""
+def _cell_shift(old, new, where: str) -> tuple[float, str]:
+    """(|old - new|, "") of two numbers, one of them a float; (inf, where)
+    where two other cells are not equal."""
     kinds = {type(old), type(new)}
     if float in kinds and kinds <= {int, float}:
         if old == new or (math.isnan(old) and math.isnan(new)):
-            return 0.0
-        return abs(old - new) if math.isfinite(old - new) else math.inf
-    return 0.0 if (type(old), old) == (type(new), new) else math.inf
+            return 0.0, ""
+        if math.isfinite(old - new):
+            return abs(old - new), ""
+    elif (type(old), old) == (type(new), new):
+        return 0.0, ""
+    return math.inf, where
 
 
-def _json_shift(old, new) -> float:
+def _largest(shifts) -> tuple[float, str]:
+    """The largest of (shift, where) pairs, the first inf's where kept."""
+    return max(shifts, key=lambda shift: shift[0], default=(0.0, ""))
+
+
+def _json_shift(old, new, where: str = "") -> tuple[float, str]:
     if isinstance(old, dict) and isinstance(new, dict):
+        for key in old:
+            if key not in new:
+                return math.inf, f"{where}.{key} removed"
+        for key in new:
+            if key not in old:
+                return math.inf, f"{where}.{key} added"
         if list(old) != list(new):
-            return math.inf
-        return max((_json_shift(old[k], new[k]) for k in old), default=0.0)
+            return math.inf, f"{where} key order"
+        return _largest(_json_shift(old[k], new[k], f"{where}.{k}")
+                        for k in old)
     if isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            return math.inf
-        return max(map(_json_shift, old, new), default=0.0)
-    return _cell_shift(old, new)
+            return math.inf, f"{where} length {len(old)} to {len(new)}"
+        return _largest(_json_shift(a, b, f"{where}[{k}]")
+                        for k, (a, b) in enumerate(zip(old, new)))
+    return _cell_shift(old, new, where)
 
 
 def _as_float(cell: str):
@@ -117,20 +135,24 @@ def _as_float(cell: str):
         return cell
 
 
-def largest_shift(name: str, old: str, new: str) -> float:
+def largest_shift(name: str, old: str, new: str) -> tuple[float, str]:
     """The largest absolute shift of a file's float cells (CSV cells that
-    parse as floats, JSON numbers); inf where anything else differs."""
+    parse as floats, JSON numbers), and "": or inf and where the first
+    other difference is, a JSON path (.key[index]) or a CSV row[column]."""
     if old == new:
-        return 0.0
+        return 0.0, ""
     if name.endswith(".json"):
         return _json_shift(json.loads(old), json.loads(new))
     old_rows = list(csv.reader(io.StringIO(old)))
     new_rows = list(csv.reader(io.StringIO(new)))
-    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
-        return math.inf
-    return max((_cell_shift(_as_float(a), _as_float(b))
-                for r, s in zip(old_rows, new_rows) for a, b in zip(r, s)),
-               default=0.0)
+    for k, (r, s) in enumerate(zip(old_rows, new_rows)):
+        if len(r) != len(s):
+            return math.inf, f"[{k}] length {len(r)} to {len(s)}"
+    if len(old_rows) != len(new_rows):
+        return math.inf, f"length {len(old_rows)} to {len(new_rows)}"
+    return _largest(_cell_shift(_as_float(a), _as_float(b), f"[{k}][{j}]")
+                    for k, (r, s) in enumerate(zip(old_rows, new_rows))
+                    for j, (a, b) in enumerate(zip(r, s)))
 
 
 def update() -> None:
@@ -144,7 +166,8 @@ def update() -> None:
             elif name not in old:
                 verdict = "new"
             else:
-                verdict = f"{largest_shift(name, old[name], new[name]):.3g}"
+                shift, where = largest_shift(name, old[name], new[name])
+                verdict = f"{shift:.3g} {where}".rstrip()
                 if old[name] == new[name]:
                     verdict += " ="
             print(f"{case}/{name}  {verdict}")
