@@ -54,45 +54,45 @@ def _parse_time_us(token: str) -> float:
                        f"time value '{token}' must be finite")
 
 
-def _parse_tau_grid(text: str) -> tuple[float, ...]:
-    """'start:stop:count' (times default to microseconds)."""
+def _parse_gauss(token: str) -> float:
+    """One field token in gauss."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"bad field value '{token}'") from None
+
+
+def _check_count(count: int, name: str) -> None:
+    """The count rule of a tau grid or field list: 1 to _MAX_POINTS."""
+    if not 1 <= count <= _MAX_POINTS:
+        raise ValueError(f"{name} count must be 1 to {_MAX_POINTS}, not {count}")
+
+
+def _parse_range(text: str, value, name: str) -> list[float]:
+    """'start:stop:count' of name, each end read by value; the count is
+    checked before any point is made."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("tau must be start:stop:count, e.g. 0:40us:200")
-    start, stop = _parse_time_us(parts[0]), _parse_time_us(parts[1])
+        raise ValueError(f"{name} must be start:stop:count, not '{text}'")
+    start, stop = value(parts[0]), value(parts[1])
     try:
         count = int(parts[2])
     except ValueError:
-        raise ValueError(f"bad tau count '{parts[2]}'") from None
-    if not 1 <= count <= _MAX_POINTS:
-        raise ValueError(f"tau count must be 1 to {_MAX_POINTS}, not {count}")
-    # a non-finite tau is SimulationConfig's to refuse, not numpy's to warn
+        raise ValueError(f"bad {name} count '{parts[2]}'") from None
+    _check_count(count, name)
+    # a non-finite point is its caller's to refuse, not numpy's to warn
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(float(t) for t in np.linspace(start, stop, count))
+        return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def _parse_field_list(text: str) -> list[float]:
     """'start:stop:count', 'b1,b2,...', or a single value (gauss); the
     count is checked before any field is made."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("field range must be start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"bad field range '{text}'") from None
-    else:
-        tokens = [t for t in text.split(",") if t.strip()] if "," in text else [text]
-        count = len(tokens)
-    if count > _MAX_POINTS:
-        raise ValueError(f"field count must be at most {_MAX_POINTS}, "
-                         f"not {count}")
-    if ":" in text:
-        # a non-finite field is _magnitudes' to refuse, not numpy's to warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            tokens = np.linspace(start, stop, count)
-    return [float(b) for b in tokens]
+        return _parse_range(text, _parse_gauss, "field")
+    tokens = [t for t in text.split(",") if t.strip()] if "," in text else [text]
+    _check_count(len(tokens), "field")
+    return [_parse_gauss(t) for t in tokens]
 
 
 def _make_jt(name: str) -> JtOrientation:
@@ -259,14 +259,12 @@ def _add_simulation(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, help="repetition count for cpmg/xy8")
     p.add_argument("--g", type=int, default=3, help="max cluster size")
     p.add_argument("--n-baths", type=int, default=20)
-    p.add_argument("--no-nn", action="store_true",
-                   help="drop carbon-carbon couplings inside groups")
     p.add_argument("--threads", type=int, default=1)
     _add_output(p, "csv")
 
 
 def _sim_config(resolved: dict, b) -> SimulationConfig:
-    tau_grid = _parse_tau_grid(resolved["tau"])
+    tau_grid = _parse_range(resolved["tau"], _parse_time_us, "tau")
     sequence = _make_sequence(resolved["sequence"], resolved["n"])
     return SimulationConfig(
         central=_make_central(resolved),
@@ -276,7 +274,6 @@ def _sim_config(resolved: dict, b) -> SimulationConfig:
         tau_grid=tau_grid,
         sequence=sequence,
         master_seed=resolved["seed"],
-        include_nn=not resolved["no_nn"],
         workers=resolved["threads"],
         **_bath_args(resolved),
     )

@@ -69,7 +69,7 @@ __all__ = [
     "scan_csv",
 ]
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 # Bytes of one Hamiltonian stack.  `echo --g G --n-baths 1 --tau 0:30us:5`
 # (2 cores, one BLAS thread) at caps of 1/4/16/64 MiB: g = 5 0.82-0.87 s at
@@ -140,7 +140,6 @@ class SimulationConfig:
     sequence: PulseProgram = field(default_factory=lambda: expand_preset("hahn"))
     master_seed: int = 0
     min_radius: float = DIAMOND_BOND_NM
-    include_nn: bool = True
     workers: int = 1
     # derived at b_field: each projection's weight and probed pair (_at_field)
     probes: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -204,7 +203,6 @@ class SimulationConfig:
             "n_baths": self.n_baths,
             "master_seed": self.master_seed,
             "min_radius_nm": self.min_radius,
-            "include_nn": self.include_nn,
             "sequence": canonical_text(self.sequence),
             "sequence_name": self.sequence.name,
         }
@@ -398,10 +396,8 @@ class _Setup:
     group sizes, each probed pair's folded pulses (_group_curves).
     """
 
-    def __init__(self, central, b_field, probes, planned, sizes,
-                 include_nn=True):
+    def __init__(self, central, b_field, probes, planned, sizes):
         self.central, self.b_field = central, b_field
-        self.include_nn = include_nn
         self.weights = [weight for weight, _ in probes]
         self.eta, self.plans = planned
         self.n_taus = sum(len(p[1]) for p in self.plans)
@@ -485,7 +481,7 @@ def _group_curves(w, v, setup: _Setup) -> np.ndarray:
     return setup.eta * (2.0 / nb * out - 1.0)  # sign and offset, all chunks
 
 
-def _eigen_stacks(central, bath: Bath, index, b_field, include_nn=True):
+def _eigen_stacks(central, bath: Bath, index, b_field):
     """(rows, (w, v)) per stack of at most _STACK_BYTES, in order: the
     eigen-stack of the groups index[rows], index (G, k) of bath indices."""
     dim = math.prod(central.dims) << index.shape[1]
@@ -494,7 +490,7 @@ def _eigen_stacks(central, bath: Bath, index, b_field, include_nn=True):
         rows = slice(start, start + step)
         yield rows, np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
             central, bath.positions[index[rows]], bath.gammas[index[rows]],
-            b_field, include_nn=include_nn))
+            b_field))
 
 
 def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
@@ -513,8 +509,7 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
         same = np.flatnonzero(sizes == size)
         index = np.array([groups[k] for k in same], dtype=np.intp)
         for rows, (w, v) in _eigen_stacks(setup.central, bath, index,
-                                          setup.b_field,
-                                          include_nn=setup.include_nn):
+                                          setup.b_field):
             # the carbons widen the central's width; a span from 0 bounds 2 pi w
             _check_phase(float(w.max(initial=0.0))
                          - float(w.min(initial=0.0)), setup.longest)
@@ -524,16 +519,16 @@ def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:
 
 
 def group_signal(central, group: Bath, program: PulseProgram, tau: float,
-                 b_field, *, include_nn: bool = True) -> float:
+                 b_field) -> float:
     """Echo signal of the central spin coupled to one carbon group under
     program at one tau (s), admitted as a SimulationConfig of one tau and the
     group's size: it refuses (ValueError) what that run refuses, the tau, the
     field, the pair, the program's length, the group's bytes and the phase."""
     config = SimulationConfig(central=central, b_field=b_field, tau_grid=(tau,),
                               n_spins=len(group), g=max(1, len(group)),
-                              sequence=program, include_nn=include_nn)
+                              sequence=program)
     setup = _Setup(central, config.b_field, config.probes,
-                   _plans(program, config.tau_grid), [len(group)], include_nn)
+                   _plans(program, config.tau_grid), [len(group)])
     return float(_echo(setup, group, [range(len(group))])[0])
 
 
@@ -553,7 +548,7 @@ def _ensemble_curves(config: SimulationConfig, fields) -> list[EchoCurve]:
     planned = _plans(config.sequence, config.tau_grid)
     # a group holds at most g spins, and no more than the bath
     sizes = range(1, min(config.g, config.n_spins) + 1)
-    setups = [_Setup(config.central, *at, planned, sizes, config.include_nn)
+    setups = [_Setup(config.central, *at, planned, sizes)
               for at in fields]
 
     def rows(index: int) -> list:

@@ -42,6 +42,7 @@ from .constants import (
     PLANCK_SI,
     Q_N14_MHZ,
     as_count,
+    as_quantity,
 )
 
 __all__ = [
@@ -183,9 +184,10 @@ def _spin_matrices(twice_s: int):
 def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (sx, sy, sz) for spin quantum number s (2s integral),
     hbar = 1, in descending-projection order."""
-    twice_s = 2 * s
-    if abs(twice_s - round(twice_s)) > 1e-12 or twice_s < 1:
-        raise ValueError(f"spin quantum number must be half-integral, got {s}")
+    message = f"spin quantum number must be half-integral, got {s}"
+    twice_s = 2 * as_quantity(s, message, 0.5)
+    if abs(twice_s - round(twice_s)) > 1e-12:
+        raise ValueError(message)
     return _spin_matrices(int(round(twice_s)))
 
 
@@ -353,26 +355,24 @@ def level_pair(central, evecs) -> tuple[int, int]:
                          "unaddressable") from None
 
 
-def build_system_hamiltonian(central, group, b, **options) -> np.ndarray:
+def build_system_hamiltonian(central, group, b) -> np.ndarray:
     """Hamiltonian of a central spin plus one group (a Bath): one stack.
     The tests' reference, kept only while perfbench/trace_child.py wraps it
     by name."""
     return build_hamiltonian_stack(central, group.positions[None],
-                                   group.gammas[None], b, **options)[0]
+                                   group.gammas[None], b)[0]
 
 
-def build_hamiltonian_stack(central, pos, gamma, b, *,
-                            include_nn: bool = True) -> np.ndarray:
+def build_hamiltonian_stack(central, pos, gamma, b) -> np.ndarray:
     """Hamiltonians (G, D, D) in Hz of a central spin plus each of G groups.
 
     pos (G, k, 3) holds each group's carbon positions in nm and gamma
     (G, k) their gyromagnetic ratios in Hz/G.  The composite space is
     [central slots..., carbon 1, ..., carbon k] in the order each group
     lists them.  Each carbon gets its Zeeman term and a point-dipole
-    hyperfine coupling to the central electron; carbon pairs inside a
-    group are dipole-coupled to each other unless include_nn is False (the
-    bare product form).  Each term enters through its nonzeros alone (see
-    _term_table).
+    hyperfine coupling to the central electron, and carbon pairs inside a
+    group are dipole-coupled to each other.  Each term enters through its
+    nonzeros alone (see _term_table).
     """
     if central is None:
         raise ValueError("a central-spin specification is required")
@@ -398,9 +398,9 @@ def build_hamiltonian_stack(central, pos, gamma, b, *,
         np.concatenate([gamma, gamma[:, j]], axis=1).ravel()).reshape(n, -1, 9)
     # coefficients (n, terms) in the order of _dense_terms
     zeeman = -gamma[:, :, None] * _field_vector(b)
-    coeffs = np.concatenate([zeeman, tensors[:, :k]], axis=2).reshape(n, -1)
-    if include_nn:
-        coeffs = np.concatenate([coeffs, tensors[:, k:].reshape(n, -1)], axis=1)
+    per_carbon = np.concatenate([zeeman, tensors[:, :k]], axis=2)
+    coeffs = np.concatenate([per_carbon.reshape(n, -1),
+                             tensors[:, k:].reshape(n, -1)], axis=1)
     # One term at a time in a fixed order, zeros skipped: the diagonal holds
     # the central spin's splittings (GHz for the NV), and a summed update
     # (tensordot) rounds it differently, moving NV CPMG echoes by 3e-10.

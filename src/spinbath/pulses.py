@@ -84,6 +84,7 @@ def two_level_unitary(axis: str, angle: float) -> np.ndarray:
     """Ideal rotation exp(-i angle (n . sigma) / 2), n = AXIS_VECTORS[axis]."""
     if axis not in AXIS_VECTORS:
         raise ValueError(f"unknown pulse axis {axis!r}")
+    angle = as_quantity(angle, f"rotation angle must be finite, not {angle}")
     nx, ny = AXIS_VECTORS[axis]
     c = np.cos(angle / 2.0)
     s = np.sin(angle / 2.0)

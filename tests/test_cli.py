@@ -164,7 +164,7 @@ def test_echo_json_payload(tmp_path, capsys):
     assert code == 0
     assert out.strip().splitlines() == [str(tmp_path / "echo.json")]
     payload = json.loads((tmp_path / "echo.json").read_text())
-    assert payload["metadata"]["schema_version"] == 2
+    assert payload["metadata"]["schema_version"] == 3
     assert payload["metadata"]["n_spins"] == 12
     assert len(payload["tau_us"]) == 5
     assert payload["signal"][0] == pytest.approx(1.0, abs=1e-9)
@@ -191,9 +191,9 @@ def test_echo_rejects_malformed_tau(tmp_path, capsys):
     (["echo", "--tau", "0:30us:1000000000000"],
      "tau count must be 1 to 1048576, not 1000000000000"),
     (["scan", "--b", "40:110:100000000"],
-     "field count must be at most 1048576, not 100000000"),
+     "field count must be 1 to 1048576, not 100000000"),
     (["scan", "--b", ",".join(["72"] * ((1 << 20) + 1))],
-     "field count must be at most 1048576, not 1048577"),
+     "field count must be 1 to 1048576, not 1048577"),
 ], ids=["tau", "field", "field-list"])
 def test_grid_counts_over_budget_are_refused_before_allocation(
         argv, message, capsys, monkeypatch):
@@ -347,7 +347,7 @@ def test_scan_rejects_empty_field_list(tmp_path, capsys):
     code, _, err = _run(["scan", *_SMALL, "--b", ",", "--out", str(tmp_path)],
                         capsys)
     assert code == 2
-    assert "non-empty" in err
+    assert err == "field count must be 1 to 1048576, not 0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +640,13 @@ def test_parse_rejects_a_pulse_target(capsys):
     ["echo", "--continuum"],
     ["scan", "--continuum"],
     ["larmor-dist", "--continuum"],
+    ["echo", "--no-nn"],
+    ["scan", "--no-nn"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     # parse --check and stats --format did nothing and are gone; the bath
-    # is the lattice alone, so --continuum is gone too
+    # is the lattice alone, so --continuum is gone too, and the model keeps
+    # its carbon-carbon couplings, so --no-nn is gone
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -730,14 +733,15 @@ def test_config_value_its_flag_rejects_is_a_usage_error(tmp_path, capsys,
 def test_config_numbers_go_through_their_flags_type(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"g": 2, "n_spins": 12, "b": 47,
                                    "abundance": 0.02, "seed": 5,
-                                   "min_radius": None, "no_nn": True})
+                                   "min_radius": None, "include_baths": True})
     code, out, _ = _run(["echo", "--config", cfg, "--dry-run"], capsys)
     assert code == 0
     resolved = _dry_run_config(out)
     assert (resolved["g"], resolved["n_spins"], resolved["seed"]) == (2, 12, 5)
     assert resolved["b"] == 47.0 and isinstance(resolved["b"], float)
     assert resolved["abundance"] == 0.02
-    assert resolved["min_radius"] is None and resolved["no_nn"] is True
+    assert resolved["min_radius"] is None
+    assert resolved["include_baths"] is True
 
 
 def test_config_number_for_a_text_flag_is_parsed_as_its_text(tmp_path,
@@ -788,7 +792,8 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
 @pytest.mark.parametrize("values,message", [
     ({"central": True}, "config key 'central' takes a string, a number, "
                         "not true"),
-    ({"no_nn": 0}, "config key 'no_nn' takes true or false"),
+    ({"n_baths": [20]}, "config key 'n_baths' takes a string, a number, "
+                        "not [20]"),
     ({"g": None}, "config key 'g' takes a string, a number, not null"),
     ({"threads": None}, "config key 'threads' takes a string, a number, "
                         "not null"),
@@ -798,7 +803,8 @@ def test_config_format_is_checked_before_any_work(tmp_path, capsys, dry_run):
                                       "number or null, not true"),
     ({"seed": True}, "config key 'seed' takes a string, a number, not true"),
     ({"include_baths": "false"}, "config key 'include_baths' takes true or "
-                                 "false, not \"false\"")])
+                                 "false, not \"false\""),
+    ({"dry_run": 0}, "config key 'dry_run' takes true or false, not 0")])
 def test_config_value_of_the_wrong_kind_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, values, message):
     def no_bath(*args, **kwargs):
@@ -935,7 +941,11 @@ _REFUSALS = [
         ("echo-tau-count", ["echo", "--tau", "0:30us:1000000000000"],
          "tau count must be 1 to 1048576, not 1000000000000"),
         ("scan-field-count", ["scan", "--b", "40:110:100000000"],
-         "field count must be at most 1048576, not 100000000"),
+         "field count must be 1 to 1048576, not 100000000"),
+        ("scan-field-count-negative", ["scan", "--b", "1:2:-1"],
+         "field count must be 1 to 1048576, not -1"),
+        ("scan-field-count-zero", ["scan", "--b", "1:2:0"],
+         "field count must be 1 to 1048576, not 0"),
         ("echo-phase", ["echo", "--sequence", "pi/2(x) - 1e300us - pi/2(x)"],
          "fp64 no longer resolves it to 1e-6 rad"),
         ("echo-tau-divisor", ["echo", "--sequence", "pi/2(x) - tau/1"
@@ -955,8 +965,11 @@ _REFUSALS = [
         ("larmor-thermal", ["larmor-dist", "--central", "p1", "--m-i",
                             "thermal"],
          "thermal nitrogen has no single level pair; fix m_i first"),
-        ("config-flag-text", ["echo", "--config", {"no_nn": "false"}],
-         "config key 'no_nn' takes true or false, not \"false\""),
+        ("config-flag-text", ["echo", "--config", {"dry_run": "false"}],
+         "config key 'dry_run' takes true or false, not \"false\""),
+        # the model keeps its carbon-carbon couplings: an old no_nn is refused
+        ("config-no-nn", ["echo", "--config", {"no_nn": True}],
+         "unknown config key 'no_nn'"),
         # the bath is the lattice alone: an old config's continuum is refused
         ("config-continuum-echo", ["echo", "--config", {"continuum": False}],
          "unknown config key 'continuum'"),
@@ -969,7 +982,7 @@ _REFUSALS = [
          "config key 'b' takes a string, a number, not [0, 0, 72]"),
         ("config-field-list", ["scan", "--config",
                                {"b": ",".join(["72"] * ((1 << 20) + 1))}],
-         "field count must be at most 1048576, not 1048577"),
+         "field count must be 1 to 1048576, not 1048577"),
         ("echo-sites", ["echo", "--n-spins", "100000000"], _SITES),
         ("stats-ppm", ["stats", "--ppm", "-1"],
          "density must be positive and finite"),
@@ -1169,18 +1182,16 @@ def test_drawn_argv_exits_0_or_2_with_one_line(command, data):
 
 
 def test_config_sets_store_true_flags_and_flags_still_win(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"no_nn": True, "include_baths": True,
+    cfg = _write_config(tmp_path, {"dry_run": True, "include_baths": True,
                                    "seed": 5})
-    code, out, _ = _run(["echo", "--config", cfg, "--seed", "7", "--dry-run"],
-                        capsys)
+    code, out, _ = _run(["echo", "--config", cfg, "--seed", "7"], capsys)
     assert code == 0
     resolved = _dry_run_config(out)
-    assert resolved["no_nn"] and resolved["include_baths"]
+    assert resolved["dry_run"] and resolved["include_baths"]
     assert resolved["seed"] == 7
-    assert resolved["resolved_simulation"]["include_nn"] is False
     code, out, _ = _run(["echo", "--dry-run"], capsys)
     resolved = _dry_run_config(out)
-    assert not (resolved["no_nn"] or resolved["include_baths"])
+    assert not resolved["include_baths"]
 
 
 def test_larmor_dist_keeps_its_central_default_under_a_config(tmp_path,

@@ -243,11 +243,24 @@ def test_detached_groups_factorize():
     # two carbons far apart: the joint signal approximately factorizes
     s1, s2 = _spin(0.6, 0.0, 0.4), _spin(-8.0, 7.0, -9.0)
     hahn = expand_preset("hahn")
-    joint = group_signal(NVCenter(), Bath([s1, s2]), hahn, 9e-6, 72.0,
-                         include_nn=False)
+    # carbon-carbon coupling off: the oracle's decoupled-carbon form
+    joint = kernel_signal(NVCenter(), Bath([s1, s2]), hahn, 9e-6, 72.0,
+                          include_nn=False)
     split = (group_signal(NVCenter(), Bath([s1]), hahn, 9e-6, 72.0)
              * group_signal(NVCenter(), Bath([s2]), hahn, 9e-6, 72.0))
     assert joint == pytest.approx(split, abs=1e-6)
+
+
+def test_the_model_has_no_carbon_pair_switch():
+    # the decoupled-carbon form lives in oracles.group_hamiltonian alone
+    with pytest.raises(TypeError):
+        SimulationConfig(include_nn=False)
+    with pytest.raises(TypeError):
+        group_signal(NVCenter(), Bath([_spin(0.6, 0.0, 0.4)]),
+                     expand_preset("hahn"), 9e-6, 72.0, include_nn=False)
+    with pytest.raises(TypeError):
+        build_hamiltonian_stack(NVCenter(), [[_spin(0.6, 0.0, 0.4)]],
+                                [[GAMMA_C13_HZ_PER_G]], 72.0, include_nn=False)
 
 
 def test_secular_factorization_is_exact():
@@ -898,7 +911,7 @@ def test_config_describe_round_trips_to_json():
     config = SimulationConfig(central=P1Center(m_i=None),
                               sequence=expand_preset("cpmg", 2))
     info = json.loads(json.dumps(config.describe()))
-    assert info["schema_version"] == 2
+    assert info["schema_version"] == 3
     assert info["central"]["type"] == "P1Center"
     assert info["central"]["m_i"] is None
     assert info["central"]["jt_label"] == "off-axis-1"

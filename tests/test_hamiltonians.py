@@ -297,9 +297,10 @@ def test_system_hamiltonian_rejects_coincident_spins():
 
 
 def test_system_hamiltonian_carbon_pair_coupling_toggle():
+    # the model against the oracle's decoupled-carbon form
     group = Bath([(0.5, 0.5, 0.5), (0.7, 0.5, 0.5)])
     h_on = build_system_hamiltonian(NVCenter(), group, 72.0)
-    h_off = build_system_hamiltonian(NVCenter(), group, 72.0, include_nn=False)
+    h_off = group_hamiltonian(NVCenter(), group, 72.0, include_nn=False)
     diff = h_on - h_off
     assert np.abs(diff).max() > 0.0
     # the difference acts only on the carbon pair: tracing out the center
@@ -360,24 +361,19 @@ def _stacks():
     return stacks
 
 
-def _stack(central, groups, b, **options):
+def _stack(central, groups, b):
     """build_hamiltonian_stack of groups (Baths) of one size."""
     return build_hamiltonian_stack(
         central, np.stack([group.positions for group in groups]),
-        np.stack([group.gammas for group in groups]), b, **options)
+        np.stack([group.gammas for group in groups]), b)
 
 
-# The stack builds the model alone, include_nn its one option; the
-# validation forms (secular, scaled or decoupled hyperfine) exist only in
+# The stack builds the model alone, with no option; the validation forms
+# (secular, scaled or decoupled hyperfine, decoupled carbons) exist only in
 # oracles.group_hamiltonian, from which the closed-form tests run them.
-_FORMS = [{}, {"include_nn": False}, {"secular_hyperfine": True},
-          {"hyperfine_scale": 0.0}, {"hyperfine_scale": 0.5}]
-
-
-def _model_options(options):
-    """The options of the model among options: include_nn alone."""
-    return {key: value for key, value in options.items()
-            if key == "include_nn"}
+_FORMS = [{}, {"secular_hyperfine": True, "hyperfine_scale": 0.5},
+          {"secular_hyperfine": True}, {"hyperfine_scale": 0.0},
+          {"hyperfine_scale": 0.5}]
 
 
 def _dropped_hyperfine(central, group, options):
@@ -403,13 +399,12 @@ def _dropped_hyperfine(central, group, options):
 @pytest.mark.parametrize("options", _FORMS)
 @pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
 def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
-    model = _model_options(options)
     for groups in _stacks():
-        stack = _stack(central, groups, b, **model)
+        stack = _stack(central, groups, b)
         assert stack.shape[0] == len(groups)
         for h, group in zip(stack, groups):
             want = group_hamiltonian(central, group, b, **options)
-            if options == model:
+            if not options:
                 # bit for bit on every nonzero; + 0.0 makes every zero +0
                 assert (h + 0.0).tobytes() == (want + 0.0).tobytes()
             else:
@@ -427,17 +422,16 @@ def test_hamiltonian_stack_equals_term_by_term_assembly(central, options, b):
 @pytest.mark.parametrize("b", [72.0, (5.0, 0.0, 72.0)])
 def test_stacked_eigh_equals_eigh_of_the_term_by_term_assembly(central,
                                                                 options, b):
-    model = _model_options(options)
     taus = (0.0, 3e-6, 12e-6)
     probes = dynamics._levels(central, b)[0]
     setups = [dynamics._Setup(central, b, probes, dynamics._plans(prog, taus),
                               (1, 2, 3))
               for prog in (expand_preset("hahn"), expand_preset("xy8", 2))]
     for groups in _stacks():
-        w, v = np.linalg.eigh(_stack(central, groups, b, **model))
+        w, v = np.linalg.eigh(_stack(central, groups, b))
         forms = [group_hamiltonian(central, group, b, **options)
                  for group in groups]
-        if options == model:
+        if not options:
             # the signs of zeros the stack may differ in do not reach eigh
             for wg, vg, h in zip(w, v, forms):
                 w1, v1 = np.linalg.eigh(h)
@@ -542,10 +536,10 @@ def test_projector_rejects_projection_off_ladder():
 
 
 def test_invalid_spin_quantum_number():
-    with pytest.raises(ValueError):
-        spin_operators(0.3)
-    with pytest.raises(ValueError):
-        spin_operators(0.0)
+    for s in (0.3, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="spin quantum number must be "
+                           "half-integral"):
+            spin_operators(s)
 
 
 def test_operator_matrices_are_read_only():

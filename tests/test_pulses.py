@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,3 +405,12 @@ def test_two_level_unitary_composition():
 def test_two_level_unitary_rejects_bad_axis():
     with pytest.raises(ValueError):
         two_level_unitary("z", np.pi)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_two_level_unitary_refuses_a_non_finite_angle(angle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError) as exc:
+            two_level_unitary("x", angle)
+    assert str(exc.value) == f"rotation angle must be finite, not {angle}"
