@@ -55,30 +55,25 @@ _SHELL_SITES = 4096
 
 @dataclass(frozen=True, eq=False)
 class Bath:
-    """Bath spins around the origin defect: positions (n, 3) in nm and
-    gyromagnetic ratios (n,) in Hz/G, both read-only; the ratios default to
-    carbon-13.  Rows must be finite and distinct, and none at the origin.
+    """Carbon-13 spins around the origin defect: read-only positions (n, 3)
+    in nm, finite and distinct, and none at the origin.
     """
 
     positions: np.ndarray
-    gammas: np.ndarray | None = None
 
     def __post_init__(self):
         # reshape refuses (ValueError) any other number of entries
         pos = np.array(self.positions, dtype=float).reshape(
             len(self.positions), 3)
-        gammas = np.full(len(pos), GAMMA_C13_HZ_PER_G) if self.gammas is None \
-            else np.array(self.gammas, dtype=float).reshape(len(pos))
-        if not (np.isfinite(pos).all() and np.isfinite(gammas).all()):
-            raise ValueError("bath positions and gammas must be finite")
+        if not np.isfinite(pos).all():
+            raise ValueError("bath positions must be finite")
         order = np.lexsort(pos.T)
         if (pos[order[1:]] == pos[order[:-1]]).all(axis=1).any():
             raise ValueError("bath spins must occupy distinct positions")
         if not np.einsum("ij,ij->i", pos, pos).all():
             raise ValueError("no bath spin may sit on the defect site")
-        pos.flags.writeable = gammas.flags.writeable = False
+        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "gammas", gammas)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -117,7 +112,10 @@ def child_seed(master_seed: int, index: int) -> int:
 
     First 8 bytes of sha256(f"{master_seed}:{index}") as a big-endian
     integer, masked to 63 bits.  Stable across versions and platforms.
+    By the count rule, master_seed is any integer and index at least 0.
     """
+    master_seed = as_count(master_seed, "master_seed", -math.inf)
+    index = as_count(index, "index", 0)
     import hashlib  # only here, so that no run without a bath loads OpenSSL
 
     digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
@@ -257,16 +255,17 @@ def generate_bath(seed: int, n_spins: int = 125,
                                         abundance, r2_min))
 
 
-def _pair_couplings(pos, gamma, first, second) -> np.ndarray:
-    """Coupling (Hz) of pairs (first[k], second[k]) of spins at pos with
-    ratios gamma, 8192 at a time: |A_zz| of the point-dipole tensor (the
-    secular part), bit-identical to hamiltonians._dipole_tensors.
+def _pair_couplings(pos, first, second) -> np.ndarray:
+    """Coupling (Hz) of pairs (first[k], second[k]) of carbons at pos, 8192
+    at a time: |A_zz| of the point-dipole tensor (the secular part),
+    bit-identical to hamiltonians._dipole_tensors.
     """
     coupling = np.empty(len(first))
     for start in range(0, len(first), 8192):
         i, j = first[start:start + 8192], second[start:start + 8192]
         coupling[start:start + 8192] = np.abs(_dipole_tensors(
-            pos.take(j, 0) - pos.take(i, 0), gamma[i], gamma[j])[:, 2, 2])
+            pos.take(j, 0) - pos.take(i, 0), GAMMA_C13_HZ_PER_G,
+            GAMMA_C13_HZ_PER_G)[:, 2, 2])
     return coupling
 
 
@@ -311,26 +310,27 @@ def _pairs_within(pos: np.ndarray, radius: float):
     return (np.concatenate(part) for part in zip(*found))
 
 
-def _descending_pairs(pos: np.ndarray, gamma: np.ndarray, open_: np.ndarray):
-    """Pairs (i, j), i < j, of open spins at pos with ratios gamma by
-    descending coupling, ties by the lower pair.
+def _descending_pairs(pos: np.ndarray, open_: np.ndarray):
+    """Pairs (i, j), i < j, of open carbons at pos by descending coupling,
+    ties by the lower pair.
 
     Lazy, so a visit that stops early skips most couplings.  Each round
     takes the window of open pairs no farther apart than a radius R,
     computes the couplings of the pairs new to it and yields, sorted, those
-    above the bound sqrt(6) |c| of every open pair outside it, c the dipole
-    prefactor of the largest open |gamma| at distance R: the norm of
-    c (1 - 3 rhat rhat) is sqrt(6) |c|, its zz element at most 2 |c|.  R
-    starts where the window holds about 16 pairs a spin and grows so that
-    the window grows about 4x a round; the round whose window holds every
-    open pair takes the rest, pairs with a zero gamma among them.
+    above the bound sqrt(6) c of every open pair outside it, c the
+    carbon-carbon dipole prefactor at distance R: the norm of
+    c (1 - 3 rhat rhat) is sqrt(6) c, its zz element at most 2 c.  R starts
+    where the window holds about 16 pairs a spin and grows so that the
+    window grows about 4x a round; the round whose window holds every open
+    pair takes the rest.
 
     open_ is the caller's mask of spins whose group can still grow; it may
     clear spins between yields.  A pair with a cleared spin is never
     yielded after, as no merge could take it.
     """
     # relative margin far above the rounding of distances and couplings
-    scale = math.sqrt(6.0) * (1.0 + 1e-6) * dipole_prefactor_hz(1.0, 1.0, 1.0)
+    scale = math.sqrt(6.0) * (1.0 + 1e-6) * dipole_prefactor_hz(
+        GAMMA_C13_HZ_PER_G, GAMMA_C13_HZ_PER_G, 1.0)
     first = second = np.zeros(0, dtype=np.intp)
     coupling = np.zeros(0)
     radius, seen = 0.0, -1.0
@@ -350,12 +350,8 @@ def _descending_pairs(pos: np.ndarray, gamma: np.ndarray, open_: np.ndarray):
         first = np.concatenate([first[still], i])
         second = np.concatenate([second[still], j])
         coupling = np.concatenate([coupling[still],
-                                   _pair_couplings(pos, gamma, i, j)])
-        if len(r2) == m * (m - 1) // 2:
-            bound = -1.0
-        else:
-            top = np.abs(gamma[spins]).max()
-            bound = scale * top * top / radius ** 3
+                                   _pair_couplings(pos, i, j)])
+        bound = -1.0 if len(r2) == m * (m - 1) // 2 else scale / radius ** 3
         ready = coupling > bound
         order = np.lexsort((second[ready], first[ready], -coupling[ready]))
         yield from zip(first[ready][order].tolist(),
@@ -384,7 +380,7 @@ def cluster_bath(bath: Bath, g: int = 3) -> Partition:
     count = [0, n] + [0] * (min(g, n) - 1)  # count[s]: groups of size s
     if g > 1 and n > 1:
         open_ = np.ones(n, dtype=bool)  # spins whose group can still grow
-        for i, j in _descending_pairs(bath.positions, bath.gammas, open_):
+        for i, j in _descending_pairs(bath.positions, open_):
             keep, gone = members[label[i]], members[label[j]]
             if keep is gone or len(keep) + len(gone) > g:
                 continue

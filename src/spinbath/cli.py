@@ -322,7 +322,10 @@ def _cmd_scan(resolved: dict) -> int:
     fields = _magnitudes(_parse_field_list(str(resolved["b"])))
     # the shared flags are parsed once, into the first field's config
     config = _sim_config(resolved, fields[0])
-    meta = {**resolved, "fields_gauss": fields}
+    simulation = config.describe()
+    del simulation["b_field_gauss"]  # the first field's; fields_gauss has all
+    meta = {**resolved, "fields_gauss": fields,
+            "resolved_simulation": simulation}
     if resolved["dry_run"]:
         for b in fields:  # the probed pair and the phase at each b
             _at_field(config, b)

@@ -489,8 +489,7 @@ def _eigen_stacks(central, bath: Bath, index, b_field):
     for start in range(0, len(index), step):
         rows = slice(start, start + step)
         yield rows, np.linalg.eigh(hamiltonians.build_hamiltonian_stack(
-            central, bath.positions[index[rows]], bath.gammas[index[rows]],
-            b_field))
+            central, bath.positions[index[rows]], b_field))
 
 
 def _echo(setup: _Setup, bath: Bath, groups) -> np.ndarray:

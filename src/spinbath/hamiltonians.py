@@ -36,6 +36,7 @@ from .constants import (
     A_PAR_MHZ,
     A_PERP_MHZ,
     D_NV_MHZ,
+    GAMMA_C13_HZ_PER_G,
     GAMMA_E_HZ_PER_G,
     GAMMA_N14_HZ_PER_G,
     MU0_SI,
@@ -101,14 +102,14 @@ class JtOrientation:
         return cls(f"off-axis-{k}")  # its label check refuses k outside 1..3
 
 
-def _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g):
-    """(rhat, c) of N separations (N, 3) in nm: unit vectors and prefactors.
+def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
+    """Point-dipole tensors, (N, 3, 3) in Hz, for N separations (N, 3) in nm.
 
-    c is dipole_prefactor_hz; the ratios are scalars or length-N arrays.
-    Each step repeats the scalar formula's float operations, so the
-    results are bit-identical to it: |r| is a dot product (np.vecdot, as
-    np.linalg.norm) and r^3 libm's pow, as for a Python float (numpy's
-    power rounds differently).
+    A_ij = c (delta_ij - 3 rhat_i rhat_j), c the dipole_prefactor_hz of the
+    scalar ratios.  Each step repeats the scalar formula's float
+    operations, so the results are bit-identical to it: |r| is a dot
+    product (np.vecdot, as np.linalg.norm) and r^3 libm's pow, as for a
+    Python float (numpy's power rounds differently).
     """
     r = np.asarray(r_nm, dtype=float).reshape(-1, 3)
     dist = np.sqrt(np.vecdot(r, r))
@@ -117,18 +118,8 @@ def _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g):
     rhat = r / dist[:, None]
     r3 = np.fromiter(map(math.pow, (dist * 1e-9).tolist(),
                          itertools.repeat(3.0)), float, len(dist))
-    c = (MU0_SI * PLANCK_SI * (np.asarray(gamma1_hz_per_g) * 1e4)
-         * (np.asarray(gamma2_hz_per_g) * 1e4) / (4.0 * math.pi * r3))
-    return rhat, c
-
-
-def _dipole_tensors(r_nm, gamma1_hz_per_g, gamma2_hz_per_g) -> np.ndarray:
-    """Point-dipole tensors, (N, 3, 3) in Hz, for N separations (N, 3) in nm.
-
-    A_ij = c (delta_ij - 3 rhat_i rhat_j) from _dipole_axes, bit-identical
-    to the scalar formula.
-    """
-    rhat, c = _dipole_axes(r_nm, gamma1_hz_per_g, gamma2_hz_per_g)
+    c = (MU0_SI * PLANCK_SI * (gamma1_hz_per_g * 1e4)
+         * (gamma2_hz_per_g * 1e4) / (4.0 * math.pi * r3))
     # c (1 - 3 rhat rhat), built in place: -3x + 1 rounds as 1 - 3x
     a = rhat[:, :, None] * rhat[:, None, :]
     a *= -3.0
@@ -204,8 +195,8 @@ def build_p1_hamiltonian(b, axis) -> np.ndarray:
 
     Zeeman terms for the electron and the 14N, then the hyperfine and
     quadrupole terms, both axial about the bond axis n = axis / |axis|
-    (a 3-vector, e.g. a JtOrientation's axis): the hyperfine tensor
-    A_perp 1 + (A_par - A_perp) n n^T gives
+    (a finite, nonzero 3-vector, else ValueError; e.g. a JtOrientation's
+    axis): the hyperfine tensor A_perp 1 + (A_par - A_perp) n n^T gives
 
         A_perp (S . I) + (A_par - A_perp) (n . S)(n . I) + Q (n . I)^2,
 
@@ -214,7 +205,12 @@ def build_p1_hamiltonian(b, axis) -> np.ndarray:
     b_vec = _field_vector(b)
     s_ops, i_ops = _p1_operators()
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    # hypot neither overflows nor underflows where a sum of squares would
+    length = math.hypot(*n) if n.shape == (3,) else math.nan
+    if not 0.0 < length < math.inf:  # NaN too
+        raise ValueError("bond axis must be a finite, nonzero 3-vector, not "
+                         f"{n.tolist()}")
+    n = n / length
     i_n = _along(n, i_ops)
     a_par, a_perp = A_PAR_MHZ * 1e6, A_PERP_MHZ * 1e6
     h = _zeeman(GAMMA_E_HZ_PER_G, b_vec, s_ops)
@@ -359,30 +355,28 @@ def build_system_hamiltonian(central, group, b) -> np.ndarray:
     """Hamiltonian of a central spin plus one group (a Bath): one stack.
     The tests' reference, kept only while perfbench/trace_child.py wraps it
     by name."""
-    return build_hamiltonian_stack(central, group.positions[None],
-                                   group.gammas[None], b)[0]
+    return build_hamiltonian_stack(central, group.positions[None], b)[0]
 
 
-def build_hamiltonian_stack(central, pos, gamma, b) -> np.ndarray:
+def build_hamiltonian_stack(central, pos, b) -> np.ndarray:
     """Hamiltonians (G, D, D) in Hz of a central spin plus each of G groups.
 
-    pos (G, k, 3) holds each group's carbon positions in nm and gamma
-    (G, k) their gyromagnetic ratios in Hz/G.  The composite space is
-    [central slots..., carbon 1, ..., carbon k] in the order each group
-    lists them.  Each carbon gets its Zeeman term and a point-dipole
-    hyperfine coupling to the central electron, and carbon pairs inside a
-    group are dipole-coupled to each other.  Each term enters through its
-    nonzeros alone (see _term_table).
+    pos (G, k, 3) holds each group's carbon-13 positions in nm.  The
+    composite space is [central slots..., carbon 1, ..., carbon k] in the
+    order each group lists them.  Each carbon gets its Zeeman term and a
+    point-dipole hyperfine coupling to the central electron, and carbon
+    pairs inside a group are dipole-coupled to each other.  Each term
+    enters through its nonzeros alone (see _term_table).
     """
     if central is None:
         raise ValueError("a central-spin specification is required")
-    pos, gamma = np.asarray(pos, dtype=float), np.asarray(gamma, dtype=float)
-    if pos.ndim != 3 or pos.shape[2] != 3 or gamma.shape != pos.shape[:2]:
-        raise ValueError("a stack takes positions (G, k, 3) and gammas "
-                         "(G, k): its groups share a size k")
-    if not (np.isfinite(pos).all() and np.isfinite(gamma).all()):
-        raise ValueError("bath positions and gammas must be finite")
-    n, k = gamma.shape
+    pos = np.asarray(pos, dtype=float)
+    if pos.ndim != 3 or pos.shape[2] != 3:
+        raise ValueError("a stack takes positions (G, k, 3): its groups "
+                         "share a size k")
+    if not np.isfinite(pos).all():
+        raise ValueError("bath positions must be finite")
+    n, k = pos.shape[:2]
     i, j = np.triu_indices(k, 1)  # carbon pairs in combinations order
     if (pos[:, i] == pos[:, j]).all(axis=2).any():
         raise ValueError("bath spins must occupy distinct positions")
@@ -390,17 +384,14 @@ def build_hamiltonian_stack(central, pos, gamma, b) -> np.ndarray:
     h = np.repeat(h[None], n, axis=0)
     if k == 0:
         return h
-    # per group: the k electron-carbon tensors, then the carbon pairs'
-    tensors = _dipole_tensors(
-        np.concatenate([pos, pos[:, j] - pos[:, i]], axis=1),
-        np.concatenate([np.full((n, k), GAMMA_E_HZ_PER_G), gamma[:, i]],
-                       axis=1).ravel(),
-        np.concatenate([gamma, gamma[:, j]], axis=1).ravel()).reshape(n, -1, 9)
+    # per group: the k electron-carbon tensors and the carbon pairs'
+    hyperfine = _dipole_tensors(pos, GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
+    pairs = _dipole_tensors(pos[:, j] - pos[:, i], GAMMA_C13_HZ_PER_G,
+                            GAMMA_C13_HZ_PER_G).reshape(n, -1)
     # coefficients (n, terms) in the order of _dense_terms
-    zeeman = -gamma[:, :, None] * _field_vector(b)
-    per_carbon = np.concatenate([zeeman, tensors[:, :k]], axis=2)
-    coeffs = np.concatenate([per_carbon.reshape(n, -1),
-                             tensors[:, k:].reshape(n, -1)], axis=1)
+    zeeman = np.broadcast_to(-GAMMA_C13_HZ_PER_G * _field_vector(b), (n, k, 3))
+    per_carbon = np.concatenate([zeeman, hyperfine.reshape(n, k, 9)], axis=2)
+    coeffs = np.concatenate([per_carbon.reshape(n, -1), pairs], axis=1)
     # One term at a time in a fixed order, zeros skipped: the diagonal holds
     # the central spin's splittings (GHz for the NV), and a summed update
     # (tensordot) rounds it differently, moving NV CPMG echoes by 3e-10.

@@ -57,15 +57,14 @@ from spinbath.pulses import Pulse, compile_schedule, two_level_unitary
 
 
 def bath_to_json(bath: Bath) -> str:
-    """A bath's positions and gyromagnetic ratios as JSON text."""
-    return json.dumps({"positions": bath.positions.tolist(),
-                       "gammas": bath.gammas.tolist()}, indent=2)
+    """A bath's positions as JSON text."""
+    return json.dumps({"positions": bath.positions.tolist()}, indent=2)
 
 
 def bath_from_json(text: str) -> Bath:
     """Inverse of bath_to_json."""
     payload = json.loads(text)
-    return Bath(payload["positions"], payload["gammas"])
+    return Bath(payload["positions"])
 
 
 def radii(bath: Bath) -> np.ndarray:
@@ -374,19 +373,19 @@ def group_hamiltonian(central, group, b, *, include_nn=True,
         return h
     b_vec = _field_vector(b)
     coeffs = []
-    for position, gamma in zip(group.positions, group.gammas.tolist()):
+    for position in group.positions:
         tensor = np.zeros((3, 3))
         if hyperfine_scale != 0.0:
             tensor = hyperfine_scale * scalar_dipole_tensor(
-                position, GAMMA_E_HZ_PER_G, gamma)
+                position, GAMMA_E_HZ_PER_G, GAMMA_C13_HZ_PER_G)
         if secular_hyperfine:
             tensor[:2] = 0.0
-        coeffs += [-gamma * b_vec, tensor.ravel()]
+        coeffs += [-GAMMA_C13_HZ_PER_G * b_vec, tensor.ravel()]
     if include_nn:
         for i, j in itertools.combinations(range(len(group)), 2):
             r = group.positions[j] - group.positions[i]
             coeffs.append(scalar_dipole_tensor(
-                r, float(group.gammas[i]), float(group.gammas[j])).ravel())
+                r, GAMMA_C13_HZ_PER_G, GAMMA_C13_HZ_PER_G).ravel())
     for c, op in zip(np.concatenate(coeffs), _term_stack(central, len(group))):
         if c != 0.0:
             h += c * op
@@ -452,8 +451,7 @@ def larmor_by_spin(central, bath, b):
     freqs = ([], [])
     flagged = []
     for index in range(len(bath)):
-        spin = Bath(bath.positions[index:index + 1],
-                    bath.gammas[index:index + 1])
+        spin = Bath(bath.positions[index:index + 1])
         w, v = np.linalg.eigh(group_hamiltonian(central, spin, b))
         ambiguous = False
         for branch, cvec in enumerate(branch_states):
@@ -568,15 +566,14 @@ def pair_coupling(bath: Bath, i: int, j: int) -> float:
     """Coupling magnitude (Hz) of bath spins i and j, |A_zz| of their
     point-dipole tensor."""
     r = bath.positions[j] - bath.positions[i]
-    return abs(float(_dipole_tensors(r, float(bath.gammas[i]),
-                                     float(bath.gammas[j]))[0, 2, 2]))
+    return abs(float(_dipole_tensors(r, GAMMA_C13_HZ_PER_G,
+                                     GAMMA_C13_HZ_PER_G)[0, 2, 2]))
 
 
 def every_pair_coupling(bath: Bath):
     """(i, j, coupling) of every pair i < j, in pair order."""
     first, second = np.triu_indices(len(bath), 1)
-    return first, second, _pair_couplings(bath.positions, bath.gammas,
-                                          first, second)
+    return first, second, _pair_couplings(bath.positions, first, second)
 
 
 @functools.lru_cache(maxsize=2)

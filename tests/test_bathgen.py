@@ -29,11 +29,11 @@ from spinbath.constants import (
     DIAMOND_BOND_NM,
     DIAMOND_LATTICE_NM,
     GAMMA_C13_HZ_PER_G,
-    GAMMA_N14_HZ_PER_G,
     dipole_prefactor_hz,
 )
 from spinbath.dynamics import SimulationConfig
-from spinbath.hamiltonians import _dipole_tensors
+from spinbath.hamiltonians import (NVCenter, _dipole_tensors,
+                                   build_hamiltonian_stack)
 
 _CELL_FRACTIONS = {
     (0.00, 0.00, 0.00), (0.00, 0.50, 0.50), (0.50, 0.00, 0.50),
@@ -336,31 +336,34 @@ def test_bath_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_bath_refuses_non_finite_positions_and_gammas(bad):
+def test_bath_refuses_non_finite_positions(bad):
     # such a spin used to pass, and its group's eigh failed to converge
-    with pytest.raises(ValueError, match="positions and gammas must be finite"):
+    with pytest.raises(ValueError, match="bath positions must be finite"):
         Bath([(0.5, 0.0, 0.0), (0.0, bad, 0.3)])
-    with pytest.raises(ValueError, match="positions and gammas must be finite"):
-        Bath([(0.5, 0.0, 0.0), (0.0, 0.2, 0.3)], [GAMMA_C13_HZ_PER_G, bad])
 
 
 def test_bath_holds_read_only_arrays():
     bath = Bath([(0.5, 0.0, 0.0), (0.0, 0.2, 0.3)])
     assert bath.positions.shape == (2, 3)
-    assert bath.gammas.tolist() == [GAMMA_C13_HZ_PER_G] * 2
     with pytest.raises(ValueError):
         bath.positions[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        bath.gammas[0] = 1.0
-    with pytest.raises(ValueError):
-        Bath([(0.5, 0.0, 0.0)], [1.0, 2.0])
+
+
+def test_every_bath_spin_is_a_carbon():
+    # no layer takes a gyromagnetic ratio per spin
+    positions = [(0.5, 0.0, 0.0), (0.0, 0.2, 0.3)]
+    with pytest.raises(TypeError):
+        Bath(positions, [GAMMA_C13_HZ_PER_G] * 2)
+    with pytest.raises(TypeError):
+        build_hamiltonian_stack(NVCenter(), [positions],
+                                [[GAMMA_C13_HZ_PER_G] * 2], 72.0)
+    assert not hasattr(Bath(positions), "gammas")
 
 
 def test_bath_json_round_trip():
     bath = generate_bath(seed=17, n_spins=25)
     clone = bath_from_json(bath_to_json(bath))
     assert clone.positions.tolist() == bath.positions.tolist()
-    assert clone.gammas.tolist() == bath.gammas.tolist()
 
 
 def test_child_seed_is_stable_and_distinct():
@@ -371,6 +374,17 @@ def test_child_seed_is_stable_and_distinct():
     # derivation is pinned: sha256 of "master:index", first 8 bytes, 63 bits
     digest = hashlib.sha256(b"123:7").digest()
     assert child_seed(123, 7) == int.from_bytes(digest[:8], "big") & (2 ** 63 - 1)
+
+
+def test_child_seed_admits_integers_by_the_count_rule():
+    # integer inputs, numpy's among them, keep their seeds
+    assert child_seed(0, 0) == 3202682252830578881
+    assert child_seed(-7, 3) == 1310704728948715166
+    assert child_seed(np.int64(-7), np.int32(3)) == child_seed(-7, 3)
+    for master, index in [(0.5, 1), ("x", 1), (True, 0), (0, False),
+                          (0, -1), (0, 1.0), (None, 0)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            child_seed(master, index)
 
 
 def test_pair_coupling_axial_pair():
@@ -423,7 +437,6 @@ def test_a_seed_replays_the_bath_and_its_partition(seed, n_spins, g):
     bath = generate_bath(seed, n_spins)
     again = generate_bath(seed, n_spins)
     assert again.positions.tobytes() == bath.positions.tobytes()
-    assert again.gammas.tobytes() == bath.gammas.tobytes()
     assert cluster_bath(again, g) == cluster_bath(bath, g)
 
 
@@ -447,9 +460,7 @@ def test_early_stop_keeps_the_partition_of_the_full_visit(n_spins):
 
 # on a 0.01 nm grid, so that equal couplings (ties) come up often
 _coordinate = st.integers(-150, 150).map(lambda q: q / 100)
-_drawn_spin = st.tuples(
-    st.tuples(_coordinate, _coordinate, _coordinate).filter(any),
-    st.sampled_from([GAMMA_C13_HZ_PER_G, -GAMMA_N14_HZ_PER_G, 0.0]))
+_drawn_spin = st.tuples(_coordinate, _coordinate, _coordinate).filter(any)
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,8 +470,7 @@ _drawn_spin = st.tuples(
            st.builds(ball_bath, st.integers(0, 2 ** 32 - 1),
                      st.integers(1, 60)),
            st.lists(_drawn_spin, min_size=1, max_size=30,
-                    unique_by=lambda spin: spin[0]).map(
-               lambda spins: Bath(*zip(*spins)))),
+                    unique=True).map(Bath)),
        g=st.integers(1, 5))
 def test_partition_covers_the_bath_and_equals_the_every_pair_visit(bath, g):
     part = cluster_bath(bath, g)
@@ -469,20 +479,9 @@ def test_partition_covers_the_bath_and_equals_the_every_pair_visit(bath, g):
     assert part == cluster_every_pair(bath, g)
 
 
-def _mixed_gamma_bath(seed):
-    """A default bath with some spins of other (signed) or zero gamma."""
-    bath = generate_bath(seed=seed, n_spins=125)
-    gammas = bath.gammas.copy()
-    for k in range(0, len(gammas), 9):
-        gammas[k] = GAMMA_N14_HZ_PER_G if k % 2 else -GAMMA_N14_HZ_PER_G
-    gammas[4] = 0.0
-    return Bath(bath.positions, gammas)
-
-
 @pytest.mark.parametrize("make_bath", [
     lambda seed: ball_bath(seed, 150),
-    _mixed_gamma_bath,
-], ids=["continuum-zz", "mixed-gamma-zz"])
+], ids=["continuum-zz"])
 def test_early_stop_keeps_the_partition_on_other_baths(make_bath):
     for seed in range(5):
         bath = make_bath(seed)
@@ -542,11 +541,11 @@ def test_zz_couplings_equal_the_tensor_element(make_bath):
     # clustering must keep every bit of the tensor's zz element, signed
     # zeros included, on lattice and on off-lattice (continuum) positions
     bath = make_bath(child_seed(0, 0))
-    pos, gamma = bath.positions, bath.gammas
+    pos = bath.positions
     first, second = np.triu_indices(len(bath), 1)
-    args = pos[second] - pos[first], gamma[first], gamma[second]
-    tensor_zz = _dipole_tensors(*args)[:, 2, 2]
-    coupling = bathgen._pair_couplings(pos, gamma, first, second)
+    tensor_zz = _dipole_tensors(pos[second] - pos[first], GAMMA_C13_HZ_PER_G,
+                                GAMMA_C13_HZ_PER_G)[:, 2, 2]
+    coupling = bathgen._pair_couplings(pos, first, second)
     assert coupling.tobytes() == np.abs(tensor_zz).tobytes()
 
 

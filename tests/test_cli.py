@@ -322,6 +322,23 @@ def test_scan_lists_every_field_in_metadata(tmp_path, capsys):
     assert len(rows) == 2 * 5
 
 
+@pytest.mark.parametrize("central", ["p1", "nv", "electron"])
+def test_echo_and_scan_sidecars_name_the_same_schema_and_model(
+        tmp_path, capsys, central):
+    # a scan's output is matched to a schema and a model as an echo's is
+    flags = [*_SMALL, "--central", central, "--b", "72"]
+    for command in ("echo", "scan"):
+        code, _, _ = _run([command, *flags, "--out", str(tmp_path / command)],
+                          capsys)
+        assert code == 0
+    echo, scan = (json.loads((tmp_path / c / f"{c}.meta.json").read_text())
+                  ["resolved_simulation"] for c in ("echo", "scan"))
+    assert scan["schema_version"] == echo["schema_version"]
+    assert scan["central"] == echo["central"]
+    # the rest but the field, of which a scan lists every one
+    assert scan == {k: v for k, v in echo.items() if k != "b_field_gauss"}
+
+
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_a_scan_builds_one_config(tmp_path, capsys, monkeypatch, dry_run):
     # the shared flags are parsed once, into the first field's config, and
@@ -1292,6 +1309,18 @@ def test_cli_import_leaves_hashlib_unloaded():
         "import sys, spinbath.cli; print('_hashlib' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_echo_dry_run_draws_no_bath():
+    # numpy.random (10-16 ms) and OpenSSL load with the first bath alone
+    proc = _run_python(
+        "import contextlib, io, sys\n"
+        "from spinbath.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['echo', '--dry-run']) == 0\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_analysis_unloaded():

@@ -70,7 +70,7 @@ def _setup(central, program, taus, sizes, b=72.0):
 def _subset(bath, index):
     """The spins of bath at index, as a group."""
     index = list(index)
-    return Bath(bath.positions[index], bath.gammas[index])
+    return Bath(bath.positions[index])
 
 
 def _eseem_closed_form(position, b, tau):
@@ -259,8 +259,8 @@ def test_the_model_has_no_carbon_pair_switch():
         group_signal(NVCenter(), Bath([_spin(0.6, 0.0, 0.4)]),
                      expand_preset("hahn"), 9e-6, 72.0, include_nn=False)
     with pytest.raises(TypeError):
-        build_hamiltonian_stack(NVCenter(), [[_spin(0.6, 0.0, 0.4)]],
-                                [[GAMMA_C13_HZ_PER_G]], 72.0, include_nn=False)
+        build_hamiltonian_stack(NVCenter(), [[_spin(0.6, 0.0, 0.4)]], 72.0,
+                                include_nn=False)
 
 
 def test_secular_factorization_is_exact():
@@ -364,7 +364,7 @@ def _kernel_inputs(central, prog, taus):
     bath = generate_bath(seed=4, n_spins=12)
     index = [np.arange(12 - 12 % g).reshape(-1, g) for g in (1, 2, 3, 4)]
     stacks = [np.linalg.eigh(build_hamiltonian_stack(
-                  central, bath.positions[idx], bath.gammas[idx], 72.0))
+                  central, bath.positions[idx], 72.0))
               for idx in index]
     return probes, setup, stacks
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def test_p1_hamiltonian_is_the_bond_frame_form(axis):
         # whatever sequence type holds the axis
         for same in (np.array(axis), list(axis), tuple(axis)):
             assert build_p1_hamiltonian(b, same).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("axis,shown", [
+    ((0.0, 0.0, 0.0), "[0.0, 0.0, 0.0]"),
+    ((math.nan, 0.0, 1.0), "[nan, 0.0, 1.0]"),
+    ((0.0, math.inf, 1.0), "[0.0, inf, 1.0]"),
+    ((1.0, 2.0), "[1.0, 2.0]"),
+    ((1.0, 2.0, 3.0, 4.0), "[1.0, 2.0, 3.0, 4.0]"),
+    (1.0, "1.0"),
+], ids=["zero", "nan", "inf", "two", "four", "scalar"])
+def test_p1_hamiltonian_refuses_a_bond_axis_of_no_direction(axis, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError) as exc:
+            build_p1_hamiltonian(72.0, axis)
+    assert str(exc.value) == \
+        f"bond axis must be a finite, nonzero 3-vector, not {shown}"
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-310], ids=["huge", "subnormal"])
+def test_p1_hamiltonian_takes_any_finite_nonzero_bond_axis(scale):
+    # its length neither overflows nor underflows: the direction is kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_p1_hamiltonian(72.0, (scale, scale, 0.0))
+    expect = build_p1_hamiltonian(72.0, (1.0, 1.0, 0.0))
+    assert np.abs(h - expect).max() <= 1e-6
 
 
 def test_jt_orientation_validation():
@@ -292,8 +320,7 @@ def test_system_hamiltonian_matches_direct_kron_assembly():
 def test_system_hamiltonian_rejects_coincident_spins():
     with pytest.raises(ValueError):
         build_hamiltonian_stack(
-            P1Center(), [[(0.5, 0.5, 0.5), (0.5, 0.5, 0.5)]],
-            [[GAMMA_C13_HZ_PER_G, GAMMA_C13_HZ_PER_G]], 72.0)
+            P1Center(), [[(0.5, 0.5, 0.5), (0.5, 0.5, 0.5)]], 72.0)
 
 
 def test_system_hamiltonian_carbon_pair_coupling_toggle():
@@ -364,8 +391,7 @@ def _stacks():
 def _stack(central, groups, b):
     """build_hamiltonian_stack of groups (Baths) of one size."""
     return build_hamiltonian_stack(
-        central, np.stack([group.positions for group in groups]),
-        np.stack([group.gammas for group in groups]), b)
+        central, np.stack([group.positions for group in groups]), b)
 
 
 # The stack builds the model alone, with no option; the validation forms
@@ -382,9 +408,9 @@ def _dropped_hyperfine(central, group, options):
     on the S_i I_j products of oracles.gemm_terms."""
     terms = list(gemm_terms(central, len(group)))
     dropped = np.zeros_like(terms[0])
-    for m, (position, gamma) in enumerate(zip(group.positions,
-                                              group.gammas.tolist())):
-        tensor = scalar_dipole_tensor(position, GAMMA_E_HZ_PER_G, gamma)
+    for m, position in enumerate(group.positions):
+        tensor = scalar_dipole_tensor(position, GAMMA_E_HZ_PER_G,
+                                      GAMMA_C13_HZ_PER_G)
         kept = options.get("hyperfine_scale", 1.0) * tensor
         if options.get("secular_hyperfine"):
             kept[:2] = 0.0
@@ -477,22 +503,18 @@ def test_stacked_eigh_equals_one_matrix_at_a_time():
 def test_hamiltonian_stack_needs_one_group_size():
     pos = [[(0.5, 0.5, 0.5), (0.7, 0.5, 0.5)]]
     with pytest.raises(ValueError, match="share a size"):
-        build_hamiltonian_stack(NVCenter(), pos, [[GAMMA_C13_HZ_PER_G]], 72.0)
-    with pytest.raises(ValueError, match="share a size"):
-        build_hamiltonian_stack(NVCenter(), pos[0], [GAMMA_C13_HZ_PER_G] * 2,
-                                72.0)
+        build_hamiltonian_stack(NVCenter(), pos[0], 72.0)
+    with pytest.raises(ValueError):  # ragged: numpy refuses the array
+        build_hamiltonian_stack(NVCenter(), [pos[0], pos[0][:1]], 72.0)
     assert build_hamiltonian_stack(NVCenter(), np.zeros((0, 0, 3)),
-                                   np.zeros((0, 0)), 72.0).shape == (0, 3, 3)
+                                   72.0).shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_hamiltonian_stack_refuses_non_finite_spins(bad):
     # refused before eigh, which fails to converge on such a matrix
-    with pytest.raises(ValueError, match="positions and gammas must be finite"):
-        build_hamiltonian_stack(P1Center(), [[(0.5, bad, 0.5)]],
-                                [[GAMMA_C13_HZ_PER_G]], 72.0)
-    with pytest.raises(ValueError, match="positions and gammas must be finite"):
-        build_hamiltonian_stack(P1Center(), [[(0.5, 0.4, 0.5)]], [[bad]], 72.0)
+    with pytest.raises(ValueError, match="bath positions must be finite"):
+        build_hamiltonian_stack(P1Center(), [[(0.5, bad, 0.5)]], 72.0)
 
 
 def test_field_vector_forms_agree():
